@@ -6,7 +6,8 @@ files: identical config and seed give byte-identical output.  Floats are
 printed with %.17g so values round-trip exactly.
 
 Exit codes: 0 all checks passed, 1 a named check failed its tolerance,
-2 configuration error.
+2 configuration error, 3 internal error (an unexpected exception, reported
+as one line on stderr instead of a traceback).
 """
 
 from __future__ import annotations
@@ -456,6 +457,10 @@ def main(argv=None) -> int:
     except dynamics.DivergenceError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a fault in the program itself, not a missed tolerance
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -106,6 +106,11 @@ def validate_level(n: int, two_j: int):
 def energy(n: int, two_j: int, p: NCParams) -> float:
     validate_level(n, two_j)
     p.require_omega()
+    return _level_energy(n, two_j, p)
+
+
+def _level_energy(n, two_j, p: NCParams):
+    """E(n, two_j) unchecked; elementwise on integer arrays of levels."""
     u = (p.m * p.omega * p.theta) ** 2 / 4.0
     return (p.hbar * p.omega * math.sqrt(1.0 + u) * (n + 1)
             - p.theta * p.m * p.omega ** 2 * p.hbar * (two_j / 2.0))

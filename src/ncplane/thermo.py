@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import duals
 from .duals import value
 from .params import NCParams
-from .spectra import energy as level_energy
+from .spectra import _level_energy, energy as level_energy
 
 # beyond this the exponential form of cosh is exact to double precision
 _LOG_SWITCH = 30.0
@@ -155,7 +157,11 @@ def partition_single_direct(T, tp: ThermoParams, tol: float = 1e-14):
     """Brute-force oracle: sum e^{-beta E} over levels until terms vanish.
 
     Independent of the closed form; used to pin it in tests.  The slowest
-    series direction decays like e^{-beta (a - b) n}.
+    series direction decays like e^{-beta (a - b) n}.  The whole ladder
+    n <= n_max, |two_j| <= n is laid out as integer arrays, every level
+    energy comes from the spectrum's own formula, and the terms are added
+    one by one with math.fsum.  It still sums level by level and shares
+    no scale with the closed form: (a, b) only sets the cut-off n_max.
     """
     a, b = level_scales(tp.nc)
     beta = _beta(T, tp.nc)
@@ -163,11 +169,9 @@ def partition_single_direct(T, tp: ThermoParams, tol: float = 1e-14):
     if gap <= 0:
         raise ValueError("level ladder is not bounded below")
     n_max = math.ceil(math.log(1.0 / tol) / (beta * gap)) + 10
-    terms = []
-    for n in range(n_max + 1):
-        for two_j in range(-n, n + 1, 2):
-            terms.append(math.exp(-beta * level_energy(n, two_j, tp.nc)))
-    return math.fsum(terms)
+    n, k = np.tril_indices(n_max + 1)      # row n, two_j = 2k - n
+    E = _level_energy(n, 2 * k - n, tp.nc)
+    return math.fsum(np.exp(-beta * E).tolist())
 
 
 @dataclass(frozen=True)

@@ -324,9 +324,12 @@ class WignerTable:
 def wigner_table(W, axes, params: NCParams | None = None) -> WignerTable:
     """Sample an evaluator on a product grid.
 
-    Grid states require the x and py axes to coincide with the state grid
-    (the quadrature then reduces to batched matrix products); closed-form
-    evaluators accept any axes.
+    Grid states require the x and py axes to coincide with the state grid;
+    closed-form evaluators accept any axes.  For a grid state each x row
+    forms the correlation psi(x - zeta, py - eta) psi*(x + zeta, py + eta)
+    for every py node at once from strided views of the padded state (no
+    gathered copies), then contracts it with the zeta phases and, after
+    the theta shear, with the eta phases as two matrix products.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != 4:
@@ -358,20 +361,20 @@ def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
     W._alias_guard(ya[:, None], pxa[None, :])
     nx, ny = psi.values.shape
     K, L = W._K, W._L
-    karr = np.arange(-K, K + 1)
-    larr = np.arange(-L, L + 1)
     A = np.exp(2j * np.outer(pxa, W._zeta) / p.hbar)      # (na, 2K+1)
     D = np.exp(2j * p.theta * np.outer(pxa, W._eta) / p.hbar)
     E = np.exp(-2j * np.outer(W._eta, ya) / p.hbar)       # (2L+1, nb)
-    jj = np.arange(ny)
-    cm1 = L + jj[:, None] - larr[None, :]
-    cm2 = L + jj[:, None] + larr[None, :]
+    # win[r, j, l] = _pad[r, j + l]: exactly ny windows of 2L+1 columns
+    win = np.lib.stride_tricks.sliding_window_view(W._pad, 2 * L + 1, axis=1)
+    M = np.empty((2 * K + 1, ny, 2 * L + 1), dtype=complex)
     out = np.empty((nx, len(ya), len(pxa), ny))
     worst_imag = 0.0
     for i in range(nx):
-        r1 = W._pad[K + i - karr][:, cm1]                 # (2K+1, ny, 2L+1)
-        r2 = np.conj(W._pad[K + i + karr][:, cm2])
-        M = r1 * r2
+        # rows[k, j, l] = psi(x_i + zeta_k, py_j + eta_l); reversing k and
+        # l turns it into psi(x_i - zeta_k, py_j - eta_l), all as views
+        rows = win[i:i + 2 * K + 1]
+        np.conjugate(rows, out=M)
+        np.multiply(rows[::-1, :, ::-1], M, out=M)        # (2K+1, ny, 2L+1)
         T = np.tensordot(A, M, axes=(1, 0))               # (na, ny, 2L+1)
         T *= D[:, None, :]
         S = np.tensordot(T, E, axes=(2, 0))               # (na, ny, nb)

@@ -119,6 +119,17 @@ def test_invalid_level_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+def test_unexpected_exception_exits_three(tmp_path, capsys, monkeypatch):
+    def boom(cfg):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", boom)
+    rc = cli.main(["spectrum", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.strip() == "internal error: RuntimeError: injected fault"
+
+
 def test_spectrum_csv_round_trips_energies(tmp_path, capsys):
     rc = cli.main(["spectrum", "--n-max", "3", "--theta", "1",
                    "--out-dir", str(tmp_path)])

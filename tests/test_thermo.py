@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncplane import duals, thermo
+from ncplane import duals, spectra, thermo
 from ncplane.params import NCParams
 from ncplane.thermo import ThermoParams
 
@@ -56,6 +56,28 @@ def test_partition_direct_sum_low_temperature_branch():
     assert abs(z - zd) <= 1e-12 * zd
     assert thermo.log_partition_single(T, tp) == pytest.approx(math.log(zd),
                                                                rel=1e-12)
+
+
+def _scalar_level_sum(T, tp, tol=1e-14):
+    """The oracle as a plain Python loop over (n, two_j), one level at a time."""
+    a, b = thermo.level_scales(tp.nc)
+    beta = 1.0 / (tp.nc.kB * T)
+    n_max = math.ceil(math.log(1.0 / tol) / (beta * (a - abs(b)))) + 10
+    return math.fsum(math.exp(-beta * spectra.energy(n, two_j, tp.nc))
+                     for n in range(n_max + 1)
+                     for two_j in range(-n, n + 1, 2))
+
+
+@pytest.mark.parametrize("T, theta", [
+    (1.0, -0.7),     # b < 0
+    (0.025, 0.5),    # low-temperature branch of the closed form
+    (5.0, 2.0),      # n_max ~ 400
+    (0.7, 0.0),
+])
+def test_partition_direct_matches_scalar_level_loop(T, theta):
+    tp = _tp(theta)
+    ref = _scalar_level_sum(T, tp)
+    assert abs(thermo.partition_single_direct(T, tp) - ref) <= 1e-15 * ref
 
 
 def test_commutative_partition_geometric_form():

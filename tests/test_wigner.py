@@ -100,6 +100,27 @@ def test_quadrature_matches_closed_form_on_slices(ground_xpy):
     assert np.abs(Wq.at(x0, Y, 0.37, PY) - Wc.at(x0, Y, 0.37, PY)).max() < 1e-8
 
 
+def test_table_matches_pointwise_quadrature_without_reflection_symmetry():
+    # a parity mix with a momentum kick: psi(-x, -py) is no multiple of
+    # psi(x, py), so a reversed or shifted correlation window shows here
+    pgrid = momentum_grid(P, 33, 8.0)
+    mix = eigenfunction(2, 2, P, pgrid)
+    mix = mix.with_values(mix.values
+                          + 0.5 * eigenfunction(1, 1, P, pgrid).values)
+    psi = transform(mix, "xpy", P,
+                    axes=(uniform_axis(-4.5, 4.5, 33), mix.axis2))
+    psi = psi.with_values(psi.values
+                          * np.exp(0.9j * psi.axis1[:, None] / P.hbar))
+    Wq = wigner_from_state(psi, P)
+    axes = (psi.axis1, uniform_axis(-1.5, 1.2, 4), uniform_axis(-0.8, 1.1, 3),
+            psi.axis2)
+    tab = wigner_table(Wq, axes)
+    pointwise = Wq.at(*np.meshgrid(*axes, indexing="ij"))
+    scale = 1.0 / (math.pi * P.hbar) ** 2
+    assert np.abs(tab.values).max() > 0.1 * scale
+    assert np.abs(tab.values - pointwise).max() < 1e-12 * scale
+
+
 def test_table_normalization(ground_table):
     assert ground_table.integral() == pytest.approx(1.0, abs=1e-6)
 
