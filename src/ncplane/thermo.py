@@ -157,11 +157,10 @@ def partition_single_direct(T, tp: ThermoParams, tol: float = 1e-14):
     """Brute-force oracle: sum e^{-beta E} over levels until terms vanish.
 
     Independent of the closed form; used to pin it in tests.  The slowest
-    series direction decays like e^{-beta (a - b) n}.  The whole ladder
-    n <= n_max, |two_j| <= n is laid out as integer arrays, every level
-    energy comes from the spectrum's own formula, and the terms are added
-    one by one with math.fsum.  It still sums level by level and shares
-    no scale with the closed form: (a, b) only sets the cut-off n_max.
+    series direction decays like e^{-beta (a - b) n}.  The ladder up to
+    n_max is laid out as integer arrays and the terms are added one by one
+    with math.fsum: still a level-by-level sum that shares no scale with
+    the closed form, whose (a, b) only set the cut-off.
     """
     a, b = level_scales(tp.nc)
     beta = _beta(T, tp.nc)

@@ -325,11 +325,9 @@ def wigner_table(W, axes, params: NCParams | None = None) -> WignerTable:
     """Sample an evaluator on a product grid.
 
     Grid states require the x and py axes to coincide with the state grid;
-    closed-form evaluators accept any axes.  For a grid state each x row
-    forms the correlation psi(x - zeta, py - eta) psi*(x + zeta, py + eta)
-    for every py node at once from strided views of the padded state (no
-    gathered copies), then contracts it with the zeta phases and, after
-    the theta shear, with the eta phases as two matrix products.
+    each x row then reads psi(x - zeta, py - eta) psi*(x + zeta, py + eta)
+    off strided views of the padded state and contracts it in two matrix
+    products.  Closed-form evaluators accept any axes.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != 4:
