@@ -69,9 +69,6 @@ class GroundStateWigner:
              * ((x + 0.5 * p.theta * py) ** 2 + (y - 0.5 * p.theta * px) ** 2))
         return _exp(q) / (math.pi * p.hbar) ** 2
 
-    def at_point(self, z: PhasePoint):
-        return self.at(z.x, z.y, z.px, z.py)
-
     def as_scalar_field(self, name="W"):
         return ScalarField(lambda x, y, px, py, t: self.at(x, y, px, py), name)
 
@@ -79,10 +76,13 @@ class GroundStateWigner:
 class QuadratureWigner:
     """Wigner transform of an (x, p_y) grid state by direct quadrature.
 
-    zeta and eta run over the full lattice of grid offsets; the state is
+    zeta and eta run over the full lattice of grid offsets.  The state is
     treated as zero outside its grid (valid when the boundary amplitude
-    is negligible).  Off-node (x, py) requests fall back to bilinear
-    interpolation of the state, which is exact on the nodes.
+    is negligible), so W = 0 exactly for any (x, py) off the grid.  An
+    (x, py) within 1e-9 grid steps of a node is snapped onto it; other
+    off-node requests interpolate the correlation
+    psi(x - zeta, py - eta) psi*(x + zeta, py + eta) bilinearly between
+    the four surrounding nodes, which is exact on the nodes.
     """
 
     def __init__(self, psi: GridFunction, params: NCParams):
@@ -96,7 +96,9 @@ class QuadratureWigner:
         self._K, self._L = nx - 1, ny - 1
         pad = np.zeros((3 * nx - 2, 3 * ny - 2), dtype=complex)
         pad[self._K:self._K + nx, self._L:self._L + ny] = psi.values
-        self._pad = pad
+        # win[r, j, l] = pad[r, j + l]: exactly ny windows of 2L+1 columns
+        self._win = np.lib.stride_tricks.sliding_window_view(
+            pad, 2 * self._L + 1, axis=1)
         self._zeta = np.arange(-self._K, self._K + 1) * psi.step1
         self._eta = np.arange(-self._L, self._L + 1) * psi.step2
         self._pref = psi.step1 * psi.step2 / (math.pi * params.hbar) ** 2
@@ -115,31 +117,16 @@ class QuadratureWigner:
                 f"cannot resolve the transform phase out to |px| = {r1:.3g}, "
                 f"|y - theta px| = {r2:.3g} (limits {lim1:.3g}, {lim2:.3g})")
 
-    def _corner(self, i, j, di, dj):
-        """Correlation matrix M[k, l] anchored at integer offsets."""
-        K, L = self._K, self._L
-        karr = np.arange(-K, K + 1)
-        larr = np.arange(-L, L + 1)
-        r1 = self._pad[K + i + di - karr][:, L + j + dj - larr]
-        r2 = self._pad[K + i + di + karr][:, L + j + dj + larr]
-        return r1 * np.conj(r2)
+    def _corr(self, i, j, out):
+        """M[k, ..., l] = psi(x_i - zeta_k, py_j - eta_l)
+        psi*(x_i + zeta_k, py_j + eta_l) for node row i and node column(s) j,
+        written into out.
 
-    def _corr(self, xq, pyq):
-        """M[k, l] = psi(xq - zeta_k, pyq - eta_l) psi*(xq + zeta_k, ...)."""
-        h1, h2 = self.psi.step1, self.psi.step2
-        fi = (xq - self.psi.axis1[0]) / h1
-        fj = (pyq - self.psi.axis2[0]) / h2
-        i, j = int(np.floor(fi)), int(np.floor(fj))
-        fx, fy = fi - i, fj - j
-        if abs(fx) < 1e-9 and abs(fy) < 1e-9:
-            return self._corner(i, j, 0, 0)
-        # bilinear in the state arguments, one corner gather per weight
-        out = 0.0
-        for di, wx in ((0, 1 - fx), (1, fx)):
-            for dj, wy in ((0, 1 - fy), (1, fy)):
-                if wx * wy != 0.0:
-                    out = out + (wx * wy) * self._corner(i, j, di, dj)
-        return out
+        rows[k, ..., l] = psi(x_i + zeta_k, py_j + eta_l); reversing k and l
+        turns it into psi(x_i - zeta_k, py_j - eta_l), all as views."""
+        rows = self._win[i:i + 2 * self._K + 1, j]
+        M = np.conjugate(rows, out=out)
+        return np.multiply(rows[::-1, ..., ::-1], M, out=M)
 
     def at(self, x, y, px, py):
         p = self.params
@@ -148,18 +135,35 @@ class QuadratureWigner:
         self._alias_guard(y, px)
         shape = x.shape
         xf, yf, pxf, pyf = (v.ravel() for v in (x, y, px, py))
-        out = np.empty(xf.size)
+        nx, ny = self.psi.values.shape
+        out = np.zeros(xf.size)
+        M = np.empty((2 * self._K + 1, 2 * self._L + 1), dtype=complex)
+        C = np.empty_like(M)
         worst_imag = 0.0
         pairs = {}
         for n in range(xf.size):
             pairs.setdefault((xf[n], pyf[n]), []).append(n)
         for (xq, pyq), idx in pairs.items():
-            M = self._corr(xq, pyq)
+            fi = _snap((xq - self.psi.axis1[0]) / self.psi.step1)
+            fj = _snap((pyq - self.psi.axis2[0]) / self.psi.step2)
+            if not (0 <= fi <= nx - 1 and 0 <= fj <= ny - 1):
+                continue  # the state vanishes off its grid
+            i, j = math.floor(fi), math.floor(fj)
+            fx, fy = fi - i, fj - j
+            # bilinear in (x, py); a zero weight reads nothing, so an
+            # in-grid query never leaves the padded state
+            M.fill(0.0)
+            for di, wx in ((0, 1 - fx), (1, fx)):
+                for dj, wy in ((0, 1 - fy), (1, fy)):
+                    if wx * wy != 0.0:
+                        self._corr(i + di, j + dj, C)
+                        C *= wx * wy
+                        M += C
             idx = np.asarray(idx)
             A = np.exp(2j * np.outer(pxf[idx], self._zeta) / p.hbar)
             E = np.exp(-2j * np.outer(yf[idx] - p.theta * pxf[idx],
                                       self._eta) / p.hbar)
-            vals = np.einsum("nk,kl,nl->n", A, M, E) * self._pref
+            vals = np.einsum("nl,nl->n", A @ M, E) * self._pref
             worst_imag = max(worst_imag, float(np.abs(vals.imag).max()))
             out[idx] = vals.real
         scale = max(float(np.abs(out).max()), 1.0 / (math.pi * p.hbar) ** 2)
@@ -169,8 +173,11 @@ class QuadratureWigner:
                 f"against scale {scale:.3e}")
         return out.reshape(shape) if shape else float(out[0])
 
-    def at_point(self, z: PhasePoint):
-        return self.at(z.x, z.y, z.px, z.py)
+
+def _snap(f: float) -> float:
+    """A fractional grid index, rounded onto a node within 1e-9 of it."""
+    r = round(f)
+    return r if abs(f - r) < 1e-9 else f
 
 
 class MixedWigner:
@@ -192,9 +199,6 @@ class MixedWigner:
         for w, ev in self.components:
             acc = acc + w * ev.at(x, y, px, py)
         return acc
-
-    def at_point(self, z: PhasePoint):
-        return self.at(z.x, z.y, z.px, z.py)
 
 
 def flow_matrix(p: NCParams, t: float, kind: str = "oscillator") -> np.ndarray:
@@ -230,9 +234,6 @@ class EvolvedWigner:
         z0 = [M[i][0] * x + M[i][1] * y + M[i][2] * px + M[i][3] * py
               for i in range(4)]
         return self.base.at(*z0)
-
-    def at_point(self, z: PhasePoint):
-        return self.at(z.x, z.y, z.px, z.py)
 
 
 def wigner_from_state(psi: GridFunction, p: NCParams) -> QuadratureWigner:
@@ -325,9 +326,11 @@ def wigner_table(W, axes, params: NCParams | None = None) -> WignerTable:
     """Sample an evaluator on a product grid.
 
     Grid states require the x and py axes to coincide with the state grid;
-    each x row then reads psi(x - zeta, py - eta) psi*(x + zeta, py + eta)
-    off strided views of the padded state and contracts it in two matrix
-    products.  Closed-form evaluators accept any axes.
+    each x row then takes the correlation psi(x - zeta, py - eta)
+    psi*(x + zeta, py + eta) for every py node from the same strided
+    window that QuadratureWigner.at reads one (x, py) at a time, and
+    contracts it in two matrix products.  Closed-form evaluators accept
+    any axes.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != 4:
@@ -362,17 +365,11 @@ def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
     A = np.exp(2j * np.outer(pxa, W._zeta) / p.hbar)      # (na, 2K+1)
     D = np.exp(2j * p.theta * np.outer(pxa, W._eta) / p.hbar)
     E = np.exp(-2j * np.outer(W._eta, ya) / p.hbar)       # (2L+1, nb)
-    # win[r, j, l] = _pad[r, j + l]: exactly ny windows of 2L+1 columns
-    win = np.lib.stride_tricks.sliding_window_view(W._pad, 2 * L + 1, axis=1)
     M = np.empty((2 * K + 1, ny, 2 * L + 1), dtype=complex)
     out = np.empty((nx, len(ya), len(pxa), ny))
     worst_imag = 0.0
     for i in range(nx):
-        # rows[k, j, l] = psi(x_i + zeta_k, py_j + eta_l); reversing k and
-        # l turns it into psi(x_i - zeta_k, py_j - eta_l), all as views
-        rows = win[i:i + 2 * K + 1]
-        np.conjugate(rows, out=M)
-        np.multiply(rows[::-1, :, ::-1], M, out=M)        # (2K+1, ny, 2L+1)
+        W._corr(i, slice(None), M)                        # (2K+1, ny, 2L+1)
         T = np.tensordot(A, M, axes=(1, 0))               # (na, ny, 2L+1)
         T *= D[:, None, :]
         S = np.tensordot(T, E, axes=(2, 0))               # (na, ny, nb)

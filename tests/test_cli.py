@@ -209,6 +209,19 @@ def test_wigner_negativity_search(tmp_path, capsys):
     assert lines[0] == "c1,c2,W"
 
 
+def test_wigner_readme_line_at_default_nodes(tmp_path, capsys):
+    # the README's line as written: 256 nodes, py = 0 between nodes
+    rc = cli.main(["wigner", "--n", "1", "--two-j", "1", "--theta", "0.3",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    rep = json.loads((tmp_path / "wigner.json").read_text())
+    assert rep["negative_region_found"] is True
+    rows = np.loadtxt(tmp_path / "wigner_slice.csv", delimiter=",",
+                      skiprows=1)
+    assert rows.shape == (86 * 41, 3)
+    assert np.abs(rows[:, 2]).max() <= 1.0 / math.pi ** 2
+
+
 def test_wigner_ground_state_stays_positive(tmp_path, capsys):
     rc = cli.main(["wigner", "--nodes", "65", "--theta", "0.3",
                    "--out-dir", str(tmp_path)])

@@ -6,6 +6,7 @@ transforms, an independent code path), overlaps against wave-function
 inner products, and the evolution against the deformed bracket.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from ncplane.params import NCParams
 from ncplane.phasespace import PhasePoint, poisson_bracket
 from ncplane.dynamics import oscillator_hamiltonian
-from ncplane.grids import uniform_axis
+from ncplane.grids import GridFunction, uniform_axis
 from ncplane.spectra import (
     AliasingError,
     effective_frequency,
@@ -119,6 +120,138 @@ def test_table_matches_pointwise_quadrature_without_reflection_symmetry():
     scale = 1.0 / (math.pi * P.hbar) ** 2
     assert np.abs(tab.values).max() > 0.1 * scale
     assert np.abs(tab.values - pointwise).max() < 1e-12 * scale
+
+
+def _excited_state(nodes):
+    psi_p = eigenfunction(1, 1, P, momentum_grid(P, nodes, 8.0))
+    return transform(psi_p, "xpy", P)
+
+
+def test_readme_slice_reaches_the_last_x_node():
+    # 256 nodes put py = 0 halfway between nodes: the README's own query
+    psi = _excited_state(256)
+    Wq = wigner_from_state(psi, P)
+    vals = Wq.at(psi.axis1[-1], 0.0, np.linspace(-2.5, 2.5, 41), 0.0)
+    assert np.all(np.isfinite(vals))
+    assert np.abs(vals).max() <= 1.0 / (math.pi * P.hbar) ** 2
+
+
+def test_pointwise_matches_table_at_every_x_node_of_64():
+    # on 64 nodes (x - x_0)/h lands just below the node index at 60 of
+    # the 64 x nodes; each must snap onto its node
+    psi = _excited_state(64)
+    Wq = wigner_from_state(psi, P)
+    axes = (psi.axis1, uniform_axis(-1.0, 1.0, 3), uniform_axis(-0.9, 0.6, 3),
+            psi.axis2)
+    tab = wigner_table(Wq, axes)
+    cols = np.arange(0, 64, 9)
+    X, Y, PX, PY = np.meshgrid(axes[0], axes[1], axes[2], axes[3][cols],
+                               indexing="ij")
+    scale = 1.0 / (math.pi * P.hbar) ** 2
+    assert np.abs(tab.values).max() > 0.1 * scale
+    assert np.abs(Wq.at(X, Y, PX, PY) - tab.values[..., cols]).max() \
+        < 1e-12 * scale
+
+
+def test_pointwise_vanishes_off_the_state_grid(excited_xpy):
+    Wq = wigner_from_state(excited_xpy, P)
+    x, py = excited_xpy.axis1, excited_xpy.axis2
+    assert Wq.at(x[-1] + 1.0, 0.0, 0.1, py[3]) == 0.0
+    assert Wq.at(x[5], 0.0, 0.1, py[-1] + 0.5 * excited_xpy.step2) == 0.0
+    assert Wq.at(x[0] - 0.3, 0.2, -0.1, py[7]) == 0.0
+    assert Wq.at(x[9], 0.2, -0.1, py[0] - 2.0) == 0.0
+    # in- and off-grid queries mix in one call
+    vals = Wq.at(np.array([x[-1] + 1.0, 0.0]), 0.0, 0.0, 0.0)
+    assert vals[0] == 0.0
+    assert vals[1] == pytest.approx(-1.0 / (math.pi * P.hbar) ** 2, rel=1e-8)
+
+
+def _oracle(psi, x, y, px, py):
+    """Trapezoid double sum of the defining integral, term by term.
+
+    The state product psi(x' - zeta, py' - eta) psi*(x' + zeta, py' + eta)
+    is read at the four (x', py') nodes around the query, zero off the
+    grid, and weighted bilinearly.
+    """
+    nx, ny = psi.values.shape
+    h1, h2 = psi.step1, psi.step2
+    fi = (x - psi.axis1[0]) / h1
+    fj = (py - psi.axis2[0]) / h2
+    i, j = int(math.floor(fi + 1e-9)), int(math.floor(fj + 1e-9))
+    fx, fy = max(fi - i, 0.0), max(fj - j, 0.0)
+    corners = [(i, j, (1 - fx) * (1 - fy)), (i + 1, j, fx * (1 - fy)),
+               (i, j + 1, (1 - fx) * fy), (i + 1, j + 1, fx * fy)]
+
+    def amp(a, b):
+        inside = 0 <= a < nx and 0 <= b < ny
+        return complex(psi.values[a, b]) if inside else 0j
+
+    total = 0j
+    for k in range(-(nx - 1), nx):
+        wk = 0.5 if abs(k) == nx - 1 else 1.0
+        for l in range(-(ny - 1), ny):
+            wl = 0.5 if abs(l) == ny - 1 else 1.0
+            prod = sum(w * amp(a - k, b - l) * amp(a + k, b + l).conjugate()
+                       for a, b, w in corners)
+            phase = cmath.exp(2j * (k * h1 * px - l * h2 * (y - P.theta * px))
+                              / P.hbar)
+            total += wk * wl * phase * prod
+    total *= h1 * h2 / (math.pi * P.hbar) ** 2
+    assert abs(total.imag) < 1e-14 / P.hbar ** 2
+    return total.real
+
+
+@pytest.fixture(scope="module")
+def kicked_mix():
+    """A 19 x 17 parity mix with a momentum kick: it has no reflection
+    symmetry, so a reversed or shifted correlation window shows."""
+    pgrid = momentum_grid(P, 33, 8.0)
+    mix = eigenfunction(2, 2, P, pgrid)
+    mix = mix.with_values(mix.values
+                          + 0.5 * eigenfunction(1, 1, P, pgrid).values)
+    psi = transform(mix, "xpy", P,
+                    axes=(uniform_axis(-3.6, 3.6, 19), mix.axis2))
+    return GridFunction(psi.axis1, psi.axis2[::2],
+                        psi.values[:, ::2]
+                        * np.exp(0.9j * psi.axis1[:, None] / P.hbar), "xpy")
+
+
+def test_pointwise_matches_term_by_term_oracle(kicked_mix):
+    psi = kicked_mix
+    Wq = wigner_from_state(psi, P)
+    h1, h2 = psi.step1, psi.step2
+    queries = [(psi.axis1[9], 0.3, 0.4, psi.axis2[8]),
+               (psi.axis1[7], -0.6, 0.9, psi.axis2[10]),
+               (psi.axis1[0], 0.1, -0.2, psi.axis2[16]),
+               (psi.axis1[8] + 0.37 * h1, -0.2, 0.5, psi.axis2[9]),
+               (psi.axis1[11], 0.7, -0.3, psi.axis2[6] + 0.61 * h2),
+               (psi.axis1[6] + 0.25 * h1, 0.0, 0.8, psi.axis2[12] + 0.8 * h2),
+               (psi.axis1[17] + 0.5 * h1, 0.4, 0.2, psi.axis2[15] + 0.3 * h2)]
+    scale = 1.0 / (math.pi * P.hbar) ** 2
+    got = Wq.at(*np.array(queries).T)
+    expect = np.array([_oracle(psi, *q) for q in queries])
+    assert np.abs(expect).max() > 0.1 * scale
+    assert np.abs(got - expect).max() < 1e-13 * scale
+
+
+def test_queries_within_tolerance_snap_onto_edge_nodes():
+    # a state that is large on its edges: a query 1e-10 steps outside an
+    # edge node must read that node, not the zero beyond the grid
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
+    psi = GridFunction(uniform_axis(-2.0, 2.0, 9), uniform_axis(-1.5, 1.5, 7),
+                       vals, "xpy")
+    Wq = wigner_from_state(psi, P)
+    x, py, h1, h2 = psi.axis1, psi.axis2, psi.step1, psi.step2
+    for xn, pyn, dx, dpy in ((x[-1], py[2], 1e-10 * h1, 0.0),
+                             (x[0], py[4], -1e-10 * h1, 0.0),
+                             (x[3], py[-1], 0.0, 1e-10 * h2),
+                             (x[5], py[0], 0.0, -1e-10 * h2),
+                             (x[-1], py[1] + 0.5 * h2, 1e-10 * h1, 0.0)):
+        on = Wq.at(xn, 0.2, 0.3, pyn)
+        assert abs(on) > 1e-3
+        assert Wq.at(xn + dx, 0.2, 0.3, pyn + dpy) == pytest.approx(
+            on, rel=1e-14)
 
 
 def test_table_normalization(ground_table):
