@@ -8,7 +8,7 @@ in momentum-type representations, Wigner functions, and the thermodynamics
 of a solid of such oscillators.
 """
 
-from .params import NCParams
+from .params import CheckFailure, NCParams
 from .duals import Dual, derivative, value
 from .phasespace import (
     PhasePoint,

@@ -5,9 +5,11 @@ applies command-line flags on top (flags win), and writes deterministic
 files: identical config and seed give byte-identical output.  Floats are
 printed with %.17g so values round-trip exactly.
 
-Exit codes: 0 all checks passed, 1 a named check failed its tolerance,
-2 configuration error, 3 internal error (an unexpected exception, reported
-as one line on stderr instead of a traceback).
+Exit codes: 0 all checks passed, 1 a named check failed its tolerance or a
+numerical consistency check raised CheckFailure (divergence, U = A + TS,
+Cv >= 0, Wigner realness), 2 configuration error (bad config or invalid
+parameters), 3 internal error (an unexpected exception, reported as one
+line on stderr instead of a traceback).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import dynamics, selftest, spectra, symmetries, thermo, wigner
-from .params import NCParams
+from .params import CheckFailure, NCParams
 from .phasespace import PhasePoint, sample_points, verify_algebra
 
 
@@ -454,7 +456,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except dynamics.DivergenceError as exc:
+    except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

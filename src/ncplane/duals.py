@@ -1,10 +1,17 @@
 """Forward-mode automatic differentiation with dual numbers.
 
-A dual number a + b*eps (eps**2 = 0) propagates exact first derivatives
-through ordinary arithmetic.  Components may themselves be Dual, which is
-how second derivatives (nested brackets, Jacobi identity) fall out of the
-same machinery.  Only scalars are handled here; grid code differentiates
-with stencils instead.
+A Dual is a value plus four tangent lanes (eps, e1, e2, e3), infinitesimals
+whose pairwise products vanish, so one evaluation carries the exact first
+derivatives for four independent seeds.  Lane 0 is ``eps``: Dual(val, eps)
+is the ordinary one-seed dual number that derivative and second_derivative
+use.  Components may themselves be Dual, which is how second derivatives
+(nested brackets, Jacobi identity) fall out of the same machinery; grid code
+differentiates with stencils instead.
+
+Every value part is computed by the same float operation as on plain
+numbers, and one rule serves all lanes, so a lane that is zero in an operand
+adds only exact zeros: one four-seed pass reproduces four one-seed passes
+bit for bit (up to the sign of a zero) while the values stay finite.
 """
 
 from __future__ import annotations
@@ -15,82 +22,86 @@ _NUM = (int, float)
 
 
 class Dual:
-    """val + eps carrying d(val)/d(seed) in eps."""
+    """val plus the tangent lanes eps (lane 0), e1, e2 and e3."""
 
-    __slots__ = ("val", "eps")
+    __slots__ = ("val", "eps", "e1", "e2", "e3")
 
-    def __init__(self, val, eps=0.0):
+    def __init__(self, val, eps=0.0, e1=0.0, e2=0.0, e3=0.0):
         self.val = val
         self.eps = eps
+        self.e1 = e1
+        self.e2 = e2
+        self.e3 = e3
 
     def __repr__(self):
-        return f"Dual({self.val!r}, {self.eps!r})"
+        return (f"Dual({self.val!r}, {self.eps!r}, {self.e1!r}, "
+                f"{self.e2!r}, {self.e3!r})")
 
     def __add__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.val + o.val, self.eps + o.eps)
+            return Dual(self.val + o.val, self.eps + o.eps, self.e1 + o.e1,
+                        self.e2 + o.e2, self.e3 + o.e3)
         if isinstance(o, _NUM):
-            return Dual(self.val + o, self.eps)
+            return Dual(self.val + o, self.eps, self.e1, self.e2, self.e3)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.val - o.val, self.eps - o.eps)
+            return Dual(self.val - o.val, self.eps - o.eps, self.e1 - o.e1,
+                        self.e2 - o.e2, self.e3 - o.e3)
         if isinstance(o, _NUM):
-            return Dual(self.val - o, self.eps)
+            return Dual(self.val - o, self.eps, self.e1, self.e2, self.e3)
         return NotImplemented
 
     def __rsub__(self, o):
         if isinstance(o, _NUM):
-            return Dual(o - self.val, -self.eps)
+            return Dual(o - self.val, -self.eps, -self.e1, -self.e2, -self.e3)
         return NotImplemented
 
     def __mul__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.val * o.val, self.val * o.eps + self.eps * o.val)
+            a, b = self.val, o.val
+            return Dual(a * b, a * o.eps + self.eps * b, a * o.e1 + self.e1 * b,
+                        a * o.e2 + self.e2 * b, a * o.e3 + self.e3 * b)
         if isinstance(o, _NUM):
-            return Dual(self.val * o, self.eps * o)
+            return _chain(self, self.val * o, o)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
+        # lanes s' / b - (v / b) o', which reduce exactly to the one-dual
+        # rules below when either operand's lane is zero
         if isinstance(o, Dual):
-            inv = 1.0 / o.val
-            v = self.val * inv
-            return Dual(v, (self.eps - v * o.eps) * inv)
+            b = o.val
+            v = self.val / b
+            inv = 1.0 / b
+            d = -v * inv
+            return Dual(v, self.eps * inv + d * o.eps, self.e1 * inv + d * o.e1,
+                        self.e2 * inv + d * o.e2, self.e3 * inv + d * o.e3)
         if isinstance(o, _NUM):
-            inv = 1.0 / o
-            return Dual(self.val * inv, self.eps * inv)
+            return _chain(self, self.val / o, 1.0 / o)
         return NotImplemented
 
     def __rtruediv__(self, o):
         if isinstance(o, _NUM):
-            inv = 1.0 / self.val
-            v = o * inv
-            return Dual(v, -v * inv * self.eps)
+            v = o / self.val
+            return _chain(self, v, -v * (1.0 / self.val))
         return NotImplemented
 
     def __neg__(self):
-        return Dual(-self.val, -self.eps)
+        return Dual(-self.val, -self.eps, -self.e1, -self.e2, -self.e3)
 
     def __pos__(self):
         return self
 
     def __pow__(self, n):
-        if isinstance(n, int):
-            if n == 0:
-                return Dual(self.val * 0 + 1.0, self.eps * 0.0)
-            if n == 1:
-                return self
-            v = self.val ** (n - 1)
-            return Dual(v * self.val, n * v * self.eps)
-        if isinstance(n, float):
-            v = self.val ** (n - 1.0)
-            return Dual(v * self.val, n * v * self.eps)
-        return NotImplemented
+        if not isinstance(n, _NUM):
+            return NotImplemented
+        d = n * self.val ** (n - 1) if n != 0 else 0.0
+        return _chain(self, self.val ** n, d)
 
     # comparisons act on the value part; handy for range guards in fields
     def __lt__(self, o):
@@ -98,6 +109,12 @@ class Dual:
 
     def __gt__(self, o):
         return self.val > (o.val if isinstance(o, Dual) else o)
+
+
+def _chain(x, fx, d):
+    """f(x) as a Dual, given f's value fx and derivative d at x.val: the
+    chain rule, written once for every lane."""
+    return Dual(fx, d * x.eps, d * x.e1, d * x.e2, d * x.e3)
 
 
 def value(x):
@@ -112,64 +129,64 @@ def value(x):
 
 def sin(x):
     if isinstance(x, Dual):
-        return Dual(sin(x.val), cos(x.val) * x.eps)
+        return _chain(x, sin(x.val), cos(x.val))
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
-        return Dual(cos(x.val), -sin(x.val) * x.eps)
+        return _chain(x, cos(x.val), -sin(x.val))
     return math.cos(x)
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.val)
-        return Dual(e, e * x.eps)
+        return _chain(x, e, e)
     return math.exp(x)
 
 
 def expm1(x):
     if isinstance(x, Dual):
-        return Dual(expm1(x.val), exp(x.val) * x.eps)
+        return _chain(x, expm1(x.val), exp(x.val))
     return math.expm1(x)
 
 
 def log(x):
     if isinstance(x, Dual):
-        return Dual(log(x.val), x.eps / x.val)
+        return _chain(x, log(x.val), 1.0 / x.val)
     return math.log(x)
 
 
 def log1p(x):
     if isinstance(x, Dual):
-        return Dual(log1p(x.val), x.eps / (1.0 + x.val))
+        return _chain(x, log1p(x.val), 1.0 / (1.0 + x.val))
     return math.log1p(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.val)
-        return Dual(r, 0.5 * x.eps / r)
+        return _chain(x, r, 0.5 / r)
     return math.sqrt(x)
 
 
 def sinh(x):
     if isinstance(x, Dual):
-        return Dual(sinh(x.val), cosh(x.val) * x.eps)
+        return _chain(x, sinh(x.val), cosh(x.val))
     return math.sinh(x)
 
 
 def cosh(x):
     if isinstance(x, Dual):
-        return Dual(cosh(x.val), sinh(x.val) * x.eps)
+        return _chain(x, cosh(x.val), sinh(x.val))
     return math.cosh(x)
 
 
 def tanh(x):
     if isinstance(x, Dual):
         t = tanh(x.val)
-        return Dual(t, (1.0 - t * t) * x.eps)
+        return _chain(x, t, 1.0 - t * t)
     return math.tanh(x)
 
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import NCParams
+from .params import CheckFailure, NCParams
 from .phasespace import PhasePoint, ScalarField, galilei_generators, _coords
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(CheckFailure):
     """Integration produced a non-finite state."""
 
     def __init__(self, t_last):

@@ -1,9 +1,14 @@
-"""Shared physical parameters of the noncommutative plane."""
+"""Shared physical parameters of the noncommutative plane, and the error
+every numerical consistency check raises."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+
+class CheckFailure(RuntimeError):
+    """A computed result missed a numerical consistency check (exit 1)."""
 
 
 @dataclass(frozen=True)

@@ -84,24 +84,22 @@ class ScalarField:
         return v
 
     def partials(self, x, y, px, py, t=0.0):
-        """The four phase-space partial derivatives at one point.
+        """The four phase-space partial derivatives at one point, from one
+        evaluation of ``fn``: x, y, px and py are seeded on dual lanes 0-3
+        and the four lanes of the result are read back.  Each comes out
+        bit-identical to a single-seed pass (see ``duals``).
 
         When any input already carries a dual (a nested differentiation in
-        progress), every other coordinate is lifted as a constant of the new
-        level; mixing levels would silently conflate the two seeds.
+        progress), every argument, t included, is lifted as a constant of
+        the new level; mixing levels would silently conflate the two seeds.
         """
-        c = (x, y, px, py, t)
-        lift = any(isinstance(v, Dual) for v in c)
-        out = []
-        for i in range(4):
-            if lift:
-                args = [Dual(v, 0.0) for v in c]
-            else:
-                args = list(c)
-            args[i] = Dual(c[i], 1.0)
-            r = self.fn(*args)
-            out.append(r.eps if isinstance(r, Dual) else 0.0)
-        return out
+        if any(isinstance(v, Dual) for v in (x, y, px, py, t)):
+            t = Dual(t)
+        r = self.fn(Dual(x, 1.0), Dual(y, 0.0, 1.0), Dual(px, 0.0, 0.0, 1.0),
+                    Dual(py, 0.0, 0.0, 0.0, 1.0), t)
+        if isinstance(r, Dual):
+            return [r.eps, r.e1, r.e2, r.e3]
+        return [0.0, 0.0, 0.0, 0.0]
 
     def gradient(self, z, t=0.0):
         x, y, px, py = _coords(z)

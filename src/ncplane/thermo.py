@@ -21,7 +21,7 @@ import numpy as np
 
 from . import duals
 from .duals import value
-from .params import NCParams
+from .params import CheckFailure, NCParams
 from .spectra import _level_energy, energy as level_energy
 
 # beyond this the exponential form of cosh is exact to double precision
@@ -189,11 +189,11 @@ class ThermoPoint:
     def __post_init__(self):
         scale = max(abs(self.U), abs(self.A), 1e-300)
         if abs(self.U - (self.A + self.T * self.S)) > 1e-10 * scale:
-            raise ValueError(
+            raise CheckFailure(
                 f"thermodynamic identity U = A + TS violated at T={self.T}: "
                 f"U={self.U!r} vs {self.A + self.T * self.S!r}")
         if self.Cv < -1e-9:
-            raise ValueError(f"negative heat capacity {self.Cv!r} at T={self.T}")
+            raise CheckFailure(f"negative heat capacity {self.Cv!r} at T={self.T}")
 
 
 def thermo_point(T: float, tp: ThermoParams) -> ThermoPoint:

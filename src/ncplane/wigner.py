@@ -23,7 +23,7 @@ import numpy as np
 
 from . import duals
 from .duals import Dual
-from .params import NCParams
+from .params import CheckFailure, NCParams
 from .phasespace import PhasePoint, ScalarField
 from .dynamics import free_particle_solution, oscillator_solution
 from .grids import GridFunction, trapezoid_weights
@@ -168,7 +168,7 @@ class QuadratureWigner:
             out[idx] = vals.real
         scale = max(float(np.abs(out).max()), 1.0 / (math.pi * p.hbar) ** 2)
         if worst_imag > 1e-10 * scale:
-            raise WignerError(
+            raise CheckFailure(
                 f"transform lost realness: imaginary part {worst_imag:.3e} "
                 f"against scale {scale:.3e}")
         return out.reshape(shape) if shape else float(out[0])
@@ -226,10 +226,10 @@ class EvolvedWigner:
         self.params = params
         self.t = float(t)
         self.kind = kind
-        self._back = flow_matrix(params, -self.t, kind)
+        self._back = flow_matrix(params, -self.t, kind).tolist()
 
     def at(self, x, y, px, py):
-        M = self._back.tolist()
+        M = self._back
         # explicit linear combination keeps dual numbers usable
         z0 = [M[i][0] * x + M[i][1] * y + M[i][2] * px + M[i][3] * py
               for i in range(4)]
@@ -377,7 +377,7 @@ def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
         out[i] = np.transpose(S.real, (2, 0, 1)) * W._pref
     scale = max(float(np.abs(out).max()), 1.0 / (math.pi * p.hbar) ** 2)
     if worst_imag > 1e-10 * scale:
-        raise WignerError(
+        raise CheckFailure(
             f"transform lost realness: imaginary part {worst_imag:.3e}")
     return WignerTable(tuple(axes), out, p)
 

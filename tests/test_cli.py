@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ncplane import cli, spectra
+from ncplane import cli, spectra, thermo, wigner
 from ncplane.cli import ConfigError, RunConfig, build_config, parse_config_file
 from ncplane.params import NCParams
 
@@ -128,6 +128,33 @@ def test_unexpected_exception_exits_three(tmp_path, capsys, monkeypatch):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.strip() == "internal error: RuntimeError: injected fault"
+
+
+@pytest.mark.parametrize("name, message", [
+    ("entropy", "thermodynamic identity U = A + TS violated"),
+    ("heat_capacity", "negative heat capacity"),
+])
+def test_thermo_check_failure_exits_one(tmp_path, capsys, monkeypatch,
+                                        name, message):
+    monkeypatch.setattr(thermo, name, lambda T, tp: -1e6)
+    rc = cli.main(["thermo", "sweep", "--grid", "2x2",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"check failed: {message}")
+
+
+def test_wigner_realness_failure_exits_one(tmp_path, capsys, monkeypatch):
+    corr = wigner.QuadratureWigner._corr
+
+    def tilted(self, i, j, out):
+        return np.multiply(corr(self, i, j, out), 1j, out=out)
+
+    monkeypatch.setattr(wigner.QuadratureWigner, "_corr", tilted)
+    rc = cli.main(["wigner", "--n", "0", "--two-j", "0", "--nodes", "65",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "check failed: transform lost realness")
 
 
 def test_spectrum_csv_round_trips_energies(tmp_path, capsys):

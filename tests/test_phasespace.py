@@ -5,11 +5,16 @@ plain (float) field evaluations; brackets are then cross-checked against
 the dual-number path.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncplane import (
+    DivergenceError,
+    Dual,
     NCParams,
     PhasePoint,
     ScalarField,
@@ -20,8 +25,12 @@ from ncplane import (
     verify_algebra,
     sample_points,
     FieldEvaluationError,
+    hamiltonian_flow,
+    oscillator_hamiltonian,
 )
-from ncplane.phasespace import X, Y, PX, PY, constant_field
+from ncplane import duals
+from ncplane.phasespace import X, Y, PX, PY, bracket_terms, constant_field
+from ncplane.wigner import GroundStateWigner
 
 
 def fd_gradient(f, z, t=0.0, h=6e-6):
@@ -192,3 +201,148 @@ def test_params_validation():
     p = NCParams(omega=0.0)
     with pytest.raises(ValueError):
         p.require_omega()
+
+
+# --- one four-lane pass against four single-seed passes -----------------------
+
+def four_pass_partials(f, x, y, px, py, t=0.0):
+    """Oracle gradient: one single-seed dual pass per coordinate, the rest
+    left as plain numbers, or lifted as constants when the point is nested."""
+    c = (x, y, px, py, t)
+    lift = any(isinstance(v, Dual) for v in c)
+    out = []
+    for i in range(4):
+        args = [Dual(v) if lift else v for v in c]
+        args[i] = Dual(c[i], 1.0)
+        r = f.fn(*args)
+        out.append(r.eps if isinstance(r, Dual) else 0.0)
+    return out
+
+
+def _flat(v):
+    """Every float component of a possibly nested Dual, in a fixed order."""
+    if isinstance(v, Dual):
+        return sum((_flat(c) for c in (v.val, v.eps, v.e1, v.e2, v.e3)), ())
+    return (v,)
+
+
+def _rational(x, y, px, py, t):
+    # + - * / with their reflected forms, unary +/-, int and float powers
+    a = (x * y - 2.0 * px) / (1.5 + py * py) - x / 3
+    b = 3.0 / (2.0 + x * x) - (0.5 - y) * px ** 3 + (2.0 + y * y) ** -2
+    c = -(px * t) + 1 - (1.0 + py * py) ** 1.5 / (x * x + 1.0) + +py
+    return a + b * c * 0.25 + 2 * x ** 0 - 1 / (3.0 + y * px * px)
+
+
+def _transcendental(x, y, px, py, t):
+    return (duals.sin(x * py) * duals.cos(y - t) + duals.exp(0.3 * px)
+            - duals.expm1(0.2 * x * y) + duals.log(1.0 + y * y)
+            + duals.log1p(px * px) * duals.sqrt(2.0 + x * x + py * py)
+            + duals.sinh(0.5 * y) * duals.cosh(0.4 * px) + duals.tanh(x - py))
+
+
+ORACLE_FIELDS = (
+    ScalarField(_rational, "rational"),
+    ScalarField(_transcendental, "transcendental"),
+    GroundStateWigner(NCParams(m=1.3, omega=0.8, theta=0.3, hbar=0.9),
+                      center=(0.2, -0.1, 0.3, 0.05)).as_scalar_field(),
+    oscillator_hamiltonian(NCParams(theta=0.3)),
+    constant_field(2.5),
+) + galilei_generators(NCParams(m=1.5, theta=0.9))
+
+NESTED_POINTS = (
+    (Dual(0.4, 1.0), Dual(-1.1, 0.0, 1.0), 0.8, Dual(2.3, 0.3, -0.2, 0.5, 1.1),
+     Dual(0.7, 0.0, 0.0, 1.0)),
+    (0.4, -1.1, 0.8, 2.3, Dual(0.7, 1.0)),
+    (Dual(Dual(0.4, 1.0), 0.5), -1.1, Dual(0.8, 0.0, 2.0), 2.3, 0.7),
+)
+
+
+def _assert_one_pass_equals_four(f, point):
+    got = f.partials(*point)
+    want = four_pass_partials(f, *point)
+    assert [_flat(g) for g in got] == [_flat(w) for w in want], f.name
+
+
+@pytest.mark.parametrize("point", ((0.4, -1.1, 0.8, 2.3, 0.7),
+                                   (-1.7, 0.0, 2.9, -0.6, 0.0))
+                         + NESTED_POINTS)
+def test_one_pass_gradient_equals_four_single_seed_passes(point):
+    for f in ORACLE_FIELDS:
+        _assert_one_pass_equals_four(f, point)
+
+
+@given(st.lists(st.floats(-3, 3), min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_one_pass_gradient_equals_four_passes_at_random_points(c):
+    for point in (tuple(c), (Dual(c[0], 1.0, -0.5), *c[1:3], Dual(c[3], 0.0, 0.0, 1.0), c[4])):
+        for f in ORACLE_FIELDS:
+            _assert_one_pass_equals_four(f, point)
+
+
+def _oracle_flow(H, z0, t1, dt, theta):
+    """The RK4 path of dynamics.hamiltonian_flow from t = 0, stepped on the
+    four-pass oracle gradient."""
+    n = max(1, round(t1 / dt))
+    h = t1 / n
+    half, sixth = 0.5 * h, h / 6.0
+
+    def rhs(x, y, px, py, t):
+        hx, hy, hpx, hpy = four_pass_partials(H, x, y, px, py, t)
+        return hpx + theta * hy, hpy - theta * hx, -hx, -hy
+
+    x, y, px, py = z0
+    path, t = [(x, y, px, py)], 0.0
+    for k in range(n):
+        a1, b1, c1, d1 = rhs(x, y, px, py, t)
+        a2, b2, c2, d2 = rhs(x + half * a1, y + half * b1,
+                             px + half * c1, py + half * d1, t + half)
+        a3, b3, c3, d3 = rhs(x + half * a2, y + half * b2,
+                             px + half * c2, py + half * d2, t + half)
+        a4, b4, c4, d4 = rhs(x + h * a3, y + h * b3, px + h * c3, py + h * d3, t + h)
+        x += sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        y += sixth * (b1 + 2.0 * (b2 + b3) + b4)
+        px += sixth * (c1 + 2.0 * (c2 + c3) + c4)
+        py += sixth * (d1 + 2.0 * (d2 + d3) + d4)
+        if not all(map(math.isfinite, (x, y, px, py))):
+            raise DivergenceError(t)
+        t = (k + 1) * h
+        path.append((x, y, px, py))
+    return np.array(path)
+
+
+def test_rk4_flow_equals_four_pass_oracle_at_ensemble_settings():
+    p = NCParams(m=1.0, omega=1.0, hbar=1.0, theta=0.3)
+    H = oscillator_hamiltonian(p)
+    for z0 in np.random.default_rng(3).normal(0.0, 1.5, size=(3, 4)).tolist():
+        traj = hamiltonian_flow(H, z0, 0.0, 0.5, 1e-3, p)
+        assert np.array_equal(traj.points, _oracle_flow(H, z0, 0.5, 1e-3, 0.3))
+
+
+def test_jacobi_residuals_equal_four_pass_oracle():
+    p = NCParams(m=1.5, theta=0.9)
+
+    def bracket(f, g):
+        return ScalarField(lambda x, y, px, py, t: bracket_terms(
+            four_pass_partials(f, x, y, px, py, t),
+            four_pass_partials(g, x, y, px, py, t), p.theta))
+
+    for f, g, h in itertools.combinations(galilei_generators(p), 3):
+        for z in (Z1, PhasePoint(-0.3, 2.0, -1.2, 0.6)):
+            want = (bracket(f, bracket(g, h)).value(z, 0.8)
+                    - bracket(bracket(f, g), h).value(z, 0.8)
+                    - bracket(g, bracket(f, h)).value(z, 0.8))
+            assert jacobi_residual(f, g, h, z, t=0.8, p=p) == want
+
+
+def test_nonfinite_gradients_still_raise():
+    blow = ScalarField(lambda x, y, px, py, t: x * x * px, "H_blow")
+    z0 = (1.0, 0.0, 1.0, 0.0)
+    with pytest.raises(DivergenceError) as got:
+        hamiltonian_flow(blow, z0, 0.0, 5.0, 1e-3, NCParams())
+    with pytest.raises(DivergenceError) as want:
+        _oracle_flow(blow, z0, 5.0, 1e-3, 0.0)
+    assert got.value.t_last == want.value.t_last
+    huge = ScalarField(lambda x, y, px, py, t: 1e300 * x * x * py, "huge")
+    with pytest.raises(FieldEvaluationError):
+        huge.gradient((1e10, 0.0, 0.0, 1.0))

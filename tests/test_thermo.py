@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncplane import duals, spectra, thermo
-from ncplane.params import NCParams
+from ncplane.params import CheckFailure, NCParams
 from ncplane.thermo import ThermoParams
 
 
@@ -204,10 +204,10 @@ def test_thermo_point_fields_consistent():
 
 
 def test_thermo_point_rejects_inconsistent_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckFailure):
         thermo.ThermoPoint(T=1.0, theta=0.0, Z1=1.0, A=1.0, S=1.0,
                            U=5.0, Cv=1.0, S_per_NkB=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckFailure):
         thermo.ThermoPoint(T=1.0, theta=0.0, Z1=1.0, A=1.0, S=1.0,
                            U=2.0, Cv=-1.0, S_per_NkB=1.0)
 
