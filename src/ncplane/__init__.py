@@ -29,12 +29,10 @@ from .dynamics import (
     free_particle_hamiltonian,
     oscillator_hamiltonian,
     oscillator_solution,
-    oscillator_frequencies,
     oscillator_path,
     OscillatorClosedForm,
     noether_charges,
     charge_drift,
-    discrete_action,
 )
 from .symmetries import (
     BilinearForm,
@@ -49,7 +47,6 @@ from .symmetries import (
 from .grids import GridError, GridFunction, uniform_axis, trapezoid_weights
 from .spectra import (
     AliasingError,
-    GaugeChoice,
     SpectrumEntry,
     TruncationError,
     effective_frequency,
@@ -69,7 +66,6 @@ from .wigner import (
     wigner_ground_state,
     wigner_table,
     evolve_liouville,
-    negativity_witness,
 )
 from .thermo import (
     ThermoParams,
@@ -81,7 +77,6 @@ from .thermo import (
     entropy,
     internal_energy,
     heat_capacity,
-    boltzmann_weight,
     entropy_sweep,
     thermo_point,
 )

@@ -1,10 +1,10 @@
 """Classical dynamics under the deformed bracket.
 
 Fixed-step RK4 for the bracket equations of motion, the closed-form free
-particle and isotropic-oscillator solutions, Noether-charge monitoring,
-and the discrete phase-space action.  The integrator is deliberately not
-symplectic: the deformed bracket is non-canonical and is left that way, so
-runs are certified by charge drift instead of by structure preservation.
+particle and isotropic-oscillator solutions and Noether-charge monitoring.
+The integrator is deliberately not symplectic: the deformed bracket is
+non-canonical and is left that way, so runs are certified by charge drift
+instead of by structure preservation.
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ class Trajectory:
 
     def __len__(self):
         return self.times.size
-
-    @property
-    def dt(self):
-        return float(self.times[1] - self.times[0]) if len(self) > 1 else 0.0
-
-    def point(self, i):
-        return PhasePoint.from_array(self.points[i])
 
     def with_charges(self, charges):
         return Trajectory(self.times, self.points, self.params,
@@ -186,11 +179,6 @@ class OscillatorClosedForm:
             / (2.0 * self.omega * self.Theta_sc)
 
 
-def oscillator_frequencies(p: NCParams):
-    cf = OscillatorClosedForm.from_params(p)
-    return cf.phi, cf.chi
-
-
 def velocity_from_momentum(z0, p: NCParams):
     """(vx, vy) of the oscillator flow at a phase point."""
     x, y, px, py = _coords(z0)
@@ -292,21 +280,3 @@ def charge_drift(traj: Trajectory):
     for name, q in traj.charges.items():
         out[name] = float(np.max(np.abs(q - q[0])) / max(1.0, abs(q[0])))
     return out
-
-
-def discrete_action(path: Trajectory, H: ScalarField, p: NCParams) -> float:
-    """Left-point discretization of the first-order phase-space action.
-
-    S = sum_j eps [ (x_{j+1}-x_j)/eps px_j - (py_{j+1}-py_j)/eps y_j
-                    + theta (py_{j+1}-py_j)/eps px_j - H(z_j, t_j) ].
-    """
-    if len(path) < 2:
-        raise ValueError("discrete action needs at least two samples")
-    t, z = path.times, path.points
-    eps = path.dt
-    x, y, px, py = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
-    dx = np.diff(x)
-    dpy = np.diff(py)
-    hvals = _field_on_rows(H, t[:-1], z[:-1])
-    s = dx * px[:-1] - dpy * y[:-1] + p.theta * dpy * px[:-1] - eps * hvals
-    return float(np.sum(s))

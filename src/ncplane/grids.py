@@ -57,7 +57,7 @@ class GridFunction:
         v = np.asarray(values, dtype=complex)
         if v.shape != (a1.size, a2.size):
             raise GridError(f"values shape {v.shape} != ({a1.size}, {a2.size})")
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.isfinite(v).all():
             raise GridError("values contain non-finite entries")
         for arr in (a1, a2, v):
             arr.setflags(write=False)

@@ -93,7 +93,8 @@ class ScalarField:
         progress), every argument, t included, is lifted as a constant of
         the new level; mixing levels would silently conflate the two seeds.
         """
-        if any(isinstance(v, Dual) for v in (x, y, px, py, t)):
+        if (isinstance(x, Dual) or isinstance(y, Dual) or isinstance(px, Dual)
+                or isinstance(py, Dual) or isinstance(t, Dual)):
             t = Dual(t)
         r = self.fn(Dual(x, 1.0), Dual(y, 0.0, 1.0), Dual(px, 0.0, 0.0, 1.0),
                     Dual(py, 0.0, 0.0, 0.0, 1.0), t)
@@ -145,11 +146,6 @@ def _as_field(o):
         c = float(o)
         return ScalarField(lambda x, y, px, py, t: c, repr(c))
     raise TypeError(f"cannot combine ScalarField with {type(o).__name__}")
-
-
-def constant_field(c, name=None):
-    c = float(c)
-    return ScalarField(lambda x, y, px, py, t: c, name or repr(c))
 
 
 X = ScalarField(lambda x, y, px, py, t: x, "x")

@@ -63,9 +63,9 @@ def check_oscillator(seed: int = 42) -> CheckResult:
     path = dynamics.oscillator_path(z0, 0.0, 20.0 / p.omega, 1e-3, p)
     pos_err = float(np.max(np.abs(traj.points[:, :2] - path.points[:, :2])))
 
-    phi, chi = dynamics.oscillator_frequencies(p)
-    id_err = max(abs(phi * chi - p.omega ** 2),
-                 abs((phi - chi) - p.m * p.theta * p.omega ** 2))
+    cf = dynamics.OscillatorClosedForm.from_params(p)
+    id_err = max(abs(cf.phi * cf.chi - p.omega ** 2),
+                 abs((cf.phi - cf.chi) - p.m * p.theta * p.omega ** 2))
 
     # halving the deformation must quarter the residual rotation error
     zr = PhasePoint(0.0, 0.0, 0.7, 0.3)
@@ -196,7 +196,7 @@ def check_wigner(seed: int = 42) -> CheckResult:
     psi1 = spectra.transform(spectra.eigenfunction(1, 1, p, axes), "xpy", p)
     table1 = wigner.wigner_table(wigner.wigner_from_state(psi1, p),
                                  table_axes, params=p)
-    witness = wigner.negativity_witness(table1)
+    witness = table1.minimum()
 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-3.0, 3.0, size=(50, 4))

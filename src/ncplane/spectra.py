@@ -45,39 +45,6 @@ class AliasingError(ValueError):
     """Source grid too coarse to resolve the transform kernel."""
 
 
-class GaugeError(ValueError):
-    """Only the flat simply-connected gauge is representable."""
-
-
-@dataclass(frozen=True)
-class GaugeChoice:
-    """Measure densities and gauge fields of the representation.
-
-    Only the flat choice (unit measures, vanishing fields) is supported;
-    it exists as a type so the restriction is explicit at call sites.
-    """
-
-    g: float = 1.0
-    h: float = 1.0
-    gamma: float = 1.0
-    A: float = 0.0
-    C: float = 0.0
-    Fx: float = 0.0
-    Fy: float = 0.0
-
-    @property
-    def is_flat(self) -> bool:
-        return (self.g == self.h == self.gamma == 1.0
-                and self.A == self.C == self.Fx == self.Fy == 0.0)
-
-    def require_flat(self):
-        if not self.is_flat:
-            raise GaugeError("non-flat gauge data is not supported")
-
-
-FLAT_GAUGE = GaugeChoice()
-
-
 @dataclass(frozen=True)
 class SpectrumEntry:
     n: int
@@ -204,8 +171,8 @@ def _nyquist_check(psi: GridFunction, p: NCParams):
             RuntimeWarning, stacklevel=3)
 
 
-def apply_hamiltonian(psi: GridFunction, p: NCParams, order: int = 6,
-                      gauge: GaugeChoice = FLAT_GAUGE) -> GridFunction:
+def apply_hamiltonian(psi: GridFunction, p: NCParams,
+                      order: int = 6) -> GridFunction:
     """Oscillator Hamiltonian in the momentum representation.
 
     H psi = (1 + u) p^2/2m psi - (hbar^2 m w^2/2) lap(psi)
@@ -215,7 +182,6 @@ def apply_hamiltonian(psi: GridFunction, p: NCParams, order: int = 6,
     norms.  The default order 6 is what holds eigen-residuals below 1e-6 on
     256^2 grids up to n = 4; order 4 is available but a factor ~30 looser.
     """
-    gauge.require_flat()
     _require_p_basis(psi)
     p.require_omega()
     _nyquist_check(psi, p)
@@ -233,10 +199,9 @@ def apply_hamiltonian(psi: GridFunction, p: NCParams, order: int = 6,
     return psi.with_values(out)
 
 
-def apply_angular_momentum(psi: GridFunction, p: NCParams, order: int = 6,
-                           gauge: GaugeChoice = FLAT_GAUGE) -> GridFunction:
+def apply_angular_momentum(psi: GridFunction, p: NCParams,
+                           order: int = 6) -> GridFunction:
     """J psi = i hbar (p_y d/dp_x - p_x d/dp_y) psi."""
-    gauge.require_flat()
     _require_p_basis(psi)
     px = psi.axis1[:, None]
     py = psi.axis2[None, :]
@@ -264,101 +229,6 @@ def eigen_residuals(n: int, two_j: int, p: NCParams, axes=None,
     return rH, rJ
 
 
-def free_particle_eigencheck(px0: float, py0: float, p: NCParams,
-                             axes=None, order: int = 6) -> float:
-    """Residual of the free-particle eigenvalue problem in the (x, p_y) basis.
-
-    Builds the separable state e^{i x px0 / hbar} times a grid spike at the
-    p_y node nearest py0 and applies
-    H = -(hbar^2/2m) d^2/dx^2 + p_y^2/2m, which carries no theta at all;
-    theta-independence is asserted by construction and re-checked here.
-    """
-    if axes is None:
-        L = 8.0 * p.hbar / max(abs(px0), 1.0)
-        xa = uniform_axis(-max(L, 8.0), max(L, 8.0), 256)
-        pya = uniform_axis(py0 - 8.0, py0 + 8.0, 256)
-    else:
-        xa, pya = axes
-    xa = np.asarray(xa, float)
-    pya = np.asarray(pya, float)
-    j0 = int(np.argmin(np.abs(pya - py0)))
-    vals = np.zeros((xa.size, pya.size), dtype=complex)
-    vals[:, j0] = np.exp(1j * xa * px0 / p.hbar)
-    psi = GridFunction(xa, pya, vals, "xpy")
-
-    # the free Hamiltonian in this basis is theta-free: the deformation
-    # enters position operators only, and H contains none
-    d2 = second_derivative(psi.values, psi.step1, 0, order)
-    py = psi.axis2[None, :]
-    applied = psi.with_values(-0.5 * p.hbar ** 2 / p.m * d2
-                              + py ** 2 / (2.0 * p.m) * psi.values)
-    E = (px0 ** 2 + float(pya[j0]) ** 2) / (2.0 * p.m)
-    return operator_residual(applied, psi, E, order)
-
-
-# --- basis-change kernels (flat gauge) ------------------------------------
-
-def kernel_xpy_ypx(x, py, y, px, p: NCParams,
-                   gauge: GaugeChoice = FLAT_GAUGE) -> complex:
-    """<x, p_y | y, p_x> = e^{i[x p_x - p_y y + theta p_y p_x]/hbar}/(2 pi hbar)."""
-    gauge.require_flat()
-    ph = (x * px - py * y + p.theta * py * px) / p.hbar
-    return np.exp(1j * ph) / (2.0 * math.pi * p.hbar)
-
-
-def kernel_xpy_p(x, py, px_p, py_p, p: NCParams,
-                 gauge: GaugeChoice = FLAT_GAUGE) -> complex:
-    """Phase factor of <x, p_y | p'>; the delta(p_y - p_y') is implicit.
-
-    Full kernel: delta(p_y - p_y') e^{i[x px' + (theta/2) py' px']/hbar}
-    / sqrt(2 pi hbar).  Grid transforms realize the delta as row matching.
-    """
-    gauge.require_flat()
-    del py  # enters only through the implicit delta
-    ph = (x * px_p + 0.5 * p.theta * py_p * px_p) / p.hbar
-    return np.exp(1j * ph) / math.sqrt(2.0 * math.pi * p.hbar)
-
-
-def kernel_ypx_p(y, px, px_p, py_p, p: NCParams,
-                 gauge: GaugeChoice = FLAT_GAUGE) -> complex:
-    """Phase factor of <y, p_x | p'>; the delta(p_x - p_x') is implicit."""
-    gauge.require_flat()
-    del px
-    ph = (y * py_p - 0.5 * p.theta * py_p * px_p) / p.hbar
-    return np.exp(1j * ph) / math.sqrt(2.0 * math.pi * p.hbar)
-
-
-def basis_kernel(src: str, dst: str, p: NCParams, gauge=FLAT_GAUGE, **coords):
-    """Kernel <dst coords | src coords> for any representable basis pair.
-
-    Coordinate keywords: x, y, px, py for the mixed bases and px_p, py_p
-    for the momentum eigenvalue.  Delta factors of the momentum kernels are
-    implicit (documented per kernel).
-    """
-    pair = (src, dst)
-    if src not in BASES or dst not in BASES:
-        raise GridError(f"unknown basis pair {pair}")
-    if pair == ("ypx", "xpy"):
-        return kernel_xpy_ypx(coords["x"], coords["py"], coords["y"],
-                              coords["px"], p, gauge)
-    if pair == ("xpy", "ypx"):
-        return np.conj(kernel_xpy_ypx(coords["x"], coords["py"], coords["y"],
-                                      coords["px"], p, gauge))
-    if pair == ("p", "xpy"):
-        return kernel_xpy_p(coords["x"], coords.get("py"),
-                            coords["px_p"], coords["py_p"], p, gauge)
-    if pair == ("xpy", "p"):
-        return np.conj(kernel_xpy_p(coords["x"], coords.get("py"),
-                                    coords["px_p"], coords["py_p"], p, gauge))
-    if pair == ("p", "ypx"):
-        return kernel_ypx_p(coords["y"], coords.get("px"),
-                            coords["px_p"], coords["py_p"], p, gauge)
-    if pair == ("ypx", "p"):
-        return np.conj(kernel_ypx_p(coords["y"], coords.get("px"),
-                                    coords["px_p"], coords["py_p"], p, gauge))
-    raise GridError(f"no kernel between {src!r} and {dst!r}")
-
-
 # --- quadrature transforms -------------------------------------------------
 
 def _alias_guard(step: float, reach: float, hbar: float, what: str):
@@ -377,9 +247,29 @@ def _phase_outer(a, b, hbar, sign=1.0):
     return np.exp((1j * sign / hbar) * np.outer(a, b))
 
 
-def transform(psi: GridFunction, to_basis: str, p: NCParams, axes=None,
-              gauge: GaugeChoice = FLAT_GAUGE) -> GridFunction:
+# Per basis: the (p_x, p_y) slot k on the grid's first axis, and the sign s
+# of its half shear.  A mixed basis (s != 0) trades p_k for its conjugate
+# position q, with <q, p_other | p'> = delta(p_other - p_other')
+# e^{i[q p_k' + s theta p_x' p_y' / 2]/hbar} / sqrt(2 pi hbar).
+_BASIS = {"p": (0, 0.0), "xpy": (0, 1.0), "ypx": (1, -1.0)}
+_NAMES = (("p_x", "x"), ("p_y", "y"))
+
+
+def _slots(k, a, b):
+    """Grid-ordered pair (a, b) in (p_x, p_y) slot order, or back."""
+    return (b, a) if k else (a, b)
+
+
+def transform(psi: GridFunction, to_basis: str, p: NCParams,
+              axes=None) -> GridFunction:
     """Change of representation by trapezoid quadrature of the flat kernels.
+
+    Every change runs through (p_x, p_y).  Leaving a mixed basis integrates
+    its position against the traded momentum; entering one integrates that
+    momentum against the new position.  The shear phase between them is
+    the difference of the two half shears, so mixed to mixed applies one
+    theta phase, <x, p_y | y, p_x> = e^{i[x p_x - y p_y + theta p_x p_y]/hbar}
+    / (2 pi hbar), and its second alias guard counts the full |theta| shear.
 
     Delta-matched coordinates keep the source axis; a genuinely conjugate
     target axis defaults to the numeric range of its source partner (good
@@ -387,89 +277,39 @@ def transform(psi: GridFunction, to_basis: str, p: NCParams, axes=None,
     axes otherwise).  Raises AliasingError when the source grid cannot
     resolve the kernel oscillation over the requested target axis.
     """
-    gauge.require_flat()
     if to_basis not in BASES:
         raise GridError(f"unknown target basis {to_basis!r}")
     if to_basis == psi.basis:
         return psi
     hbar, th = p.hbar, p.theta
+    (k0, s0), (k1, s1) = _BASIS[psi.basis], _BASIS[to_basis]
+    src = _slots(k0, psi.axis1, psi.axis2)
+    step = _slots(k0, psi.step1, psi.step2)
+    want = _slots(k1, axes[0], axes[1]) if axes else src
+    traded = {k for k, s in ((k0, s0), (k1, s1)) if s}
+    for i in {0, 1} - traded:
+        if not np.array_equal(np.asarray(want[i], float), src[i]):
+            raise GridError(f"{_NAMES[i][0]} is delta-matched; target axis"
+                            f"{i + 1 if to_basis == 'p' else 2} must equal source")
+    # target axes in slot order, and the (p_x, p_y) axes passed in between
+    tgt = [np.array(want[i], float) if i in traded else src[i] for i in (0, 1)]
+    mom = [tgt[i] if s0 and i == k0 else src[i] for i in (0, 1)]
+
+    v = psi.values
+    if s0:                          # leave: integrate q against p_k0
+        _alias_guard(step[k0], _amax(mom[k0]), hbar, _NAMES[k0][0])
+        w = trapezoid_weights(src[k0])
+        v = _phase_outer(mom[k0], src[k0], hbar, -1.0) @ (w[:, None] * v)
+    if k0 != k1:
+        v = v.T
+    shear = _phase_outer(mom[k1], 0.5 * (s1 - s0) * th * mom[1 - k1], hbar)
     rt = math.sqrt(2.0 * math.pi * hbar)
-    pair = (psi.basis, to_basis)
-
-    if pair == ("p", "xpy"):
-        pxa, pya = psi.axis1, psi.axis2
-        xa = np.asarray(axes[0], float) if axes else pxa.copy()
-        if axes and not np.array_equal(np.asarray(axes[1], float), pya):
-            raise GridError("p_y is delta-matched; target axis2 must equal source")
-        _alias_guard(psi.step1, _amax(xa) + 0.5 * abs(th) * _amax(pya),
-                     hbar, "x")
-        w = trapezoid_weights(pxa)
-        B = _phase_outer(pxa, 0.5 * th * pya, hbar)
-        out = _phase_outer(xa, pxa, hbar) @ (w[:, None] * B * psi.values)
-        return GridFunction(xa, pya, out / rt, "xpy")
-
-    if pair == ("xpy", "p"):
-        xa, pya = psi.axis1, psi.axis2
-        pxa = np.asarray(axes[0], float) if axes else xa.copy()
-        if axes and not np.array_equal(np.asarray(axes[1], float), pya):
-            raise GridError("p_y is delta-matched; target axis2 must equal source")
-        _alias_guard(psi.step1, _amax(pxa), hbar, "p_x")
-        w = trapezoid_weights(xa)
-        out = _phase_outer(pxa, xa, hbar, sign=-1.0) @ (w[:, None] * psi.values)
-        out = out * _phase_outer(pxa, 0.5 * th * pya, hbar, sign=-1.0)
-        return GridFunction(pxa, pya, out / rt, "p")
-
-    if pair == ("p", "ypx"):
-        pxa, pya = psi.axis1, psi.axis2
-        ya = np.asarray(axes[0], float) if axes else pya.copy()
-        if axes and not np.array_equal(np.asarray(axes[1], float), pxa):
-            raise GridError("p_x is delta-matched; target axis2 must equal source")
-        _alias_guard(psi.step2, _amax(ya) + 0.5 * abs(th) * _amax(pxa),
-                     hbar, "y")
-        w = trapezoid_weights(pya)
-        K = _phase_outer(ya, pya, hbar) * w[None, :]
-        S = _phase_outer(pya, 0.5 * th * pxa, hbar, sign=-1.0) * psi.values.T
-        return GridFunction(ya, pxa, (K @ S) / rt, "ypx")
-
-    if pair == ("ypx", "p"):
-        ya, pxa = psi.axis1, psi.axis2
-        pya = np.asarray(axes[1], float) if axes else ya.copy()
-        if axes and not np.array_equal(np.asarray(axes[0], float), pxa):
-            raise GridError("p_x is delta-matched; target axis1 must equal source")
-        _alias_guard(psi.step1, _amax(pya), hbar, "p_y")
-        w = trapezoid_weights(ya)
-        T = psi.values.T @ (w[:, None] * _phase_outer(ya, pya, hbar, sign=-1.0))
-        T = T * _phase_outer(pxa, 0.5 * th * pya, hbar)
-        return GridFunction(pxa, pya, T / rt, "p")
-
-    if pair == ("xpy", "ypx"):
-        xa, pya = psi.axis1, psi.axis2
-        if axes:
-            ya, pxa = (np.asarray(a, float) for a in axes)
-        else:
-            ya, pxa = pya.copy(), xa.copy()
-        _alias_guard(psi.step1, _amax(pxa), hbar, "p_x")
-        _alias_guard(psi.step2, _amax(ya) + abs(th) * _amax(pxa), hbar, "y")
-        wx = trapezoid_weights(xa)
-        wp = trapezoid_weights(pya)
-        G = _phase_outer(pxa, xa, hbar, sign=-1.0) @ (wx[:, None] * psi.values)
-        Hm = (wp[:, None] * _phase_outer(pya, th * pxa, hbar, sign=-1.0)) * G.T
-        out = _phase_outer(ya, pya, hbar) @ Hm
-        return GridFunction(ya, pxa, out / (2.0 * math.pi * hbar), "ypx")
-
-    if pair == ("ypx", "xpy"):
-        ya, pxa = psi.axis1, psi.axis2
-        if axes:
-            xa, pya = (np.asarray(a, float) for a in axes)
-        else:
-            xa, pya = pxa.copy(), ya.copy()
-        _alias_guard(psi.step1, _amax(pya), hbar, "p_y")
-        _alias_guard(psi.step2, _amax(xa) + abs(th) * _amax(pya), hbar, "x")
-        wy = trapezoid_weights(ya)
-        wp = trapezoid_weights(pxa)
-        G = _phase_outer(pya, ya, hbar, sign=-1.0) @ (wy[:, None] * psi.values)
-        Hm = (wp[:, None] * _phase_outer(pxa, th * pya, hbar)) * G.T
-        out = _phase_outer(xa, pxa, hbar) @ Hm
-        return GridFunction(xa, pya, out / (2.0 * math.pi * hbar), "xpy")
-
-    raise GridError(f"no transform from {psi.basis!r} to {to_basis!r}")
+    if not s1:
+        return GridFunction(mom[0], mom[1], v * shear / rt, "p")
+    # enter: integrate p_k1 against the target position
+    reach = _amax(tgt[k1]) + 0.5 * abs(s1 - s0) * abs(th) * _amax(mom[1 - k1])
+    _alias_guard(step[k1], reach, hbar, _NAMES[k1][1])
+    w = trapezoid_weights(mom[k1])
+    v = _phase_outer(tgt[k1], mom[k1], hbar) @ ((w[:, None] * shear) * v)
+    return GridFunction(tgt[k1], tgt[1 - k1],
+                        v / (2.0 * math.pi * hbar if s0 else rt), to_basis)

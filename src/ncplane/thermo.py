@@ -22,7 +22,7 @@ import numpy as np
 from . import duals
 from .duals import value
 from .params import CheckFailure, NCParams
-from .spectra import _level_energy, energy as level_energy
+from .spectra import _level_energy
 
 # beyond this the exponential form of cosh is exact to double precision
 _LOG_SWITCH = 30.0
@@ -142,15 +142,6 @@ def heat_capacity(T, tp: ThermoParams):
            - 2.0 * a * abs(b) * (1.0 - e2a) * (ep - em))
     den = duals.expm1(-(ab - bb)) * duals.expm1(-(ab + bb))
     return tp.N * num / (den * den) / (tp.nc.kB * T * T)
-
-
-def boltzmann_weight(n: int, two_j: int, T, tp: ThermoParams):
-    """Occupation e^{-beta E} / Z1 of a single level; sums to 1 over levels."""
-    E = level_energy(n, two_j, tp.nc)
-    beta = _beta(T, tp.nc)
-    a, b = level_scales(tp.nc)
-    # 1/Z1 = exp(+log denominator), so the ratio stays finite at low T
-    return duals.exp(-beta * E + _log_denominator(beta, a, b))
 
 
 def partition_single_direct(T, tp: ThermoParams, tol: float = 1e-14):

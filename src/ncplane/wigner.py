@@ -25,7 +25,7 @@ from . import duals
 from .duals import Dual
 from .params import CheckFailure, NCParams
 from .phasespace import PhasePoint, ScalarField
-from .dynamics import free_particle_solution, oscillator_solution
+from .dynamics import oscillator_solution
 from .grids import GridFunction, trapezoid_weights
 from .spectra import AliasingError, effective_frequency
 
@@ -380,8 +380,3 @@ def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
         raise CheckFailure(
             f"transform lost realness: imaginary part {worst_imag:.3e}")
     return WignerTable(tuple(axes), out, p)
-
-
-def negativity_witness(table: WignerTable) -> float:
-    """Most negative sampled value; certifies non-classicality when < 0."""
-    return table.minimum()

@@ -1,4 +1,4 @@
-"""Flows and closed forms: RK4 order, closed-form consistency, charges, action."""
+"""Flows and closed forms: RK4 order, closed-form consistency, charges."""
 
 import math
 
@@ -16,12 +16,10 @@ from ncplane import (
     free_particle_hamiltonian,
     oscillator_hamiltonian,
     oscillator_solution,
-    oscillator_frequencies,
     oscillator_path,
     OscillatorClosedForm,
     noether_charges,
     charge_drift,
-    discrete_action,
 )
 
 P = NCParams(m=1.0, omega=1.0, theta=0.3)
@@ -40,10 +38,10 @@ def test_free_particle_rk4_exact():
 def test_frequency_identities():
     for m, w, th in [(1.0, 1.0, 0.3), (2.0, 0.7, -0.4), (1.5, 2.0, 0.0)]:
         p = NCParams(m=m, omega=w, theta=th)
-        phi, chi = oscillator_frequencies(p)
+        cf = OscillatorClosedForm.from_params(p)
+        phi, chi = cf.phi, cf.chi
         assert phi * chi == pytest.approx(w * w, rel=1e-12)
         assert phi - chi == pytest.approx(m * th * w * w, rel=1e-12, abs=1e-12)
-        cf = OscillatorClosedForm.from_params(p)
         assert phi + chi == pytest.approx(w * cf.Theta_sc, rel=1e-12)
 
 
@@ -171,61 +169,3 @@ def test_flow_argument_validation():
         hamiltonian_flow(H, Z0, 0.0, 1.0, -0.1, P)
     with pytest.raises(ValueError):
         hamiltonian_flow(H, Z0, 1.0, 0.0, 0.1, P)
-
-
-def test_discrete_action_free_particle_exact():
-    # momenta are constant, so the first-order integrand x'px - py'y
-    # + theta py'px - H is the constant (px^2 - py^2)/2m and the left-point
-    # rule integrates it exactly
-    p = NCParams(m=2.0, theta=0.5)
-    H = free_particle_hamiltonian(p)
-    T = 4.0
-    s_exact = T * (Z0.px ** 2 - Z0.py ** 2) / (2 * p.m)
-    traj = hamiltonian_flow(H, Z0, 0.0, T, 1e-2, p)
-    assert discrete_action(traj, H, p) == pytest.approx(s_exact, rel=1e-10)
-
-
-def test_discrete_action_first_order_in_step():
-    H = oscillator_hamiltonian(P)
-
-    def s(dt):
-        return discrete_action(oscillator_path(Z0, 0.0, 3.0, dt, P), H, P)
-
-    d1 = s(2e-3) - s(1e-3)
-    d2 = s(1e-3) - s(5e-4)
-    assert d1 / d2 == pytest.approx(2.0, rel=0.05)
-
-
-def test_action_stationary_on_true_path():
-    # the residual directional derivative on the true path is the O(eps)
-    # discretization bias, so a fine step separates it cleanly from a
-    # genuinely non-stationary path
-    H = oscillator_hamiltonian(P)
-    path = oscillator_path(Z0, 0.0, 3.0, 1e-4, P)
-    n = len(path)
-    rng = np.random.default_rng(7)
-    eta = rng.standard_normal((n, 4))
-    # interior bump: variations vanish at both endpoints
-    w = np.sin(np.pi * np.arange(n) / (n - 1)) ** 2
-    eta *= w[:, None]
-
-    def grad_along(points, delta=1e-4):
-        sp = discrete_action(Trajectory(path.times, points + delta * eta, P), H, P)
-        sm = discrete_action(Trajectory(path.times, points - delta * eta, P), H, P)
-        return (sp - sm) / (2 * delta)
-
-    g_true = grad_along(path.points)
-    # a scaled solution would still solve the linear equations of motion, so
-    # break the path with an incommensurate wiggle instead
-    bad = path.points.copy()
-    bad[:, 0] += 0.3 * np.sin(2.7 * path.times)
-    g_bad = grad_along(bad)
-    assert abs(g_bad) > 0.005
-    assert abs(g_true) < 1e-3 * abs(g_bad)
-
-
-def test_action_requires_two_samples():
-    H = oscillator_hamiltonian(P)
-    one = Trajectory(np.array([0.0]), Z0.as_array()[None, :], P)
-    with pytest.raises(ValueError):
-        discrete_action(one, H, P)

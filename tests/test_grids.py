@@ -56,6 +56,20 @@ def test_values_are_read_only():
         F.values[0, 0] = 2.0
 
 
+def test_transposed_values_are_checked_elementwise():
+    # a complex transpose has a strided last axis: finiteness must be read
+    # per element, not through a float view of the buffer
+    ax = uniform_axis(0.0, 1.0, 5)
+    v = np.arange(25.0).reshape(5, 5) * (1.0 - 0.5j)
+    F = GridFunction(ax, ax, v.T, "p")
+    assert np.array_equal(F.values, v.T)
+    for bad in (np.nan, complex(0.0, np.inf)):
+        w = v.copy()
+        w[1, 3] = bad
+        with pytest.raises(GridError):
+            GridFunction(ax, ax, w.T, "p")
+
+
 def test_coordinate_names_per_basis():
     ax = uniform_axis(0.0, 1.0, 4)
     F = GridFunction(ax, ax, np.ones((4, 4)), "xpy")

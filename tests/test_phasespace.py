@@ -29,7 +29,7 @@ from ncplane import (
     oscillator_hamiltonian,
 )
 from ncplane import duals
-from ncplane.phasespace import X, Y, PX, PY, bracket_terms, constant_field
+from ncplane.phasespace import X, Y, PX, PY, bracket_terms
 from ncplane.wigner import GroundStateWigner
 
 
@@ -176,7 +176,7 @@ def test_theta_zero_reduces_to_canonical():
 def test_field_algebra():
     f = X * PY + 2.0 * Y
     assert f.value(Z1) == pytest.approx(0.4 * 2.3 + 2.0 * (-1.1), rel=1e-15)
-    g = -f + constant_field(1.0)
+    g = -f + 1.0
     assert g.value(Z1) == pytest.approx(1.0 - f.value(Z1), rel=1e-14)
 
 
@@ -247,7 +247,7 @@ ORACLE_FIELDS = (
     GroundStateWigner(NCParams(m=1.3, omega=0.8, theta=0.3, hbar=0.9),
                       center=(0.2, -0.1, 0.3, 0.05)).as_scalar_field(),
     oscillator_hamiltonian(NCParams(theta=0.3)),
-    constant_field(2.5),
+    ScalarField(lambda x, y, px, py, t: 2.5, "2.5"),
 ) + galilei_generators(NCParams(m=1.5, theta=0.9))
 
 NESTED_POINTS = (

@@ -16,19 +16,14 @@ from ncplane.params import NCParams
 from ncplane.grids import GridError, GridFunction, uniform_axis
 from ncplane.spectra import (
     AliasingError,
-    FLAT_GAUGE,
-    GaugeChoice,
-    GaugeError,
     SpectrumEntry,
     TruncationError,
     apply_angular_momentum,
     apply_hamiltonian,
-    basis_kernel,
     effective_frequency,
     eigen_residuals,
     eigenfunction,
     energy,
-    free_particle_eigencheck,
     hermite,
     momentum_grid,
     spectrum,
@@ -211,16 +206,6 @@ def test_operators_require_momentum_basis():
         apply_angular_momentum(F, P03)
 
 
-def test_nonflat_gauge_is_rejected():
-    psi = eigenfunction(0, 0, P03, momentum_grid(P03, 64, 8.0))
-    bent = GaugeChoice(A=0.1)
-    assert not bent.is_flat and FLAT_GAUGE.is_flat
-    with pytest.raises(GaugeError):
-        apply_hamiltonian(psi, P03, gauge=bent)
-    with pytest.raises(GaugeError):
-        transform(psi, "xpy", P03, gauge=bent)
-
-
 def test_coarse_grid_warns():
     ax = uniform_axis(-8.0, 8.0, 12)
     F = GridFunction(ax, ax, np.ones((12, 12), complex), "p")
@@ -228,39 +213,7 @@ def test_coarse_grid_warns():
         apply_hamiltonian(F, P03)
 
 
-def test_free_particle_eigencheck_values():
-    assert free_particle_eigencheck(1.0, 0.0, P03) < 1e-8
-    assert free_particle_eigencheck(0.0, 0.0, P03) < 1e-12
-    assert free_particle_eigencheck(0.7, -1.2, P03) < 1e-8
-
-
-def test_free_particle_eigencheck_ignores_theta():
-    xa = uniform_axis(-8.0, 8.0, 128)
-    pya = uniform_axis(-8.0, 8.0, 128)
-    r1 = free_particle_eigencheck(1.0, 0.5, NCParams(m=1, omega=1, theta=0.0),
-                                  axes=(xa, pya))
-    r2 = free_particle_eigencheck(1.0, 0.5, NCParams(m=1, omega=1, theta=2.0),
-                                  axes=(xa, pya))
-    assert r1 == r2
-
-
 # --- kernels and transforms -------------------------------------------------
-
-def test_kernels_conjugate_in_pairs():
-    kw = dict(x=0.4, y=-1.1, px=0.8, py=0.3, px_p=0.8, py_p=0.3)
-    for a, b in [("xpy", "ypx"), ("p", "xpy"), ("p", "ypx")]:
-        k1 = basis_kernel(a, b, P03, **kw)
-        k2 = basis_kernel(b, a, P03, **kw)
-        assert k1 == pytest.approx(np.conj(k2), rel=1e-15)
-
-
-def test_kernel_modulus():
-    k = basis_kernel("ypx", "xpy", P03, x=0.2, py=1.0, y=0.5, px=-0.7)
-    assert abs(k) == pytest.approx(1.0 / (2 * math.pi * P03.hbar), rel=1e-15)
-    k2 = basis_kernel("p", "xpy", P03, x=0.2, py=1.0, px_p=-0.7, py_p=1.0)
-    assert abs(k2) == pytest.approx(1.0 / math.sqrt(2 * math.pi * P03.hbar),
-                                    rel=1e-15)
-
 
 def _gaussian_xpy_literal(x, py, p):
     """Closed-form (x, p_y) wave function of the ground state."""
@@ -376,6 +329,79 @@ def test_mixed_transform_against_double_quadrature():
                      / p.hbar) / (2 * math.pi * p.hbar)
         expect = (wx[:, None] * wp[None, :] * ker * F.values).sum()
         assert G.values[a, b] == pytest.approx(expect, abs=1e-12)
+
+
+def _trapezoid(a):
+    h = a[1] - a[0]
+    w = np.full(a.size, h)
+    w[0] = w[-1] = h / 2
+    return w
+
+
+def _ket_xpy_p(x, px, py, p):
+    """<x, p_y | p'> at p_y = p_y'; the delta(p_y - p_y') is row matching."""
+    return (np.exp(1j * (x * px + 0.5 * p.theta * py * px) / p.hbar)
+            / math.sqrt(2 * math.pi * p.hbar))
+
+
+def _ket_ypx_p(y, px, py, p):
+    """<y, p_x | p'> at p_x = p_x'."""
+    return (np.exp(1j * (y * py - 0.5 * p.theta * py * px) / p.hbar)
+            / math.sqrt(2 * math.pi * p.hbar))
+
+
+def _ket_xpy_ypx(x, py, y, px, p):
+    """<x, p_y | y, p_x>."""
+    return (np.exp(1j * (x * px - py * y + p.theta * py * px) / p.hbar)
+            / (2 * math.pi * p.hbar))
+
+
+@pytest.mark.parametrize("src,dst", [("p", "xpy"), ("xpy", "p"), ("p", "ypx"),
+                                     ("ypx", "p"), ("xpy", "ypx"),
+                                     ("ypx", "xpy")])
+def test_every_pair_matches_explicit_kernel_quadrature(src, dst):
+    # psi_{1,1} e^{0.9 i p_x} has no reflection symmetry, so a wrong shear
+    # sign or a swapped axis shows; its values serve as a source state in
+    # every basis
+    p = P03
+    base = eigenfunction(1, 1, p, momentum_grid(p, 65, 8.0))
+    kicked = base.values * np.exp(0.9j * base.axis1)[:, None]
+    psi = GridFunction(base.axis1, base.axis2, kicked, src)
+    f = transform(psi, dst, p)
+    a1, a2, v = psi.axis1, psi.axis2, psi.values
+    w1, w2 = _trapezoid(a1), _trapezoid(a2)
+    for i, j in [(3, 50), (20, 7), (32, 32), (47, 61)]:
+        u, s = f.axis1[i], f.axis2[j]
+        if (src, dst) == ("p", "xpy"):      # (x, p_y), p_y = a2[j]
+            expect = (w1 * _ket_xpy_p(u, a1, s, p) * v[:, j]).sum()
+        elif (src, dst) == ("xpy", "p"):    # (p_x, p_y), p_y = a2[j]
+            expect = (w1 * np.conj(_ket_xpy_p(a1, u, s, p)) * v[:, j]).sum()
+        elif (src, dst) == ("p", "ypx"):    # (y, p_x), p_x = a1[j]
+            expect = (w2 * _ket_ypx_p(u, s, a2, p) * v[j, :]).sum()
+        elif (src, dst) == ("ypx", "p"):    # (p_x, p_y), p_x = a2[i]
+            expect = (w1 * np.conj(_ket_ypx_p(a1, u, s, p)) * v[:, i]).sum()
+        elif (src, dst) == ("ypx", "xpy"):  # (x, p_y) from (y, p_x)
+            K = _ket_xpy_ypx(u, s, a1[:, None], a2[None, :], p)
+            expect = (w1[:, None] * w2[None, :] * K * v).sum()
+        else:                               # (y, p_x) from (x, p_y)
+            K = np.conj(_ket_xpy_ypx(a1[:, None], a2[None, :], u, s, p))
+            expect = (w1[:, None] * w2[None, :] * K * v).sum()
+        assert f.values[i, j] == pytest.approx(expect, abs=1e-12)
+
+
+def test_mixed_to_mixed_alias_guard_counts_the_full_shear():
+    # fine x step, coarse p_y step (limit pi hbar / 0.5 = 6.28): the target
+    # reach |y| + |theta| |p_x| is 8 at theta = 1, while a composition of
+    # two half shears would guard only |y| + |theta| |p_x| / 2 = 5
+    xa = uniform_axis(-2.0, 2.0, 81)
+    pya = uniform_axis(-4.0, 4.0, 17)
+    vals = np.exp(-xa[:, None] ** 2 - pya[None, :] ** 2 / 4.0)
+    psi = GridFunction(xa, pya, vals, "xpy")
+    axes = (uniform_axis(-2.0, 2.0, 21), uniform_axis(-6.0, 6.0, 25))
+    with pytest.raises(AliasingError, match="for y"):
+        transform(psi, "ypx", NCParams(m=1.0, omega=1.0, theta=1.0), axes)
+    assert transform(psi, "ypx", NCParams(m=1.0, omega=1.0, theta=0.5),
+                     axes).basis == "ypx"
 
 
 def test_momentum_phase_translates_position():

@@ -175,26 +175,6 @@ def test_free_energy_sign_and_scaling_in_N():
     assert a5 == pytest.approx(5.0 * a1, rel=1e-14)
 
 
-def test_boltzmann_weights_sum_to_one():
-    tot = math.fsum(thermo.boltzmann_weight(n, j, 0.8, TP)
-                    for n in range(80) for j in range(-n, n + 1, 2))
-    assert tot == pytest.approx(1.0, abs=1e-12)
-
-
-def test_boltzmann_weight_ratio_literal():
-    # E(1,1) - E(0,0) = a - b, so the ratio is a pure exponential
-    a, b = thermo.level_scales(P)
-    T = 0.8
-    beta = 1.0 / (P.kB * T)
-    ratio = (thermo.boltzmann_weight(1, 1, T, TP)
-             / thermo.boltzmann_weight(0, 0, T, TP))
-    assert ratio == pytest.approx(math.exp(-beta * (a - b)), rel=1e-13)
-
-
-def test_boltzmann_weight_ground_state_saturates():
-    assert thermo.boltzmann_weight(0, 0, 1e-3, TP) == pytest.approx(1.0, abs=1e-15)
-
-
 def test_thermo_point_fields_consistent():
     pt = thermo.thermo_point(0.9, TP)
     assert pt.T == 0.9 and pt.theta == P.theta
