@@ -49,7 +49,6 @@ from .spectra import (
     AliasingError,
     SpectrumEntry,
     TruncationError,
-    effective_frequency,
     energy,
     spectrum,
     eigenfunction,
@@ -70,7 +69,6 @@ from .wigner import (
 from .thermo import (
     ThermoParams,
     ThermoPoint,
-    level_scales,
     partition_single,
     partition_single_direct,
     free_energy,

@@ -278,8 +278,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
     W = wigner.wigner_from_state(psi, p)
     stride = max(1, (cfg.nodes - 1) // 64)
     xs = psi.axis1[::stride]
-    s = math.sqrt(p.m * p.hbar * spectra.effective_frequency(p))
-    pxs = np.linspace(-cfg.radius * s / 2, cfg.radius * s / 2, 41)
+    pxs = np.linspace(-cfg.radius * p.width / 2, cfg.radius * p.width / 2, 41)
     vals = W.at(xs[:, None], 0.0, pxs[None, :], 0.0)
     rows = ((xs[i], pxs[j], vals[i, j])
             for i in range(xs.size) for j in range(pxs.size))
@@ -450,10 +449,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return args.fn(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

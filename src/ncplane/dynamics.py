@@ -130,30 +130,22 @@ def free_particle_solution(z0, t, p: NCParams) -> PhasePoint:
 class OscillatorClosedForm:
     """The two mixing frequencies and the four coefficient functions.
 
-    phi*chi = omega^2 and phi - chi = m*theta*omega^2 (signed); for
-    theta >= 0, phi >= chi > 0.  Theta_sc is sqrt(4 + m^2 omega^2 theta^2).
+    phi*chi = omega^2 and phi - chi = p.lam (signed); for theta >= 0,
+    phi >= chi > 0.  Theta_sc = 2 sqrt(1 + p.u) = (phi + chi) / omega.
     """
 
-    m: float
-    omega: float
-    theta: float
+    p: NCParams
     phi: float = field(init=False)
     chi: float = field(init=False)
     Theta_sc: float = field(init=False)
 
     def __post_init__(self):
-        m, w, th = self.m, self.omega, self.theta
-        if w <= 0:
-            raise ValueError(f"oscillator frequencies need omega > 0, got {w}")
-        lam = m * th * w * w
+        Theta_sc = 2.0 * math.sqrt(1.0 + self.p.u)      # requires omega > 0
+        w, lam = self.p.omega, self.p.lam
         disc = math.sqrt(lam * lam + 4.0 * w * w)
         object.__setattr__(self, "phi", 0.5 * (lam + disc))
         object.__setattr__(self, "chi", 0.5 * (-lam + disc))
-        object.__setattr__(self, "Theta_sc", math.sqrt(4.0 + (m * w * th) ** 2))
-
-    @classmethod
-    def from_params(cls, p: NCParams):
-        return cls(p.m, p.omega, p.theta)
+        object.__setattr__(self, "Theta_sc", Theta_sc)
 
     # coefficient functions; T2' = T1 and T4' = omega^2 T3 hold identically
     def T1(self, t):
@@ -161,34 +153,32 @@ class OscillatorClosedForm:
 
     def T2(self, t):
         return (self.phi * np.sin(self.chi * t) + self.chi * np.sin(self.phi * t)) \
-            / (2.0 * self.omega ** 2)
+            / (2.0 * self.p.omega ** 2)
 
     def T3(self, t):
         return (np.cos(self.chi * t) - np.cos(self.phi * t)) \
-            / (2.0 * self.omega * self.Theta_sc)
+            / (2.0 * self.p.omega * self.Theta_sc)
 
     def T4(self, t):
         return (self.phi * np.sin(self.chi * t) - self.chi * np.sin(self.phi * t)) \
-            / (2.0 * self.omega * self.Theta_sc)
+            / (2.0 * self.p.omega * self.Theta_sc)
 
     def dT1(self, t):
         return -0.5 * (self.phi * np.sin(self.phi * t) + self.chi * np.sin(self.chi * t))
 
     def dT3(self, t):
         return (self.phi * np.sin(self.phi * t) - self.chi * np.sin(self.chi * t)) \
-            / (2.0 * self.omega * self.Theta_sc)
+            / (2.0 * self.p.omega * self.Theta_sc)
 
 
 def velocity_from_momentum(z0, p: NCParams):
     """(vx, vy) of the oscillator flow at a phase point."""
     x, y, px, py = _coords(z0)
-    c = p.theta * p.m * p.omega ** 2
-    return px / p.m + c * y, py / p.m - c * x
+    return px / p.m + p.lam * y, py / p.m - p.lam * x
 
 
 def momentum_from_velocity(x, y, vx, vy, p: NCParams):
-    c = p.theta * p.m * p.omega ** 2
-    return p.m * (vx - c * y), p.m * (vy + c * x)
+    return p.m * (vx - p.lam * y), p.m * (vy + p.lam * x)
 
 
 def oscillator_solution_xy(x0, y0, vx0, vy0, t, p: NCParams):
@@ -197,8 +187,8 @@ def oscillator_solution_xy(x0, y0, vx0, vy0, t, p: NCParams):
     Vectorized over t.  This is the paper-facing parameterization; the
     phase-point version below wraps it with the velocity relation.
     """
-    cf = OscillatorClosedForm.from_params(p)
-    lam = p.m * p.theta * p.omega ** 2
+    cf = OscillatorClosedForm(p)
+    lam = p.lam
     mt = p.m * p.theta
     T1, T2, T3, T4 = cf.T1(t), cf.T2(t), cf.T3(t), cf.T4(t)
     dT1, dT3 = cf.dT1(t), cf.dT3(t)

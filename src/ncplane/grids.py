@@ -26,7 +26,7 @@ def uniform_axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def _check_axis(a, name):
-    a = np.asarray(a, dtype=float)
+    a = np.array(a, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise GridError(f"{name} must be a 1D array with >= 2 nodes")
     d = np.diff(a)
@@ -54,12 +54,12 @@ class GridFunction:
             raise GridError(f"unknown basis {basis!r}; expected one of {sorted(BASES)}")
         a1 = _check_axis(axis1, "axis1")
         a2 = _check_axis(axis2, "axis2")
-        v = np.asarray(values, dtype=complex)
+        v = np.array(values, dtype=complex)
         if v.shape != (a1.size, a2.size):
             raise GridError(f"values shape {v.shape} != ({a1.size}, {a2.size})")
         if not np.isfinite(v).all():
             raise GridError("values contain non-finite entries")
-        for arr in (a1, a2, v):
+        for arr in (a1, a2, v):     # copies: the caller's stay writeable
             arr.setflags(write=False)
         self.axis1, self.axis2, self.values, self.basis = a1, a2, v, basis
 

@@ -45,3 +45,38 @@ class NCParams:
         if self.omega <= 0:
             raise ValueError("operation requires omega > 0")
         return self.omega
+
+    # Oscillator scales.  The flow z' = J(theta) A z has eigenvalues +-i phi,
+    # +-i chi with phi chi = omega^2 and phi - chi = lam; the levels are
+    # E(n, two_j) = a (n + 1) - b two_j.
+
+    @property
+    def lam(self) -> float:
+        """lam = m theta omega^2 = phi - chi (signed)."""
+        return self.m * self.theta * self.omega ** 2
+
+    @property
+    def u(self) -> float:
+        """u = (m omega theta)^2 / 4; sqrt(1 + u) = (phi + chi) / (2 omega)."""
+        self.require_omega()
+        return (self.m * self.omega * self.theta) ** 2 / 4.0
+
+    @property
+    def w_eff(self) -> float:
+        """w_eff = omega / sqrt(1 + u) <= omega, the reduced frequency."""
+        return self.omega / math.sqrt(1.0 + self.u)
+
+    @property
+    def width(self) -> float:
+        """sqrt(m hbar w_eff), the ground state's momentum width."""
+        return math.sqrt(self.m * self.hbar * self.w_eff)
+
+    @property
+    def a(self) -> float:
+        """a = hbar omega sqrt(1 + u) = hbar (phi + chi) / 2."""
+        return self.hbar * self.omega * math.sqrt(1.0 + self.u)
+
+    @property
+    def b(self) -> float:
+        """b = hbar lam / 2 = hbar (phi - chi) / 2."""
+        return self.hbar * self.lam / 2.0

@@ -63,7 +63,7 @@ def check_oscillator(seed: int = 42) -> CheckResult:
     path = dynamics.oscillator_path(z0, 0.0, 20.0 / p.omega, 1e-3, p)
     pos_err = float(np.max(np.abs(traj.points[:, :2] - path.points[:, :2])))
 
-    cf = dynamics.OscillatorClosedForm.from_params(p)
+    cf = dynamics.OscillatorClosedForm(p)
     id_err = max(abs(cf.phi * cf.chi - p.omega ** 2),
                  abs((cf.phi - cf.chi) - p.m * p.theta * p.omega ** 2))
 
@@ -202,7 +202,7 @@ def check_wigner(seed: int = 42) -> CheckResult:
     pts = rng.uniform(-3.0, 3.0, size=(50, 4))
     stat = 0.0
     for t in (0.7, 1.7, 4.1):
-        Wt = wigner.evolve_liouville(W0, p, t, kind="oscillator")
+        Wt = wigner.evolve_liouville(W0, p, t)
         drift = np.abs(Wt.at(*pts.T) - W0.at(*pts.T))
         stat = max(stat, float(np.max(drift)))
 
@@ -233,8 +233,7 @@ def check_thermo(seed: int = 42) -> CheckResult:
     pred = 2.0 * T + (2.0 + 1.0) / (12.0 * T)
     hi = abs(thermo.internal_energy(T, tp1) - pred) / pred
 
-    a, _ = thermo.level_scales(tp1.nc)
-    lo = abs(thermo.internal_energy(0.01, tp1) / a - 1.0)
+    lo = abs(thermo.internal_energy(0.01, tp1) / tp1.nc.a - 1.0)
 
     h = 1e-6
     slope_ok = True

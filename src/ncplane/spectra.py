@@ -3,12 +3,14 @@
 In the (p_x, p_y) representation the position operators read
 x = i hbar d/dp_x - (theta/2) p_y and y = i hbar d/dp_y + (theta/2) p_x,
 so the oscillator Hamiltonian becomes a commutative oscillator of the
-reduced frequency w_eff = omega / sqrt(1 + m^2 omega^2 theta^2 / 4) plus a
-term proportional to the angular momentum.  Eigenstates are labelled by
-(n, two_j) with |two_j| <= n and two_j = n (mod 2):
+reduced frequency w_eff = omega / sqrt(1 + u), u = (m omega theta)^2 / 4,
+plus a term proportional to the angular momentum.  Eigenstates are
+labelled by (n, two_j) with |two_j| <= n and two_j = n (mod 2):
 
-    E = hbar omega sqrt(1 + m^2 omega^2 theta^2/4) (n+1)
-        - theta m omega^2 hbar (two_j/2).
+    E = a (n + 1) - b two_j,  a = hbar omega sqrt(1 + u),
+                              b = hbar m theta omega^2 / 2,
+
+where u, w_eff, a and b are read from the NCParams properties.
 
 Two conventions here fix known misprints in the source formulas and are
 forced by the eigen-residual checks: Hermite arguments carry
@@ -52,13 +54,6 @@ class SpectrumEntry:
     E: float
 
 
-def effective_frequency(p: NCParams) -> float:
-    """w_eff = omega / sqrt(1 + m^2 omega^2 theta^2 / 4); <= omega always."""
-    p.require_omega()
-    u = (p.m * p.omega * p.theta) ** 2 / 4.0
-    return p.omega / math.sqrt(1.0 + u)
-
-
 def validate_level(n: int, two_j: int):
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
@@ -72,15 +67,12 @@ def validate_level(n: int, two_j: int):
 
 def energy(n: int, two_j: int, p: NCParams) -> float:
     validate_level(n, two_j)
-    p.require_omega()
     return _level_energy(n, two_j, p)
 
 
 def _level_energy(n, two_j, p: NCParams):
     """E(n, two_j) unchecked; elementwise on integer arrays of levels."""
-    u = (p.m * p.omega * p.theta) ** 2 / 4.0
-    return (p.hbar * p.omega * math.sqrt(1.0 + u) * (n + 1)
-            - p.theta * p.m * p.omega ** 2 * p.hbar * (two_j / 2.0))
+    return p.a * (n + 1) - p.b * two_j
 
 
 def spectrum(n_max: int, p: NCParams) -> list[SpectrumEntry]:
@@ -110,8 +102,7 @@ def hermite(n: int, x):
 
 def momentum_grid(p: NCParams, n_nodes: int = 256, radius: float = 8.0):
     """Square (p_x, p_y) axes spanning radius Gaussian widths sqrt(m hbar w_eff)."""
-    s = math.sqrt(p.m * p.hbar * effective_frequency(p))
-    ax = uniform_axis(-radius * s, radius * s, n_nodes)
+    ax = uniform_axis(-radius * p.width, radius * p.width, n_nodes)
     return ax, ax.copy()
 
 
@@ -128,9 +119,8 @@ def eigenfunction(n: int, two_j: int, p: NCParams, axes=None,
     if axes is None:
         axes = momentum_grid(p)
     pxa, pya = axes
-    scale = math.sqrt(p.m * p.hbar * effective_frequency(p))
-    Px = np.asarray(pxa, dtype=float) / scale
-    Py = np.asarray(pya, dtype=float) / scale
+    Px = np.asarray(pxa, dtype=float) / p.width
+    Py = np.asarray(pya, dtype=float) / p.width
 
     a = (n + two_j) // 2
     b = (n - two_j) // 2
@@ -162,12 +152,11 @@ def _require_p_basis(psi: GridFunction):
 
 
 def _nyquist_check(psi: GridFunction, p: NCParams):
-    width = math.sqrt(p.m * p.hbar * effective_frequency(p))
     h = max(psi.step1, psi.step2)
-    if h > 0.5 * width:
+    if h > 0.5 * p.width:
         warnings.warn(
             f"grid step {h:.3g} is coarse against the oscillator width "
-            f"{width:.3g}; differential operators lose accuracy",
+            f"{p.width:.3g}; differential operators lose accuracy",
             RuntimeWarning, stacklevel=3)
 
 
@@ -183,9 +172,7 @@ def apply_hamiltonian(psi: GridFunction, p: NCParams,
     256^2 grids up to n = 4; order 4 is available but a factor ~30 looser.
     """
     _require_p_basis(psi)
-    p.require_omega()
     _nyquist_check(psi, p)
-    u = (p.m * p.omega * p.theta) ** 2 / 4.0
     px = psi.axis1[:, None]
     py = psi.axis2[None, :]
     F = psi.values
@@ -193,9 +180,9 @@ def apply_hamiltonian(psi: GridFunction, p: NCParams,
            + second_derivative(F, psi.step2, 1, order))
     dpx = first_derivative(F, psi.step1, 0, order)
     dpy = first_derivative(F, psi.step2, 1, order)
-    out = ((1.0 + u) / (2.0 * p.m) * (px ** 2 + py ** 2) * F
+    out = ((1.0 + p.u) / (2.0 * p.m) * (px ** 2 + py ** 2) * F
            - 0.5 * p.hbar ** 2 * p.m * p.omega ** 2 * lap
-           - 0.5j * p.hbar * p.theta * p.m * p.omega ** 2 * (py * dpx - px * dpy))
+           - 0.5j * p.hbar * p.lam * (py * dpx - px * dpy))
     return psi.with_values(out)
 
 
@@ -285,7 +272,7 @@ def transform(psi: GridFunction, to_basis: str, p: NCParams,
     (k0, s0), (k1, s1) = _BASIS[psi.basis], _BASIS[to_basis]
     src = _slots(k0, psi.axis1, psi.axis2)
     step = _slots(k0, psi.step1, psi.step2)
-    want = _slots(k1, axes[0], axes[1]) if axes else src
+    want = _slots(k1, axes[0], axes[1]) if axes is not None else src
     traded = {k for k, s in ((k0, s0), (k1, s1)) if s}
     for i in {0, 1} - traded:
         if not np.array_equal(np.asarray(want[i], float), src[i]):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NCParams
-from .phasespace import PhasePoint, ScalarField, _coords
+from .phasespace import ScalarField, _coords
 
 _N = 4
 _DIM = 10  # symmetric 4x4 matrices
@@ -73,31 +73,6 @@ class BilinearForm:
         if not np.allclose(M, M.T, atol=1e-12 * max(1.0, np.abs(M).max())):
             raise ValueError("coefficient matrix must be symmetric")
         self.M = 0.5 * (M + M.T)
-
-    @classmethod
-    def from_function(cls, S):
-        """Recover M by polarization from any homogeneous quadratic S(z).
-
-        S takes a PhasePoint.  Raises if S is not a quadratic form.
-        """
-        e = np.eye(_N)
-        z0 = S(PhasePoint(0.0, 0.0, 0.0, 0.0))
-        if abs(z0) > 1e-12:
-            raise ValueError(f"S(0) = {z0!r}; not a homogeneous quadratic")
-        s1 = [S(PhasePoint(*e[a])) for a in range(_N)]
-        M = np.zeros((_N, _N))
-        for a in range(_N):
-            M[a, a] = 2.0 * s1[a]
-            for b in range(a + 1, _N):
-                M[a, b] = M[b, a] = S(PhasePoint(*(e[a] + e[b]))) - s1[a] - s1[b]
-        form = cls(M)
-        rng = np.random.default_rng(0)
-        for z in rng.uniform(-2, 2, size=(3, _N)):
-            want = S(PhasePoint(*z))
-            got = form.value(z)
-            if abs(want - got) > 1e-9 * (1.0 + abs(want)):
-                raise ValueError("S is not a quadratic form (polarization mismatch)")
-        return form
 
     def value(self, z) -> float:
         c = np.array(_coords(z))

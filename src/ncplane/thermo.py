@@ -1,8 +1,8 @@
 """Einstein-solid thermodynamics built on the deformed oscillator levels.
 
 With E(n, two_j) = a (n + 1) - b two_j, where a = hbar w sqrt(1 + u),
-b = hbar m theta w^2 / 2 and u = (m w theta)^2 / 4, the single-site
-partition function has the closed form
+b = hbar m theta w^2 / 2 and u = (m w theta)^2 / 4 (the NCParams
+properties), the single-site partition function has the closed form
 
     Z1 = 1 / (2 [cosh(a beta) - cosh(b beta)]),
 
@@ -41,15 +41,6 @@ class ThermoParams:
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
 
 
-def level_scales(p: NCParams):
-    """(a, b) with E(n, two_j) = a (n+1) - b two_j; a > b >= 0 for theta >= 0."""
-    p.require_omega()
-    u = (p.m * p.omega * p.theta) ** 2 / 4.0
-    a = p.hbar * p.omega * math.sqrt(1.0 + u)
-    b = p.hbar * p.m * p.theta * p.omega ** 2 / 2.0
-    return a, b
-
-
 def _beta(T, p: NCParams):
     if value(T) <= 0.0:
         raise ValueError(f"temperature must be positive, got {T!r}")
@@ -69,8 +60,7 @@ def _log_denominator(beta, a, b):
 
 def log_partition_single(T, tp: ThermoParams):
     """ln Z1; prefer this to partition_single at low temperature."""
-    a, b = level_scales(tp.nc)
-    return -_log_denominator(_beta(T, tp.nc), a, b)
+    return -_log_denominator(_beta(T, tp.nc), tp.nc.a, tp.nc.b)
 
 
 def partition_single(T, tp: ThermoParams):
@@ -84,7 +74,7 @@ def free_energy(T, tp: ThermoParams):
 
 def internal_energy(T, tp: ThermoParams):
     """U = N [a sinh(a beta) - b sinh(b beta)] / [cosh(a beta) - cosh(b beta)]."""
-    a, b = level_scales(tp.nc)
+    a, b = tp.nc.a, tp.nc.b
     beta = _beta(T, tp.nc)
     ab, bb = a * beta, b * beta
     if value(ab) < _LOG_SWITCH:
@@ -107,7 +97,7 @@ def entropy(T, tp: ThermoParams):
     temperature each grows like a beta while their sum decays, so the
     residual pieces are kept explicitly instead.
     """
-    a, b = level_scales(tp.nc)
+    a, b = tp.nc.a, tp.nc.b
     beta = _beta(T, tp.nc)
     ab, bb = a * beta, abs(b) * beta
     if value(ab) < _LOG_SWITCH:
@@ -132,7 +122,7 @@ def heat_capacity(T, tp: ThermoParams):
     (note ep em = e2) it collapses to terms that are all of the size of
     the answer, and den factors as (1 - ep)(1 - em).
     """
-    a, b = level_scales(tp.nc)
+    a, b = tp.nc.a, tp.nc.b
     beta = _beta(T, tp.nc)
     ab, bb = a * beta, abs(b) * beta
     e2a = duals.exp(-2.0 * ab)
@@ -147,13 +137,14 @@ def heat_capacity(T, tp: ThermoParams):
 def partition_single_direct(T, tp: ThermoParams, tol: float = 1e-14):
     """Brute-force oracle: sum e^{-beta E} over levels until terms vanish.
 
-    Independent of the closed form; used to pin it in tests.  The slowest
-    series direction decays like e^{-beta (a - b) n}.  The ladder up to
-    n_max is laid out as integer arrays and the terms are added one by one
-    with math.fsum: still a level-by-level sum that shares no scale with
-    the closed form, whose (a, b) only set the cut-off.
+    It shares the level scales (a, b) of NCParams with the closed form, so
+    what it pins is the cosh resummation alone; the scales themselves are
+    pinned against the normal modes of J(theta) A in the tests.  The
+    slowest series direction decays like e^{-beta (a - b) n}, which sets
+    the cut-off.  The ladder up to n_max is laid out as integer arrays and
+    the terms are added one by one with math.fsum.
     """
-    a, b = level_scales(tp.nc)
+    a, b = tp.nc.a, tp.nc.b
     beta = _beta(T, tp.nc)
     gap = a - abs(b)
     if gap <= 0:

@@ -10,8 +10,8 @@ The theta-dependent phase shift makes the y marginal land on the
 commuting combination y - theta px, which is what reproduces |psi|^2 in
 all three mixed bases at once.  Evaluation strategies: exact closed form
 for the (possibly displaced) ground state, trapezoid quadrature of the
-defining integral for grid states, convex mixtures, and backward
-transport along the closed-form classical flow for time evolution.
+defining integral for grid states, and backward transport along the
+closed-form classical flow for time evolution.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .params import CheckFailure, NCParams
 from .phasespace import PhasePoint, ScalarField
 from .dynamics import oscillator_solution
 from .grids import GridFunction, trapezoid_weights
-from .spectra import AliasingError, effective_frequency
+from .spectra import _alias_guard
 
 
 class WignerError(ValueError):
@@ -50,8 +50,9 @@ class GroundStateWigner:
     """
 
     def __init__(self, params: NCParams, center=None):
-        params.require_omega()
         self.params = params
+        self._s2 = params.m * params.hbar * params.w_eff
+        self._k = params.m * params.w_eff / params.hbar
         if center is None:
             center = (0.0, 0.0, 0.0, 0.0)
         elif isinstance(center, PhasePoint):
@@ -62,10 +63,8 @@ class GroundStateWigner:
         p = self.params
         cx, cy, cpx, cpy = self.center
         x, y, px, py = x - cx, y - cy, px - cpx, py - cpy
-        weff = effective_frequency(p)
-        s2 = p.m * p.hbar * weff
-        q = (-(px * px + py * py) / s2
-             - (p.m * weff / p.hbar)
+        q = (-(px * px + py * py) / self._s2
+             - self._k
              * ((x + 0.5 * p.theta * py) ** 2 + (y - 0.5 * p.theta * px) ** 2))
         return _exp(q) / (math.pi * p.hbar) ** 2
 
@@ -103,19 +102,15 @@ class QuadratureWigner:
         self._eta = np.arange(-self._L, self._L + 1) * psi.step2
         self._pref = psi.step1 * psi.step2 / (math.pi * params.hbar) ** 2
 
-    def _alias_guard(self, y, px):
+    def _guard(self, y, px):
         """The integrand oscillates as exp{2i[zeta px - eta(y - theta px)]/hbar};
         both grid steps must stay under half a period of it."""
         p = self.params
-        r1 = float(np.abs(px).max())
-        r2 = float(np.abs(np.asarray(y) - p.theta * np.asarray(px)).max())
-        lim1 = math.pi * p.hbar / (2.0 * r1) if r1 > 0 else math.inf
-        lim2 = math.pi * p.hbar / (2.0 * r2) if r2 > 0 else math.inf
-        if self.psi.step1 > lim1 or self.psi.step2 > lim2:
-            raise AliasingError(
-                f"state grid steps ({self.psi.step1:.3g}, {self.psi.step2:.3g}) "
-                f"cannot resolve the transform phase out to |px| = {r1:.3g}, "
-                f"|y - theta px| = {r2:.3g} (limits {lim1:.3g}, {lim2:.3g})")
+        y_sh = np.asarray(y) - p.theta * np.asarray(px)
+        _alias_guard(self.psi.step1, 2.0 * float(np.abs(px).max()), p.hbar,
+                     "p_x")
+        _alias_guard(self.psi.step2, 2.0 * float(np.abs(y_sh).max()), p.hbar,
+                     "y - theta p_x")
 
     def _corr(self, i, j, out):
         """M[k, ..., l] = psi(x_i - zeta_k, py_j - eta_l)
@@ -132,7 +127,7 @@ class QuadratureWigner:
         p = self.params
         x, y, px, py = np.broadcast_arrays(
             *(np.asarray(v, dtype=float) for v in (x, y, px, py)))
-        self._alias_guard(y, px)
+        self._guard(y, px)
         shape = x.shape
         xf, yf, pxf, pyf = (v.ravel() for v in (x, y, px, py))
         nx, ny = self.psi.values.shape
@@ -180,53 +175,26 @@ def _snap(f: float) -> float:
     return r if abs(f - r) < 1e-9 else f
 
 
-class MixedWigner:
-    """Convex mixture of pure-state evaluators."""
-
-    def __init__(self, components):
-        comps = [(float(w), ev) for w, ev in components]
-        if not comps:
-            raise WignerError("a mixture needs at least one component")
-        if any(w < 0 for w, _ in comps):
-            raise WignerError("mixture weights must be non-negative")
-        total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > 1e-12:
-            raise WignerError(f"mixture weights sum to {total!r}, not 1")
-        self.components = comps
-
-    def at(self, x, y, px, py):
-        acc = 0.0
-        for w, ev in self.components:
-            acc = acc + w * ev.at(x, y, px, py)
-        return acc
-
-
-def flow_matrix(p: NCParams, t: float, kind: str = "oscillator") -> np.ndarray:
-    """Linear phase-space flow map z(t) = M z(0) for the closed-form motions."""
-    if kind == "free":
+def flow_matrix(p: NCParams, t: float) -> np.ndarray:
+    """Linear phase-space flow map z(t) = M z(0) of the closed-form motion:
+    the free shear at omega = 0, the oscillator otherwise."""
+    if p.omega == 0:
         M = np.eye(4)
         M[0, 2] = M[1, 3] = t / p.m
         return M
-    if kind == "oscillator":
-        cols = []
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = 1.0
-            cols.append(oscillator_solution(PhasePoint(*e), t, p).as_array())
-        return np.column_stack(cols)
-    raise WignerError(f"unknown flow kind {kind!r}")
+    cols = [oscillator_solution(PhasePoint(*e), t, p).as_array()
+            for e in np.eye(4)]
+    return np.column_stack(cols)
 
 
 class EvolvedWigner:
     """W(z, t) = W0(flow^{-t} z): backward transport along the exact flow."""
 
-    def __init__(self, base, params: NCParams, t: float,
-                 kind: str = "oscillator"):
+    def __init__(self, base, params: NCParams, t: float):
         self.base = base
         self.params = params
         self.t = float(t)
-        self.kind = kind
-        self._back = flow_matrix(params, -self.t, kind).tolist()
+        self._back = flow_matrix(params, -self.t).tolist()
 
     def at(self, x, y, px, py):
         M = self._back
@@ -244,9 +212,8 @@ def wigner_ground_state(p: NCParams, center=None) -> GroundStateWigner:
     return GroundStateWigner(p, center)
 
 
-def evolve_liouville(W, p: NCParams, t: float,
-                     kind: str = "oscillator") -> EvolvedWigner:
-    return EvolvedWigner(W, p, t, kind)
+def evolve_liouville(W, p: NCParams, t: float) -> EvolvedWigner:
+    return EvolvedWigner(W, p, t)
 
 
 # --- dense tables -----------------------------------------------------------
@@ -335,12 +302,6 @@ def wigner_table(W, axes, params: NCParams | None = None) -> WignerTable:
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != 4:
         raise WignerError("need four axes (x, y, px, py)")
-    if isinstance(W, MixedWigner):
-        p = params or W.components[0][1].params
-        vals = 0.0
-        for wgt, ev in W.components:
-            vals = vals + wgt * wigner_table(ev, axes, p).values
-        return WignerTable(axes, vals, p)
     if isinstance(W, QuadratureWigner):
         return _quadrature_table(W, axes)
     p = params or W.params
@@ -359,7 +320,7 @@ def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
     if not np.array_equal(xa, psi.axis1) or not np.array_equal(pya, psi.axis2):
         raise WignerError(
             "table axes 0 and 3 must coincide with the state grid")
-    W._alias_guard(ya[:, None], pxa[None, :])
+    W._guard(ya[:, None], pxa[None, :])
     nx, ny = psi.values.shape
     K, L = W._K, W._L
     A = np.exp(2j * np.outer(pxa, W._zeta) / p.hbar)      # (na, 2K+1)

@@ -119,6 +119,15 @@ def test_invalid_level_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [["spectrum"], ["eigenfunction"], ["wigner"],
+                                  ["thermo", "sweep"],
+                                  ["classical", "symmetries"]])
+def test_oscillator_commands_need_omega(tmp_path, capsys, argv):
+    rc = cli.main([*argv, "--omega", "0", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "requires omega > 0" in capsys.readouterr().err
+
+
 def test_unexpected_exception_exits_three(tmp_path, capsys, monkeypatch):
     def boom(cfg):
         raise RuntimeError("injected fault")

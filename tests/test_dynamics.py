@@ -38,7 +38,7 @@ def test_free_particle_rk4_exact():
 def test_frequency_identities():
     for m, w, th in [(1.0, 1.0, 0.3), (2.0, 0.7, -0.4), (1.5, 2.0, 0.0)]:
         p = NCParams(m=m, omega=w, theta=th)
-        cf = OscillatorClosedForm.from_params(p)
+        cf = OscillatorClosedForm(p)
         phi, chi = cf.phi, cf.chi
         assert phi * chi == pytest.approx(w * w, rel=1e-12)
         assert phi - chi == pytest.approx(m * th * w * w, rel=1e-12, abs=1e-12)
@@ -47,7 +47,7 @@ def test_frequency_identities():
 
 def test_frequencies_require_omega():
     with pytest.raises(ValueError):
-        OscillatorClosedForm(1.0, 0.0, 0.3)
+        OscillatorClosedForm(NCParams(m=1.0, omega=0.0, theta=0.3))
 
 
 def test_closed_form_initial_point_exact():

@@ -56,6 +56,20 @@ def test_values_are_read_only():
         F.values[0, 0] = 2.0
 
 
+def test_callers_arrays_stay_writeable():
+    # only the GridFunction's own arrays are frozen, even when the caller's
+    # already have the right dtype and no conversion copy is made
+    ax = uniform_axis(0.0, 1.0, 4)
+    v = np.ones((4, 4), dtype=complex)
+    F = GridFunction(ax, ax, v, "p")
+    assert ax.flags.writeable and v.flags.writeable
+    assert not (F.values.flags.writeable or F.axis1.flags.writeable
+                or F.axis2.flags.writeable)
+    v[0, 0] = 2.0
+    ax[0] = -1.0
+    assert F.values[0, 0] == 1.0 and F.axis1[0] == 0.0
+
+
 def test_transposed_values_are_checked_elementwise():
     # a complex transpose has a strided last axis: finiteness must be read
     # per element, not through a float view of the buffer

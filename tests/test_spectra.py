@@ -20,7 +20,6 @@ from ncplane.spectra import (
     TruncationError,
     apply_angular_momentum,
     apply_hamiltonian,
-    effective_frequency,
     eigen_residuals,
     eigenfunction,
     energy,
@@ -37,11 +36,11 @@ P03 = NCParams(m=1.0, omega=1.0, theta=0.3)
 # --- spectrum ---------------------------------------------------------------
 
 def test_effective_frequency_literals():
-    assert effective_frequency(NCParams(m=1, omega=1, theta=0.0)) == 1.0
+    assert NCParams(m=1, omega=1, theta=0.0).w_eff == 1.0
     # u = (m w theta)^2/4 = 1 at theta = 2
-    assert effective_frequency(NCParams(m=1, omega=1, theta=2.0)) == \
+    assert NCParams(m=1, omega=1, theta=2.0).w_eff == \
         pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-    assert effective_frequency(P03) <= P03.omega
+    assert P03.w_eff <= P03.omega
 
 
 def test_validate_level():
@@ -114,7 +113,7 @@ def test_hermite_literals():
 
 def test_momentum_grid_span():
     ax1, ax2 = momentum_grid(P03, 128, 8.0)
-    s = math.sqrt(P03.m * P03.hbar * effective_frequency(P03))
+    s = P03.width
     assert ax1[0] == pytest.approx(-8.0 * s) and ax1[-1] == pytest.approx(8.0 * s)
     assert len(ax1) == 128 and np.array_equal(ax1, ax2)
 
@@ -122,7 +121,7 @@ def test_momentum_grid_span():
 def test_ground_state_is_gaussian():
     # psi_00 = exp(-p^2 / (2 m hbar w_eff)) / sqrt(pi m hbar w_eff)
     psi = eigenfunction(0, 0, P03)
-    s2 = P03.m * P03.hbar * effective_frequency(P03)
+    s2 = P03.m * P03.hbar * P03.w_eff
     Px, Py = np.meshgrid(psi.axis1, psi.axis2, indexing="ij")
     expect = np.exp(-(Px**2 + Py**2) / (2 * s2)) / math.sqrt(math.pi * s2)
     assert np.abs(psi.values - expect).max() < 1e-12
@@ -217,7 +216,7 @@ def test_coarse_grid_warns():
 
 def _gaussian_xpy_literal(x, py, p):
     """Closed-form (x, p_y) wave function of the ground state."""
-    s2 = p.m * p.hbar * effective_frequency(p)
+    s2 = p.m * p.hbar * p.w_eff
     u = x + 0.5 * p.theta * py
     return ((s2 / (math.pi * p.hbar**2)) ** 0.25
             * np.exp(-u**2 * s2 / (2 * p.hbar**2))
@@ -225,7 +224,7 @@ def _gaussian_xpy_literal(x, py, p):
 
 
 def _gaussian_ypx_literal(y, px, p):
-    s2 = p.m * p.hbar * effective_frequency(p)
+    s2 = p.m * p.hbar * p.w_eff
     u = y - 0.5 * p.theta * px
     return ((s2 / (math.pi * p.hbar**2)) ** 0.25
             * np.exp(-u**2 * s2 / (2 * p.hbar**2))
@@ -415,6 +414,20 @@ def test_momentum_phase_translates_position():
     X, PY = np.meshgrid(f.axis1, f.axis2, indexing="ij")
     expect = _gaussian_xpy_literal(X - a, PY, p)
     assert np.abs(f.values - expect).max() < 1e-10
+
+
+def test_axes_given_as_one_array_match_the_tuple_form():
+    psi = eigenfunction(0, 0, P03, momentum_grid(P03, 33, 8.0))
+    xs = uniform_axis(-3.0, 3.0, 33)
+    xpy = transform(psi, "xpy", P03, axes=(xs, psi.axis2))
+    for src, dst, axes in ((psi, "xpy", (xs, psi.axis2)),
+                           (xpy, "ypx", (xs, xs)),
+                           (xpy, "p", (psi.axis1, psi.axis2))):
+        want = transform(src, dst, P03, axes=axes)
+        got = transform(src, dst, P03, axes=np.array(axes))
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.axis1, want.axis1)
+        assert np.array_equal(got.axis2, want.axis2)
 
 
 def test_delta_matched_axes_must_agree():

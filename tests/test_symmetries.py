@@ -122,19 +122,6 @@ def test_matrix_bracket_matches_dual_bracket():
             assert fb.value(z) == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
-def test_from_function_round_trip():
-    J = angular_momentum_form(P5)
-    back = BilinearForm.from_function(J.value)
-    assert np.allclose(back.M, J.M, atol=1e-12)
-
-
-def test_from_function_rejects_non_quadratic():
-    with pytest.raises(ValueError):
-        BilinearForm.from_function(lambda z: z.x ** 3)
-    with pytest.raises(ValueError):
-        BilinearForm.from_function(lambda z: z.x + 1.0)
-
-
 def test_symplectic_tensor_entries():
     J = deformed_symplectic(0.7)
     assert J[0, 1] == 0.7 and J[1, 0] == -0.7

@@ -1,4 +1,4 @@
-"""Wigner transform, tables, mixtures, and Liouville transport.
+"""Wigner transform, tables, mixed-state tables, and Liouville transport.
 
 The quadrature evaluator is checked against the closed Gaussian form,
 marginals against |psi|^2 in all three bases (computed by the basis
@@ -18,7 +18,6 @@ from ncplane.dynamics import oscillator_hamiltonian
 from ncplane.grids import GridFunction, uniform_axis
 from ncplane.spectra import (
     AliasingError,
-    effective_frequency,
     eigenfunction,
     momentum_grid,
     transform,
@@ -26,7 +25,6 @@ from ncplane.spectra import (
 from ncplane.wigner import (
     EvolvedWigner,
     GroundStateWigner,
-    MixedWigner,
     QuadratureWigner,
     WignerError,
     WignerTable,
@@ -38,6 +36,7 @@ from ncplane.wigner import (
 )
 
 P = NCParams(m=1.0, omega=1.0, theta=0.3)
+P_FREE = NCParams(m=1.0, omega=0.0, theta=0.3)     # the free flow
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +71,7 @@ def _displaced_gaussian(psi0, d, p):
     """Ground state displaced by d = (x, y, px, py) in phase space."""
     a, al, b = d[0], d[2], d[3]
     be = p.theta * d[2] - d[1]
-    weff = effective_frequency(p)
+    weff = p.w_eff
     s2 = p.m * p.hbar * weff
     X, PY = np.meshgrid(psi0.axis1, psi0.axis2, indexing="ij")
     U = (X - a) + 0.5 * p.theta * (PY - b)
@@ -292,31 +291,6 @@ def test_mixture_purity(ground_table, excited_table, table_axes):
     assert mixed.purity() == pytest.approx(0.5, abs=1e-6)
 
 
-def test_mixture_validation_and_evaluation():
-    W1 = wigner_ground_state(P)
-    W2 = wigner_ground_state(P, center=(1.0, 0.0, 0.0, 0.0))
-    mix = MixedWigner([(0.25, W1), (0.75, W2)])
-    got = mix.at(0.3, 0.1, -0.2, 0.4)
-    expect = 0.25 * W1.at(0.3, 0.1, -0.2, 0.4) + 0.75 * W2.at(0.3, 0.1, -0.2, 0.4)
-    assert got == pytest.approx(expect, rel=1e-14)
-    with pytest.raises(WignerError):
-        MixedWigner([(0.5, W1), (0.6, W2)])
-    with pytest.raises(WignerError):
-        MixedWigner([(-0.2, W1), (1.2, W2)])
-    with pytest.raises(WignerError):
-        MixedWigner([])
-
-
-def test_mixture_table_is_convex_combination(table_axes):
-    W1 = wigner_ground_state(P)
-    W2 = wigner_ground_state(P, center=(0.8, 0.0, 0.0, 0.0))
-    mix = MixedWigner([(0.25, W1), (0.75, W2)])
-    t = wigner_table(mix, table_axes, P)
-    t1 = wigner_table(W1, table_axes, P)
-    t2 = wigner_table(W2, table_axes, P)
-    assert np.abs(t.values - 0.25 * t1.values - 0.75 * t2.values).max() < 1e-15
-
-
 def test_first_excited_is_negative_at_origin(excited_xpy, excited_table):
     Wq = wigner_from_state(excited_xpy, P)
     # the n=1 state dips to exactly -1/(pi hbar)^2 at the origin
@@ -382,7 +356,7 @@ def test_ground_state_depends_only_on_conserved_charges():
     # exponent reduces to a combination of the energy and the deformed
     # angular momentum, which is why the state is flow-invariant
     W0 = wigner_ground_state(P)
-    weff = effective_frequency(P)
+    weff = P.w_eff
     u = (P.m * P.omega * P.theta) ** 2 / 4
     rng = np.random.default_rng(6)
     x, y, px, py = rng.uniform(-2.0, 2.0, (4, 60))
@@ -409,24 +383,22 @@ def test_liouville_equation_from_bracket():
 
 
 def test_flow_matrix_preserves_volume():
-    for kind in ("oscillator", "free"):
+    for p in (P, P_FREE):
         for t in (0.4, 1.9, 7.3):
-            M = flow_matrix(P, t, kind)
+            M = flow_matrix(p, t)
             assert abs(np.linalg.det(M) - 1.0) < 1e-10
-            Mi = flow_matrix(P, -t, kind)
+            Mi = flow_matrix(p, -t)
             assert np.abs(Mi @ M - np.eye(4)).max() < 1e-10
-    with pytest.raises(WignerError):
-        flow_matrix(P, 1.0, "ballistic")
 
 
 def test_free_flow_shears_position_variance():
     W0 = wigner_ground_state(P)
     t = 1.3
-    Wt = evolve_liouville(W0, P, t, kind="free")
+    Wt = evolve_liouville(W0, P_FREE, t)
     axq = uniform_axis(-9.0, 9.0, 49)
     axp = uniform_axis(-5.0, 5.0, 49)
     tab = wigner_table(Wt, (axq, axq, axp, axp), P)
-    weff = effective_frequency(P)
+    weff = P.w_eff
     var0 = P.hbar / (2 * P.m * weff) + P.theta**2 * P.m * P.hbar * weff / 8
     expect = var0 + (t / P.m) ** 2 * (P.m * P.hbar * weff / 2)
     assert tab.integral() == pytest.approx(1.0, abs=1e-6)
