@@ -208,12 +208,9 @@ def cmd_classical_symmetries(cfg: RunConfig) -> int:
     p = cfg.nc()
     basis = symmetries.conserved_bilinears(p)
     expected = 4 if p.theta == 0.0 else 2
-    if p.theta == 0.0:
-        probes = (*symmetries.su2_standard_forms(p),
-                  symmetries.hamiltonian_form(p))
-    else:
-        probes = (symmetries.angular_momentum_form(p),
-                  symmetries.hamiltonian_form(p))
+    probes = (*(symmetries.su2_standard_forms(p) if p.theta == 0.0
+                else (symmetries.angular_momentum_form(p),)),
+              symmetries.hamiltonian_form(p))
     member = max(symmetries.membership_check(S, basis) for S in probes)
     c, res = symmetries.structure_constants(list(basis.forms), p)
     ok = basis.dimension == expected and member < 1e-10
@@ -363,7 +360,10 @@ def _write_curves_script(path, csv_name, picks):
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
-    results = selftest.run_all(seed=cfg.seed)
+    try:
+        results = selftest.run_all(seed=cfg.seed)
+    except ValueError as exc:  # selftest takes no input to blame
+        return _internal(exc)
     for r in results:
         print(r.line())
     total = sum(r.seconds for r in results)
@@ -455,10 +455,13 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:
-        # a fault in the program itself, not a missed tolerance
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:  # a fault in the program, not a missed tolerance
+        return _internal(exc)
+
+
+def _internal(exc: Exception) -> int:
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

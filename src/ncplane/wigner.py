@@ -11,7 +11,10 @@ commuting combination y - theta px, which is what reproduces |psi|^2 in
 all three mixed bases at once.  Evaluation strategies: exact closed form
 for the (possibly displaced) ground state, trapezoid quadrature of the
 defining integral for grid states, and backward transport along the
-closed-form classical flow for time evolution.
+closed-form classical flow for time evolution.  The quadrature sums the
+offsets zeta_k, eta_l only up to half the grid, |k| <= (nx - 1) // 2 and
+|l| <= (ny - 1) // 2: beyond that one of the two state factors always
+lies off the grid, so the terms left out are exact zeros.
 """
 
 from __future__ import annotations
@@ -32,12 +35,6 @@ from .spectra import _alias_guard
 
 class WignerError(ValueError):
     """Ill-posed Wigner construction or evaluation request."""
-
-
-def _exp(q):
-    if isinstance(q, Dual):
-        return duals.exp(q)
-    return np.exp(q)
 
 
 class GroundStateWigner:
@@ -66,7 +63,8 @@ class GroundStateWigner:
         q = (-(px * px + py * py) / self._s2
              - self._k
              * ((x + 0.5 * p.theta * py) ** 2 + (y - 0.5 * p.theta * px) ** 2))
-        return _exp(q) / (math.pi * p.hbar) ** 2
+        e = duals.exp(q) if isinstance(q, Dual) else np.exp(q)
+        return e / (math.pi * p.hbar) ** 2
 
     def as_scalar_field(self, name="W"):
         return ScalarField(lambda x, y, px, py, t: self.at(x, y, px, py), name)
@@ -75,13 +73,16 @@ class GroundStateWigner:
 class QuadratureWigner:
     """Wigner transform of an (x, p_y) grid state by direct quadrature.
 
-    zeta and eta run over the full lattice of grid offsets.  The state is
-    treated as zero outside its grid (valid when the boundary amplitude
-    is negligible), so W = 0 exactly for any (x, py) off the grid.  An
-    (x, py) within 1e-9 grid steps of a node is snapped onto it; other
-    off-node requests interpolate the correlation
-    psi(x - zeta, py - eta) psi*(x + zeta, py + eta) bilinearly between
-    the four surrounding nodes, which is exact on the nodes.
+    The state is treated as zero outside its grid (valid when the
+    boundary amplitude is negligible), so W = 0 exactly for any (x, py)
+    off the grid.  At node (i, j) of an nx x ny grid both factors of
+    psi(x - zeta_k, py - eta_l) psi*(x + zeta_k, py + eta_l) lie on the
+    grid only for |k| <= min(i, nx - 1 - i) and |l| <= min(j, ny - 1 - j),
+    so the offsets stop at |k| <= K = (nx - 1) // 2, |l| <= L = (ny - 1) // 2:
+    every term left out is exactly zero, so this is the full sum, not a
+    truncation.  An (x, py) within 1e-9 grid steps of a node is snapped
+    onto it; other off-node requests interpolate the correlation
+    bilinearly between the four surrounding nodes, exact on the nodes.
     """
 
     def __init__(self, psi: GridFunction, params: NCParams):
@@ -92,8 +93,8 @@ class QuadratureWigner:
         self.psi = psi
         self.params = params
         nx, ny = psi.values.shape
-        self._K, self._L = nx - 1, ny - 1
-        pad = np.zeros((3 * nx - 2, 3 * ny - 2), dtype=complex)
+        self._K, self._L = (nx - 1) // 2, (ny - 1) // 2
+        pad = np.zeros((nx + 2 * self._K, ny + 2 * self._L), dtype=complex)
         pad[self._K:self._K + nx, self._L:self._L + ny] = psi.values
         # win[r, j, l] = pad[r, j + l]: exactly ny windows of 2L+1 columns
         self._win = np.lib.stride_tricks.sliding_window_view(
@@ -102,34 +103,47 @@ class QuadratureWigner:
         self._eta = np.arange(-self._L, self._L + 1) * psi.step2
         self._pref = psi.step1 * psi.step2 / (math.pi * params.hbar) ** 2
 
-    def _guard(self, y, px):
-        """The integrand oscillates as exp{2i[zeta px - eta(y - theta px)]/hbar};
-        both grid steps must stay under half a period of it."""
-        p = self.params
-        y_sh = np.asarray(y) - p.theta * np.asarray(px)
-        _alias_guard(self.psi.step1, 2.0 * float(np.abs(px).max()), p.hbar,
-                     "p_x")
-        _alias_guard(self.psi.step2, 2.0 * float(np.abs(y_sh).max()), p.hbar,
-                     "y - theta p_x")
+    def _guard(self, x, y, px, py):
+        """Reject non-finite coordinates, then check that both grid steps
+        stay under half a period of the integrand's oscillation
+        exp{2i[zeta px - eta u]/hbar}; returns u = y - theta px."""
+        for name, v in (("x", x), ("y", y), ("p_x", px), ("p_y", py)):
+            if not np.isfinite(v).all():
+                raise WignerError(f"non-finite {name} in a Wigner query")
+        u, hbar = y - self.params.theta * px, self.params.hbar
+        _alias_guard(self.psi.step1, 2.0 * float(np.abs(px).max(initial=0)),
+                     hbar, "p_x")
+        _alias_guard(self.psi.step2, 2.0 * float(np.abs(u).max(initial=0)),
+                     hbar, "y - theta p_x")
+        return u
 
     def _corr(self, i, j, out):
-        """M[k, ..., l] = psi(x_i - zeta_k, py_j - eta_l)
-        psi*(x_i + zeta_k, py_j + eta_l) for node row i and node column(s) j,
-        written into out.
-
-        rows[k, ..., l] = psi(x_i + zeta_k, py_j + eta_l); reversing k and l
-        turns it into psi(x_i - zeta_k, py_j - eta_l), all as views."""
-        rows = self._win[i:i + 2 * self._K + 1, j]
+        """M[k, ..., l] = psi(x_i - zeta_k, py_j - eta_l) psi*(x_i + zeta_k,
+        py_j + eta_l) for row i, column(s) j and |k| <= r = len(out) // 2,
+        written into out.  rows[k, ..., l] = psi(x_i + zeta_k, py_j + eta_l);
+        reversing k and l turns it into psi(x_i - zeta_k, py_j - eta_l)."""
+        r = len(out) // 2
+        rows = self._win[i + self._K - r:i + self._K + r + 1, j]
         M = np.conjugate(rows, out=out)
         return np.multiply(rows[::-1, ..., ::-1], M, out=M)
 
+    def _phases(self, px, u):
+        """A[a, k] = exp(2i zeta_k px_a/hbar) and
+        F[a, l, b] = exp(-2i eta_l u[a, b]/hbar), u = y - theta px."""
+        hbar = self.params.hbar
+        return (np.exp(2j * np.outer(px, self._zeta) / hbar),
+                np.exp(-2j * (self._eta[:, None] * u[:, None, :]) / hbar))
+
+    def _contract(self, M, A, F):
+        """S[a, j, b] = pref sum_kl A[a, k] M[k, j, l] F[a, l, b]: the zeta
+        sum first, then the eta sum, one (2L+1, nb) block per px_a."""
+        return np.matmul(np.tensordot(A, M, axes=(1, 0)), F) * self._pref
+
     def at(self, x, y, px, py):
-        p = self.params
         x, y, px, py = np.broadcast_arrays(
             *(np.asarray(v, dtype=float) for v in (x, y, px, py)))
-        self._guard(y, px)
-        shape = x.shape
-        xf, yf, pxf, pyf = (v.ravel() for v in (x, y, px, py))
+        shape, u = x.shape, self._guard(x, y, px, py)
+        xf, uf, pxf, pyf = (v.ravel() for v in (x, u, px, py))
         nx, ny = self.psi.values.shape
         out = np.zeros(xf.size)
         M = np.empty((2 * self._K + 1, 2 * self._L + 1), dtype=complex)
@@ -154,14 +168,12 @@ class QuadratureWigner:
                         self._corr(i + di, j + dj, C)
                         C *= wx * wy
                         M += C
-            idx = np.asarray(idx)
-            A = np.exp(2j * np.outer(pxf[idx], self._zeta) / p.hbar)
-            E = np.exp(-2j * np.outer(yf[idx] - p.theta * pxf[idx],
-                                      self._eta) / p.hbar)
-            vals = np.einsum("nl,nl->n", A @ M, E) * self._pref
+            A, F = self._phases(pxf[idx], uf[idx][:, None])
+            vals = self._contract(M[:, None], A, F)[:, 0, 0]
             worst_imag = max(worst_imag, float(np.abs(vals.imag).max()))
             out[idx] = vals.real
-        scale = max(float(np.abs(out).max()), 1.0 / (math.pi * p.hbar) ** 2)
+        scale = max(float(np.abs(out).max(initial=0)),
+                    1.0 / (math.pi * self.params.hbar) ** 2)
         if worst_imag > 1e-10 * scale:
             raise CheckFailure(
                 f"transform lost realness: imaginary part {worst_imag:.3e} "
@@ -182,9 +194,8 @@ def flow_matrix(p: NCParams, t: float) -> np.ndarray:
         M = np.eye(4)
         M[0, 2] = M[1, 3] = t / p.m
         return M
-    cols = [oscillator_solution(PhasePoint(*e), t, p).as_array()
-            for e in np.eye(4)]
-    return np.column_stack(cols)
+    return np.column_stack([oscillator_solution(PhasePoint(*e), t, p)
+                            .as_array() for e in np.eye(4)])
 
 
 class EvolvedWigner:
@@ -248,11 +259,7 @@ class WignerTable:
         """
         fn = A if not isinstance(A, ScalarField) else (
             lambda x, y, px, py: A(x, y, px, py, 0.0))
-        X = self.axes[0][:, None, None, None]
-        Y = self.axes[1][None, :, None, None]
-        PX = self.axes[2][None, None, :, None]
-        PY = self.axes[3][None, None, None, :]
-        vals = np.asarray(fn(X, Y, PX, PY)) * self.values
+        vals = np.asarray(fn(*np.ix_(*self.axes))) * self.values
         w = self._weights()
         return float(np.einsum("i,j,k,l,ijkl->", *w, vals))
 
@@ -293,25 +300,21 @@ def wigner_table(W, axes, params: NCParams | None = None) -> WignerTable:
     """Sample an evaluator on a product grid.
 
     Grid states require the x and py axes to coincide with the state grid;
-    each x row then takes the correlation psi(x - zeta, py - eta)
-    psi*(x + zeta, py + eta) for every py node from the same strided
-    window that QuadratureWigner.at reads one (x, py) at a time, and
-    contracts it in two matrix products.  Closed-form evaluators accept
-    any axes.
+    row x_i then takes the correlation psi(x - zeta_k, py - eta_l)
+    psi*(x + zeta_k, py + eta_l) for every py node from the strided window
+    QuadratureWigner.at reads, only over |k| <= min(i, nx - 1 - i) where
+    both factors lie on the grid (the rest are exact zeros, not a
+    truncation), and sends it through the same contraction as at.
+    Closed-form evaluators accept any axes.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != 4:
         raise WignerError("need four axes (x, y, px, py)")
     if isinstance(W, QuadratureWigner):
         return _quadrature_table(W, axes)
-    p = params or W.params
-    X = axes[0][:, None, None, None]
-    Y = axes[1][None, :, None, None]
-    PX = axes[2][None, None, :, None]
-    PY = axes[3][None, None, None, :]
-    vals = np.broadcast_to(np.asarray(W.at(X, Y, PX, PY)),
+    vals = np.broadcast_to(np.asarray(W.at(*np.ix_(*axes))),
                            tuple(len(a) for a in axes)).copy()
-    return WignerTable(axes, vals, p)
+    return WignerTable(axes, vals, params or W.params)
 
 
 def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
@@ -320,23 +323,19 @@ def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
     if not np.array_equal(xa, psi.axis1) or not np.array_equal(pya, psi.axis2):
         raise WignerError(
             "table axes 0 and 3 must coincide with the state grid")
-    W._guard(ya[:, None], pxa[None, :])
-    nx, ny = psi.values.shape
-    K, L = W._K, W._L
-    A = np.exp(2j * np.outer(pxa, W._zeta) / p.hbar)      # (na, 2K+1)
-    D = np.exp(2j * p.theta * np.outer(pxa, W._eta) / p.hbar)
-    E = np.exp(-2j * np.outer(W._eta, ya) / p.hbar)       # (2L+1, nb)
-    M = np.empty((2 * K + 1, ny, 2 * L + 1), dtype=complex)
+    A, F = W._phases(pxa, W._guard(xa, ya[None, :], pxa[:, None], pya))
+    (nx, ny), K = psi.values.shape, W._K
+    M = np.empty((2 * K + 1, ny, 2 * W._L + 1), dtype=complex)
     out = np.empty((nx, len(ya), len(pxa), ny))
     worst_imag = 0.0
     for i in range(nx):
-        W._corr(i, slice(None), M)                        # (2K+1, ny, 2L+1)
-        T = np.tensordot(A, M, axes=(1, 0))               # (na, ny, 2L+1)
-        T *= D[:, None, :]
-        S = np.tensordot(T, E, axes=(2, 0))               # (na, ny, nb)
-        worst_imag = max(worst_imag, float(np.abs(S.imag).max()) * W._pref)
-        out[i] = np.transpose(S.real, (2, 0, 1)) * W._pref
-    scale = max(float(np.abs(out).max()), 1.0 / (math.pi * p.hbar) ** 2)
+        r = min(i, nx - 1 - i)      # the rest of the zeta lattice reads zeros
+        S = W._contract(W._corr(i, slice(None), M[:2 * r + 1]),
+                        A[:, K - r:K + r + 1], F)            # (na, ny, nb)
+        worst_imag = max(worst_imag, float(np.abs(S.imag).max(initial=0)))
+        out[i] = np.transpose(S.real, (2, 0, 1))
+    scale = max(float(np.abs(out).max(initial=0)),
+                1.0 / (math.pi * p.hbar) ** 2)
     if worst_imag > 1e-10 * scale:
         raise CheckFailure(
             f"transform lost realness: imaginary part {worst_imag:.3e}")

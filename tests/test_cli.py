@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from ncplane import cli, spectra, thermo, wigner
+from ncplane import cli, selftest, spectra, thermo, wigner
 from ncplane.cli import ConfigError, RunConfig, build_config, parse_config_file
-from ncplane.params import NCParams
+from ncplane.params import CheckFailure, NCParams
 
 
 def _args(**kw):
@@ -164,6 +164,33 @@ def test_wigner_realness_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "check failed: transform lost realness")
+
+
+@pytest.mark.parametrize("exc", [IndexError("index 9 is out of bounds"),
+                                 ValueError("operands could not broadcast")])
+def test_selftest_fault_exits_three(tmp_path, capsys, monkeypatch, exc):
+    def faulty(seed):
+        raise exc
+
+    monkeypatch.setattr(selftest, "ALL_CHECKS", (faulty,))
+    rc = cli.main(["selftest", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    out = capsys.readouterr()
+    assert out.err.startswith(f"internal error: {type(exc).__name__}: ")
+    assert "[FAIL]" not in out.out
+
+
+def test_selftest_check_failure_prints_fail_and_exits_one(tmp_path, capsys,
+                                                         monkeypatch):
+    def missed(seed):
+        raise CheckFailure("residual 1e-3 above 1e-9")
+
+    monkeypatch.setattr(selftest, "ALL_CHECKS", (missed,))
+    rc = cli.main(["selftest", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert out.startswith("[FAIL] missed: raised CheckFailure(")
+    assert json.loads((tmp_path / "selftest.json").read_text())["ok"] is False
 
 
 def test_spectrum_csv_round_trips_energies(tmp_path, capsys):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from ncplane.params import NCParams
+from ncplane.params import CheckFailure, NCParams
 from ncplane.phasespace import PhasePoint, poisson_bracket
 from ncplane.dynamics import oscillator_hamiltonian
 from ncplane.grids import GridFunction, uniform_axis
@@ -250,6 +250,77 @@ def test_queries_within_tolerance_snap_onto_edge_nodes():
         assert abs(on) > 1e-3
         assert Wq.at(xn + dx, 0.2, 0.3, pyn + dpy) == pytest.approx(
             on, rel=1e-14)
+
+
+@pytest.mark.parametrize("nx, ny", [(9, 7), (8, 6)])
+def test_half_lattice_offsets_lose_no_term(nx, ny):
+    # random states that are large on their edges: the offsets stop at
+    # (n - 1) // 2, and the term-by-term oracle runs over the full lattice
+    rng = np.random.default_rng(nx * ny)
+    vals = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
+    psi = GridFunction(uniform_axis(-2.0, 2.0, nx),
+                       uniform_axis(-1.5, 1.5, ny), vals, "xpy")
+    Wq = wigner_from_state(psi, P)
+    ya, pxa = np.array([-0.4, 0.7]), np.array([-0.5, 0.9])
+    tab = wigner_table(Wq, (psi.axis1, ya, pxa, psi.axis2))
+    expect = np.array([[[[_oracle(psi, x, y, px, py) for py in psi.axis2]
+                         for px in pxa] for y in ya] for x in psi.axis1])
+    scale = 1.0 / (math.pi * P.hbar) ** 2
+    assert np.abs(expect).max() > 0.1 * scale
+    assert np.abs(tab.values - expect).max() < 1e-13 * scale
+
+    x, py, h1, h2 = psi.axis1, psi.axis2, psi.step1, psi.step2
+    queries = [(x[0], 0.3, 0.4, py[2]), (x[-1], -0.6, 0.9, py[-1]),
+               (x[0] + 0.4 * h1, 0.1, -0.2, py[1] + 0.7 * h2),
+               (x[-2] + 0.7 * h1, 0.5, 0.2, py[-1]),
+               (x[nx // 2] + 0.5 * h1, -0.2, 0.6, py[0] + 0.3 * h2)]
+    got = Wq.at(*np.array(queries).T)
+    expect = np.array([_oracle(psi, *q) for q in queries])
+    assert np.abs(got - expect).max() < 1e-13 * scale
+
+
+@pytest.mark.parametrize("coord", range(4))
+def test_non_finite_query_names_its_coordinate(ground_xpy, table_axes, coord):
+    Wq = wigner_from_state(ground_xpy, P)
+    name = ("x", "y", "p_x", "p_y")[coord]
+    for bad in (math.nan, math.inf):
+        q = [0.0, 0.0, 0.0, 0.0]
+        q[coord] = bad
+        with pytest.raises(WignerError, match=f"non-finite {name} "):
+            Wq.at(*q)
+    if coord in (1, 2):
+        axes = list(table_axes)
+        axes[coord] = np.array([0.0, math.nan])
+        with pytest.raises(WignerError, match=f"non-finite {name} "):
+            wigner_table(Wq, axes)
+
+
+def test_empty_query_returns_empty_array_of_its_shape(ground_xpy):
+    Wq = wigner_from_state(ground_xpy, P)
+    assert Wq.at(np.array([]), 0.0, 0.0, 0.0).shape == (0,)
+    got = Wq.at(np.zeros((3, 1)), 0.0, np.zeros((1, 0)), 0.0)
+    assert got.shape == (3, 0) and got.dtype == float
+
+
+def test_empty_table_axis_gives_empty_table(ground_xpy, table_axes):
+    Wq = wigner_from_state(ground_xpy, P)
+    for k in (1, 2):
+        axes = list(table_axes)
+        axes[k] = np.array([])
+        tab = wigner_table(Wq, axes)
+        assert tab.values.shape[k] == 0 and tab.values.size == 0
+
+
+def test_table_realness_check_catches_a_tilted_kernel(ground_xpy, table_axes,
+                                                      monkeypatch):
+    contract = QuadratureWigner._contract
+
+    def tilted(self, M, A, F):
+        return contract(self, 1j * M, A, F)
+
+    monkeypatch.setattr(QuadratureWigner, "_contract", tilted)
+    with pytest.raises(CheckFailure, match="transform lost realness"):
+        wigner_table(wigner_from_state(ground_xpy, P), table_axes)
 
 
 def test_table_normalization(ground_table):
