@@ -208,9 +208,12 @@ def cmd_classical_symmetries(cfg: RunConfig) -> int:
     p = cfg.nc()
     basis = symmetries.conserved_bilinears(p)
     expected = 4 if p.theta == 0.0 else 2
-    probes = (*(symmetries.su2_standard_forms(p) if p.theta == 0.0
-                else (symmetries.angular_momentum_form(p),)),
-              symmetries.hamiltonian_form(p))
+    if p.theta == 0.0:
+        probes = (*symmetries.su2_standard_forms(p),
+                  symmetries.hamiltonian_form(p))
+    else:
+        probes = (symmetries.angular_momentum_form(p),
+                  symmetries.hamiltonian_form(p))
     member = max(symmetries.membership_check(S, basis) for S in probes)
     c, res = symmetries.structure_constants(list(basis.forms), p)
     ok = basis.dimension == expected and member < 1e-10

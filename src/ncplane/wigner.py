@@ -11,10 +11,9 @@ commuting combination y - theta px, which is what reproduces |psi|^2 in
 all three mixed bases at once.  Evaluation strategies: exact closed form
 for the (possibly displaced) ground state, trapezoid quadrature of the
 defining integral for grid states, and backward transport along the
-closed-form classical flow for time evolution.  The quadrature sums the
-offsets zeta_k, eta_l only up to half the grid, |k| <= (nx - 1) // 2 and
-|l| <= (ny - 1) // 2: beyond that one of the two state factors always
-lies off the grid, so the terms left out are exact zeros.
+closed-form classical flow for time evolution.  The quadrature stops the
+offsets at |k| <= (nx - 1) // 2, |l| <= (ny - 1) // 2: past that one state
+factor always lies off the grid, so every term left out is an exact zero.
 """
 
 from __future__ import annotations
@@ -35,6 +34,12 @@ from .spectra import _alias_guard
 
 class WignerError(ValueError):
     """Ill-posed Wigner construction or evaluation request."""
+
+
+def _exp(q):
+    if isinstance(q, Dual):
+        return duals.exp(q)
+    return np.exp(q)
 
 
 class GroundStateWigner:
@@ -63,8 +68,7 @@ class GroundStateWigner:
         q = (-(px * px + py * py) / self._s2
              - self._k
              * ((x + 0.5 * p.theta * py) ** 2 + (y - 0.5 * p.theta * px) ** 2))
-        e = duals.exp(q) if isinstance(q, Dual) else np.exp(q)
-        return e / (math.pi * p.hbar) ** 2
+        return _exp(q) / (math.pi * p.hbar) ** 2
 
     def as_scalar_field(self, name="W"):
         return ScalarField(lambda x, y, px, py, t: self.at(x, y, px, py), name)
@@ -75,14 +79,13 @@ class QuadratureWigner:
 
     The state is treated as zero outside its grid (valid when the
     boundary amplitude is negligible), so W = 0 exactly for any (x, py)
-    off the grid.  At node (i, j) of an nx x ny grid both factors of
-    psi(x - zeta_k, py - eta_l) psi*(x + zeta_k, py + eta_l) lie on the
-    grid only for |k| <= min(i, nx - 1 - i) and |l| <= min(j, ny - 1 - j),
-    so the offsets stop at |k| <= K = (nx - 1) // 2, |l| <= L = (ny - 1) // 2:
-    every term left out is exactly zero, so this is the full sum, not a
-    truncation.  An (x, py) within 1e-9 grid steps of a node is snapped
-    onto it; other off-node requests interpolate the correlation
-    bilinearly between the four surrounding nodes, exact on the nodes.
+    off the grid.  At node (i, j) both factors of psi(x - zeta_k, py - eta_l)
+    psi*(x + zeta_k, py + eta_l) lie on the grid only for |k| <= min(i,
+    nx - 1 - i) and |l| <= min(j, ny - 1 - j), so the offsets stop at
+    K = (nx - 1) // 2, L = (ny - 1) // 2: the full sum, not a truncation,
+    since every term left out is zero.  An (x, py) within 1e-9 grid steps
+    of a node is snapped onto it; other off-node requests interpolate the
+    correlation bilinearly between the four surrounding nodes.
     """
 
     def __init__(self, psi: GridFunction, params: NCParams):
@@ -94,8 +97,7 @@ class QuadratureWigner:
         self.params = params
         nx, ny = psi.values.shape
         self._K, self._L = (nx - 1) // 2, (ny - 1) // 2
-        pad = np.zeros((nx + 2 * self._K, ny + 2 * self._L), dtype=complex)
-        pad[self._K:self._K + nx, self._L:self._L + ny] = psi.values
+        pad = np.pad(psi.values.astype(complex), ((self._K,), (self._L,)))
         # win[r, j, l] = pad[r, j + l]: exactly ny windows of 2L+1 columns
         self._win = np.lib.stride_tricks.sliding_window_view(
             pad, 2 * self._L + 1, axis=1)
@@ -104,9 +106,8 @@ class QuadratureWigner:
         self._pref = psi.step1 * psi.step2 / (math.pi * params.hbar) ** 2
 
     def _guard(self, x, y, px, py):
-        """Reject non-finite coordinates, then check that both grid steps
-        stay under half a period of the integrand's oscillation
-        exp{2i[zeta px - eta u]/hbar}; returns u = y - theta px."""
+        """Reject non-finite coordinates and grid steps over half a period
+        of exp{2i[zeta px - eta u]/hbar}; returns u = y - theta px."""
         for name, v in (("x", x), ("y", y), ("p_x", px), ("p_y", py)):
             if not np.isfinite(v).all():
                 raise WignerError(f"non-finite {name} in a Wigner query")
@@ -117,12 +118,11 @@ class QuadratureWigner:
                      hbar, "y - theta p_x")
         return u
 
-    def _corr(self, i, j, out):
+    def _corr(self, i, j, out, r):
         """M[k, ..., l] = psi(x_i - zeta_k, py_j - eta_l) psi*(x_i + zeta_k,
-        py_j + eta_l) for row i, column(s) j and |k| <= r = len(out) // 2,
-        written into out.  rows[k, ..., l] = psi(x_i + zeta_k, py_j + eta_l);
-        reversing k and l turns it into psi(x_i - zeta_k, py_j - eta_l)."""
-        r = len(out) // 2
+        py_j + eta_l) for row i, column(s) j and |k| <= r, written into out;
+        rows holds psi(x_i + zeta_k, py_j + eta_l), its k, l reversal the
+        first factor."""
         rows = self._win[i + self._K - r:i + self._K + r + 1, j]
         M = np.conjugate(rows, out=out)
         return np.multiply(rows[::-1, ..., ::-1], M, out=M)
@@ -135,9 +135,12 @@ class QuadratureWigner:
                 np.exp(-2j * (self._eta[:, None] * u[:, None, :]) / hbar))
 
     def _contract(self, M, A, F):
-        """S[a, j, b] = pref sum_kl A[a, k] M[k, j, l] F[a, l, b]: the zeta
-        sum first, then the eta sum, one (2L+1, nb) block per px_a."""
-        return np.matmul(np.tensordot(A, M, axes=(1, 0)), F) * self._pref
+        """pref sum_kl A[a, k] M[k, ..., l] F[a, l, ...], zeta sum first.  A
+        table row M[k, j, l] takes the eta sum as a batched matmul; a point's
+        M[k, l] keeps einsum's running sum, the order at has always used."""
+        T = np.tensordot(A, M, axes=(1, 0))
+        S = np.matmul(T, F) if M.ndim == 3 else np.einsum("al,al->a", T, F)
+        return S * self._pref
 
     def at(self, x, y, px, py):
         x, y, px, py = np.broadcast_arrays(
@@ -145,10 +148,9 @@ class QuadratureWigner:
         shape, u = x.shape, self._guard(x, y, px, py)
         xf, uf, pxf, pyf = (v.ravel() for v in (x, u, px, py))
         nx, ny = self.psi.values.shape
-        out = np.zeros(xf.size)
+        out = np.zeros(xf.size, dtype=complex)
         M = np.empty((2 * self._K + 1, 2 * self._L + 1), dtype=complex)
         C = np.empty_like(M)
-        worst_imag = 0.0
         pairs = {}
         for n in range(xf.size):
             pairs.setdefault((xf[n], pyf[n]), []).append(n)
@@ -165,20 +167,21 @@ class QuadratureWigner:
             for di, wx in ((0, 1 - fx), (1, fx)):
                 for dj, wy in ((0, 1 - fy), (1, fy)):
                     if wx * wy != 0.0:
-                        self._corr(i + di, j + dj, C)
+                        self._corr(i + di, j + dj, C, self._K)
                         C *= wx * wy
                         M += C
             A, F = self._phases(pxf[idx], uf[idx][:, None])
-            vals = self._contract(M[:, None], A, F)[:, 0, 0]
-            worst_imag = max(worst_imag, float(np.abs(vals.imag).max()))
-            out[idx] = vals.real
+            out[idx] = self._contract(M, A, F[:, :, 0])
+        self._check_real(float(np.abs(out.imag).max(initial=0)), out.real)
+        return out.real.reshape(shape) if shape else float(out[0].real)
+
+    def _check_real(self, worst_imag: float, out: np.ndarray) -> None:
+        """W is real up to round-off, or the quadrature itself is wrong."""
         scale = max(float(np.abs(out).max(initial=0)),
                     1.0 / (math.pi * self.params.hbar) ** 2)
         if worst_imag > 1e-10 * scale:
-            raise CheckFailure(
-                f"transform lost realness: imaginary part {worst_imag:.3e} "
-                f"against scale {scale:.3e}")
-        return out.reshape(shape) if shape else float(out[0])
+            raise CheckFailure(f"transform lost realness: imaginary part "
+                               f"{worst_imag:.3e} against scale {scale:.3e}")
 
 
 def _snap(f: float) -> float:
@@ -194,8 +197,9 @@ def flow_matrix(p: NCParams, t: float) -> np.ndarray:
         M = np.eye(4)
         M[0, 2] = M[1, 3] = t / p.m
         return M
-    return np.column_stack([oscillator_solution(PhasePoint(*e), t, p)
-                            .as_array() for e in np.eye(4)])
+    cols = [oscillator_solution(PhasePoint(*e), t, p).as_array()
+            for e in np.eye(4)]
+    return np.column_stack(cols)
 
 
 class EvolvedWigner:
@@ -259,7 +263,11 @@ class WignerTable:
         """
         fn = A if not isinstance(A, ScalarField) else (
             lambda x, y, px, py: A(x, y, px, py, 0.0))
-        vals = np.asarray(fn(*np.ix_(*self.axes))) * self.values
+        X = self.axes[0][:, None, None, None]
+        Y = self.axes[1][None, :, None, None]
+        PX = self.axes[2][None, None, :, None]
+        PY = self.axes[3][None, None, None, :]
+        vals = np.asarray(fn(X, Y, PX, PY)) * self.values
         w = self._weights()
         return float(np.einsum("i,j,k,l,ijkl->", *w, vals))
 
@@ -300,11 +308,10 @@ def wigner_table(W, axes, params: NCParams | None = None) -> WignerTable:
     """Sample an evaluator on a product grid.
 
     Grid states require the x and py axes to coincide with the state grid;
-    row x_i then takes the correlation psi(x - zeta_k, py - eta_l)
-    psi*(x + zeta_k, py + eta_l) for every py node from the strided window
-    QuadratureWigner.at reads, only over |k| <= min(i, nx - 1 - i) where
-    both factors lie on the grid (the rest are exact zeros, not a
-    truncation), and sends it through the same contraction as at.
+    row x_i then sums the correlation psi(x - zeta_k, py - eta_l)
+    psi*(x + zeta_k, py + eta_l) at every py node only over |k| <= min(i,
+    nx - 1 - i), where both factors lie on the grid (the rest are exact
+    zeros, not a truncation), through the kernel QuadratureWigner.at uses.
     Closed-form evaluators accept any axes.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
@@ -312,9 +319,14 @@ def wigner_table(W, axes, params: NCParams | None = None) -> WignerTable:
         raise WignerError("need four axes (x, y, px, py)")
     if isinstance(W, QuadratureWigner):
         return _quadrature_table(W, axes)
-    vals = np.broadcast_to(np.asarray(W.at(*np.ix_(*axes))),
+    p = params or W.params
+    X = axes[0][:, None, None, None]
+    Y = axes[1][None, :, None, None]
+    PX = axes[2][None, None, :, None]
+    PY = axes[3][None, None, None, :]
+    vals = np.broadcast_to(np.asarray(W.at(X, Y, PX, PY)),
                            tuple(len(a) for a in axes)).copy()
-    return WignerTable(axes, vals, params or W.params)
+    return WignerTable(axes, vals, p)
 
 
 def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
@@ -330,13 +342,9 @@ def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
     worst_imag = 0.0
     for i in range(nx):
         r = min(i, nx - 1 - i)      # the rest of the zeta lattice reads zeros
-        S = W._contract(W._corr(i, slice(None), M[:2 * r + 1]),
+        S = W._contract(W._corr(i, slice(None), M[:2 * r + 1], r),
                         A[:, K - r:K + r + 1], F)            # (na, ny, nb)
         worst_imag = max(worst_imag, float(np.abs(S.imag).max(initial=0)))
         out[i] = np.transpose(S.real, (2, 0, 1))
-    scale = max(float(np.abs(out).max(initial=0)),
-                1.0 / (math.pi * p.hbar) ** 2)
-    if worst_imag > 1e-10 * scale:
-        raise CheckFailure(
-            f"transform lost realness: imaginary part {worst_imag:.3e}")
+    W._check_real(worst_imag, out)
     return WignerTable(tuple(axes), out, p)

@@ -155,8 +155,8 @@ def test_thermo_check_failure_exits_one(tmp_path, capsys, monkeypatch,
 def test_wigner_realness_failure_exits_one(tmp_path, capsys, monkeypatch):
     corr = wigner.QuadratureWigner._corr
 
-    def tilted(self, i, j, out):
-        return np.multiply(corr(self, i, j, out), 1j, out=out)
+    def tilted(self, i, j, out, r):
+        return np.multiply(corr(self, i, j, out, r), 1j, out=out)
 
     monkeypatch.setattr(wigner.QuadratureWigner, "_corr", tilted)
     rc = cli.main(["wigner", "--n", "0", "--two-j", "0", "--nodes", "65",
