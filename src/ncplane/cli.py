@@ -2,14 +2,14 @@
 
 Every command reads an optional plain-text config file (key = value lines),
 applies command-line flags on top (flags win), and writes deterministic
-files: identical config and seed give byte-identical output.  Floats are
-printed with %.17g so values round-trip exactly.
+files: identical config and seed give byte-identical output.  Values are
+printed with %.17g (integer columns with %d) so they round-trip exactly.
 
 Exit codes: 0 all checks passed, 1 a named check failed its tolerance or a
-numerical consistency check raised CheckFailure (divergence, U = A + TS,
-Cv >= 0, Wigner realness), 2 configuration error (bad config or invalid
-parameters), 3 internal error (an unexpected exception, reported as one
-line on stderr instead of a traceback).
+numerical consistency check raised CheckFailure (divergence, a non-finite
+field value or gradient, U = A + TS, Cv >= 0, Wigner realness), 2
+configuration error (bad config or invalid parameters), 3 internal error
+(an unexpected exception, reported as one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -127,17 +127,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **overrides)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+_BLOCK = 1024  # rows formatted per write; bounds the lists held at once
 
 
-def _write_csv(path: str, header: str, rows):
+def _write_csv(path: str, header: str, *cols):
+    """Write equal-length columns: %d for integer arrays, %.17g otherwise."""
+    cols = [np.asarray(c) for c in cols]
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.17g"
+                    for c in cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for a in range(0, len(cols[0]), _BLOCK):
+            block = zip(*(c[a:a + _BLOCK].tolist() for c in cols))
+            fh.write("".join(line % row for row in block))
 
 
 def _write_json(path: str, obj):
@@ -182,11 +184,8 @@ def cmd_classical_simulate(cfg: RunConfig) -> int:
     traj = dynamics.hamiltonian_flow(H, z0, 0.0, cfg.t1, cfg.dt, p)
     traj = dynamics.noether_charges(traj, p, hamiltonian=H)
     names = ("H", "p1", "p2", "J", "k1", "k2")
-    cols = [traj.charges[k] for k in names]
-    rows = ((t, *z, *(c[i] for c in cols))
-            for i, (t, z) in enumerate(zip(traj.times, traj.points)))
-    _write_csv(_out(cfg, "trajectory.csv"),
-               "t,x,y,px,py,H,p1,p2,J,k1,k2", rows)
+    _write_csv(_out(cfg, "trajectory.csv"), "t,x,y,px,py,H,p1,p2,J,k1,k2",
+               traj.times, *traj.points.T, *(traj.charges[k] for k in names))
     drift = dynamics.charge_drift(traj)
     # the generating Hamiltonian must be conserved by the integrator
     ok = drift["H"] < 1e-8
@@ -238,7 +237,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     p = cfg.nc()
     entries = spectra.spectrum(cfg.n_max, p)
     _write_csv(_out(cfg, "spectrum.csv"), "n,two_j,E",
-               ((e.n, e.two_j, e.E) for e in entries))
+               *zip(*((e.n, e.two_j, e.E) for e in entries)))
     print(f"spectrum: {len(entries)} levels up to n = {cfg.n_max}, "
           f"ground energy {entries[0].E:.17g}")
     return 0
@@ -249,10 +248,10 @@ def cmd_eigenfunction(cfg: RunConfig) -> int:
     axes = spectra.momentum_grid(p, cfg.nodes, cfg.radius)
     psi = spectra.eigenfunction(cfg.n, cfg.two_j, p, axes)
     rh, rj = spectra.eigen_residuals(cfg.n, cfg.two_j, p, axes=axes)
-    rows = ((axes[0][i], axes[1][j], psi.values[i, j].real,
-             psi.values[i, j].imag)
-            for i in range(axes[0].size) for j in range(axes[1].size))
-    _write_csv(_out(cfg, "eigenfunction.csv"), "px,py,re,im", rows)
+    vals = psi.values.ravel()  # row-major: py varies fastest
+    _write_csv(_out(cfg, "eigenfunction.csv"), "px,py,re,im",
+               np.repeat(axes[0], axes[1].size),
+               np.tile(axes[1], axes[0].size), vals.real, vals.imag)
     ok = rh < 1e-6 and rj < 1e-6
     _write_json(_out(cfg, "eigenfunction.json"), {
         "n": cfg.n,
@@ -280,9 +279,8 @@ def cmd_wigner(cfg: RunConfig) -> int:
     xs = psi.axis1[::stride]
     pxs = np.linspace(-cfg.radius * p.width / 2, cfg.radius * p.width / 2, 41)
     vals = W.at(xs[:, None], 0.0, pxs[None, :], 0.0)
-    rows = ((xs[i], pxs[j], vals[i, j])
-            for i in range(xs.size) for j in range(pxs.size))
-    _write_csv(_out(cfg, "wigner_slice.csv"), "c1,c2,W", rows)
+    _write_csv(_out(cfg, "wigner_slice.csv"), "c1,c2,W",
+               np.repeat(xs, pxs.size), np.tile(pxs, xs.size), vals.ravel())
     kmin = np.unravel_index(np.argmin(vals), vals.shape)
     wmin = float(vals[kmin])
     negative = wmin < -1e-12 / (math.pi * p.hbar) ** 2
@@ -321,9 +319,9 @@ def cmd_thermo_sweep(cfg: RunConfig) -> int:
     rows = thermo.entropy_sweep([float(T) for T in temps], tp,
                                 thetas=[float(t) for t in thetas])
     csv_name = "thermo_sweep.csv"
-    _write_csv(_out(cfg, csv_name), "T,theta,Z1,A,S,U,Cv,S_per_NkB",
-               ((r.T, r.theta, r.Z1, r.A, r.S, r.U, r.Cv, r.S_per_NkB)
-                for r in rows))
+    header = "T,theta,Z1,A,S,U,Cv,S_per_NkB"
+    _write_csv(_out(cfg, csv_name), header,
+               *([getattr(r, k) for r in rows] for k in header.split(",")))
     picks = sorted({thetas[0], thetas[nth // 2], thetas[-1]})
     _write_surface_script(_out(cfg, "entropy_surface.gp"), csv_name, nt, nth)
     _write_curves_script(_out(cfg, "entropy_curves.gp"), csv_name, picks)
@@ -355,7 +353,7 @@ def _write_curves_script(path, csv_name, picks):
             "set ylabel 'S/(N kB)'\n"
             "set key left top\n")
         parts = [
-            f"'{csv_name}' every ::1 using 1:(abs($2 - {_fmt(t)}) < 1e-12 ? "
+            f"'{csv_name}' every ::1 using 1:(abs($2 - {t:.17g}) < 1e-12 ? "
             f"$8 : 1/0) with lines title 'theta = {t:g}'"
             for t in picks]
         fh.write("plot " + ", \\\n     ".join(parts) + "\n")

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import Dual
-from .params import NCParams
+from .params import CheckFailure, NCParams
 
 COORD_NAMES = ("x", "y", "px", "py")
 
 
-class FieldEvaluationError(RuntimeError):
-    """A scalar field produced a non-finite value or gradient."""
+class FieldEvaluationError(CheckFailure):
+    """A scalar field produced a non-finite value or gradient (exit 1)."""
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def verify_algebra(p: NCParams, t=0.0, samples=None, tol=1e-9):
 
     The expected right-hand sides, including the central extensions m and
     m^2*theta, are evaluated alongside; a failing relation shows up as a
-    large residual, never as an exception.
+    large residual, a non-finite bracket as a FieldEvaluationError.
     """
     if samples is None:
         samples = sample_points(100)

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from ncplane import cli, selftest, spectra, thermo, wigner
+from ncplane import cli, dynamics, selftest, spectra, thermo, wigner
 from ncplane.cli import ConfigError, RunConfig, build_config, parse_config_file
 from ncplane.params import CheckFailure, NCParams
+from ncplane.phasespace import PhasePoint
 
 
 def _args(**kw):
@@ -102,6 +103,15 @@ def test_algebra_check_fails_on_unreachable_tolerance(tmp_path, capsys):
     assert rc == 1
     report = json.loads((tmp_path / "algebra_check.json").read_text())
     assert report["ok"] is False
+
+
+def test_non_finite_bracket_is_a_check_failure(tmp_path, capsys):
+    # m^2 overflows in {k1,k2}; before, this was an internal error (exit 3)
+    rc = cli.main(["algebra-check", "--m", "1e200", "--theta", "0.5",
+                   "--samples", "2", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "check failed: field '{k1,k2}' returned nan")
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -329,3 +339,82 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys):
     for name in ("thermo_sweep.csv", "spectrum.csv", "trajectory.csv",
                  "charge_drift.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _oracle_csv(header, rows):
+    """The per-value rule the writer must reproduce: %.17g for floats and
+    str() for everything else, one comma-joined line per row."""
+    fmt = lambda v: f"{v:.17g}" if isinstance(v, float) else str(v)
+    return header + "\n" + "".join(
+        ",".join(fmt(v) for v in row) + "\n" for row in rows)
+
+
+_SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1e300,
+            np.float64(2.0) / 3.0]
+
+
+@pytest.mark.parametrize("n", [0, 1, cli._BLOCK - 1, cli._BLOCK,
+                               cli._BLOCK + 1])
+def test_writer_matches_per_value_formatting(tmp_path, n):
+    floats = [_SPECIAL[i % len(_SPECIAL)] for i in range(n)]
+    # %.17g would print 2**62 + 1 in exponent form; %d must not
+    ints = np.array([(-1) ** i * (i + (2 ** 62 if i % 5 == 0 else 0))
+                     for i in range(n)], dtype=np.int64)
+    other = np.random.default_rng(n).standard_normal(n) * 1e-300
+    path = tmp_path / "out.csv"
+    cli._write_csv(str(path), "f,i,g", floats, ints, other)
+    rows = [(floats[k], ints[k], other[k]) for k in range(n)]
+    assert path.read_bytes() == _oracle_csv("f,i,g", rows).encode()
+
+
+def _grid_rows(a, b, values):
+    return [(a[i], b[j], *values(i, j))
+            for i in range(a.size) for j in range(b.size)]
+
+
+def test_csv_row_layout_of_every_command(tmp_path, capsys):
+    # 33 nodes fail the eigenfunction residual gate (exit 1) but write the
+    # CSV; the Wigner transform needs 65 to pass its alias guard
+    for argv, rc in ((["eigenfunction", "--nodes", "33"], 1),
+                     (["wigner", "--nodes", "65"], 0), (["spectrum"], 0),
+                     (["thermo", "sweep", "--grid", "5x4"], 0),
+                     (["classical", "simulate", "--t1", "0.2"], 0)):
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == rc
+    p = NCParams()
+    axes = spectra.momentum_grid(p, 33, 8.0)
+    psi = spectra.eigenfunction(0, 0, p, axes).values
+    expected = {"eigenfunction.csv": _oracle_csv("px,py,re,im", _grid_rows(
+        *axes, lambda i, j: (psi[i, j].real, psi[i, j].imag)))}
+
+    axes = spectra.momentum_grid(p, 65, 8.0)
+    phi = spectra.transform(spectra.eigenfunction(0, 0, p, axes), "xpy", p)
+    xs = phi.axis1
+    pxs = np.linspace(-4.0 * p.width, 4.0 * p.width, 41)
+    W = wigner.wigner_from_state(phi, p).at(xs[:, None], 0.0, pxs[None, :],
+                                            0.0)
+    expected["wigner_slice.csv"] = _oracle_csv(
+        "c1,c2,W", _grid_rows(xs, pxs, lambda i, j: (W[i, j],)))
+
+    expected["spectrum.csv"] = _oracle_csv(
+        "n,two_j,E", [(e.n, e.two_j, e.E) for e in spectra.spectrum(4, p)])
+
+    sweep = thermo.entropy_sweep(
+        [float(T) for T in np.linspace(0.1, 5.0, 5)],
+        thermo.ThermoParams(nc=p),
+        thetas=[float(t) for t in np.linspace(0.0, 2.0, 4)])
+    expected["thermo_sweep.csv"] = _oracle_csv(
+        "T,theta,Z1,A,S,U,Cv,S_per_NkB",
+        [(r.T, r.theta, r.Z1, r.A, r.S, r.U, r.Cv, r.S_per_NkB)
+         for r in sweep])
+
+    H = dynamics.oscillator_hamiltonian(p)
+    traj = dynamics.hamiltonian_flow(H, PhasePoint(1.0, -0.5, 0.2, 0.8),
+                                     0.0, 0.2, 1e-3, p)
+    q = dynamics.noether_charges(traj, p, hamiltonian=H).charges
+    expected["trajectory.csv"] = _oracle_csv(
+        "t,x,y,px,py,H,p1,p2,J,k1,k2",
+        [(t, *z, *(q[k][i] for k in ("H", "p1", "p2", "J", "k1", "k2")))
+         for i, (t, z) in enumerate(zip(traj.times, traj.points))])
+
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
