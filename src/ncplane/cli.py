@@ -25,7 +25,8 @@ import numpy as np
 
 from . import dynamics, selftest, spectra, symmetries, thermo, wigner
 from .params import CheckFailure, NCParams
-from .phasespace import PhasePoint, sample_points, verify_algebra
+from .phasespace import (FieldEvaluationError, PhasePoint, sample_points,
+                         verify_algebra)
 
 
 class ConfigError(Exception):
@@ -154,21 +155,24 @@ def _out(cfg: RunConfig, name: str) -> str:
 
 
 def cmd_algebra_check(cfg: RunConfig) -> int:
-    pts = sample_points(cfg.samples, seed=cfg.seed)
-    # boost generators are time-dependent; merge two evaluation times
-    report = verify_algebra(cfg.nc(), samples=pts, tol=cfg.tol)
-    report = report.merged_with(
-        verify_algebra(cfg.nc(), t=1.3, samples=pts, tol=cfg.tol))
+    pts, p = sample_points(cfg.samples, seed=cfg.seed), cfg.nc()
+    run = {"tol": cfg.tol, "samples": cfg.samples, "seed": cfg.seed,
+           "params": {"m": cfg.m, "theta": cfg.theta}}
+    try:
+        # boost generators are time-dependent; merge two evaluation times
+        report = verify_algebra(p, samples=pts, tol=cfg.tol).merged_with(
+            verify_algebra(p, t=1.3, samples=pts, tol=cfg.tol))
+    except FieldEvaluationError as exc:  # no residuals, but still a report
+        _write_json(_out(cfg, "algebra_check.json"),
+                    {**run, "error": str(exc), "ok": False})
+        raise
     for name, r, ok in report.rows():
         print(f"  {'ok ' if ok else 'FAIL'} {name:24s} {r:.3e}")
     _write_json(_out(cfg, "algebra_check.json"), {
         "checks": {name: {"residual": r, "ok": ok}
                    for name, r, ok in report.rows()},
         "max_residual": report.max_residual(),
-        "tol": cfg.tol,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "params": {"m": cfg.m, "theta": cfg.theta},
+        **run,
         "ok": report.ok,
     })
     print(f"algebra-check: max residual {report.max_residual():.3e} "
@@ -247,7 +251,7 @@ def cmd_eigenfunction(cfg: RunConfig) -> int:
     p = cfg.nc()
     axes = spectra.momentum_grid(p, cfg.nodes, cfg.radius)
     psi = spectra.eigenfunction(cfg.n, cfg.two_j, p, axes)
-    rh, rj = spectra.eigen_residuals(cfg.n, cfg.two_j, p, axes=axes)
+    rh, rj = spectra._residuals(psi, cfg.n, cfg.two_j, p)
     vals = psi.values.ravel()  # row-major: py varies fastest
     _write_csv(_out(cfg, "eigenfunction.csv"), "px,py,re,im",
                np.repeat(axes[0], axes[1].size),

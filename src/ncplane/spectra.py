@@ -27,16 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NCParams
-from .grids import (
-    BASES,
-    GridError,
-    GridFunction,
-    first_derivative,
-    second_derivative,
-    stencil_band,
-    trapezoid_weights,
-    uniform_axis,
-)
+from .grids import (BASES, GridError, GridFunction, first_derivative,
+                    second_derivative, stencil_band, trapezoid_weights,
+                    uniform_axis)
 
 
 class TruncationError(ValueError):
@@ -137,27 +130,38 @@ def eigenfunction(n: int, two_j: int, p: NCParams, axes=None,
     gauss = np.exp(-0.5 * Px ** 2)[:, None] * np.exp(-0.5 * Py ** 2)[None, :]
     psi = GridFunction(pxa, pya, acc * gauss, "p").normalized()
 
-    peak = float(np.abs(psi.values).max())
-    if psi.boundary_max() > tail_tol * peak:
+    edge, peak = psi.boundary_max(), float(np.abs(psi.values).max())
+    if edge > tail_tol * peak:
         raise TruncationError(
-            f"boundary amplitude {psi.boundary_max():.3e} exceeds "
+            f"boundary amplitude {edge:.3e} exceeds "
             f"{tail_tol:.1e} of the peak; enlarge the grid")
     return psi
 
 
-def _require_p_basis(psi: GridFunction):
+def _rotation(psi: GridFunction, order: int) -> np.ndarray:
+    """(p_y d/dp_x - p_x d/dp_y) psi, the stencil term of both J and H."""
     if psi.basis != "p":
         raise GridError(f"operator defined on the (p_x, p_y) basis, "
                         f"got {psi.basis!r}")
+    dpx = first_derivative(psi.values, psi.step1, 0, order)
+    dpy = first_derivative(psi.values, psi.step2, 1, order)
+    return psi.axis2[None, :] * dpx - psi.axis1[:, None] * dpy
 
 
-def _nyquist_check(psi: GridFunction, p: NCParams):
+def _hamiltonian(psi: GridFunction, p: NCParams, order: int, L):
+    """H psi values, given L = _rotation(psi, order)."""
     h = max(psi.step1, psi.step2)
     if h > 0.5 * p.width:
         warnings.warn(
             f"grid step {h:.3g} is coarse against the oscillator width "
             f"{p.width:.3g}; differential operators lose accuracy",
             RuntimeWarning, stacklevel=3)
+    px, py, F = psi.axis1[:, None], psi.axis2[None, :], psi.values
+    lap = (second_derivative(F, psi.step1, 0, order)
+           + second_derivative(F, psi.step2, 1, order))
+    return ((1.0 + p.u) / (2.0 * p.m) * (px ** 2 + py ** 2) * F
+            - 0.5 * p.hbar ** 2 * p.m * p.omega ** 2 * lap
+            - 0.5j * p.hbar * p.lam * L)
 
 
 def apply_hamiltonian(psi: GridFunction, p: NCParams,
@@ -171,49 +175,32 @@ def apply_hamiltonian(psi: GridFunction, p: NCParams,
     norms.  The default order 6 is what holds eigen-residuals below 1e-6 on
     256^2 grids up to n = 4; order 4 is available but a factor ~30 looser.
     """
-    _require_p_basis(psi)
-    _nyquist_check(psi, p)
-    px = psi.axis1[:, None]
-    py = psi.axis2[None, :]
-    F = psi.values
-    lap = (second_derivative(F, psi.step1, 0, order)
-           + second_derivative(F, psi.step2, 1, order))
-    dpx = first_derivative(F, psi.step1, 0, order)
-    dpy = first_derivative(F, psi.step2, 1, order)
-    out = ((1.0 + p.u) / (2.0 * p.m) * (px ** 2 + py ** 2) * F
-           - 0.5 * p.hbar ** 2 * p.m * p.omega ** 2 * lap
-           - 0.5j * p.hbar * p.lam * (py * dpx - px * dpy))
-    return psi.with_values(out)
+    return psi.with_values(_hamiltonian(psi, p, order, _rotation(psi, order)))
 
 
 def apply_angular_momentum(psi: GridFunction, p: NCParams,
                            order: int = 6) -> GridFunction:
     """J psi = i hbar (p_y d/dp_x - p_x d/dp_y) psi."""
-    _require_p_basis(psi)
-    px = psi.axis1[:, None]
-    py = psi.axis2[None, :]
-    dpx = first_derivative(psi.values, psi.step1, 0, order)
-    dpy = first_derivative(psi.values, psi.step2, 1, order)
-    return psi.with_values(1j * p.hbar * (py * dpx - px * dpy))
-
-
-def operator_residual(applied: GridFunction, psi: GridFunction,
-                      eigenvalue: float, order: int = 6) -> float:
-    """Relative interior L2 residual ||A psi - lambda psi|| / ||psi||."""
-    band = stencil_band(order)
-    diff = applied.with_values(applied.values - eigenvalue * psi.values)
-    return diff.interior_norm(band) / psi.interior_norm(band)
+    return psi.with_values(1j * p.hbar * _rotation(psi, order))
 
 
 def eigen_residuals(n: int, two_j: int, p: NCParams, axes=None,
                     order: int = 6):
     """(H-residual, J-residual) for psi_{n, j} on the given or default grid."""
-    psi = eigenfunction(n, two_j, p, axes)
-    rH = operator_residual(apply_hamiltonian(psi, p, order), psi,
-                           energy(n, two_j, p), order)
-    rJ = operator_residual(apply_angular_momentum(psi, p, order), psi,
-                           p.hbar * two_j, order)
-    return rH, rJ
+    return _residuals(eigenfunction(n, two_j, p, axes), n, two_j, p, order)
+
+
+def _residuals(psi: GridFunction, n: int, two_j: int, p: NCParams,
+               order: int = 6):
+    """Relative interior L2 residuals ||A psi - lambda psi|| / ||psi|| of
+    A = H and J at level (n, two_j), each stencil applied once."""
+    L = _rotation(psi, order)
+    band = stencil_band(order)
+    norm = psi.interior_norm(band)
+    H = _hamiltonian(psi, p, order, L) - energy(n, two_j, p) * psi.values
+    J = 1j * p.hbar * L - p.hbar * two_j * psi.values
+    return (psi.with_values(H).interior_norm(band) / norm,
+            psi.with_values(J).interior_norm(band) / norm)
 
 
 # --- quadrature transforms -------------------------------------------------

@@ -172,13 +172,14 @@ class QuadratureWigner:
                         M += C
             A, F = self._phases(pxf[idx], uf[idx][:, None])
             out[idx] = self._contract(M, A, F[:, :, 0])
-        self._check_real(float(np.abs(out.imag).max(initial=0)), out.real)
+        self._check_real(float(np.abs(out.imag).max(initial=0)),
+                         float(np.abs(out.real).max(initial=0)))
         return out.real.reshape(shape) if shape else float(out[0].real)
 
-    def _check_real(self, worst_imag: float, out: np.ndarray) -> None:
-        """W is real up to round-off, or the quadrature itself is wrong."""
-        scale = max(float(np.abs(out).max(initial=0)),
-                    1.0 / (math.pi * self.params.hbar) ** 2)
+    def _check_real(self, worst_imag: float, worst_real: float) -> None:
+        """W is real up to round-off, or the quadrature itself is wrong;
+        takes running maxima of |Im W| and |Re W|, the latter the scale."""
+        scale = max(worst_real, 1.0 / (math.pi * self.params.hbar) ** 2)
         if worst_imag > 1e-10 * scale:
             raise CheckFailure(f"transform lost realness: imaginary part "
                                f"{worst_imag:.3e} against scale {scale:.3e}")
@@ -330,6 +331,8 @@ def wigner_table(W, axes, params: NCParams | None = None) -> WignerTable:
 
 
 def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
+    """Fill out, the only table-sized array, row by row; the realness
+    check reads running maxima of |Im S| and |Re S| kept per row."""
     psi, p = W.psi, W.params
     xa, ya, pxa, pya = axes
     if not np.array_equal(xa, psi.axis1) or not np.array_equal(pya, psi.axis2):
@@ -339,12 +342,13 @@ def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
     (nx, ny), K = psi.values.shape, W._K
     M = np.empty((2 * K + 1, ny, 2 * W._L + 1), dtype=complex)
     out = np.empty((nx, len(ya), len(pxa), ny))
-    worst_imag = 0.0
+    worst_imag = worst_real = 0.0
     for i in range(nx):
         r = min(i, nx - 1 - i)      # the rest of the zeta lattice reads zeros
         S = W._contract(W._corr(i, slice(None), M[:2 * r + 1], r),
                         A[:, K - r:K + r + 1], F)            # (na, ny, nb)
         worst_imag = max(worst_imag, float(np.abs(S.imag).max(initial=0)))
+        worst_real = max(worst_real, float(np.abs(S.real).max(initial=0)))
         out[i] = np.transpose(S.real, (2, 0, 1))
-    W._check_real(worst_imag, out)
+    W._check_real(worst_imag, worst_real)
     return WignerTable(tuple(axes), out, p)

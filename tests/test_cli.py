@@ -114,6 +114,20 @@ def test_non_finite_bracket_is_a_check_failure(tmp_path, capsys):
         "check failed: field '{k1,k2}' returned nan")
 
 
+def test_non_finite_bracket_still_writes_a_report(tmp_path, capsys):
+    out = tmp_path / "new"              # the run must create it
+    rc = cli.main(["algebra-check", "--m", "1e200", "--theta", "0.5",
+                   "--samples", "2", "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: ")
+    report = json.loads((out / "algebra_check.json").read_text())
+    assert report == {
+        "ok": False, "error": err[len("check failed: "):].rstrip("\n"),
+        "tol": 1e-9, "samples": 2, "seed": 42,
+        "params": {"m": 1e200, "theta": 0.5}}
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     f = tmp_path / "run.cfg"
     f.write_text("bogus = 1\n")

@@ -137,6 +137,18 @@ def test_interior_norm_excludes_boundary_band():
     assert F.boundary_max() == 100.0
 
 
+def test_boundary_max_reads_only_the_edges():
+    ax = uniform_axis(0.0, 1.0, 9)
+    vals = np.zeros((9, 9), complex)
+    vals[1:-1, 1:-1] = 1e6             # the interior never counts
+    vals[0, 3], vals[-1, 5] = 2.0, -3.0
+    vals[4, 0], vals[6, -1] = 4j, 3.0 - 4.0j    # |.| = 5, the largest
+    F = GridFunction(ax, ax, vals, "p")
+    assert F.boundary_max() == 5.0
+    F = GridFunction(ax, ax, np.where(vals == 3.0 - 4.0j, 0, vals), "p")
+    assert F.boundary_max() == 4.0
+
+
 def test_stencil_band_widths():
     assert stencil_band(4) == 2
     assert stencil_band(6) == 3

@@ -8,6 +8,7 @@ inner products, and the evolution against the deformed bracket.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,18 @@ def test_table_realness_check_catches_a_tilted_kernel(ground_xpy, table_axes,
     monkeypatch.setattr(QuadratureWigner, "_contract", tilted)
     with pytest.raises(CheckFailure, match="transform lost realness"):
         wigner_table(wigner_from_state(ground_xpy, P), table_axes)
+
+
+def test_table_holds_one_table_sized_array(ground_xpy, table_axes):
+    # the realness scale is a running maximum, not |W| over the whole table
+    Wq = wigner_from_state(ground_xpy, P)
+    tracemalloc.start()
+    try:
+        table = wigner_table(Wq, table_axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table.values.nbytes
 
 
 def test_table_normalization(ground_table):
