@@ -77,17 +77,17 @@ class RunConfig:
                         hbar=self.hbar, kB=self.kB)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# the one type map behind config-file values and command-line flags
+_FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+                for f in fields(RunConfig)}
+_FLAG_HELP = {"out_dir": "output directory", "seed": "PRNG seed (default 42)",
+              "N": "number of oscillators",
+              "grid": "sweep grid as TxTHETA, e.g. 40x40"}
 
 
 def _convert(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return _FIELD_TYPES[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
@@ -385,22 +385,12 @@ def cmd_selftest(cfg: RunConfig) -> int:
 
 
 def _add_shared(parser: argparse.ArgumentParser):
+    """--config plus one --key flag per RunConfig field, typed as the field."""
     g = parser.add_argument_group("shared parameters")
     g.add_argument("--config", help="plain-text key = value config file")
-    g.add_argument("--out-dir", dest="out_dir", help="output directory")
-    g.add_argument("--seed", type=int, help="PRNG seed (default 42)")
-    for name in ("m", "omega", "theta", "hbar", "kB"):
-        g.add_argument(f"--{name}", type=float)
-    g.add_argument("--N", type=int, help="number of oscillators")
-    for name in ("dt", "t1", "x0", "y0", "px0", "py0", "tol", "radius",
-                 "tmin", "tmax"):
-        g.add_argument(f"--{name}", type=float)
-    g.add_argument("--theta-max", dest="theta_max", type=float)
-    for name in ("samples", "n", "nodes"):
-        g.add_argument(f"--{name}", type=int)
-    g.add_argument("--n-max", dest="n_max", type=int)
-    g.add_argument("--two-j", dest="two_j", type=int)
-    g.add_argument("--grid", help="sweep grid as TxTHETA, e.g. 40x40")
+    for name, kind in _FIELD_TYPES.items():
+        g.add_argument("--" + name.replace("_", "-"), type=kind,
+                       help=_FLAG_HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,43 +398,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ncplane",
         description="Classical and quantum mechanics on the "
                     "noncommutative plane: verification suites and sweeps.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cmds = {
-        "algebra-check": ("verify all eight bracket relations at random "
-                          "points", cmd_algebra_check),
-        "spectrum": ("tabulate oscillator energies up to n-max",
-                     cmd_spectrum),
-        "eigenfunction": ("evaluate one eigenfunction on a grid and its "
-                          "operator residuals", cmd_eigenfunction),
-        "wigner": ("quadrature Wigner slice and negativity search",
-                   cmd_wigner),
-        "selftest": ("run the full deterministic check suite",
-                     cmd_selftest),
-    }
-    for name, (help_text, fn) in cmds.items():
-        sp = sub.add_parser(name, help=help_text)
-        _add_shared(sp)
-        sp.set_defaults(fn=fn)
-
-    classical = sub.add_parser("classical", help="classical dynamics tools")
-    csub = classical.add_subparsers(dest="subcommand", required=True)
-    sp = csub.add_parser("simulate",
-                         help="integrate a trajectory and track charges")
-    _add_shared(sp)
-    sp.set_defaults(fn=cmd_classical_simulate)
-    sp = csub.add_parser("symmetries",
-                         help="conserved-bilinear nullspace and structure "
-                              "constants")
-    _add_shared(sp)
-    sp.set_defaults(fn=cmd_classical_symmetries)
-
-    th = sub.add_parser("thermo", help="thermodynamics tools")
-    tsub = th.add_subparsers(dest="subcommand", required=True)
-    sp = tsub.add_parser("sweep", help="entropy sweep over (T, theta)")
-    _add_shared(sp)
-    sp.set_defaults(fn=cmd_thermo_sweep)
-
+    # (command words, function, help); a group without a function takes
+    # the subcommands listed after it
+    commands = (
+        ("algebra-check", cmd_algebra_check,
+         "verify all eight bracket relations at random points"),
+        ("spectrum", cmd_spectrum, "tabulate oscillator energies up to n-max"),
+        ("eigenfunction", cmd_eigenfunction,
+         "evaluate one eigenfunction on a grid and its operator residuals"),
+        ("wigner", cmd_wigner, "quadrature Wigner slice and negativity search"),
+        ("selftest", cmd_selftest, "run the full deterministic check suite"),
+        ("classical", None, "classical dynamics tools"),
+        ("classical simulate", cmd_classical_simulate,
+         "integrate a trajectory and track charges"),
+        ("classical symmetries", cmd_classical_symmetries,
+         "conserved-bilinear nullspace and structure constants"),
+        ("thermo", None, "thermodynamics tools"),
+        ("thermo sweep", cmd_thermo_sweep, "entropy sweep over (T, theta)"),
+    )
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, fn, help_text in commands:
+        group, _, name = words.rpartition(" ")
+        sp = subs[group].add_parser(name, help=help_text)
+        if fn is None:
+            subs[name] = sp.add_subparsers(dest="subcommand", required=True)
+        else:
+            _add_shared(sp)
+            sp.set_defaults(fn=fn)
     return parser
 
 

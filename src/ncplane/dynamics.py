@@ -234,14 +234,19 @@ def oscillator_path(z0, t0, t1, dt, p: NCParams) -> Trajectory:
 
 
 def _field_on_rows(f: ScalarField, times, points):
-    """Evaluate a scalar field along a path, vectorized when the closure allows."""
+    """Evaluate a scalar field along a path, vectorized when the closure allows.
+
+    A closure written for scalars fails on arrays with TypeError (say,
+    duals.exp of an array) or ValueError (say, `if x > 0`); those fall back
+    to one call per row, and any other exception propagates.
+    """
     x, y, px, py = points.T
     try:
         v = f.fn(x, y, px, py, times)
         v = np.asarray(v, dtype=float)
         if v.shape == times.shape:
             return v
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.array([f.fn(*row, t) for row, t in zip(points, times)], dtype=float)
 

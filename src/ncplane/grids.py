@@ -1,11 +1,12 @@
-"""Complex wave functions on uniform 2D grids, plus centered stencils.
+"""Complex wave functions on uniform 2D grids, plus sixth-order stencils.
 
 Three representations share one container, tagged by basis:
   "p"   -> axes (p_x, p_y)
   "xpy" -> axes (x,  p_y)
   "ypx" -> axes (y,  p_x)
-All integrals are trapezoid quadrature; residual norms exclude a boundary
-band where the stencils cannot reach full order.
+All integrals are trapezoid quadrature.  The centered derivative stencils
+are of sixth order only; they leave a boundary band of STENCIL_BAND nodes
+at zero, and residual norms exclude that band.
 """
 
 from __future__ import annotations
@@ -120,28 +121,17 @@ class GridFunction:
         return float(max(np.abs(e).max() for e in edges))
 
 
-_D1 = {
-    4: ((-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12)),
-    6: ((-3, -1.0 / 60), (-2, 9.0 / 60), (-1, -45.0 / 60),
-        (1, 45.0 / 60), (2, -9.0 / 60), (3, 1.0 / 60)),
-}
-_D2 = {
-    4: ((-2, -1.0 / 12), (-1, 16.0 / 12), (0, -30.0 / 12),
-        (1, 16.0 / 12), (2, -1.0 / 12)),
-    6: ((-3, 2.0 / 180), (-2, -27.0 / 180), (-1, 270.0 / 180), (0, -490.0 / 180),
-        (1, 270.0 / 180), (2, -27.0 / 180), (3, 2.0 / 180)),
-}
-
-
-def stencil_band(order: int) -> int:
-    if order not in _D1:
-        raise GridError(f"unsupported stencil order {order}; use 4 or 6")
-    return order // 2
+# sixth-order centered coefficients as (offset, weight); they reach
+# STENCIL_BAND nodes to each side, and that band of the output stays zero
+_D1 = ((-3, -1.0 / 60), (-2, 9.0 / 60), (-1, -45.0 / 60),
+       (1, 45.0 / 60), (2, -9.0 / 60), (3, 1.0 / 60))
+_D2 = ((-3, 2.0 / 180), (-2, -27.0 / 180), (-1, 270.0 / 180), (0, -490.0 / 180),
+       (1, 270.0 / 180), (2, -27.0 / 180), (3, 2.0 / 180))
+STENCIL_BAND = 3
 
 
 def _apply_stencil(coeffs, F, h, axis, power):
-    b = max(abs(k) for k, _ in coeffs)
-    n = F.shape[axis]
+    b, n = STENCIL_BAND, F.shape[axis]
     if n <= 2 * b:
         raise GridError(f"grid too small for the order-{2*b} stencil band")
     out = np.zeros_like(F)
@@ -155,13 +145,11 @@ def _apply_stencil(coeffs, F, h, axis, power):
     return out / h ** power
 
 
-def first_derivative(F: np.ndarray, h: float, axis: int, order: int = 4):
-    """Centered d/dx along the given axis; boundary band left at zero."""
-    stencil_band(order)
-    return _apply_stencil(_D1[order], F, h, axis, 1)
+def first_derivative(F: np.ndarray, h: float, axis: int):
+    """Centered sixth-order d/dx along the given axis; boundary band zero."""
+    return _apply_stencil(_D1, F, h, axis, 1)
 
 
-def second_derivative(F: np.ndarray, h: float, axis: int, order: int = 4):
-    """Centered d2/dx2 along the given axis; boundary band left at zero."""
-    stencil_band(order)
-    return _apply_stencil(_D2[order], F, h, axis, 2)
+def second_derivative(F: np.ndarray, h: float, axis: int):
+    """Centered sixth-order d2/dx2 along the given axis; boundary band zero."""
+    return _apply_stencil(_D2, F, h, axis, 2)

@@ -162,12 +162,9 @@ def bracket_terms(df, dg, theta):
     return canonical + theta * (fx * gy - fy * gx)
 
 
-def poisson_bracket(f, g, z, t=0.0, p=None, theta=None):
-    """{f, g} at (z, t) for NC parameter theta (or p.theta)."""
-    th = p.theta if p is not None else theta
-    if th is None:
-        raise TypeError("poisson_bracket needs p=NCParams or theta=")
-    return bracket_field(f, g, th).value(z, t)
+def poisson_bracket(f, g, z, theta, t=0.0):
+    """{f, g} at (z, t) for NC parameter theta."""
+    return bracket_field(f, g, theta).value(z, t)
 
 
 def bracket_field(f, g, theta):
@@ -182,17 +179,14 @@ def bracket_field(f, g, theta):
     return ScalarField(fn, f"{{{f.name},{g.name}}}")
 
 
-def jacobi_residual(f, g, h, z, t=0.0, p=None, theta=None):
+def jacobi_residual(f, g, h, z, theta, t=0.0):
     """{f,{g,h}} - {{f,g},h} - {g,{f,h}} at (z, t); zero for a Lie bracket."""
-    th = p.theta if p is not None else theta
-    if th is None:
-        raise TypeError("jacobi_residual needs p=NCParams or theta=")
-    gh = bracket_field(g, h, th)
-    fg = bracket_field(f, g, th)
-    fh = bracket_field(f, h, th)
-    r = (poisson_bracket(f, gh, z, t, theta=th)
-         - poisson_bracket(fg, h, z, t, theta=th)
-         - poisson_bracket(g, fh, z, t, theta=th))
+    gh = bracket_field(g, h, theta)
+    fg = bracket_field(f, g, theta)
+    fh = bracket_field(f, h, theta)
+    r = (poisson_bracket(f, gh, z, theta, t)
+         - poisson_bracket(fg, h, z, theta, t)
+         - poisson_bracket(g, fh, z, theta, t))
     if not math.isfinite(r):
         raise FieldEvaluationError(
             f"Jacobi residual is not finite for ({f.name},{g.name},{h.name}) at {z}")
@@ -224,9 +218,6 @@ class AlgebraReport:
 
     residuals: dict
     tol: float
-    samples: tuple
-    t: float
-    params: NCParams
 
     @property
     def ok(self):
@@ -242,8 +233,7 @@ class AlgebraReport:
     def merged_with(self, other):
         """Pointwise max of two reports (e.g. evaluated at different times)."""
         res = {k: max(v, other.residuals[k]) for k, v in self.residuals.items()}
-        return AlgebraReport(res, self.tol, self.samples + other.samples,
-                             self.t, self.params)
+        return AlgebraReport(res, self.tol)
 
 
 def sample_points(n, seed=42, box=10.0):
@@ -303,4 +293,4 @@ def verify_algebra(p: NCParams, t=0.0, samples=None, tol=1e-9):
                 if r > worst:
                     worst = r
         residuals[name] = worst
-    return AlgebraReport(residuals, tol, tuple(samples), t, p)
+    return AlgebraReport(residuals, tol)

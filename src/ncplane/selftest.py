@@ -176,7 +176,7 @@ def check_wigner(seed: int = 42) -> CheckResult:
 
     ta = np.linspace(-4.8, 4.8, 41)
     table_axes = (psi0.axis1, ta, ta, psi0.axis2)
-    table = wigner.wigner_table(Wq, table_axes, params=p)
+    table = wigner.wigner_table(Wq, table_axes)
     norm_err = abs(table.integral() - 1.0)
     purity_err = abs(table.purity() - 1.0)
 
@@ -195,7 +195,7 @@ def check_wigner(seed: int = 42) -> CheckResult:
 
     psi1 = spectra.transform(spectra.eigenfunction(1, 1, p, axes), "xpy", p)
     table1 = wigner.wigner_table(wigner.wigner_from_state(psi1, p),
-                                 table_axes, params=p)
+                                 table_axes)
     witness = table1.minimum()
 
     rng = np.random.default_rng(seed)

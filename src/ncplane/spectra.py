@@ -27,9 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NCParams
-from .grids import (BASES, GridError, GridFunction, first_derivative,
-                    second_derivative, stencil_band, trapezoid_weights,
+from .grids import (BASES, STENCIL_BAND, GridError, GridFunction,
+                    first_derivative, second_derivative, trapezoid_weights,
                     uniform_axis)
+
+# eigenfunction rejects a state whose edge exceeds this share of its peak
+TAIL_TOL = 1e-10
 
 
 class TruncationError(ValueError):
@@ -99,13 +102,12 @@ def momentum_grid(p: NCParams, n_nodes: int = 256, radius: float = 8.0):
     return ax, ax.copy()
 
 
-def eigenfunction(n: int, two_j: int, p: NCParams, axes=None,
-                  tail_tol: float = 1e-10) -> GridFunction:
+def eigenfunction(n: int, two_j: int, p: NCParams, axes=None) -> GridFunction:
     """Joint (H, J) eigenstate psi_{n, j} on a (p_x, p_y) grid, unit L2 norm.
 
     Evaluates the double binomial sum over products of Hermite functions of
     P = p / sqrt(m hbar w_eff), then renormalizes numerically.  Raises
-    TruncationError when the boundary amplitude exceeds tail_tol relative
+    TruncationError when the boundary amplitude exceeds TAIL_TOL relative
     to the peak (grid too small for the state).
     """
     validate_level(n, two_j)
@@ -131,25 +133,25 @@ def eigenfunction(n: int, two_j: int, p: NCParams, axes=None,
     psi = GridFunction(pxa, pya, acc * gauss, "p").normalized()
 
     edge, peak = psi.boundary_max(), float(np.abs(psi.values).max())
-    if edge > tail_tol * peak:
+    if edge > TAIL_TOL * peak:
         raise TruncationError(
             f"boundary amplitude {edge:.3e} exceeds "
-            f"{tail_tol:.1e} of the peak; enlarge the grid")
+            f"{TAIL_TOL:.1e} of the peak; enlarge the grid")
     return psi
 
 
-def _rotation(psi: GridFunction, order: int) -> np.ndarray:
+def _rotation(psi: GridFunction) -> np.ndarray:
     """(p_y d/dp_x - p_x d/dp_y) psi, the stencil term of both J and H."""
     if psi.basis != "p":
         raise GridError(f"operator defined on the (p_x, p_y) basis, "
                         f"got {psi.basis!r}")
-    dpx = first_derivative(psi.values, psi.step1, 0, order)
-    dpy = first_derivative(psi.values, psi.step2, 1, order)
+    dpx = first_derivative(psi.values, psi.step1, 0)
+    dpy = first_derivative(psi.values, psi.step2, 1)
     return psi.axis2[None, :] * dpx - psi.axis1[:, None] * dpy
 
 
-def _hamiltonian(psi: GridFunction, p: NCParams, order: int, L):
-    """H psi values, given L = _rotation(psi, order)."""
+def _hamiltonian(psi: GridFunction, p: NCParams, L):
+    """H psi values, given L = _rotation(psi)."""
     h = max(psi.step1, psi.step2)
     if h > 0.5 * p.width:
         warnings.warn(
@@ -157,50 +159,45 @@ def _hamiltonian(psi: GridFunction, p: NCParams, order: int, L):
             f"{p.width:.3g}; differential operators lose accuracy",
             RuntimeWarning, stacklevel=3)
     px, py, F = psi.axis1[:, None], psi.axis2[None, :], psi.values
-    lap = (second_derivative(F, psi.step1, 0, order)
-           + second_derivative(F, psi.step2, 1, order))
+    lap = (second_derivative(F, psi.step1, 0)
+           + second_derivative(F, psi.step2, 1))
     return ((1.0 + p.u) / (2.0 * p.m) * (px ** 2 + py ** 2) * F
             - 0.5 * p.hbar ** 2 * p.m * p.omega ** 2 * lap
             - 0.5j * p.hbar * p.lam * L)
 
 
-def apply_hamiltonian(psi: GridFunction, p: NCParams,
-                      order: int = 6) -> GridFunction:
+def apply_hamiltonian(psi: GridFunction, p: NCParams) -> GridFunction:
     """Oscillator Hamiltonian in the momentum representation.
 
     H psi = (1 + u) p^2/2m psi - (hbar^2 m w^2/2) lap(psi)
             - (i hbar theta m w^2 / 2)(p_y d/dp_x - p_x d/dp_y) psi,
-    with u = m^2 w^2 theta^2 / 4.  Differencing is centered of the given
-    order with the boundary band left zero; callers exclude that band from
-    norms.  The default order 6 is what holds eigen-residuals below 1e-6 on
-    256^2 grids up to n = 4; order 4 is available but a factor ~30 looser.
+    with u = m^2 w^2 theta^2 / 4.  Differencing is centered of sixth order,
+    which holds eigen-residuals below 1e-6 on 256^2 grids up to n = 4, with
+    a boundary band of STENCIL_BAND nodes left zero; callers exclude that
+    band from norms.
     """
-    return psi.with_values(_hamiltonian(psi, p, order, _rotation(psi, order)))
+    return psi.with_values(_hamiltonian(psi, p, _rotation(psi)))
 
 
-def apply_angular_momentum(psi: GridFunction, p: NCParams,
-                           order: int = 6) -> GridFunction:
+def apply_angular_momentum(psi: GridFunction, p: NCParams) -> GridFunction:
     """J psi = i hbar (p_y d/dp_x - p_x d/dp_y) psi."""
-    return psi.with_values(1j * p.hbar * _rotation(psi, order))
+    return psi.with_values(1j * p.hbar * _rotation(psi))
 
 
-def eigen_residuals(n: int, two_j: int, p: NCParams, axes=None,
-                    order: int = 6):
+def eigen_residuals(n: int, two_j: int, p: NCParams, axes=None):
     """(H-residual, J-residual) for psi_{n, j} on the given or default grid."""
-    return _residuals(eigenfunction(n, two_j, p, axes), n, two_j, p, order)
+    return _residuals(eigenfunction(n, two_j, p, axes), n, two_j, p)
 
 
-def _residuals(psi: GridFunction, n: int, two_j: int, p: NCParams,
-               order: int = 6):
+def _residuals(psi: GridFunction, n: int, two_j: int, p: NCParams):
     """Relative interior L2 residuals ||A psi - lambda psi|| / ||psi|| of
     A = H and J at level (n, two_j), each stencil applied once."""
-    L = _rotation(psi, order)
-    band = stencil_band(order)
-    norm = psi.interior_norm(band)
-    H = _hamiltonian(psi, p, order, L) - energy(n, two_j, p) * psi.values
+    L = _rotation(psi)
+    norm = psi.interior_norm(STENCIL_BAND)
+    H = _hamiltonian(psi, p, L) - energy(n, two_j, p) * psi.values
     J = 1j * p.hbar * L - p.hbar * two_j * psi.values
-    return (psi.with_values(H).interior_norm(band) / norm,
-            psi.with_values(J).interior_norm(band) / norm)
+    return (psi.with_values(H).interior_norm(STENCIL_BAND) / norm,
+            psi.with_values(J).interior_norm(STENCIL_BAND) / norm)
 
 
 # --- quadrature transforms -------------------------------------------------

@@ -21,6 +21,7 @@ from .phasespace import ScalarField, _coords
 
 _N = 4
 _DIM = 10  # symmetric 4x4 matrices
+SVD_THRESHOLD = 1e-10  # relative to sigma_max; smaller singular values are null
 
 
 def deformed_symplectic(theta: float) -> np.ndarray:
@@ -142,18 +143,18 @@ def conservation_operator(p: NCParams) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def conserved_bilinears(p: NCParams, svd_threshold: float = 1e-10) -> SymmetryBasis:
+def conserved_bilinears(p: NCParams) -> SymmetryBasis:
     """Orthonormal basis of conserved quadratic forms via an SVD nullspace.
 
     Relative threshold: directions with singular value below
-    svd_threshold * sigma_max are declared null.  The operator is exact
+    SVD_THRESHOLD * sigma_max are declared null.  The operator is exact
     rational in (m, omega, theta), so the spectral gap is enormous and the
     rank decision is stable.
     """
     p.require_omega()
     L = conservation_operator(p)
     _, s, Vt = np.linalg.svd(L)
-    null_rows = Vt[s < svd_threshold * s[0]]
+    null_rows = Vt[s < SVD_THRESHOLD * s[0]]
     mats = sym_basis()
     forms = tuple(
         BilinearForm(sum(c * E for c, E in zip(row, mats))) for row in null_rows

@@ -15,7 +15,7 @@ against the analytic entropy and heat capacity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .spectra import _level_energy
 
 # beyond this the exponential form of cosh is exact to double precision
 _LOG_SWITCH = 30.0
+# partition_single_direct sums until the slowest term falls below this
+DIRECT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def heat_capacity(T, tp: ThermoParams):
     return tp.N * num / (den * den) / (tp.nc.kB * T * T)
 
 
-def partition_single_direct(T, tp: ThermoParams, tol: float = 1e-14):
+def partition_single_direct(T, tp: ThermoParams):
     """Brute-force oracle: sum e^{-beta E} over levels until terms vanish.
 
     It shares the level scales (a, b) of NCParams with the closed form, so
@@ -149,7 +151,7 @@ def partition_single_direct(T, tp: ThermoParams, tol: float = 1e-14):
     gap = a - abs(b)
     if gap <= 0:
         raise ValueError("level ladder is not bounded below")
-    n_max = math.ceil(math.log(1.0 / tol) / (beta * gap)) + 10
+    n_max = math.ceil(math.log(1.0 / DIRECT_TOL) / (beta * gap)) + 10
     n, k = np.tril_indices(n_max + 1)      # row n, two_j = 2k - n
     E = _level_energy(n, 2 * k - n, tp.nc)
     return math.fsum(np.exp(-beta * E).tolist())
@@ -192,15 +194,11 @@ def thermo_point(T: float, tp: ThermoParams) -> ThermoPoint:
     )
 
 
-def entropy_sweep(temps, tp: ThermoParams, thetas=None) -> list[ThermoPoint]:
-    """Equation-of-state rows over temperatures, optionally crossed with thetas."""
+def entropy_sweep(temps, tp: ThermoParams, thetas) -> list[ThermoPoint]:
+    """Equation-of-state rows over temperatures crossed with thetas, theta
+    outermost; tp.nc.theta is replaced by each theta in turn."""
     rows = []
-    if thetas is None:
-        return [thermo_point(T, tp) for T in temps]
-    base = tp.nc
     for theta in thetas:
-        nc = NCParams(m=base.m, omega=base.omega, theta=float(theta),
-                      hbar=base.hbar, kB=base.kB)
-        tpt = ThermoParams(nc=nc, N=tp.N)
+        tpt = replace(tp, nc=replace(tp.nc, theta=float(theta)))
         rows.extend(thermo_point(T, tpt) for T in temps)
     return rows

@@ -305,7 +305,7 @@ class WignerTable:
         raise WignerError(f"unknown marginal {keep!r}")
 
 
-def wigner_table(W, axes, params: NCParams | None = None) -> WignerTable:
+def wigner_table(W, axes) -> WignerTable:
     """Sample an evaluator on a product grid.
 
     Grid states require the x and py axes to coincide with the state grid;
@@ -320,14 +320,13 @@ def wigner_table(W, axes, params: NCParams | None = None) -> WignerTable:
         raise WignerError("need four axes (x, y, px, py)")
     if isinstance(W, QuadratureWigner):
         return _quadrature_table(W, axes)
-    p = params or W.params
     X = axes[0][:, None, None, None]
     Y = axes[1][None, :, None, None]
     PX = axes[2][None, None, :, None]
     PY = axes[3][None, None, None, :]
     vals = np.broadcast_to(np.asarray(W.at(X, Y, PX, PY)),
                            tuple(len(a) for a in axes)).copy()
-    return WignerTable(axes, vals, p)
+    return WignerTable(axes, vals, W.params)
 
 
 def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:

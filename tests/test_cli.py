@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import pathlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -83,6 +85,39 @@ def test_bad_env_seed_is_config_error(monkeypatch):
     monkeypatch.setenv("NCPLANE_SEED", "not-a-number")
     with pytest.raises(ConfigError, match="NCPLANE_SEED"):
         build_config(_args())
+
+
+COMMANDS = (["algebra-check"], ["spectrum"], ["eigenfunction"], ["wigner"],
+            ["selftest"], ["classical", "simulate"],
+            ["classical", "symmetries"], ["thermo", "sweep"])
+
+
+def _documented_keys():
+    """(key, type) rows of the config-key table in docs/formats.md."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "docs"
+            / "formats.md").read_text(encoding="utf-8")
+    table = text.split("All keys, their types", 1)[1].split("\n\n", 2)[1]
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
+    return [(k, kind) for keys, kind, *_ in rows for k in keys.split(",")]
+
+
+def test_documented_keys_are_the_config_fields():
+    assert _documented_keys() == [(f.name, f.type) for f in fields(RunConfig)]
+
+
+def test_every_config_field_is_a_typed_flag(monkeypatch):
+    monkeypatch.delenv("NCPLANE_SEED", raising=False)
+    parser, samples = cli.build_parser(), {int: "3", float: "0.25", str: "abc"}
+    for f in fields(RunConfig):
+        kind = {"int": int, "float": float, "str": str}[f.type]
+        flag = "--" + f.name.replace("_", "-")
+        for cmd in COMMANDS:
+            args = parser.parse_args(cmd + [flag, samples[kind]])
+            got = getattr(args, f.name)
+            assert type(got) is kind and got == kind(samples[kind]), flag
+            assert build_config(args) == replace(RunConfig(),
+                                                 **{f.name: got})
 
 
 def test_algebra_check_writes_report_and_exits_zero(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ncplane import duals
 from ncplane import (
     NCParams,
     PhasePoint,
@@ -115,6 +116,28 @@ def test_oscillator_momenta_not_conserved():
     traj = noether_charges(oscillator_path(Z0, 0.0, 5.0, 1e-2, P), P)
     drift = charge_drift(traj)
     assert drift["p1"] > 1e-2  # sanity: the table reports, it does not assume
+
+
+def test_scalar_only_charges_fall_back_to_rows():
+    # duals.exp of an array raises TypeError, `if x > 0` raises ValueError
+    traj = oscillator_path(Z0, 0.0, 1.0, 0.1, P)
+    E = ScalarField(lambda x, y, px, py, t: duals.exp(px), "E")
+    S = ScalarField(lambda x, y, px, py, t: 1.0 if x > 0 else -1.0, "S")
+    for f, want in ((E, [math.exp(v) for v in traj.points[:, 2]]),
+                    (S, np.where(traj.points[:, 0] > 0, 1.0, -1.0))):
+        got = noether_charges(traj, P, hamiltonian=f).charges["H"]
+        assert np.array_equal(got, want)
+
+
+def test_other_errors_on_arrays_propagate():
+    def fn(x, y, px, py, t):
+        if isinstance(x, np.ndarray):
+            raise RuntimeError("array path is broken")
+        return px * px
+
+    traj = oscillator_path(Z0, 0.0, 1.0, 0.1, P)
+    with pytest.raises(RuntimeError, match="array path is broken"):
+        noether_charges(traj, P, hamiltonian=ScalarField(fn, "H_bad"))
 
 
 def test_oscillator_path_matches_pointwise_solution():

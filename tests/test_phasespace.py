@@ -58,15 +58,23 @@ def test_gradient_matches_fd():
     assert np.allclose(f.gradient(Z1), fd_gradient(f, Z1), atol=1e-8)
 
 
+def test_gradient_of_a_boost_reads_the_time():
+    # k1 = m x - px t + m theta py carries t in its px slope
+    p = NCParams(m=1.5, theta=0.4)
+    K1 = galilei_generators(p)[4]
+    assert K1.gradient(Z1, t=2.0).tolist() == [1.5, 0.0, -2.0, 1.5 * 0.4]
+    assert K1.gradient(Z1).tolist() == [1.5, 0.0, 0.0, 1.5 * 0.4]
+
+
 def test_coordinate_brackets():
     p = NCParams(theta=0.7)
     # the deformation lives entirely in the position-position bracket
-    assert poisson_bracket(X, Y, Z1, p=p) == pytest.approx(0.7, abs=0)
-    assert poisson_bracket(X, PX, Z1, p=p) == 1.0
-    assert poisson_bracket(Y, PY, Z1, p=p) == 1.0
-    assert poisson_bracket(X, PY, Z1, p=p) == 0.0
-    assert poisson_bracket(PX, PY, Z1, p=p) == 0.0
-    assert poisson_bracket(Y, X, Z1, p=p) == -0.7
+    assert poisson_bracket(X, Y, Z1, p.theta) == pytest.approx(0.7, abs=0)
+    assert poisson_bracket(X, PX, Z1, p.theta) == 1.0
+    assert poisson_bracket(Y, PY, Z1, p.theta) == 1.0
+    assert poisson_bracket(X, PY, Z1, p.theta) == 0.0
+    assert poisson_bracket(PX, PY, Z1, p.theta) == 0.0
+    assert poisson_bracket(Y, X, Z1, p.theta) == -0.7
 
 
 def test_angular_momentum_literal():
@@ -80,10 +88,10 @@ def test_bracket_antisymmetry_and_bilinearity():
     p = NCParams(theta=0.4)
     f = ScalarField(lambda x, y, px, py, t: x * x * py + y * px)
     g = ScalarField(lambda x, y, px, py, t: px * py - 2.0 * x * y)
-    ab = poisson_bracket(f, g, Z1, p=p)
-    assert poisson_bracket(g, f, Z1, p=p) == pytest.approx(-ab, rel=1e-15)
+    ab = poisson_bracket(f, g, Z1, p.theta)
+    assert poisson_bracket(g, f, Z1, p.theta) == pytest.approx(-ab, rel=1e-15)
     h2 = 2.5 * f + g
-    lhs = poisson_bracket(h2, g, Z1, p=p)
+    lhs = poisson_bracket(h2, g, Z1, p.theta)
     assert lhs == pytest.approx(2.5 * ab + 0.0, rel=1e-13, abs=1e-13)
 
 
@@ -92,9 +100,9 @@ def test_leibniz_rule():
     f = ScalarField(lambda x, y, px, py, t: x * py - y * y)
     g = ScalarField(lambda x, y, px, py, t: px + 2.0 * y)
     h = ScalarField(lambda x, y, px, py, t: x * px * py)
-    lhs = poisson_bracket(f, g * h, Z1, p=p)
-    rhs = (poisson_bracket(f, g, Z1, p=p) * h.value(Z1)
-           + g.value(Z1) * poisson_bracket(f, h, Z1, p=p))
+    lhs = poisson_bracket(f, g * h, Z1, p.theta)
+    rhs = (poisson_bracket(f, g, Z1, p.theta) * h.value(Z1)
+           + g.value(Z1) * poisson_bracket(f, h, Z1, p.theta))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -111,7 +119,7 @@ def test_jacobi_identity_polynomials():
     p = NCParams(m=1.5, theta=0.9)
     H, P1, P2, J, K1, K2 = galilei_generators(p)
     for trip in [(J, K1, H), (K1, K2, J), (H, J, K2), (P1, J, K1)]:
-        r = jacobi_residual(*trip, Z1, t=0.8, p=p)
+        r = jacobi_residual(*trip, Z1, p.theta, t=0.8)
         assert abs(r) < 1e-10
 
 
@@ -170,7 +178,7 @@ def test_theta_zero_reduces_to_canonical():
     g = ScalarField(lambda x, y, px, py, t: y * py - x * px)
     p0 = NCParams(theta=0.0)
     canonical = fd_bracket(f, g, Z1, 0.0)
-    assert poisson_bracket(f, g, Z1, p=p0) == pytest.approx(canonical, rel=1e-7)
+    assert poisson_bracket(f, g, Z1, p0.theta) == pytest.approx(canonical, rel=1e-7)
 
 
 def test_field_algebra():
@@ -332,7 +340,7 @@ def test_jacobi_residuals_equal_four_pass_oracle():
             want = (bracket(f, bracket(g, h)).value(z, 0.8)
                     - bracket(bracket(f, g), h).value(z, 0.8)
                     - bracket(g, bracket(f, h)).value(z, 0.8))
-            assert jacobi_residual(f, g, h, z, t=0.8, p=p) == want
+            assert jacobi_residual(f, g, h, z, p.theta, t=0.8) == want
 
 
 def test_nonfinite_gradients_still_raise():

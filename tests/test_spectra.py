@@ -18,7 +18,7 @@ from ncplane.grids import (
     GridFunction,
     first_derivative,
     second_derivative,
-    stencil_band,
+    STENCIL_BAND,
     uniform_axis,
 )
 from ncplane.spectra import (
@@ -174,66 +174,56 @@ def test_eigen_residuals_spot_checks(theta, n, two_j):
     assert rJ < 1e-6
 
 
-def test_order_four_is_coarser_than_order_six():
-    axes = momentum_grid(P03, 256, 8.0)
-    rH4, _ = eigen_residuals(4, 0, P03, axes, order=4)
-    rH6, _ = eigen_residuals(4, 0, P03, axes, order=6)
-    assert rH6 < 1e-6 < rH4 < 1e-3
-
-
-def _separate_h(psi, p, order):
+def _separate_h(psi, p):
     """H psi as a standalone application computes it, stencils and all."""
     px, py, F = psi.axis1[:, None], psi.axis2[None, :], psi.values
-    lap = (second_derivative(F, psi.step1, 0, order)
-           + second_derivative(F, psi.step2, 1, order))
-    dpx = first_derivative(F, psi.step1, 0, order)
-    dpy = first_derivative(F, psi.step2, 1, order)
+    lap = (second_derivative(F, psi.step1, 0)
+           + second_derivative(F, psi.step2, 1))
+    dpx = first_derivative(F, psi.step1, 0)
+    dpy = first_derivative(F, psi.step2, 1)
     return psi.with_values(
         (1.0 + p.u) / (2.0 * p.m) * (px ** 2 + py ** 2) * F
         - 0.5 * p.hbar ** 2 * p.m * p.omega ** 2 * lap
         - 0.5j * p.hbar * p.lam * (py * dpx - px * dpy))
 
 
-def _separate_j(psi, p, order):
+def _separate_j(psi, p):
     px, py = psi.axis1[:, None], psi.axis2[None, :]
-    dpx = first_derivative(psi.values, psi.step1, 0, order)
-    dpy = first_derivative(psi.values, psi.step2, 1, order)
+    dpx = first_derivative(psi.values, psi.step1, 0)
+    dpy = first_derivative(psi.values, psi.step2, 1)
     return psi.with_values(1j * p.hbar * (py * dpx - px * dpy))
 
 
-def _separate_residual(applied, psi, eigenvalue, order):
-    band = stencil_band(order)
+def _separate_residual(applied, psi, eigenvalue):
     diff = applied.with_values(applied.values - eigenvalue * psi.values)
-    return diff.interior_norm(band) / psi.interior_norm(band)
+    return (diff.interior_norm(STENCIL_BAND)
+            / psi.interior_norm(STENCIL_BAND))
 
 
-def _assert_same_bits(n, two_j, p, axes, order):
+def _assert_same_bits(n, two_j, p, axes):
     psi = eigenfunction(n, two_j, p, axes)
-    H, J = _separate_h(psi, p, order), _separate_j(psi, p, order)
-    assert np.array_equal(apply_hamiltonian(psi, p, order).values, H.values)
-    assert np.array_equal(apply_angular_momentum(psi, p, order).values,
-                          J.values)
-    assert eigen_residuals(n, two_j, p, axes, order) == (
-        _separate_residual(H, psi, energy(n, two_j, p), order),
-        _separate_residual(J, psi, p.hbar * two_j, order))
+    H, J = _separate_h(psi, p), _separate_j(psi, p)
+    assert np.array_equal(apply_hamiltonian(psi, p).values, H.values)
+    assert np.array_equal(apply_angular_momentum(psi, p).values, J.values)
+    assert eigen_residuals(n, two_j, p, axes) == (
+        _separate_residual(H, psi, energy(n, two_j, p)),
+        _separate_residual(J, psi, p.hbar * two_j))
 
 
-@pytest.mark.parametrize("order", [4, 6])
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
-def test_one_pass_residuals_equal_separate_applications(theta, order):
+def test_one_pass_residuals_equal_separate_applications(theta):
     # one stencil pass per state must not move a single bit
     p = NCParams(m=1.0, omega=1.0, theta=theta)
     axes = momentum_grid(p, 256)
     for n in range(5):
         for two_j in range(-n, n + 1, 2):
-            _assert_same_bits(n, two_j, p, axes, order)
+            _assert_same_bits(n, two_j, p, axes)
 
 
-@pytest.mark.parametrize("order", [4, 6])
-def test_one_pass_residuals_equal_separate_applications_off_unit(order):
+def test_one_pass_residuals_equal_separate_applications_off_unit():
     # hbar * two_j * psi rounds apart from hbar * (two_j * psi) at |two_j| = 3
     p = NCParams(m=1.3, omega=1.0, theta=0.4, hbar=0.9)
-    _assert_same_bits(3, 3, p, momentum_grid(p, 200), order)
+    _assert_same_bits(3, 3, p, momentum_grid(p, 200))
 
 
 def test_energy_expectation_matches_eigenvalue():

@@ -104,7 +104,7 @@ def test_basis_elements_conserved_by_dual_bracket():
         for f in basis.forms:
             Sf = f.as_scalar_field()
             for z in sample_points(100, seed=3):
-                r = poisson_bracket(Hf, Sf, z, p=p)
+                r = poisson_bracket(Hf, Sf, z, p.theta)
                 assert abs(r) / (1.0 + abs(Sf.value(z))) < 1e-9
 
 
@@ -118,7 +118,7 @@ def test_matrix_bracket_matches_dual_bracket():
         fb = f1.bracket(f2, P5.theta)
         for z in sample_points(5, seed=8, box=3.0):
             want = poisson_bracket(f1.as_scalar_field(), f2.as_scalar_field(),
-                                   z, p=P5)
+                                   z, P5.theta)
             assert fb.value(z) == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 

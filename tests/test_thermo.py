@@ -197,8 +197,9 @@ def test_entropy_sweep_rows_and_theta_cross():
     rows = thermo.entropy_sweep([0.5, 1.0], TP, thetas=[0.0, 0.5])
     assert [(r.T, r.theta) for r in rows] == [
         (0.5, 0.0), (1.0, 0.0), (0.5, 0.5), (1.0, 0.5)]
-    plain = thermo.entropy_sweep([0.5, 1.0], TP)
-    assert [r.theta for r in plain] == [P.theta, P.theta]
+    # every other parameter, N included, is carried over from TP
+    want = ThermoParams(nc=NCParams(m=1.3, omega=0.9, theta=0.5), N=3)
+    assert rows[3] == thermo.thermo_point(1.0, want)
 
 
 def test_parameter_validation():

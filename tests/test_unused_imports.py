@@ -7,10 +7,16 @@ imports are the public re-exports.  A top-level function or class must be
 re-exported by `__init__.py` or referenced somewhere in the package.  A
 call from its own body counts: the elementwise dual-number functions
 (`duals.tanh`) recurse onto the value lane and are otherwise called only
-from user-written fields.
+from user-written fields.  A parameter with a default, on a top-level
+function or a method, must be passed by position or keyword at some call
+in the package, the tests, the benchmark harness or the README's library
+tour; one that never is belongs in a module constant.
 """
 
 import ast
+import math
+import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -19,6 +25,7 @@ import ncplane
 
 PACKAGE = Path(ncplane.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,6 +61,59 @@ def unreferenced_definitions(sources: dict, init_source: str) -> list[str]:
                   and node.name not in exported | read)
 
 
+def _calls(texts) -> dict:
+    """Callee name -> [(positional count, keyword names)] over texts; a
+    starred argument passes every position, a ** every keyword (None)."""
+    calls = defaultdict(list)
+    for text in texts:
+        for n in ast.walk(ast.parse(text)):
+            if not isinstance(n, ast.Call) or not isinstance(
+                    n.func, (ast.Name, ast.Attribute)):
+                continue
+            name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            star = any(isinstance(a, ast.Starred) for a in n.args)
+            calls[name].append((math.inf if star else len(n.args),
+                                {k.arg for k in n.keywords}))
+    return calls
+
+
+def unpassed_defaults(sources: dict, callers: list) -> list[str]:
+    """Defaulted parameters of the top-level functions and methods in
+    sources (module name -> text) that no call in callers (texts) passes.
+    A call matches by callee name, bare or attribute; a class name stands
+    for its __init__, other dunder methods are skipped, and a method's
+    positions start after self."""
+    calls = _calls(callers)
+    defs = []
+    for mod, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{mod}.{node.name}", node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef) or (
+                            fn.name.startswith("__") and fn.name != "__init__"):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    callee = node.name if fn.name == "__init__" else fn.name
+                    defs.append((f"{mod}.{node.name}.{fn.name}", callee, fn,
+                                 0 if static else 1))
+    out = []
+    for label, callee, fn, skip in defs:
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        wanted = [(i - skip, p.arg) for i, p in enumerate(pos)
+                  if i >= len(pos) - len(a.defaults)]
+        wanted += [(math.inf, p.arg) for p, d in zip(a.kwonlyargs,
+                                                     a.kw_defaults)
+                   if d is not None]
+        out += [f"{label}({arg}) (line {fn.lineno})" for i, arg in wanted
+                if not any(n > i or arg in kw or None in kw
+                           for n, kw in calls[callee])]
+    return sorted(out)
+
+
 def test_checker_flags_an_unused_name():
     src = "import math\nfrom os import path, sep as s\nprint(path)\n"
     assert unused_imports(src) == ["math (line 1)", "s (line 2)"]
@@ -74,6 +134,21 @@ def test_checker_flags_an_unreferenced_definition():
         "a.Unused (line 14)", "a._dead (line 8)", "b._orphan (line 6)"]
 
 
+def test_checker_flags_an_unpassed_default():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n\n"
+              "def g(a=1):\n    pass\n\n"
+              "class K:\n"
+              "    def __init__(self, a, b=1):\n        pass\n\n"
+              "    def m(self, a=1, b=2):\n        pass\n\n"
+              "    @staticmethod\n    def s(a=1):\n        pass\n\n"
+              "    def __call__(self, a=1):\n        pass\n")
+    callers = [source + "f(0, 1)\nf(0, d=5)\ng(*[1])\nK(0)\n"
+                        "K(0).m(1)\nK.s(**{})\n"]
+    assert unpassed_defaults({"a": source}, callers) == [
+        "a.K.__init__(b) (line 8)", "a.K.m(b) (line 11)",
+        "a.f(c) (line 1)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -83,3 +158,13 @@ def test_package_has_no_unreferenced_definition():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     assert unreferenced_definitions(sources, init) == []
+
+
+def test_every_default_is_passed_somewhere():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    callers = [p.read_text(encoding="utf-8")
+               for d in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+               for p in sorted(d.rglob("*.py"))]
+    callers += re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert unpassed_defaults(sources, callers) == []

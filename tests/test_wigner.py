@@ -462,7 +462,7 @@ def test_liouville_equation_from_bracket():
     for z in rng.uniform(-1.0, 1.0, (50, 4)):
         lhs = (evolve_liouville(Wd, P, dt).at(*z)
                - evolve_liouville(Wd, P, -dt).at(*z)) / (2 * dt)
-        rhs = poisson_bracket(Hf, Wf, PhasePoint(*z), p=P)
+        rhs = poisson_bracket(Hf, Wf, PhasePoint(*z), P.theta)
         assert abs(lhs - rhs) < 1e-5
 
 
@@ -481,7 +481,7 @@ def test_free_flow_shears_position_variance():
     Wt = evolve_liouville(W0, P_FREE, t)
     axq = uniform_axis(-9.0, 9.0, 49)
     axp = uniform_axis(-5.0, 5.0, 49)
-    tab = wigner_table(Wt, (axq, axq, axp, axp), P)
+    tab = wigner_table(Wt, (axq, axq, axp, axp))
     weff = P.w_eff
     var0 = P.hbar / (2 * P.m * weff) + P.theta**2 * P.m * P.hbar * weff / 8
     expect = var0 + (t / P.m) ** 2 * (P.m * P.hbar * weff / 2)
@@ -503,7 +503,7 @@ def test_commutative_energy_expectation():
     p0 = NCParams(m=1.0, omega=1.0, theta=0.0)
     W = wigner_ground_state(p0)
     ax = uniform_axis(-6.0, 6.0, 61)
-    tab = wigner_table(W, (ax, ax, ax, ax), p0)
+    tab = wigner_table(W, (ax, ax, ax, ax))
     H = oscillator_hamiltonian(p0)
     assert tab.expectation(H) == pytest.approx(p0.hbar * p0.omega, rel=1e-5)
 
