@@ -25,8 +25,6 @@ from .dynamics import (
     Trajectory,
     DivergenceError,
     hamiltonian_flow,
-    free_particle_solution,
-    free_particle_hamiltonian,
     oscillator_hamiltonian,
     oscillator_solution,
     oscillator_path,

@@ -114,18 +114,11 @@ def parse_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then NCPLANE_SEED, then the config file, then flags."""
+    """Defaults, then the config file, then flags."""
     file_values = parse_config_file(args.config) if args.config else {}
-    cfg = replace(RunConfig(), **file_values)
-    env_seed = os.environ.get("NCPLANE_SEED")
-    if env_seed is not None and "seed" not in file_values:
-        try:
-            cfg = replace(cfg, seed=int(env_seed))
-        except ValueError as exc:
-            raise ConfigError(f"bad NCPLANE_SEED {env_seed!r}") from exc
     overrides = {k: v for k, v in vars(args).items()
                  if k in _FIELD_TYPES and v is not None}
-    return replace(cfg, **overrides)
+    return replace(RunConfig(), **{**file_values, **overrides})
 
 
 _BLOCK = 1024  # rows formatted per write; bounds the lists held at once
@@ -183,8 +176,7 @@ def cmd_algebra_check(cfg: RunConfig) -> int:
 def cmd_classical_simulate(cfg: RunConfig) -> int:
     p = cfg.nc()
     z0 = PhasePoint(cfg.x0, cfg.y0, cfg.px0, cfg.py0)
-    H = (dynamics.oscillator_hamiltonian(p) if p.omega > 0
-         else dynamics.free_particle_hamiltonian(p))
+    H = dynamics.oscillator_hamiltonian(p)  # the free particle at omega = 0
     traj = dynamics.hamiltonian_flow(H, z0, 0.0, cfg.t1, cfg.dt, p)
     traj = dynamics.noether_charges(traj, p, hamiltonian=H)
     names = ("H", "p1", "p2", "J", "k1", "k2")
@@ -210,13 +202,8 @@ def cmd_classical_simulate(cfg: RunConfig) -> int:
 def cmd_classical_symmetries(cfg: RunConfig) -> int:
     p = cfg.nc()
     basis = symmetries.conserved_bilinears(p)
-    expected = 4 if p.theta == 0.0 else 2
-    if p.theta == 0.0:
-        probes = (*symmetries.su2_standard_forms(p),
-                  symmetries.hamiltonian_form(p))
-    else:
-        probes = (symmetries.angular_momentum_form(p),
-                  symmetries.hamiltonian_form(p))
+    probes = symmetries.expected_conserved(p)
+    expected = len(probes)
     member = max(symmetries.membership_check(S, basis) for S in probes)
     c, res = symmetries.structure_constants(list(basis.forms), p)
     ok = basis.dimension == expected and member < 1e-10

@@ -1,7 +1,9 @@
 """Classical dynamics under the deformed bracket.
 
-Fixed-step RK4 for the bracket equations of motion, the closed-form free
-particle and isotropic-oscillator solutions and Noether-charge monitoring.
+Fixed-step RK4 for the bracket equations of motion, the closed-form flow
+of the isotropic oscillator (the free particle is its omega = 0 case) in
+one elementwise kernel behind the point, path and matrix forms, and
+Noether-charge monitoring.
 The integrator is deliberately not symplectic: the deformed bracket is
 non-canonical and is left that way, so runs are certified by charge drift
 instead of by structure preservation.
@@ -32,7 +34,6 @@ class Trajectory:
 
     times: np.ndarray
     points: np.ndarray
-    params: NCParams
     hamiltonian: ScalarField | None = None
     charges: dict | None = None
 
@@ -54,8 +55,7 @@ class Trajectory:
         return self.times.size
 
     def with_charges(self, charges):
-        return Trajectory(self.times, self.points, self.params,
-                          self.hamiltonian, charges)
+        return Trajectory(self.times, self.points, self.hamiltonian, charges)
 
 
 def _rhs(H, theta, x, y, px, py, t):
@@ -104,12 +104,7 @@ def hamiltonian_flow(H: ScalarField, z0, t0, t1, dt, p: NCParams) -> Trajectory:
 
     times = t0 + h * np.arange(n + 1)
     times[-1] = t1
-    return Trajectory(times, out, p, hamiltonian=H)
-
-
-def free_particle_hamiltonian(p: NCParams) -> ScalarField:
-    inv2m = 0.5 / p.m
-    return ScalarField(lambda x, y, px, py, t: (px * px + py * py) * inv2m, "H_free")
+    return Trajectory(times, out, hamiltonian=H)
 
 
 def oscillator_hamiltonian(p: NCParams) -> ScalarField:
@@ -120,15 +115,9 @@ def oscillator_hamiltonian(p: NCParams) -> ScalarField:
         "H_osc")
 
 
-def free_particle_solution(z0, t, p: NCParams) -> PhasePoint:
-    """Straight-line motion; the deformation drops out for q-independent H."""
-    x, y, px, py = _coords(z0)
-    return PhasePoint(x + px / p.m * t, y + py / p.m * t, px, py)
-
-
 @dataclass(frozen=True)
 class OscillatorClosedForm:
-    """The two mixing frequencies and the four coefficient functions.
+    """The two mixing frequencies of the oscillator flow.
 
     phi*chi = omega^2 and phi - chi = p.lam (signed); for theta >= 0,
     phi >= chi > 0.  Theta_sc = 2 sqrt(1 + p.u) = (phi + chi) / omega.
@@ -147,90 +136,72 @@ class OscillatorClosedForm:
         object.__setattr__(self, "chi", 0.5 * (-lam + disc))
         object.__setattr__(self, "Theta_sc", Theta_sc)
 
-    # coefficient functions; T2' = T1 and T4' = omega^2 T3 hold identically
-    def T1(self, t):
-        return 0.5 * (np.cos(self.phi * t) + np.cos(self.chi * t))
 
-    def T2(self, t):
-        return (self.phi * np.sin(self.chi * t) + self.chi * np.sin(self.phi * t)) \
-            / (2.0 * self.p.omega ** 2)
+def _closed_form(x0, y0, px0, py0, t, p: NCParams):
+    """(x, y, px, py) at time t of the flow of oscillator_hamiltonian(p)
+    from (x0, y0, px0, py0) at 0, elementwise over arrays.
 
-    def T3(self, t):
-        return (np.cos(self.chi * t) - np.cos(self.phi * t)) \
-            / (2.0 * self.p.omega * self.Theta_sc)
-
-    def T4(self, t):
-        return (self.phi * np.sin(self.chi * t) - self.chi * np.sin(self.phi * t)) \
-            / (2.0 * self.p.omega * self.Theta_sc)
-
-    def dT1(self, t):
-        return -0.5 * (self.phi * np.sin(self.phi * t) + self.chi * np.sin(self.chi * t))
-
-    def dT3(self, t):
-        return (self.phi * np.sin(self.phi * t) - self.chi * np.sin(self.chi * t)) \
-            / (2.0 * self.p.omega * self.Theta_sc)
-
-
-def velocity_from_momentum(z0, p: NCParams):
-    """(vx, vy) of the oscillator flow at a phase point."""
-    x, y, px, py = _coords(z0)
-    return px / p.m + p.lam * y, py / p.m - p.lam * x
-
-
-def momentum_from_velocity(x, y, vx, vy, p: NCParams):
-    return p.m * (vx - p.lam * y), p.m * (vy + p.lam * x)
-
-
-def oscillator_solution_xy(x0, y0, vx0, vy0, t, p: NCParams):
-    """Positions and velocities at time t from initial positions/velocities.
-
-    Vectorized over t.  This is the paper-facing parameterization; the
-    phase-point version below wraps it with the velocity relation.
+    At omega = 0 this is the free shear: the deformation drops out for a
+    q-independent H.  Otherwise the momenta map to the velocities
+    v = p/m + lam eps q, the coefficient functions T1..T4 (T2' = T1,
+    T4' = omega^2 T3) move positions and velocities, and v maps back.
     """
+    m = p.m
+    if p.omega == 0:
+        return x0 + px0 / m * t, y0 + py0 / m * t, px0, py0
     cf = OscillatorClosedForm(p)
-    lam = p.lam
-    mt = p.m * p.theta
-    T1, T2, T3, T4 = cf.T1(t), cf.T2(t), cf.T3(t), cf.T4(t)
-    dT1, dT3 = cf.dT1(t), cf.dT3(t)
-    w2 = p.omega ** 2
+    phi, chi, w, lam = cf.phi, cf.chi, p.omega, p.lam
+    cos_p, cos_c = np.cos(phi * t), np.cos(chi * t)
+    sin_p, sin_c = np.sin(phi * t), np.sin(chi * t)
+    T1 = 0.5 * (cos_p + cos_c)
+    T2 = (phi * sin_c + chi * sin_p) / (2.0 * w ** 2)
+    den = 2.0 * w * cf.Theta_sc
+    T3 = (cos_c - cos_p) / den
+    T4 = (phi * sin_c - chi * sin_p) / den
+    dT1 = -0.5 * (phi * sin_p + chi * sin_c)
+    dT3 = (phi * sin_p - chi * sin_c) / den
 
+    vx0, vy0 = px0 / m + lam * y0, py0 / m - lam * x0
+    mt, w2 = m * p.theta, w ** 2
     ax, bx = lam * x0 + 2.0 * vy0, mt * vx0 + 2.0 * y0
     ay, by = lam * y0 - 2.0 * vx0, mt * vy0 - 2.0 * x0
     x = T1 * x0 + T2 * vx0 + T3 * ax - T4 * bx
     y = T1 * y0 + T2 * vy0 + T3 * ay - T4 * by
     vx = dT1 * x0 + T1 * vx0 + dT3 * ax - w2 * T3 * bx
     vy = dT1 * y0 + T1 * vy0 + dT3 * ay - w2 * T3 * by
-    return x, y, vx, vy
+    return x, y, m * (vx - lam * y), m * (vy + lam * x)
 
 
 def oscillator_solution(z0, t, p: NCParams) -> PhasePoint:
-    """Closed-form oscillator state at time t from phase-space data at 0."""
-    p.require_omega()
+    """Closed-form state at time t from phase-space data at 0; omega = 0
+    is the free particle."""
     x0, y0, px0, py0 = _coords(z0)
     if t == 0.0:
         # keep the initial point bit-exact; the velocity round trip costs an ulp
         return PhasePoint(x0, y0, px0, py0)
-    vx0, vy0 = velocity_from_momentum(z0, p)
-    x, y, vx, vy = oscillator_solution_xy(x0, y0, vx0, vy0, t, p)
-    px, py = momentum_from_velocity(x, y, vx, vy, p)
-    return PhasePoint(float(x), float(y), float(px), float(py))
+    return PhasePoint(*map(float, _closed_form(x0, y0, px0, py0, t, p)))
 
 
 def oscillator_path(z0, t0, t1, dt, p: NCParams) -> Trajectory:
     """Closed-form solution sampled on a uniform grid, as a Trajectory."""
-    p.require_omega()
     n = max(1, round((t1 - t0) / dt))
     h = (t1 - t0) / n
     times = t0 + h * np.arange(n + 1)
     times[-1] = t1
     x0, y0, px0, py0 = _coords(z0)
-    vx0, vy0 = velocity_from_momentum(z0, p)
     # closed form is written from t=0; shift if t0 != 0
-    x, y, vx, vy = oscillator_solution_xy(x0, y0, vx0, vy0, times - t0, p)
-    px, py = momentum_from_velocity(x, y, vx, vy, p)
-    pts = np.column_stack([x, y, px, py])
+    pts = np.stack(np.broadcast_arrays(
+        *_closed_form(x0, y0, px0, py0, times - t0, p)), axis=1)
     pts[0] = (x0, y0, px0, py0)
-    return Trajectory(times, pts, p, hamiltonian=oscillator_hamiltonian(p))
+    return Trajectory(times, pts, hamiltonian=oscillator_hamiltonian(p))
+
+
+def flow_matrix(p: NCParams, t: float) -> np.ndarray:
+    """The closed-form flow as a linear map z(t) = M z(0): column j is the
+    state at t reached from the unit vector e_j."""
+    if t == 0.0:
+        return np.eye(4)
+    return np.array(_closed_form(*np.eye(4), t, p))
 
 
 def _field_on_rows(f: ScalarField, times, points):

@@ -65,7 +65,7 @@ def check_oscillator(seed: int = 42) -> CheckResult:
 
     cf = dynamics.OscillatorClosedForm(p)
     id_err = max(abs(cf.phi * cf.chi - p.omega ** 2),
-                 abs((cf.phi - cf.chi) - p.m * p.theta * p.omega ** 2))
+                 abs((cf.phi - cf.chi) - p.lam))
 
     # halving the deformation must quarter the residual rotation error
     zr = PhasePoint(0.0, 0.0, 0.7, 0.3)
@@ -75,7 +75,7 @@ def check_oscillator(seed: int = 42) -> CheckResult:
 
     def mismatch(th):
         pt = NCParams(m=1.0, omega=1.0, theta=th)
-        lam = pt.m * th * pt.omega ** 2
+        lam = pt.lam
         worst = 0.0
         for t, zc in zip(t_grid, ref):
             zt = dynamics.oscillator_solution(zr, t, pt)
@@ -102,10 +102,9 @@ def check_symmetries(seed: int = 42) -> CheckResult:
     dims_ok = (b0.dimension, b5.dimension) == (4, 2)
 
     member = 0.0
-    for S in (*symmetries.su2_standard_forms(p0), symmetries.hamiltonian_form(p0)):
-        member = max(member, symmetries.membership_check(S, b0))
-    for S in (symmetries.angular_momentum_form(p5), symmetries.hamiltonian_form(p5)):
-        member = max(member, symmetries.membership_check(S, b5))
+    for p, basis in ((p0, b0), (p5, b5)):
+        for S in symmetries.expected_conserved(p):
+            member = max(member, symmetries.membership_check(S, basis))
 
     c, res = symmetries.structure_constants(
         list(symmetries.su2_standard_forms(p0)), p0)

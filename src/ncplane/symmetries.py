@@ -20,7 +20,6 @@ from .params import NCParams
 from .phasespace import ScalarField, _coords
 
 _N = 4
-_DIM = 10  # symmetric 4x4 matrices
 SVD_THRESHOLD = 1e-10  # relative to sigma_max; smaller singular values are null
 
 
@@ -113,7 +112,6 @@ class SymmetryBasis:
     forms: tuple
     dimension: int
     singular_values: np.ndarray
-    params: NCParams
 
     def __post_init__(self):
         mats = [f.M for f in self.forms]
@@ -159,7 +157,15 @@ def conserved_bilinears(p: NCParams) -> SymmetryBasis:
     forms = tuple(
         BilinearForm(sum(c * E for c, E in zip(row, mats))) for row in null_rows
     )
-    return SymmetryBasis(forms, len(forms), s, p)
+    return SymmetryBasis(forms, len(forms), s)
+
+
+def expected_conserved(p: NCParams) -> tuple:
+    """Forms the conserved span must hold, one per dimension: the su(2)
+    multiplet and H at theta = 0, the deformed J and H otherwise."""
+    if p.theta == 0.0:
+        return (*su2_standard_forms(p), hamiltonian_form(p))
+    return angular_momentum_form(p), hamiltonian_form(p)
 
 
 def membership_check(S: BilinearForm, basis: SymmetryBasis) -> float:

@@ -27,7 +27,7 @@ from . import duals
 from .duals import Dual
 from .params import CheckFailure, NCParams
 from .phasespace import PhasePoint, ScalarField
-from .dynamics import oscillator_solution
+from .dynamics import flow_matrix
 from .grids import GridFunction, trapezoid_weights
 from .spectra import _alias_guard
 
@@ -189,18 +189,6 @@ def _snap(f: float) -> float:
     """A fractional grid index, rounded onto a node within 1e-9 of it."""
     r = round(f)
     return r if abs(f - r) < 1e-9 else f
-
-
-def flow_matrix(p: NCParams, t: float) -> np.ndarray:
-    """Linear phase-space flow map z(t) = M z(0) of the closed-form motion:
-    the free shear at omega = 0, the oscillator otherwise."""
-    if p.omega == 0:
-        M = np.eye(4)
-        M[0, 2] = M[1, 3] = t / p.m
-        return M
-    cols = [oscillator_solution(PhasePoint(*e), t, p).as_array()
-            for e in np.eye(4)]
-    return np.column_stack(cols)
 
 
 class EvolvedWigner:

@@ -7,7 +7,6 @@ visible in the run log).
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -66,12 +65,11 @@ def test_criterion_6_thermodynamics(capsys):
 
 
 def test_criterion_7_cli_selftest(tmp_path, capsys):
-    env = {k: v for k, v in os.environ.items() if k != "NCPLANE_SEED"}
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "ncplane.cli", "selftest",
          "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, timeout=120)
     wall = time.perf_counter() - t0
     line = (f"criterion 7: [{'PASS' if proc.returncode == 0 else 'FAIL'}] "
             f"cli-selftest: exit {proc.returncode}, wall {wall:.1f}s "

@@ -61,30 +61,11 @@ def test_default_seed_is_42():
     assert build_config(_args()).seed == 42
 
 
-def test_env_seed_overrides_default(monkeypatch):
-    monkeypatch.setenv("NCPLANE_SEED", "9")
-    assert build_config(_args()).seed == 9
-
-
-def test_config_file_beats_env_seed(tmp_path, monkeypatch):
-    monkeypatch.setenv("NCPLANE_SEED", "9")
+def test_flag_beats_config_and_env(tmp_path):
     f = tmp_path / "run.cfg"
-    f.write_text("seed = 7\n")
-    assert build_config(_args(config=str(f))).seed == 7
-
-
-def test_flag_beats_config_and_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("NCPLANE_SEED", "9")
-    f = tmp_path / "run.cfg"
-    f.write_text("seed = 7\ntheta = 0.5\n")
+    f.write_text("seed = 7\ntheta = 0.5\nsamples = 5\n")
     cfg = build_config(_args(config=str(f), seed=3, theta=1.5))
-    assert cfg.seed == 3 and cfg.theta == 1.5
-
-
-def test_bad_env_seed_is_config_error(monkeypatch):
-    monkeypatch.setenv("NCPLANE_SEED", "not-a-number")
-    with pytest.raises(ConfigError, match="NCPLANE_SEED"):
-        build_config(_args())
+    assert cfg.seed == 3 and cfg.theta == 1.5 and cfg.samples == 5
 
 
 COMMANDS = (["algebra-check"], ["spectrum"], ["eigenfunction"], ["wigner"],
@@ -106,8 +87,7 @@ def test_documented_keys_are_the_config_fields():
     assert _documented_keys() == [(f.name, f.type) for f in fields(RunConfig)]
 
 
-def test_every_config_field_is_a_typed_flag(monkeypatch):
-    monkeypatch.delenv("NCPLANE_SEED", raising=False)
+def test_every_config_field_is_a_typed_flag():
     parser, samples = cli.build_parser(), {int: "3", float: "0.25", str: "abc"}
     for f in fields(RunConfig):
         kind = {"int": int, "float": float, "str": str}[f.type]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ncplane import duals
+from ncplane.dynamics import flow_matrix
 from ncplane import (
     NCParams,
     PhasePoint,
@@ -13,8 +14,6 @@ from ncplane import (
     Trajectory,
     DivergenceError,
     hamiltonian_flow,
-    free_particle_solution,
-    free_particle_hamiltonian,
     oscillator_hamiltonian,
     oscillator_solution,
     oscillator_path,
@@ -25,14 +24,16 @@ from ncplane import (
 
 P = NCParams(m=1.0, omega=1.0, theta=0.3)
 Z0 = PhasePoint(1.0, -0.5, 0.2, 0.8)
+# (m, omega, theta) sets for the bit-level closed-form checks
+KERNEL_SETS = [(1.0, 1.0, 0.3), (1.3, 0.8, -0.7), (2.0, 0.0, 0.5)]
 
 
 def test_free_particle_rk4_exact():
     # linear flow: RK4 is exact up to roundoff
-    p = NCParams(m=2.0, theta=0.7)
-    H = free_particle_hamiltonian(p)
+    p = NCParams(m=2.0, omega=0.0, theta=0.7)
+    H = oscillator_hamiltonian(p)
     traj = hamiltonian_flow(H, Z0, 0.0, 5.0, 0.01, p)
-    z_end = free_particle_solution(Z0, 5.0, p)
+    z_end = oscillator_solution(Z0, 5.0, p)
     assert np.allclose(traj.points[-1], z_end.as_array(), atol=1e-12)
 
 
@@ -103,8 +104,8 @@ def test_energy_conservation_along_rk4():
 
 
 def test_free_flow_conserves_all_galilei_charges():
-    p = NCParams(m=1.3, theta=-0.6)
-    H = free_particle_hamiltonian(p)
+    p = NCParams(m=1.3, omega=0.0, theta=-0.6)
+    H = oscillator_hamiltonian(p)
     traj = hamiltonian_flow(H, Z0, 0.0, 8.0, 1e-3, p)
     drift = charge_drift(noether_charges(traj, p))
     # boosts are explicitly time dependent yet conserved along the flow
@@ -141,10 +142,38 @@ def test_other_errors_on_arrays_propagate():
 
 
 def test_oscillator_path_matches_pointwise_solution():
-    traj = oscillator_path(Z0, 0.0, 6.0, 1e-2, P)
-    for i in (0, 150, 600):
-        zc = oscillator_solution(Z0, traj.times[i], P).as_array()
-        assert np.allclose(traj.points[i], zc, atol=1e-12)
+    for m, w, th in KERNEL_SETS:
+        p = NCParams(m=m, omega=w, theta=th)
+        traj = oscillator_path(Z0, 0.0, 6.0, 1e-2, p)
+        for t, z in zip(traj.times, traj.points):
+            assert np.array_equal(z, oscillator_solution(Z0, t, p).as_array())
+
+
+def test_flow_matrix_columns_are_pointwise_solutions():
+    for m, w, th in KERNEL_SETS:
+        p = NCParams(m=m, omega=w, theta=th)
+        for t in (0.4, -1.9, 7.3):
+            M = flow_matrix(p, t)
+            for j, e in enumerate(np.eye(4)):
+                zj = oscillator_solution(PhasePoint(*e), t, p).as_array()
+                assert np.array_equal(M[:, j], zj), (m, w, th, t, j)
+
+
+def test_free_particle_is_the_exact_shear():
+    p = NCParams(m=1.3, omega=0.0, theta=0.4)
+    for t in (0.7, -2.5, 11.0):
+        z = oscillator_solution(Z0, t, p)
+        assert z.as_array().tolist() == [Z0.x + Z0.px / p.m * t,
+                                         Z0.y + Z0.py / p.m * t, Z0.px, Z0.py]
+
+
+def test_closed_form_takes_four_trig_calls(monkeypatch):
+    calls = []
+    for name in ("cos", "sin"):
+        fn = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda a, _f=fn: calls.append(1) or _f(a))
+    oscillator_path(Z0, 0.0, 6.0, 1e-2, P)
+    assert len(calls) == 4
 
 
 def test_small_theta_rotation_is_second_order():
@@ -181,9 +210,9 @@ def test_divergence_raises_with_time():
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0, 1.5]), np.zeros((3, 4)), P)
+        Trajectory(np.array([0.0, 1.0, 1.5]), np.zeros((3, 4)))
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, -1.0]), np.zeros((2, 4)), P)
+        Trajectory(np.array([0.0, -1.0]), np.zeros((2, 4)))
 
 
 def test_flow_argument_validation():

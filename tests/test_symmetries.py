@@ -144,7 +144,7 @@ def test_requires_positive_omega():
 def test_basis_orthonormality_enforced():
     f = hamiltonian_form(P0)
     with pytest.raises(ValueError):
-        SymmetryBasis((f, f), 2, np.ones(10), P0)
+        SymmetryBasis((f, f), 2, np.ones(10))
 
 
 def test_membership_rejects_degenerate_input():

@@ -10,7 +10,9 @@ call from its own body counts: the elementwise dual-number functions
 from user-written fields.  A parameter with a default, on a top-level
 function or a method, must be passed by position or keyword at some call
 in the package, the tests, the benchmark harness or the README's library
-tour; one that never is belongs in a module constant.
+tour; one that never is belongs in a module constant.  A name bound by a
+top-level assignment in the package must be read somewhere in the
+package, the tests or the benchmark harness (`__version__` excepted).
 """
 
 import ast
@@ -114,6 +116,27 @@ def unpassed_defaults(sources: dict, callers: list) -> list[str]:
     return sorted(out)
 
 
+def unread_assignments(sources: dict, readers: list) -> list[str]:
+    """Names bound by a top-level assignment in sources (module name ->
+    text) that no text in readers loads, bare (X) or as an attribute
+    (mod.X); `__version__` is exempt."""
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for text in readers for n in ast.walk(ast.parse(text))
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+    out = []
+    for mod, text in sources.items():
+        for node in ast.parse(text).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            out += [f"{mod}.{n.id} (line {node.lineno})"
+                    for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)
+                    and n.id not in read | {"__version__"}]
+    return sorted(out)
+
+
 def test_checker_flags_an_unused_name():
     src = "import math\nfrom os import path, sep as s\nprint(path)\n"
     assert unused_imports(src) == ["math (line 1)", "s (line 2)"]
@@ -149,6 +172,15 @@ def test_checker_flags_an_unpassed_default():
         "a.f(c) (line 1)"]
 
 
+def test_checker_flags_an_unread_assignment():
+    sources = {"a": ("_N = 4\n_DIM = 10\nX, (Y, Z) = 1, (2, 3)\n"
+                     "T: int = 0\n__version__ = '1'\n"
+                     "def f():\n    _local = _N\n    return _local\n")}
+    readers = [sources["a"], "print(X, a.Z)\n"]
+    assert unread_assignments(sources, readers) == [
+        "a.T (line 4)", "a.Y (line 3)", "a._DIM (line 2)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -168,3 +200,12 @@ def test_every_default_is_passed_somewhere():
                for p in sorted(d.rglob("*.py"))]
     callers += re.findall(r"```python\n(.*?)```", readme, re.S)
     assert unpassed_defaults(sources, callers) == []
+
+
+def test_every_module_assignment_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8")
+               for d in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+               for p in sorted(d.rglob("*.py"))]
+    assert unread_assignments(sources, readers) == []

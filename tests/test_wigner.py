@@ -15,7 +15,7 @@ import pytest
 
 from ncplane.params import CheckFailure, NCParams
 from ncplane.phasespace import PhasePoint, poisson_bracket
-from ncplane.dynamics import oscillator_hamiltonian
+from ncplane.dynamics import flow_matrix, oscillator_hamiltonian
 from ncplane.grids import GridFunction, uniform_axis
 from ncplane.spectra import (
     AliasingError,
@@ -30,7 +30,6 @@ from ncplane.wigner import (
     WignerError,
     WignerTable,
     evolve_liouville,
-    flow_matrix,
     wigner_from_state,
     wigner_ground_state,
     wigner_table,
