@@ -28,7 +28,6 @@ from .dynamics import (
     oscillator_hamiltonian,
     oscillator_solution,
     oscillator_path,
-    OscillatorClosedForm,
     noether_charges,
     charge_drift,
 )

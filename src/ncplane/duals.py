@@ -12,19 +12,27 @@ Every value part is computed by the same float operation as on plain
 numbers, and one rule serves all lanes, so a lane that is zero in an operand
 adds only exact zeros: one four-seed pass reproduces four one-seed passes
 bit for bit (up to the sign of a zero) while the values stay finite.
+
+Parts may be numpy arrays, so one pass covers an array of points; numpy
+rounds + - * / as Python floats do, so each element equals its scalar pass.
+``ndarray op Dual`` gives a Dual, not an object array.  The elementary
+functions below are scalar only.
 """
 
 from __future__ import annotations
 
 import math
 
-_NUM = (int, float)
+import numpy as np
+
+_NUM = (int, float, np.ndarray)
 
 
 class Dual:
     """val plus the tangent lanes eps (lane 0), e1, e2 and e3."""
 
     __slots__ = ("val", "eps", "e1", "e2", "e3")
+    __array_ufunc__ = None   # ndarray op Dual defers to Dual's reflected op
 
     def __init__(self, val, eps=0.0, e1=0.0, e2=0.0, e3=0.0):
         self.val = val
@@ -98,7 +106,7 @@ class Dual:
         return self
 
     def __pow__(self, n):
-        if not isinstance(n, _NUM):
+        if not isinstance(n, (int, float)):     # one exponent for every element
             return NotImplemented
         d = n * self.val ** (n - 1) if n != 0 else 0.0
         return _chain(self, self.val ** n, d)

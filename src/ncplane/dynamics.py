@@ -12,7 +12,7 @@ instead of by structure preservation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,28 +115,6 @@ def oscillator_hamiltonian(p: NCParams) -> ScalarField:
         "H_osc")
 
 
-@dataclass(frozen=True)
-class OscillatorClosedForm:
-    """The two mixing frequencies of the oscillator flow.
-
-    phi*chi = omega^2 and phi - chi = p.lam (signed); for theta >= 0,
-    phi >= chi > 0.  Theta_sc = 2 sqrt(1 + p.u) = (phi + chi) / omega.
-    """
-
-    p: NCParams
-    phi: float = field(init=False)
-    chi: float = field(init=False)
-    Theta_sc: float = field(init=False)
-
-    def __post_init__(self):
-        Theta_sc = 2.0 * math.sqrt(1.0 + self.p.u)      # requires omega > 0
-        w, lam = self.p.omega, self.p.lam
-        disc = math.sqrt(lam * lam + 4.0 * w * w)
-        object.__setattr__(self, "phi", 0.5 * (lam + disc))
-        object.__setattr__(self, "chi", 0.5 * (-lam + disc))
-        object.__setattr__(self, "Theta_sc", Theta_sc)
-
-
 def _closed_form(x0, y0, px0, py0, t, p: NCParams):
     """(x, y, px, py) at time t of the flow of oscillator_hamiltonian(p)
     from (x0, y0, px0, py0) at 0, elementwise over arrays.
@@ -149,13 +127,12 @@ def _closed_form(x0, y0, px0, py0, t, p: NCParams):
     m = p.m
     if p.omega == 0:
         return x0 + px0 / m * t, y0 + py0 / m * t, px0, py0
-    cf = OscillatorClosedForm(p)
-    phi, chi, w, lam = cf.phi, cf.chi, p.omega, p.lam
+    phi, chi, w, lam = p.phi, p.chi, p.omega, p.lam
     cos_p, cos_c = np.cos(phi * t), np.cos(chi * t)
     sin_p, sin_c = np.sin(phi * t), np.sin(chi * t)
     T1 = 0.5 * (cos_p + cos_c)
     T2 = (phi * sin_c + chi * sin_p) / (2.0 * w ** 2)
-    den = 2.0 * w * cf.Theta_sc
+    den = 2.0 * w * (2.0 * math.sqrt(1.0 + p.u))
     T3 = (cos_c - cos_p) / den
     T4 = (phi * sin_c - chi * sin_p) / den
     dT1 = -0.5 * (phi * sin_p + chi * sin_c)
@@ -204,37 +181,23 @@ def flow_matrix(p: NCParams, t: float) -> np.ndarray:
     return np.array(_closed_form(*np.eye(4), t, p))
 
 
-def _field_on_rows(f: ScalarField, times, points):
-    """Evaluate a scalar field along a path, vectorized when the closure allows.
-
-    A closure written for scalars fails on arrays with TypeError (say,
-    duals.exp of an array) or ValueError (say, `if x > 0`); those fall back
-    to one call per row, and any other exception propagates.
-    """
-    x, y, px, py = points.T
-    try:
-        v = f.fn(x, y, px, py, times)
-        v = np.asarray(v, dtype=float)
-        if v.shape == times.shape:
-            return v
-    except (TypeError, ValueError):
-        pass
-    return np.array([f.fn(*row, t) for row, t in zip(points, times)], dtype=float)
-
-
 def noether_charges(traj: Trajectory, p: NCParams, hamiltonian=None) -> Trajectory:
     """Attach H, p1, p2, J, k1, k2 sampled along the trajectory.
 
     The H column is the trajectory's generating Hamiltonian when known
     (energy of the flow); the remaining five are always the Galilei
-    generators, conserved only for Galilei-invariant flows.
+    generators, conserved only for Galilei-invariant flows.  Each field is
+    evaluated once on the whole path, so it must accept arrays; any
+    exception it raises propagates.
     """
     Hfree, P1, P2, J, K1, K2 = galilei_generators(p)
     H = hamiltonian or traj.hamiltonian or Hfree
+    x, y, px, py = traj.points.T
     charges = {}
     for name, f in (("H", H), ("p1", P1), ("p2", P2),
                     ("J", J), ("k1", K1), ("k2", K2)):
-        charges[name] = _field_on_rows(f, traj.times, traj.points)
+        v = np.asarray(f.fn(x, y, px, py, traj.times), dtype=float)
+        charges[name] = np.broadcast_to(v, traj.times.shape)
     return traj.with_charges(charges)
 
 

@@ -56,6 +56,18 @@ class NCParams:
         return self.m * self.theta * self.omega ** 2
 
     @property
+    def phi(self) -> float:
+        """phi = (lam + sqrt(lam^2 + 4 omega^2)) / 2."""
+        w, lam = self.require_omega(), self.lam
+        return 0.5 * (lam + math.sqrt(lam * lam + 4.0 * w * w))
+
+    @property
+    def chi(self) -> float:
+        """chi = (-lam + sqrt(lam^2 + 4 omega^2)) / 2."""
+        w, lam = self.require_omega(), self.lam
+        return 0.5 * (-lam + math.sqrt(lam * lam + 4.0 * w * w))
+
+    @property
     def u(self) -> float:
         """u = (m omega theta)^2 / 4; sqrt(1 + u) = (phi + chi) / (2 omega)."""
         self.require_omega()

@@ -63,9 +63,8 @@ def check_oscillator(seed: int = 42) -> CheckResult:
     path = dynamics.oscillator_path(z0, 0.0, 20.0 / p.omega, 1e-3, p)
     pos_err = float(np.max(np.abs(traj.points[:, :2] - path.points[:, :2])))
 
-    cf = dynamics.OscillatorClosedForm(p)
-    id_err = max(abs(cf.phi * cf.chi - p.omega ** 2),
-                 abs((cf.phi - cf.chi) - p.lam))
+    id_err = max(abs(p.phi * p.chi - p.omega ** 2),
+                 abs((p.phi - p.chi) - p.lam))
 
     # halving the deformation must quarter the residual rotation error
     zr = PhasePoint(0.0, 0.0, 0.7, 0.3)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,3 +99,21 @@ def test_division_derivative():
     x0 = 0.6
     exact = -2 * x0 / (1 + x0 ** 2) ** 2
     assert derivative(f, x0) == pytest.approx(exact, rel=1e-14)
+
+
+def test_array_operands_give_array_duals():
+    # ndarray op Dual defers to Dual's reflected operators: a Dual with array
+    # parts, each lane equal to the scalar pass at that element
+    a = np.array([0.5, -1.25, 3.0])
+    d = Dual(1.5, 1.0, -0.5)
+    for op in (lambda u, v: u + v, lambda u, v: u - v,
+               lambda u, v: u * v, lambda u, v: u / v):
+        for got in (op(a, d), op(d, a)):
+            assert isinstance(got, Dual)
+        for k, ak in enumerate(a.tolist()):
+            for got, want in ((op(a, d), op(ak, d)), (op(d, a), op(d, ak))):
+                assert [np.asarray(c)[k] if np.ndim(c) else c for c in
+                        (got.val, got.eps, got.e1, got.e2, got.e3)] == \
+                    [want.val, want.eps, want.e1, want.e2, want.e3]
+    with pytest.raises(TypeError):
+        d ** a

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from ncplane import duals
 from ncplane.dynamics import flow_matrix
 from ncplane import (
     NCParams,
@@ -17,7 +16,6 @@ from ncplane import (
     oscillator_hamiltonian,
     oscillator_solution,
     oscillator_path,
-    OscillatorClosedForm,
     noether_charges,
     charge_drift,
 )
@@ -40,16 +38,17 @@ def test_free_particle_rk4_exact():
 def test_frequency_identities():
     for m, w, th in [(1.0, 1.0, 0.3), (2.0, 0.7, -0.4), (1.5, 2.0, 0.0)]:
         p = NCParams(m=m, omega=w, theta=th)
-        cf = OscillatorClosedForm(p)
-        phi, chi = cf.phi, cf.chi
+        phi, chi = p.phi, p.chi
         assert phi * chi == pytest.approx(w * w, rel=1e-12)
         assert phi - chi == pytest.approx(m * th * w * w, rel=1e-12, abs=1e-12)
-        assert phi + chi == pytest.approx(w * cf.Theta_sc, rel=1e-12)
+        assert phi + chi == pytest.approx(2.0 * w * math.sqrt(1.0 + p.u), rel=1e-12)
 
 
 def test_frequencies_require_omega():
-    with pytest.raises(ValueError):
-        OscillatorClosedForm(NCParams(m=1.0, omega=0.0, theta=0.3))
+    p = NCParams(m=1.0, omega=0.0, theta=0.3)
+    for name in ("phi", "chi"):
+        with pytest.raises(ValueError):
+            getattr(p, name)
 
 
 def test_closed_form_initial_point_exact():
@@ -119,15 +118,18 @@ def test_oscillator_momenta_not_conserved():
     assert drift["p1"] > 1e-2  # sanity: the table reports, it does not assume
 
 
-def test_scalar_only_charges_fall_back_to_rows():
-    # duals.exp of an array raises TypeError, `if x > 0` raises ValueError
+def test_charges_take_one_array_pass():
     traj = oscillator_path(Z0, 0.0, 1.0, 0.1, P)
-    E = ScalarField(lambda x, y, px, py, t: duals.exp(px), "E")
+    # a constant field broadcasts along the path
+    C = ScalarField(lambda x, y, px, py, t: 2.5, "C")
+    got = noether_charges(traj, P, hamiltonian=C).charges["H"]
+    assert got.shape == traj.times.shape and np.all(got == 2.5)
+    # a closure written for scalars fails loudly instead of looping over rows
+    E = ScalarField(lambda x, y, px, py, t: math.exp(px), "E")
     S = ScalarField(lambda x, y, px, py, t: 1.0 if x > 0 else -1.0, "S")
-    for f, want in ((E, [math.exp(v) for v in traj.points[:, 2]]),
-                    (S, np.where(traj.points[:, 0] > 0, 1.0, -1.0))):
-        got = noether_charges(traj, P, hamiltonian=f).charges["H"]
-        assert np.array_equal(got, want)
+    for f, err in ((E, TypeError), (S, ValueError)):
+        with pytest.raises(err):
+            noether_charges(traj, P, hamiltonian=f)
 
 
 def test_other_errors_on_arrays_propagate():

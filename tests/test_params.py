@@ -4,8 +4,7 @@ The flow z' = J(theta) A z has eigenvalues +-i phi, +-i chi, computed here
 numerically from the bracket tensor and the Hamiltonian matrix alone.  Every
 derived scale is a function of (phi, chi): a = hbar (phi + chi)/2,
 b = hbar (phi - chi)/2, w_eff = 2 phi chi / (phi + chi),
-omega / w_eff = (phi + chi) / (2 omega), Theta_sc = (phi + chi) / omega and
-lam = phi - chi.
+omega / w_eff = (phi + chi) / (2 omega) and lam = phi - chi.
 """
 
 import math
@@ -13,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from ncplane.dynamics import OscillatorClosedForm
 from ncplane.params import NCParams
 from ncplane.symmetries import deformed_symplectic, hamiltonian_matrix
 
@@ -33,7 +31,6 @@ def test_scales_are_the_normal_modes_of_J_A(m, omega, hbar):
     for theta in THETAS:
         p = NCParams(m=m, omega=omega, theta=float(theta), hbar=hbar)
         phi, chi = _normal_modes(p)
-        cf = OscillatorClosedForm(p)
         # as energies: frequencies times hbar, pure numbers times hbar omega
         pairs = (
             (p.a, hbar * (phi + chi) / 2),
@@ -41,10 +38,9 @@ def test_scales_are_the_normal_modes_of_J_A(m, omega, hbar):
             (hbar * p.w_eff, hbar * 2 * phi * chi / (phi + chi)),
             (hbar * p.omega * (p.omega / p.w_eff), hbar * (phi + chi) / 2),
             (hbar * p.omega * math.sqrt(1 + p.u), hbar * (phi + chi) / 2),
-            (hbar * p.omega * cf.Theta_sc, hbar * (phi + chi)),
             (hbar * p.lam, hbar * (phi - chi)),
-            (hbar * cf.phi, hbar * phi),
-            (hbar * cf.chi, hbar * chi),
+            (hbar * p.phi, hbar * phi),
+            (hbar * p.chi, hbar * chi),
             (p.width ** 2 / p.m, hbar * 2 * phi * chi / (phi + chi)),
         )
         for k, (got, want) in enumerate(pairs):

@@ -7,6 +7,7 @@ the dual-number path.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,15 +56,15 @@ Z1 = PhasePoint(0.4, -1.1, 0.8, 2.3)
 
 def test_gradient_matches_fd():
     f = ScalarField(lambda x, y, px, py, t: x * px ** 2 - 3.0 * y * py + x * y * px)
-    assert np.allclose(f.gradient(Z1), fd_gradient(f, Z1), atol=1e-8)
+    assert np.allclose(f.partials(*Z1.as_array()), fd_gradient(f, Z1), atol=1e-8)
 
 
 def test_gradient_of_a_boost_reads_the_time():
     # k1 = m x - px t + m theta py carries t in its px slope
     p = NCParams(m=1.5, theta=0.4)
     K1 = galilei_generators(p)[4]
-    assert K1.gradient(Z1, t=2.0).tolist() == [1.5, 0.0, -2.0, 1.5 * 0.4]
-    assert K1.gradient(Z1).tolist() == [1.5, 0.0, 0.0, 1.5 * 0.4]
+    assert K1.partials(*Z1.as_array(), 2.0) == [1.5, 0.0, -2.0, 1.5 * 0.4]
+    assert K1.partials(*Z1.as_array()) == [1.5, 0.0, 0.0, 1.5 * 0.4]
 
 
 def test_coordinate_brackets():
@@ -353,4 +354,113 @@ def test_nonfinite_gradients_still_raise():
     assert got.value.t_last == want.value.t_last
     huge = ScalarField(lambda x, y, px, py, t: 1e300 * x * x * py, "huge")
     with pytest.raises(FieldEvaluationError):
-        huge.gradient((1e10, 0.0, 0.0, 1.0))
+        poisson_bracket(huge, X, (1e10, 0.0, 0.0, 1.0), 0.0)
+
+
+# --- one array pass against a loop over points ---------------------------------
+
+ARRAY_Z = np.random.default_rng(7).uniform(-3.0, 3.0, size=(4, 200))
+
+
+def _columns(Z):
+    return [PhasePoint(*col) for col in Z.T.tolist()]
+
+
+@pytest.mark.parametrize("theta", (0.0, 0.3, -1.1))
+def test_brackets_on_arrays_equal_pointwise_values(theta):
+    p = NCParams(m=1.3, omega=0.8, theta=theta)
+    fields = galilei_generators(p) + (oscillator_hamiltonian(p),)
+    points = _columns(ARRAY_Z)
+    for f, g in itertools.combinations(fields, 2):
+        fg = bracket_field(f, g, theta)
+        for b in (fg, bracket_field(fg, g, theta), bracket_field(f, fg, theta)):
+            for t in (0.0, 1.3):
+                got = np.broadcast_to(b.value(ARRAY_Z, t), (200,))
+                want = [b.value(z, t) for z in points]
+                assert np.array_equal(got, want), (b.name, t)
+
+
+def _pointwise_algebra(p, t, samples):
+    """The Galilei relations, one scalar bracket per sample point."""
+    m, th = p.m, p.theta
+    H, P1, P2, J, K1, K2 = galilei_generators(p)
+    relations = {
+        "{p_i,H}=0": [(P1, H, None), (P2, H, None)],
+        "{p_i,p_j}=0": [(P1, P2, None)],
+        "{J,H}=0": [(J, H, None)],
+        "{J,p_i}=eps_ij p_j": [(J, P1, P2), (J, P2, -1.0 * P1)],
+        "{k_j,H}=p_j": [(K1, H, P1), (K2, H, P2)],
+        "{k_j,p_i}=m delta_ji": [(K1, P1, m), (K1, P2, 0.0),
+                                 (K2, P1, 0.0), (K2, P2, m)],
+        "{J,k_i}=eps_ij k_j": [(J, K1, K2), (J, K2, -1.0 * K1)],
+        "{k_i,k_j}=-m^2 theta eps_ij": [(K1, K2, -m * m * th)],
+    }
+    out = {}
+    for name, cases in relations.items():
+        worst = 0.0
+        for f, g, rhs in cases:
+            for z in samples:
+                want = (0.0 if rhs is None else rhs if isinstance(rhs, float)
+                        else rhs.value(z, t))
+                worst = max(worst, abs(poisson_bracket(f, g, z, th, t) - want))
+        out[name] = worst
+    return out
+
+
+@pytest.mark.parametrize("m, theta", [(1.0, 0.0), (2.0, 0.5), (1.3, -0.3)])
+def test_verify_algebra_equals_a_loop_over_samples(m, theta):
+    p = NCParams(m=m, theta=theta)
+    points = sample_points(40, seed=5)
+    rows = np.array([z.as_array() for z in points])
+    for t in (0.0, 1.3):
+        want = _pointwise_algebra(p, t, points)
+        assert verify_algebra(p, t=t, samples=points).residuals == want
+        assert verify_algebra(p, t=t, samples=rows).residuals == want
+
+
+@pytest.mark.parametrize("n", (7, 100))
+def test_verify_algebra_differentiates_once_per_bracket(n, monkeypatch):
+    # 15 brackets over eight relations, two partials passes each
+    calls = []
+    partials = ScalarField.partials
+
+    def counted(self, *args):
+        calls.append(self.name)
+        return partials(self, *args)
+
+    monkeypatch.setattr(ScalarField, "partials", counted)
+    verify_algebra(NCParams(m=1.5, theta=0.4), samples=sample_points(n))
+    assert len(calls) == 30
+
+
+def _first_pointwise_error(f, Z, t=0.0):
+    for z in _columns(Z):
+        try:
+            f.value(z, t)
+        except FieldEvaluationError as exc:
+            return str(exc)
+    raise AssertionError("no sample fails")
+
+
+def test_array_value_errors_name_the_first_bad_sample():
+    # a constant bracket that overflows: m^2 at m = 1e200
+    K1, K2 = galilei_generators(NCParams(m=1e200, theta=0.5))[4:]
+    k12 = bracket_field(K1, K2, 0.5)
+    # a field that overflows only at the middle sample
+    Z = ARRAY_Z[:, :9].copy()
+    Z[0, 4] = 1e10
+    huge = ScalarField(lambda x, y, px, py, t: 1e300 * x * x, "huge")
+    for f, pts in ((k12, ARRAY_Z), (huge, Z)):
+        with pytest.raises(FieldEvaluationError) as got:
+            f.value(pts)
+        assert str(got.value) == _first_pointwise_error(f, pts)
+    assert "x=10000000000.0" in _first_pointwise_error(huge, Z)
+
+
+def test_array_overflow_is_reported_not_warned():
+    # numpy warns on overflow where Python floats stay silent; value()
+    # reports the non-finite result itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldEvaluationError, match=r"field '\{J,k1\}' returned nan"):
+            verify_algebra(NCParams(m=1e308, theta=0.1), samples=sample_points(20))
