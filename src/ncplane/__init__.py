@@ -9,13 +9,12 @@ of a solid of such oscillators.
 """
 
 from .params import CheckFailure, NCParams
-from .duals import Dual, derivative, value
+from .duals import Dual, value
 from .phasespace import (
     PhasePoint,
     ScalarField,
     poisson_bracket,
     bracket_field,
-    jacobi_residual,
     galilei_generators,
     verify_algebra,
     sample_points,

@@ -3,9 +3,9 @@
 A Dual is a value plus four tangent lanes (eps, e1, e2, e3), infinitesimals
 whose pairwise products vanish, so one evaluation carries the exact first
 derivatives for four independent seeds.  Lane 0 is ``eps``: Dual(val, eps)
-is the ordinary one-seed dual number that derivative and second_derivative
-use.  Components may themselves be Dual, which is how second derivatives
-(nested brackets, Jacobi identity) fall out of the same machinery; grid code
+is the ordinary one-seed dual number, so d f/dx at x is f(Dual(x, 1.0)).eps.
+Components may themselves be Dual, which is how second derivatives (nested
+brackets, Jacobi identity) fall out of the same machinery; grid code
 differentiates with stencils instead.
 
 Every value part is computed by the same float operation as on plain
@@ -196,18 +196,3 @@ def tanh(x):
         t = tanh(x.val)
         return _chain(x, t, 1.0 - t * t)
     return math.tanh(x)
-
-
-def derivative(f, x):
-    """d f / d x at a scalar x by seeding a single dual pass."""
-    out = f(Dual(x, 1.0))
-    return out.eps if isinstance(out, Dual) else 0.0
-
-
-def second_derivative(f, x):
-    """d2 f / d x2 via one level of nesting."""
-    inner = f(Dual(Dual(x, 1.0), 1.0))
-    if not isinstance(inner, Dual):
-        return 0.0
-    e = inner.eps
-    return e.eps if isinstance(e, Dual) else 0.0

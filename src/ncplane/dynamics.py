@@ -63,6 +63,20 @@ def _rhs(H, theta, x, y, px, py, t):
     return (hpx + theta * hy, hpy - theta * hx, -hx, -hy)
 
 
+def _time_grid(t0, t1, dt):
+    """(n, h, times): n steps of h from t0, dt rounded so that the last
+    of the n + 1 times lands exactly on t1."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not t1 > t0:
+        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
+    n = max(1, round((t1 - t0) / dt))
+    h = (t1 - t0) / n
+    times = t0 + h * np.arange(n + 1)
+    times[-1] = t1
+    return n, h, times
+
+
 def hamiltonian_flow(H: ScalarField, z0, t0, t1, dt, p: NCParams) -> Trajectory:
     """Integrate dq_i/dt = dH/dp_i + theta eps_ij dH/dq_j, dp_i/dt = -dH/dq_i.
 
@@ -70,12 +84,7 @@ def hamiltonian_flow(H: ScalarField, z0, t0, t1, dt, p: NCParams) -> Trajectory:
     final time lands exactly on t1.  Raises DivergenceError if the state
     leaves the finite floats.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    n = max(1, round((t1 - t0) / dt))
-    h = (t1 - t0) / n
+    n, h, times = _time_grid(t0, t1, dt)
     th = p.theta
 
     out = np.empty((n + 1, 4))
@@ -102,8 +111,6 @@ def hamiltonian_flow(H: ScalarField, z0, t0, t1, dt, p: NCParams) -> Trajectory:
         t = t0 + (k + 1) * h
         out[k + 1] = (x, y, px, py)
 
-    times = t0 + h * np.arange(n + 1)
-    times[-1] = t1
     return Trajectory(times, out, hamiltonian=H)
 
 
@@ -161,10 +168,7 @@ def oscillator_solution(z0, t, p: NCParams) -> PhasePoint:
 
 def oscillator_path(z0, t0, t1, dt, p: NCParams) -> Trajectory:
     """Closed-form solution sampled on a uniform grid, as a Trajectory."""
-    n = max(1, round((t1 - t0) / dt))
-    h = (t1 - t0) / n
-    times = t0 + h * np.arange(n + 1)
-    times[-1] = t1
+    _, _, times = _time_grid(t0, t1, dt)
     x0, y0, px0, py0 = _coords(z0)
     # closed form is written from t=0; shift if t0 != 0
     pts = np.stack(np.broadcast_arrays(

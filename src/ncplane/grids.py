@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-BASES = {"p": ("px", "py"), "xpy": ("x", "py"), "ypx": ("y", "px")}
+BASES = ("p", "xpy", "ypx")
 
 
 class GridError(ValueError):
@@ -71,10 +71,6 @@ class GridFunction:
     @property
     def step2(self):
         return float(self.axis2[1] - self.axis2[0])
-
-    @property
-    def coordinate_names(self):
-        return BASES[self.basis]
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.axis1, self.axis2, values, self.basis)

@@ -36,9 +36,6 @@ class PhasePoint:
             if not math.isfinite(v):
                 raise ValueError(f"phase-space coordinate {name} is not finite: {v!r}")
 
-    def as_array(self):
-        return np.array([self.x, self.y, self.px, self.py])
-
     @classmethod
     def from_array(cls, z):
         x, y, px, py = (float(v) for v in z)
@@ -59,9 +56,7 @@ class ScalarField:
     ``fn`` must be generic arithmetic: it is evaluated on floats, on numpy
     arrays of points and on dual numbers with either kind of part, which is
     where the exact gradient comes from.  A closure that only takes scalars
-    (say, ``duals.exp`` or ``if x > 0``) fails on an array query.  Fields
-    compose with +, -, * so products for Leibniz-type identities can be
-    built without writing new closures.
+    (say, ``duals.exp`` or ``if x > 0``) fails on an array query.
     """
 
     __slots__ = ("fn", "name")
@@ -72,9 +67,6 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField({self.name})"
-
-    def __call__(self, x, y, px, py, t=0.0):
-        return self.fn(x, y, px, py, t)
 
     def value(self, z, t=0.0):
         """f at one point or at each column of a (4, n) array; a non-finite
@@ -109,47 +101,6 @@ class ScalarField:
             return [r.eps, r.e1, r.e2, r.e3]
         return [0.0, 0.0, 0.0, 0.0]
 
-    # algebra on fields, enough to state Leibniz-type identities in tests
-
-    def __add__(self, o):
-        o = _as_field(o)
-        f, g = self.fn, o.fn
-        return ScalarField(lambda x, y, px, py, t: f(x, y, px, py, t) + g(x, y, px, py, t),
-                           f"({self.name}+{o.name})")
-
-    def __sub__(self, o):
-        o = _as_field(o)
-        f, g = self.fn, o.fn
-        return ScalarField(lambda x, y, px, py, t: f(x, y, px, py, t) - g(x, y, px, py, t),
-                           f"({self.name}-{o.name})")
-
-    def __mul__(self, o):
-        o = _as_field(o)
-        f, g = self.fn, o.fn
-        return ScalarField(lambda x, y, px, py, t: f(x, y, px, py, t) * g(x, y, px, py, t),
-                           f"({self.name}*{o.name})")
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        f = self.fn
-        return ScalarField(lambda x, y, px, py, t: -f(x, y, px, py, t), f"(-{self.name})")
-
-
-def _as_field(o):
-    if isinstance(o, ScalarField):
-        return o
-    if isinstance(o, (int, float)):
-        c = float(o)
-        return ScalarField(lambda x, y, px, py, t: c, repr(c))
-    raise TypeError(f"cannot combine ScalarField with {type(o).__name__}")
-
-
-X = ScalarField(lambda x, y, px, py, t: x, "x")
-Y = ScalarField(lambda x, y, px, py, t: y, "y")
-PX = ScalarField(lambda x, y, px, py, t: px, "px")
-PY = ScalarField(lambda x, y, px, py, t: py, "py")
-
 
 def bracket_terms(df, dg, theta):
     """Combine two gradient 4-tuples into the deformed bracket value."""
@@ -174,20 +125,6 @@ def bracket_field(f, g, theta):
         return bracket_terms(df, dg, th)
 
     return ScalarField(fn, f"{{{f.name},{g.name}}}")
-
-
-def jacobi_residual(f, g, h, z, theta, t=0.0):
-    """{f,{g,h}} - {{f,g},h} - {g,{f,h}} at (z, t); zero for a Lie bracket."""
-    gh = bracket_field(g, h, theta)
-    fg = bracket_field(f, g, theta)
-    fh = bracket_field(f, h, theta)
-    r = (poisson_bracket(f, gh, z, theta, t)
-         - poisson_bracket(fg, h, z, theta, t)
-         - poisson_bracket(g, fh, z, theta, t))
-    if not math.isfinite(r):
-        raise FieldEvaluationError(
-            f"Jacobi residual is not finite for ({f.name},{g.name},{h.name}) at {z}")
-    return r
 
 
 def galilei_generators(p: NCParams):
@@ -284,6 +221,6 @@ def verify_algebra(p: NCParams, t=0.0, samples=None, tol=1e-9):
     }
 
     return AlgebraReport({
-        name: max(float(np.max(np.abs(bracket_field(f, g, th).value(Z, t) - rhs(Z, t))))
+        name: max(float(np.max(np.abs(poisson_bracket(f, g, Z, th, t) - rhs(Z, t))))
                   for f, g, rhs in cases)
         for name, cases in relations.items()}, tol)

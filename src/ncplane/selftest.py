@@ -191,10 +191,9 @@ def check_wigner(seed: int = 42) -> CheckResult:
     marg_err = max(marg_err, float(np.max(np.abs(
         m.values - np.abs(psi0_pp.values) ** 2))))
 
+    # parity: W(0) = -1/(pi hbar)^2 for every n = 1 state, its minimum
     psi1 = spectra.transform(spectra.eigenfunction(1, 1, p, axes), "xpy", p)
-    table1 = wigner.wigner_table(wigner.wigner_from_state(psi1, p),
-                                 table_axes)
-    witness = table1.minimum()
+    witness = wigner.wigner_from_state(psi1, p).at(0.0, 0.0, 0.0, 0.0)
 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-3.0, 3.0, size=(50, 4))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NCParams
-from .phasespace import ScalarField, _coords
+from .phasespace import _coords
 
 _N = 4
 SVD_THRESHOLD = 1e-10  # relative to sigma_max; smaller singular values are null
@@ -83,20 +83,6 @@ class BilinearForm:
         J = deformed_symplectic(theta)
         B = self.M @ J @ other.M - other.M @ J @ self.M
         return BilinearForm(B)
-
-    def as_scalar_field(self, name="S") -> ScalarField:
-        M = self.M.copy()
-
-        def fn(x, y, px, py, t, _M=M):
-            v = (x, y, px, py)
-            s = 0.0
-            for a in range(_N):
-                row = _M[a]
-                s = s + v[a] * (row[0] * v[0] + row[1] * v[1]
-                                + row[2] * v[2] + row[3] * v[3])
-            return 0.5 * s
-
-        return ScalarField(fn, name)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.M))

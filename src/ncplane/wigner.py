@@ -26,7 +26,7 @@ import numpy as np
 from . import duals
 from .duals import Dual
 from .params import CheckFailure, NCParams
-from .phasespace import PhasePoint, ScalarField
+from .phasespace import PhasePoint
 from .dynamics import flow_matrix
 from .grids import GridFunction, trapezoid_weights
 from .spectra import _alias_guard
@@ -69,9 +69,6 @@ class GroundStateWigner:
              - self._k
              * ((x + 0.5 * p.theta * py) ** 2 + (y - 0.5 * p.theta * px) ** 2))
         return _exp(q) / (math.pi * p.hbar) ** 2
-
-    def as_scalar_field(self, name="W"):
-        return ScalarField(lambda x, y, px, py, t: self.at(x, y, px, py), name)
 
 
 class QuadratureWigner:
@@ -245,21 +242,6 @@ class WignerTable:
         w = self._weights()
         return float(np.einsum("i,j,k,l,ijkl->", *w, self.values))
 
-    def expectation(self, A) -> float:
-        """Plain phase-space average integral W(z) A(z) d^4 z.
-
-        A is a ScalarField or a broadcasting callable of (x, y, px, py).
-        """
-        fn = A if not isinstance(A, ScalarField) else (
-            lambda x, y, px, py: A(x, y, px, py, 0.0))
-        X = self.axes[0][:, None, None, None]
-        Y = self.axes[1][None, :, None, None]
-        PX = self.axes[2][None, None, :, None]
-        PY = self.axes[3][None, None, None, :]
-        vals = np.asarray(fn(X, Y, PX, PY)) * self.values
-        w = self._weights()
-        return float(np.einsum("i,j,k,l,ijkl->", *w, vals))
-
     def overlap(self, other: "WignerTable") -> float:
         """(2 pi hbar)^2 integral W1 W2, clipped to the fidelity range."""
         if any(not np.array_equal(a, b)
@@ -274,9 +256,6 @@ class WignerTable:
 
     def purity(self) -> float:
         return self.overlap(self)
-
-    def minimum(self) -> float:
-        return float(self.values.min())
 
     def marginal(self, keep: str) -> GridFunction:
         """Integrate out the complementary pair; keep is a basis name."""

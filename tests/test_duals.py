@@ -7,7 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncplane import duals
-from ncplane.duals import Dual, derivative, second_derivative, value
+from ncplane.duals import Dual, value
+
+
+def derivative(f, x):
+    """d f / d x at a scalar x by seeding a single dual pass."""
+    out = f(Dual(x, 1.0))
+    return out.eps if isinstance(out, Dual) else 0.0
+
+
+def second_derivative(f, x):
+    """d2 f / d x2 via one level of nesting."""
+    inner = f(Dual(Dual(x, 1.0), 1.0))
+    if not isinstance(inner, Dual):
+        return 0.0
+    e = inner.eps
+    return e.eps if isinstance(e, Dual) else 0.0
 
 
 def fd(f, x, h=1e-6):

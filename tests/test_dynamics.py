@@ -1,6 +1,7 @@
 """Flows and closed forms: RK4 order, closed-form consistency, charges."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def test_free_particle_rk4_exact():
     H = oscillator_hamiltonian(p)
     traj = hamiltonian_flow(H, Z0, 0.0, 5.0, 0.01, p)
     z_end = oscillator_solution(Z0, 5.0, p)
-    assert np.allclose(traj.points[-1], z_end.as_array(), atol=1e-12)
+    assert np.allclose(traj.points[-1], np.array(astuple(z_end)), atol=1e-12)
 
 
 def test_frequency_identities():
@@ -53,7 +54,7 @@ def test_frequencies_require_omega():
 
 def test_closed_form_initial_point_exact():
     z = oscillator_solution(Z0, 0.0, P)
-    assert z.as_array().tolist() == Z0.as_array().tolist()
+    assert astuple(z) == astuple(Z0)
 
 
 def test_closed_form_satisfies_equations_of_motion():
@@ -63,9 +64,9 @@ def test_closed_form_satisfies_equations_of_motion():
     th = P.theta
     for t0 in (0.5, 2.37, 7.0, 15.9):
         dt = 1e-5
-        zm = oscillator_solution(Z0, t0 - dt, P).as_array()
-        zc = oscillator_solution(Z0, t0, P).as_array()
-        zp = oscillator_solution(Z0, t0 + dt, P).as_array()
+        zm = np.array(astuple(oscillator_solution(Z0, t0 - dt, P)))
+        zc = np.array(astuple(oscillator_solution(Z0, t0, P)))
+        zp = np.array(astuple(oscillator_solution(Z0, t0 + dt, P)))
         num = (zp - zm) / (2 * dt)
         hx, hy, hpx, hpy = H.partials(*zc, t0)
         rhs = np.array([hpx + th * hy, hpy - th * hx, -hx, -hy])
@@ -77,13 +78,13 @@ def test_rk4_matches_closed_form():
     traj = hamiltonian_flow(H, Z0, 0.0, 20.0, 1e-3, P)
     idx = [0, len(traj) // 3, len(traj) // 2, len(traj) - 1]
     for i in idx:
-        zc = oscillator_solution(Z0, traj.times[i], P).as_array()
+        zc = np.array(astuple(oscillator_solution(Z0, traj.times[i], P)))
         assert np.max(np.abs(traj.points[i] - zc)) < 1e-9
 
 
 def test_rk4_fourth_order_convergence():
     H = oscillator_hamiltonian(P)
-    zc = oscillator_solution(Z0, 10.0, P).as_array()
+    zc = np.array(astuple(oscillator_solution(Z0, 10.0, P)))
 
     def err(dt):
         tr = hamiltonian_flow(H, Z0, 0.0, 10.0, dt, P)
@@ -148,7 +149,7 @@ def test_oscillator_path_matches_pointwise_solution():
         p = NCParams(m=m, omega=w, theta=th)
         traj = oscillator_path(Z0, 0.0, 6.0, 1e-2, p)
         for t, z in zip(traj.times, traj.points):
-            assert np.array_equal(z, oscillator_solution(Z0, t, p).as_array())
+            assert np.array_equal(z, astuple(oscillator_solution(Z0, t, p)))
 
 
 def test_flow_matrix_columns_are_pointwise_solutions():
@@ -157,7 +158,7 @@ def test_flow_matrix_columns_are_pointwise_solutions():
         for t in (0.4, -1.9, 7.3):
             M = flow_matrix(p, t)
             for j, e in enumerate(np.eye(4)):
-                zj = oscillator_solution(PhasePoint(*e), t, p).as_array()
+                zj = np.array(astuple(oscillator_solution(PhasePoint(*e), t, p)))
                 assert np.array_equal(M[:, j], zj), (m, w, th, t, j)
 
 
@@ -165,8 +166,8 @@ def test_free_particle_is_the_exact_shear():
     p = NCParams(m=1.3, omega=0.0, theta=0.4)
     for t in (0.7, -2.5, 11.0):
         z = oscillator_solution(Z0, t, p)
-        assert z.as_array().tolist() == [Z0.x + Z0.px / p.m * t,
-                                         Z0.y + Z0.py / p.m * t, Z0.px, Z0.py]
+        assert list(astuple(z)) == [Z0.x + Z0.px / p.m * t,
+                                    Z0.y + Z0.py / p.m * t, Z0.px, Z0.py]
 
 
 def test_closed_form_takes_four_trig_calls(monkeypatch):
@@ -218,8 +219,14 @@ def test_trajectory_validation():
 
 
 def test_flow_argument_validation():
+    # the closed-form path shares the RK4 flow's time grid and its checks
+    # (it divided by zero at dt = 0 and returned two points at dt < 0)
     H = oscillator_hamiltonian(P)
-    with pytest.raises(ValueError):
-        hamiltonian_flow(H, Z0, 0.0, 1.0, -0.1, P)
-    with pytest.raises(ValueError):
-        hamiltonian_flow(H, Z0, 1.0, 0.0, 0.1, P)
+    for t0, t1, dt, message in ((0.0, 1.0, 0.0, "dt must be positive"),
+                                (0.0, 1.0, -0.1, "dt must be positive"),
+                                (1.0, 1.0, 0.1, "need t1 > t0"),
+                                (1.0, 0.0, 0.1, "need t1 > t0")):
+        with pytest.raises(ValueError, match=message):
+            hamiltonian_flow(H, Z0, t0, t1, dt, P)
+        with pytest.raises(ValueError, match=message):
+            oscillator_path(Z0, t0, t1, dt, P)

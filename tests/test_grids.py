@@ -84,12 +84,6 @@ def test_transposed_values_are_checked_elementwise():
             GridFunction(ax, ax, w.T, "p")
 
 
-def test_coordinate_names_per_basis():
-    ax = uniform_axis(0.0, 1.0, 4)
-    F = GridFunction(ax, ax, np.ones((4, 4)), "xpy")
-    assert F.coordinate_names == ("x", "py")
-
-
 def test_inner_product_of_constants():
     ax = uniform_axis(0.0, 1.0, 33)
     F = GridFunction(ax, ax, np.full((33, 33), 2.0), "p")

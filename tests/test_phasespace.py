@@ -8,6 +8,7 @@ the dual-number path.
 import itertools
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from ncplane import (
     ScalarField,
     poisson_bracket,
     bracket_field,
-    jacobi_residual,
     galilei_generators,
     verify_algebra,
     sample_points,
@@ -30,12 +30,25 @@ from ncplane import (
     oscillator_hamiltonian,
 )
 from ncplane import duals
-from ncplane.phasespace import X, Y, PX, PY, bracket_terms
+from ncplane.phasespace import bracket_terms
 from ncplane.wigner import GroundStateWigner
 
 
+X = ScalarField(lambda x, y, px, py, t: x, "x")
+Y = ScalarField(lambda x, y, px, py, t: y, "y")
+PX = ScalarField(lambda x, y, px, py, t: px, "px")
+PY = ScalarField(lambda x, y, px, py, t: py, "py")
+
+
+def jacobi_residual(f, g, h, z, theta, t=0.0):
+    """{f,{g,h}} - {{f,g},h} - {g,{f,h}} at (z, t), nested bracket_field."""
+    b = lambda u, v: bracket_field(u, v, theta)
+    return (b(f, b(g, h)).value(z, t) - b(b(f, g), h).value(z, t)
+            - b(g, b(f, h)).value(z, t))
+
+
 def fd_gradient(f, z, t=0.0, h=6e-6):
-    c = z.as_array() if isinstance(z, PhasePoint) else np.asarray(z, dtype=float)
+    c = np.array(astuple(z) if isinstance(z, PhasePoint) else z, dtype=float)
     g = np.zeros(4)
     for i in range(4):
         hi = h * max(1.0, abs(c[i]))
@@ -56,15 +69,15 @@ Z1 = PhasePoint(0.4, -1.1, 0.8, 2.3)
 
 def test_gradient_matches_fd():
     f = ScalarField(lambda x, y, px, py, t: x * px ** 2 - 3.0 * y * py + x * y * px)
-    assert np.allclose(f.partials(*Z1.as_array()), fd_gradient(f, Z1), atol=1e-8)
+    assert np.allclose(f.partials(*astuple(Z1)), fd_gradient(f, Z1), atol=1e-8)
 
 
 def test_gradient_of_a_boost_reads_the_time():
     # k1 = m x - px t + m theta py carries t in its px slope
     p = NCParams(m=1.5, theta=0.4)
     K1 = galilei_generators(p)[4]
-    assert K1.partials(*Z1.as_array(), 2.0) == [1.5, 0.0, -2.0, 1.5 * 0.4]
-    assert K1.partials(*Z1.as_array()) == [1.5, 0.0, 0.0, 1.5 * 0.4]
+    assert K1.partials(*astuple(Z1), 2.0) == [1.5, 0.0, -2.0, 1.5 * 0.4]
+    assert K1.partials(*astuple(Z1)) == [1.5, 0.0, 0.0, 1.5 * 0.4]
 
 
 def test_coordinate_brackets():
@@ -87,11 +100,12 @@ def test_angular_momentum_literal():
 
 def test_bracket_antisymmetry_and_bilinearity():
     p = NCParams(theta=0.4)
-    f = ScalarField(lambda x, y, px, py, t: x * x * py + y * px)
-    g = ScalarField(lambda x, y, px, py, t: px * py - 2.0 * x * y)
+    fn = lambda x, y, px, py, t: x * x * py + y * px
+    gn = lambda x, y, px, py, t: px * py - 2.0 * x * y
+    f, g = ScalarField(fn), ScalarField(gn)
     ab = poisson_bracket(f, g, Z1, p.theta)
     assert poisson_bracket(g, f, Z1, p.theta) == pytest.approx(-ab, rel=1e-15)
-    h2 = 2.5 * f + g
+    h2 = ScalarField(lambda *z: 2.5 * fn(*z) + gn(*z))
     lhs = poisson_bracket(h2, g, Z1, p.theta)
     assert lhs == pytest.approx(2.5 * ab + 0.0, rel=1e-13, abs=1e-13)
 
@@ -99,9 +113,10 @@ def test_bracket_antisymmetry_and_bilinearity():
 def test_leibniz_rule():
     p = NCParams(theta=-0.3)
     f = ScalarField(lambda x, y, px, py, t: x * py - y * y)
-    g = ScalarField(lambda x, y, px, py, t: px + 2.0 * y)
-    h = ScalarField(lambda x, y, px, py, t: x * px * py)
-    lhs = poisson_bracket(f, g * h, Z1, p.theta)
+    gn = lambda x, y, px, py, t: px + 2.0 * y
+    hn = lambda x, y, px, py, t: x * px * py
+    g, h = ScalarField(gn), ScalarField(hn)
+    lhs = poisson_bracket(f, ScalarField(lambda *z: gn(*z) * hn(*z)), Z1, p.theta)
     rhs = (poisson_bracket(f, g, Z1, p.theta) * h.value(Z1)
            + g.value(Z1) * poisson_bracket(f, h, Z1, p.theta))
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -182,13 +197,6 @@ def test_theta_zero_reduces_to_canonical():
     assert poisson_bracket(f, g, Z1, p0.theta) == pytest.approx(canonical, rel=1e-7)
 
 
-def test_field_algebra():
-    f = X * PY + 2.0 * Y
-    assert f.value(Z1) == pytest.approx(0.4 * 2.3 + 2.0 * (-1.1), rel=1e-15)
-    g = -f + 1.0
-    assert g.value(Z1) == pytest.approx(1.0 - f.value(Z1), rel=1e-14)
-
-
 def test_nonfinite_field_value_raises():
     bad = ScalarField(lambda x, y, px, py, t: 1e308 * (px + 1e308))
     with pytest.raises(FieldEvaluationError):
@@ -199,7 +207,7 @@ def test_phase_point_validation():
     with pytest.raises(ValueError):
         PhasePoint(float("nan"), 0.0, 0.0, 0.0)
     z = PhasePoint.from_array([1.0, 2.0, 3.0, 4.0])
-    assert tuple(z.as_array()) == (1.0, 2.0, 3.0, 4.0)
+    assert astuple(z) == (1.0, 2.0, 3.0, 4.0)
 
 
 def test_params_validation():
@@ -250,11 +258,13 @@ def _transcendental(x, y, px, py, t):
             + duals.sinh(0.5 * y) * duals.cosh(0.4 * px) + duals.tanh(x - py))
 
 
+_W = GroundStateWigner(NCParams(m=1.3, omega=0.8, theta=0.3, hbar=0.9),
+                       center=(0.2, -0.1, 0.3, 0.05))
+
 ORACLE_FIELDS = (
     ScalarField(_rational, "rational"),
     ScalarField(_transcendental, "transcendental"),
-    GroundStateWigner(NCParams(m=1.3, omega=0.8, theta=0.3, hbar=0.9),
-                      center=(0.2, -0.1, 0.3, 0.05)).as_scalar_field(),
+    ScalarField(lambda x, y, px, py, t: _W.at(x, y, px, py), "W"),
     oscillator_hamiltonian(NCParams(theta=0.3)),
     ScalarField(lambda x, y, px, py, t: 2.5, "2.5"),
 ) + galilei_generators(NCParams(m=1.5, theta=0.9))
@@ -384,15 +394,16 @@ def _pointwise_algebra(p, t, samples):
     """The Galilei relations, one scalar bracket per sample point."""
     m, th = p.m, p.theta
     H, P1, P2, J, K1, K2 = galilei_generators(p)
+    neg = lambda f: ScalarField(lambda *z: -1.0 * f.fn(*z))
     relations = {
         "{p_i,H}=0": [(P1, H, None), (P2, H, None)],
         "{p_i,p_j}=0": [(P1, P2, None)],
         "{J,H}=0": [(J, H, None)],
-        "{J,p_i}=eps_ij p_j": [(J, P1, P2), (J, P2, -1.0 * P1)],
+        "{J,p_i}=eps_ij p_j": [(J, P1, P2), (J, P2, neg(P1))],
         "{k_j,H}=p_j": [(K1, H, P1), (K2, H, P2)],
         "{k_j,p_i}=m delta_ji": [(K1, P1, m), (K1, P2, 0.0),
                                  (K2, P1, 0.0), (K2, P2, m)],
-        "{J,k_i}=eps_ij k_j": [(J, K1, K2), (J, K2, -1.0 * K1)],
+        "{J,k_i}=eps_ij k_j": [(J, K1, K2), (J, K2, neg(K1))],
         "{k_i,k_j}=-m^2 theta eps_ij": [(K1, K2, -m * m * th)],
     }
     out = {}
@@ -411,7 +422,7 @@ def _pointwise_algebra(p, t, samples):
 def test_verify_algebra_equals_a_loop_over_samples(m, theta):
     p = NCParams(m=m, theta=theta)
     points = sample_points(40, seed=5)
-    rows = np.array([z.as_array() for z in points])
+    rows = np.array([astuple(z) for z in points])
     for t in (0.0, 1.3):
         want = _pointwise_algebra(p, t, points)
         assert verify_algebra(p, t=t, samples=points).residuals == want

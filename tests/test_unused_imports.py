@@ -4,7 +4,8 @@ No linter ships with the test dependencies, so these are small `ast`
 checks.  A name bound by a top-level `import` or `from ... import` must be
 referenced somewhere in its module; `__init__.py` is skipped because its
 imports are the public re-exports.  A top-level function or class must be
-re-exported by `__init__.py` or referenced somewhere in the package.  A
+read in its own module, imported by name from it (`from .m import f`, the
+re-exports included) or read as an attribute of its module (`m.f`).  A
 call from its own body counts: the elementwise dual-number functions
 (`duals.tanh`) recurse onto the value lane and are otherwise called only
 from user-written fields.  A parameter with a default, on a top-level
@@ -13,8 +14,15 @@ in the package, the tests, the benchmark harness or the README's library
 tour; one that never is belongs in a module constant.  A name bound by a
 top-level assignment in the package must be read somewhere in the
 package, the tests or the benchmark harness (`__version__` excepted).
-"""
 
+Exports and methods must have a caller outside the tests.  The production
+texts are the package modules, `perfbench/*.py` and the README's library
+tour; in `perfbench/*.py` an identifier string constant counts as a read,
+since that is how the tracer names what it wraps.  Every name
+`__init__.py` imports, and every method or property (dunders aside) of a
+top-level class, must be read in those texts.  `SymmetryBasis.svd_gap`
+is the one exemption: it is a health figure bound for `symmetries.json`.
+"""
 import ast
 import math
 import re
@@ -46,21 +54,76 @@ def unused_imports(source: str) -> list[str]:
 
 
 def unreferenced_definitions(sources: dict, init_source: str) -> list[str]:
-    """Top-level defs and classes of sources (module name -> text) that
-    init_source does not import and no module reads, bare (f) or as an
-    attribute (mod.f)."""
-    exported = {alias.name
-                for node in ast.parse(init_source).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    """Top-level defs and classes of sources (module name -> text) that no
+    module reads: not bare in their own module (f), not imported by name
+    from it (from .m import f, init_source included) and not as an
+    attribute of its name (m.f)."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read = {n.id if isinstance(n, ast.Name) else n.attr
-            for tree in trees.values() for n in ast.walk(tree)
-            if isinstance(n, (ast.Name, ast.Attribute))
-            and isinstance(n.ctx, ast.Load)}
+    read = set()
+    for mod, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add((mod, n.id))
+            elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and isinstance(n.value, ast.Name)):
+                read.add((n.value.id, n.attr))
+    for tree in [*trees.values(), ast.parse(init_source)]:
+        read |= {((n.module or "").rpartition(".")[2], alias.name)
+                 for n in tree.body if isinstance(n, ast.ImportFrom)
+                 for alias in n.names}
     return sorted(f"{mod}.{node.name} (line {node.lineno})"
                   for mod, tree in trees.items() for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in exported | read)
+                  and (mod, node.name) not in read)
+
+
+def _reads(text: str, strings: bool = False) -> set:
+    """Names text loads, bare (f) or as an attribute (x.f); with strings,
+    also every string constant that is an identifier."""
+    out = set()
+    for n in ast.walk(ast.parse(text)):
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(
+                n.ctx, ast.Load):
+            out.add(n.id if isinstance(n, ast.Name) else n.attr)
+        elif (strings and isinstance(n, ast.Constant)
+              and isinstance(n.value, str) and n.value.isidentifier()):
+            out.add(n.value)
+    return out
+
+
+def unread_exports(init_source: str, reads: set) -> list[str]:
+    """Names init_source imports that are not in reads."""
+    return sorted(f"{alias.asname or alias.name} (line {node.lineno})"
+                  for node in ast.parse(init_source).body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if (alias.asname or alias.name) not in reads)
+
+
+def unread_methods(sources: dict, reads: set, exempt=()) -> list[str]:
+    """Methods and properties, dunders aside, of the top-level classes in
+    sources (module name -> text) whose names are not in reads; exempt
+    holds "Class.method" labels."""
+    return sorted(f"{mod}.{cls.name}.{fn.name} (line {fn.lineno})"
+                  for mod, text in sources.items()
+                  for cls in ast.parse(text).body
+                  if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                  and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                  and fn.name not in reads
+                  and f"{cls.name}.{fn.name}" not in exempt)
+
+
+def production_reads() -> set:
+    """Names the package, perfbench/*.py and the README's library tour
+    read; perfbench's identifier strings count too."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    reads = set()
+    for text in [p.read_text(encoding="utf-8") for p in MODULES] + \
+            re.findall(r"```python\n(.*?)```", readme, re.S):
+        reads |= _reads(text)
+    for p in sorted((ROOT / "perfbench").glob("*.py")):
+        reads |= _reads(p.read_text(encoding="utf-8"), strings=True)
+    return reads
 
 
 def _calls(texts) -> dict:
@@ -148,13 +211,46 @@ def test_checker_flags_an_unreferenced_definition():
               "def _helper():\n    return 1\n\n"
               "def _dead():\n    pass\n\n"
               "class Used:\n    pass\n\n"
-              "class Unused:\n    pass\n"),
-        "b": ("from . import a\n\ndef exported():\n    return a.Used\n\n"
-              "def _orphan():\n    return a._helper()\n"),
+              "class Unused:\n    pass\n\n"
+              "def twin():\n    pass\n"),
+        "b": ("from . import a\nfrom .c import taken\n\n"
+              "def exported():\n    return a.Used, taken, twin, x.Unused\n\n"
+              "def _orphan():\n    return a._helper()\n\n"
+              "def twin():\n    pass\n"),
+        "c": "def taken():\n    pass\n",
     }
     init = "from .a import public\nfrom .b import exported as e\n"
+    # a.twin shares its name with b.twin, which b reads; x is not a module
     assert unreferenced_definitions(sources, init) == [
-        "a.Unused (line 14)", "a._dead (line 8)", "b._orphan (line 6)"]
+        "a.Unused (line 14)", "a._dead (line 8)", "a.twin (line 17)",
+        "b._orphan (line 7)"]
+
+
+def test_checker_flags_an_unread_export():
+    init = ("from .a import f, g, h as k\nfrom .b import Tracked, C\n"
+            "from . import m\n")
+    reads = _reads("f()\nx.C\nm\n") | _reads("T = ('Tracked', 'k j')\n",
+                                              strings=True)
+    assert "k j" not in reads and "k" not in reads
+    assert unread_exports(init, reads) == ["g (line 1)", "k (line 1)"]
+
+
+def test_checker_flags_an_unread_method():
+    source = ("class A:\n"
+              "    def __init__(self):\n        pass\n\n"
+              "    def used(self):\n        return self._private()\n\n"
+              "    def _private(self):\n        pass\n\n"
+              "    @property\n    def shown(self):\n        pass\n\n"
+              "    def traced(self):\n        pass\n\n"
+              "    def kept(self):\n        pass\n\n"
+              "    def dead(self):\n        pass\n\n"
+              "def free():\n    pass\n")
+    reads = (_reads(source) | _reads("A().used(); a.shown\n")
+             | _reads("S = ('A', 'traced')\n", strings=True))
+    assert unread_methods({"a": source}, reads, exempt={"A.kept"}) == [
+        "a.A.dead (line 21)"]
+    assert unread_methods({"a": source}, reads) == [
+        "a.A.dead (line 21)", "a.A.kept (line 18)"]
 
 
 def test_checker_flags_an_unpassed_default():
@@ -190,6 +286,17 @@ def test_package_has_no_unreferenced_definition():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     assert unreferenced_definitions(sources, init) == []
+
+
+def test_every_export_is_read_outside_the_tests():
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert unread_exports(init, production_reads()) == []
+
+
+def test_every_method_is_read_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_methods(sources, production_reads(),
+                          exempt={"SymmetryBasis.svd_gap"}) == []
 
 
 def test_every_default_is_passed_somewhere():

@@ -13,10 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ncplane import selftest, wigner
 from ncplane.params import CheckFailure, NCParams
-from ncplane.phasespace import PhasePoint, poisson_bracket
+from ncplane.phasespace import PhasePoint, ScalarField, poisson_bracket
 from ncplane.dynamics import flow_matrix, oscillator_hamiltonian
-from ncplane.grids import GridFunction, uniform_axis
+from ncplane.grids import GridFunction, trapezoid_weights, uniform_axis
 from ncplane.spectra import (
     AliasingError,
     eigenfunction,
@@ -335,6 +336,17 @@ def test_table_holds_one_table_sized_array(ground_xpy, table_axes):
     assert peak <= 1.5 * table.values.nbytes
 
 
+def test_check_wigner_builds_one_table(monkeypatch):
+    # the excited-state witness is the parity value W(0), not a second table
+    calls = []
+    table = wigner.wigner_table
+    monkeypatch.setattr(wigner, "wigner_table",
+                        lambda W, axes: calls.append(axes) or table(W, axes))
+    r = selftest.check_wigner(seed=42)
+    assert r.passed and "excited-state minimum -0.1013 < 0" in r.detail
+    assert len(calls) == 1
+
+
 def test_table_normalization(ground_table):
     assert ground_table.integral() == pytest.approx(1.0, abs=1e-6)
 
@@ -379,7 +391,7 @@ def test_first_excited_is_negative_at_origin(excited_xpy, excited_table):
     # the n=1 state dips to exactly -1/(pi hbar)^2 at the origin
     assert Wq.at(0.0, 0.0, 0.0, 0.0) == pytest.approx(
         -1.0 / (math.pi * P.hbar) ** 2, rel=1e-8)
-    assert excited_table.minimum() < -0.09 / P.hbar**2
+    assert excited_table.values.min() < -0.09 / P.hbar**2
 
 
 def test_displaced_closed_form_matches_quadrature(ground_xpy):
@@ -455,7 +467,7 @@ def test_liouville_equation_from_bracket():
     d = (0.6, -0.4, 0.3, 0.5)
     Wd = wigner_ground_state(P, center=d)
     Hf = oscillator_hamiltonian(P)
-    Wf = Wd.as_scalar_field()
+    Wf = ScalarField(lambda x, y, px, py, t: Wd.at(x, y, px, py), "W")
     rng = np.random.default_rng(7)
     dt = 1e-6
     for z in rng.uniform(-1.0, 1.0, (50, 4)):
@@ -474,6 +486,14 @@ def test_flow_matrix_preserves_volume():
             assert np.abs(Mi @ M - np.eye(4)).max() < 1e-10
 
 
+def average(tab, A):
+    """Plain phase-space average integral W(z) A(z) d^4 z over a table, by
+    the trapezoid rule; A broadcasts over (x, y, px, py)."""
+    z = np.meshgrid(*tab.axes, indexing="ij", sparse=True)
+    w = [trapezoid_weights(a) for a in tab.axes]
+    return float(np.einsum("i,j,k,l,ijkl->", *w, A(*z) * tab.values))
+
+
 def test_free_flow_shears_position_variance():
     W0 = wigner_ground_state(P)
     t = 1.3
@@ -485,17 +505,17 @@ def test_free_flow_shears_position_variance():
     var0 = P.hbar / (2 * P.m * weff) + P.theta**2 * P.m * P.hbar * weff / 8
     expect = var0 + (t / P.m) ** 2 * (P.m * P.hbar * weff / 2)
     assert tab.integral() == pytest.approx(1.0, abs=1e-6)
-    assert tab.expectation(lambda x, y, px, py: x**2) == pytest.approx(
+    assert average(tab, lambda x, y, px, py: x**2) == pytest.approx(
         expect, rel=1e-6)
 
 
 def test_expectation_unit_and_odd_moments(ground_table):
-    assert ground_table.expectation(lambda x, y, px, py: 1.0 + 0 * x) == \
+    assert average(ground_table, lambda x, y, px, py: 1.0 + 0 * x) == \
         pytest.approx(1.0, abs=1e-6)
     for mono in (lambda x, y, px, py: x,
                  lambda x, y, px, py: y * px**2,
                  lambda x, y, px, py: py**3):
-        assert abs(ground_table.expectation(mono)) < 1e-7
+        assert abs(average(ground_table, mono)) < 1e-7
 
 
 def test_commutative_energy_expectation():
@@ -504,7 +524,8 @@ def test_commutative_energy_expectation():
     ax = uniform_axis(-6.0, 6.0, 61)
     tab = wigner_table(W, (ax, ax, ax, ax))
     H = oscillator_hamiltonian(p0)
-    assert tab.expectation(H) == pytest.approx(p0.hbar * p0.omega, rel=1e-5)
+    assert average(tab, lambda *z: H.fn(*z, 0.0)) == pytest.approx(
+        p0.hbar * p0.omega, rel=1e-5)
 
 
 def test_quadrature_requires_xpy_basis():
