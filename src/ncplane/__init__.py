@@ -65,12 +65,7 @@ from .wigner import (
 from .thermo import (
     ThermoParams,
     ThermoPoint,
-    partition_single,
     partition_single_direct,
-    free_energy,
-    entropy,
-    internal_energy,
-    heat_capacity,
     entropy_sweep,
     thermo_point,
 )

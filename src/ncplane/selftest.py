@@ -8,6 +8,7 @@ same machine produce the same numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -31,13 +32,26 @@ class CheckResult:
         return f"[{tag}] {self.name}: {self.detail} ({self.seconds:.2f}s)"
 
 
-def _done(name, t0, passed, detail):
-    return CheckResult(name, bool(passed), detail, time.perf_counter() - t0)
+def _check(name: str):
+    """Turn a body returning (passed, detail) into a timed check reported
+    under name, whether it passes, misses or raises CheckFailure."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(seed: int = 42) -> CheckResult:
+            t0 = time.perf_counter()
+            try:
+                passed, detail = body(seed)
+            except CheckFailure as exc:
+                passed, detail = False, f"raised {exc!r}"
+            return CheckResult(name, bool(passed), detail,
+                               time.perf_counter() - t0)
+        return check
+    return decorate
 
 
-def check_algebra(seed: int = 42) -> CheckResult:
+@_check("galilei-algebra")
+def check_algebra(seed: int = 42):
     """All eight bracket relations close at 100 seeded points per (m, theta)."""
-    t0 = time.perf_counter()
     samples = phasespace.sample_points(100, seed=seed)
     worst = 0.0
     for m in (1.0, 2.0):
@@ -48,14 +62,14 @@ def check_algebra(seed: int = 42) -> CheckResult:
             rep = rep.merged_with(phasespace.verify_algebra(
                 p, t=1.3, samples=samples, tol=1e-9))
             worst = max(worst, rep.max_residual())
-    return _done("galilei-algebra", t0, worst < 1e-9,
-                 f"max bracket residual {worst:.3e} < 1e-09 "
-                 f"(6 parameter sets, 100 points, two times)")
+    return (worst < 1e-9,
+            f"max bracket residual {worst:.3e} < 1e-09 "
+            f"(6 parameter sets, 100 points, two times)")
 
 
-def check_oscillator(seed: int = 42) -> CheckResult:
+@_check("classical-oscillator")
+def check_oscillator(seed: int = 42):
     """RK4 tracks the closed-form oscillator; frequency identities hold."""
-    t0 = time.perf_counter()
     p = NCParams(m=1.0, omega=1.0, theta=0.3)
     z0 = PhasePoint(1.0, -0.5, 0.2, 0.8)
     traj = dynamics.hamiltonian_flow(dynamics.oscillator_hamiltonian(p),
@@ -85,15 +99,15 @@ def check_oscillator(seed: int = 42) -> CheckResult:
 
     ratio = mismatch(2e-3) / mismatch(1e-3)
     ok = pos_err < 1e-6 and id_err < 1e-12 and abs(ratio - 4.0) < 0.4
-    return _done("classical-oscillator", t0, ok,
-                 f"rk4 position error {pos_err:.3e} < 1e-06, frequency "
-                 f"identities {id_err:.3e} < 1e-12, rotation-error ratio "
-                 f"{ratio:.3f} ~ 4")
+    return (ok,
+            f"rk4 position error {pos_err:.3e} < 1e-06, frequency "
+            f"identities {id_err:.3e} < 1e-12, rotation-error ratio "
+            f"{ratio:.3f} ~ 4")
 
 
-def check_symmetries(seed: int = 42) -> CheckResult:
+@_check("symmetry-collapse")
+def check_symmetries(seed: int = 42):
     """Nullspace dimensions, multiplet membership, su(2) constants, Casimir."""
-    t0 = time.perf_counter()
     p0 = NCParams(m=1.0, omega=1.0, theta=0.0)
     p5 = NCParams(m=1.0, omega=1.0, theta=0.5)
     b0 = symmetries.conserved_bilinears(p0)
@@ -121,42 +135,42 @@ def check_symmetries(seed: int = 42) -> CheckResult:
         cas = max(cas, abs(lhs - rhs) / max(abs(rhs), 1.0))
 
     ok = dims_ok and member < 1e-10 and sc_err < 1e-10 and cas < 1e-10
-    return _done("symmetry-collapse", t0, ok,
-                 f"nullspace dims ({b0.dimension},{b5.dimension}) = (4,2), "
-                 f"membership {member:.2e} < 1e-10, structure constants "
-                 f"{sc_err:.2e} < 1e-10, Casimir {cas:.2e} < 1e-10")
+    return (ok,
+            f"nullspace dims ({b0.dimension},{b5.dimension}) = (4,2), "
+            f"membership {member:.2e} < 1e-10, structure constants "
+            f"{sc_err:.2e} < 1e-10, Casimir {cas:.2e} < 1e-10")
 
 
-def check_spectrum(seed: int = 42) -> CheckResult:
+@_check("quantum-spectrum")
+def check_spectrum(seed: int = 42):
     """Eigen-residuals below 1e-6 for n <= 4, plus an orthonormal n <= 3 Gram."""
-    t0 = time.perf_counter()
     worst_h = worst_j = 0.0
+    family = []                     # the theta = 0.3, n <= 3 states
     for theta in (0.0, 0.3, 1.0):
         p = NCParams(m=1.0, omega=1.0, theta=theta)
         axes = spectra.momentum_grid(p, 256)
         for n in range(5):
             for two_j in range(-n, n + 1, 2):
-                rh, rj = spectra.eigen_residuals(n, two_j, p, axes=axes)
+                psi = spectra.eigenfunction(n, two_j, p, axes)
+                rh, rj = spectra._residuals(psi, n, two_j, p)
                 worst_h = max(worst_h, rh)
                 worst_j = max(worst_j, rj)
+                if theta == 0.3 and n < 4:
+                    family.append(psi)
 
-    p = NCParams(m=1.0, omega=1.0, theta=0.3)
-    axes = spectra.momentum_grid(p, 256)
-    family = [spectra.eigenfunction(n, two_j, p, axes)
-              for n in range(4) for two_j in range(-n, n + 1, 2)]
     gram = np.array([[a.inner(b) for b in family] for a in family])
     gram_err = float(np.max(np.abs(gram - np.eye(len(family)))))
 
     ok = worst_h < 1e-6 and worst_j < 1e-6 and gram_err < 2e-6
-    return _done("quantum-spectrum", t0, ok,
-                 f"eigen-residuals H {worst_h:.3e}, J {worst_j:.3e} < 1e-06 "
-                 f"(45 levels on 256^2), Gram deviation {gram_err:.3e} < 2e-06")
+    return (ok,
+            f"eigen-residuals H {worst_h:.3e}, J {worst_j:.3e} < 1e-06 "
+            f"(45 levels on 256^2), Gram deviation {gram_err:.3e} < 2e-06")
 
 
-def check_wigner(seed: int = 42) -> CheckResult:
+@_check("wigner")
+def check_wigner(seed: int = 42):
     """Quadrature vs closed form, normalization, marginals, purity,
     a negative region for the first excited state, and flow stationarity."""
-    t0 = time.perf_counter()
     p = NCParams(m=1.0, omega=1.0, theta=0.3)
     axes = spectra.momentum_grid(p, 65)
     psi0_p = spectra.eigenfunction(0, 0, p, axes)
@@ -205,47 +219,47 @@ def check_wigner(seed: int = 42) -> CheckResult:
 
     ok = (slice_err < 1e-8 and norm_err < 1e-6 and marg_err < 1e-6
           and purity_err < 1e-6 and witness < -1e-3 and stat < 1e-8)
-    return _done("wigner", t0, ok,
-                 f"slice error {slice_err:.2e} < 1e-08, normalization "
-                 f"{norm_err:.1e} and marginals {marg_err:.1e} < 1e-06, "
-                 f"purity off by {purity_err:.1e} < 1e-06, excited-state "
-                 f"minimum {witness:.4f} < 0, flow drift {stat:.2e} < 1e-08")
+    return (ok,
+            f"slice error {slice_err:.2e} < 1e-08, normalization "
+            f"{norm_err:.1e} and marginals {marg_err:.1e} < 1e-06, "
+            f"purity off by {purity_err:.1e} < 1e-06, excited-state "
+            f"minimum {witness:.4f} < 0, flow drift {stat:.2e} < 1e-08")
 
 
-def check_thermo(seed: int = 42) -> CheckResult:
+@_check("thermodynamics")
+def check_thermo(seed: int = 42):
     """Closed-form partition function vs direct sums plus both asymptotics."""
-    t0 = time.perf_counter()
     temps = np.logspace(math.log10(0.1), math.log10(5.0), 20)
     oracle = 0.0
     for theta in np.linspace(0.0, 2.0, 20):
         tp = thermo.ThermoParams(nc=NCParams(m=1.0, omega=1.0,
                                              theta=float(theta)))
         for T in temps:
-            z = thermo.partition_single(float(T), tp)
+            z = thermo.thermo_point(float(T), tp).Z1
             zd = thermo.partition_single_direct(float(T), tp)
             oracle = max(oracle, abs(z - zd) / zd)
 
     tp1 = thermo.ThermoParams(nc=NCParams(m=1.0, omega=1.0, theta=1.0))
     T = 100.0
     pred = 2.0 * T + (2.0 + 1.0) / (12.0 * T)
-    hi = abs(thermo.internal_energy(T, tp1) - pred) / pred
+    hi = abs(thermo.thermo_point(T, tp1).U - pred) / pred
 
-    lo = abs(thermo.internal_energy(0.01, tp1) / tp1.nc.a - 1.0)
+    lo = abs(thermo.thermo_point(0.01, tp1).U / tp1.nc.a - 1.0)
 
     h = 1e-6
     slope_ok = True
     for theta in np.linspace(0.1, 2.0, 12):
-        sp = thermo.entropy(0.2, thermo.ThermoParams(
-            nc=NCParams(m=1.0, omega=1.0, theta=float(theta) + h)))
-        sm = thermo.entropy(0.2, thermo.ThermoParams(
-            nc=NCParams(m=1.0, omega=1.0, theta=float(theta) - h)))
+        sp = thermo.thermo_point(0.2, thermo.ThermoParams(
+            nc=NCParams(m=1.0, omega=1.0, theta=float(theta) + h))).S
+        sm = thermo.thermo_point(0.2, thermo.ThermoParams(
+            nc=NCParams(m=1.0, omega=1.0, theta=float(theta) - h))).S
         slope_ok = slope_ok and (sp - sm) > 0.0
 
     ok = oracle < 1e-12 and hi < 1e-6 and lo < 1e-10 and slope_ok
-    return _done("thermodynamics", t0, ok,
-                 f"partition oracle {oracle:.2e} < 1e-12 (20x20 grid), "
-                 f"high-T energy {hi:.2e} < 1e-06, low-T energy {lo:.2e} "
-                 f"< 1e-10, entropy grows with theta at low T: {slope_ok}")
+    return (ok,
+            f"partition oracle {oracle:.2e} < 1e-12 (20x20 grid), "
+            f"high-T energy {hi:.2e} < 1e-06, low-T energy {lo:.2e} "
+            f"< 1e-10, entropy grows with theta at low T: {slope_ok}")
 
 
 ALL_CHECKS = (check_algebra, check_oscillator, check_symmetries,
@@ -254,12 +268,4 @@ ALL_CHECKS = (check_algebra, check_oscillator, check_symmetries,
 
 def run_all(seed: int = 42) -> list[CheckResult]:
     """Run every check; only a CheckFailure becomes a failed result."""
-    results = []
-    for check in ALL_CHECKS:
-        t0 = time.perf_counter()
-        try:
-            results.append(check(seed=seed))
-        except CheckFailure as exc:
-            results.append(_done(check.__name__.removeprefix("check_"), t0,
-                                 False, f"raised {exc!r}"))
-    return results
+    return [check(seed=seed) for check in ALL_CHECKS]

@@ -7,9 +7,10 @@ properties), the single-site partition function has the closed form
     Z1 = 1 / (2 [cosh(a beta) - cosh(b beta)]),
 
 even in theta because b enters through cosh only.  A solid of N
-independent sites multiplies free energies.  All scalar routines accept
-dual numbers in T, so temperature derivatives can be cross-checked
-against the analytic entropy and heat capacity.
+independent sites multiplies free energies.  The kernel _closed_forms,
+behind thermo_point, accepts dual numbers in T, so temperature
+derivatives can be cross-checked against the analytic entropy and heat
+capacity.
 """
 
 from __future__ import annotations
@@ -49,91 +50,38 @@ def _beta(T, p: NCParams):
     return 1.0 / (p.kB * T)
 
 
-def _log_denominator(beta, a, b):
-    """log{ 2 [cosh(a beta) - cosh(b beta)] }, overflow-safe."""
-    ab = a * beta
-    bb = abs(b) * beta
-    if value(ab) < _LOG_SWITCH:
-        return duals.log(2.0 * (duals.cosh(ab) - duals.cosh(bb)))
-    # cosh x = e^x (1 + e^{-2x}) / 2; a > |b| keeps the bracket positive
-    return ab + duals.log1p(duals.exp(-2.0 * ab) - duals.exp(-(ab - bb))
-                            - duals.exp(-(ab + bb)))
-
-
-def log_partition_single(T, tp: ThermoParams):
-    """ln Z1; prefer this to partition_single at low temperature."""
-    return -_log_denominator(_beta(T, tp.nc), tp.nc.a, tp.nc.b)
-
-
-def partition_single(T, tp: ThermoParams):
-    return duals.exp(log_partition_single(T, tp))
-
-
-def free_energy(T, tp: ThermoParams):
-    """A = -N kB T ln Z1."""
-    return -tp.N * tp.nc.kB * T * log_partition_single(T, tp)
-
-
-def internal_energy(T, tp: ThermoParams):
-    """U = N [a sinh(a beta) - b sinh(b beta)] / [cosh(a beta) - cosh(b beta)]."""
-    a, b = tp.nc.a, tp.nc.b
+def _closed_forms(T, tp: ThermoParams):
+    """(ln Z1, U, S, Cv) at T from one set of Boltzmann factors."""
+    N, kB = tp.N, tp.nc.kB
+    a, b = tp.nc.a, abs(tp.nc.b)      # every quantity is even in b
     beta = _beta(T, tp.nc)
     ab, bb = a * beta, b * beta
+    e2a = duals.exp(-2.0 * ab)        # = ep em
+    ep = duals.exp(-(ab - bb))
+    em = duals.exp(-(ab + bb))
     if value(ab) < _LOG_SWITCH:
-        num = a * duals.sinh(ab) - b * duals.sinh(bb)
-        den = duals.cosh(ab) - duals.cosh(bb)
-        return tp.N * num / den
-    # scaled by 2 e^{-a beta}: every remaining exponent is negative
-    e2a = duals.exp(-2.0 * ab)
-    ep = duals.exp(-(ab - bb))
-    em = duals.exp(-(ab + bb))
-    num = a * (1.0 - e2a) - b * (ep - em)
-    den = 1.0 + e2a - ep - em
-    return tp.N * num / den
-
-
-def entropy(T, tp: ThermoParams):
-    """S = N kB ln Z1 + U / T = -dA/dT, arranged to vanish cleanly at T -> 0.
-
-    Below the switch the two terms are evaluated directly.  At low
-    temperature each grows like a beta while their sum decays, so the
-    residual pieces are kept explicitly instead.
-    """
-    a, b = tp.nc.a, tp.nc.b
-    beta = _beta(T, tp.nc)
-    ab, bb = a * beta, abs(b) * beta
-    if value(ab) < _LOG_SWITCH:
-        return tp.N * tp.nc.kB * log_partition_single(T, tp) \
-            + internal_energy(T, tp) / T
-    e2a = duals.exp(-2.0 * ab)
-    ep = duals.exp(-(ab - bb))
-    em = duals.exp(-(ab + bb))
-    den = 1.0 + e2a - ep - em
-    # beta (U1 - a) written without forming U1 - a by subtraction
-    tail = beta * ((a - abs(b)) * ep + (a + abs(b)) * em - 2.0 * a * e2a) / den
-    return tp.N * tp.nc.kB * (tail - duals.log1p(e2a - ep - em))
-
-
-def heat_capacity(T, tp: ThermoParams):
-    """Cv = dU/dT in closed form.
-
-    dU1/dbeta = num2/den - (num1/den)^2 contains a cancellation between
-    O(a^2) pieces whose difference is exponentially small at low T, so
-    the combination num1^2 - num2 den is expanded by hand.  With
-    e2 = e^{-2 a beta}, ep = e^{-(a-|b|) beta}, em = e^{-(a+|b|) beta}
-    (note ep em = e2) it collapses to terms that are all of the size of
-    the answer, and den factors as (1 - ep)(1 - em).
-    """
-    a, b = tp.nc.a, tp.nc.b
-    beta = _beta(T, tp.nc)
-    ab, bb = a * beta, abs(b) * beta
-    e2a = duals.exp(-2.0 * ab)
-    ep = duals.exp(-(ab - bb))
-    em = duals.exp(-(ab + bb))
+        c = duals.cosh(ab) - duals.cosh(bb)
+        lnZ = -duals.log(2.0 * c)
+        U = N * (a * duals.sinh(ab) - b * duals.sinh(bb)) / c
+        S = N * kB * lnZ + U / T
+    else:
+        # cosh x = e^x (1 + e^{-2x}) / 2: scaled by 2 e^{-a beta}, every
+        # remaining exponent is negative; a > |b| keeps the bracket positive
+        lnZ = -(ab + duals.log1p(e2a - ep - em))
+        den = 1.0 + e2a - ep - em
+        U = N * (a * (1.0 - e2a) - b * (ep - em)) / den
+        # N kB ln Z1 and U / T each grow like a beta while S decays, so
+        # beta (U1 - a) is written without forming U1 - a by subtraction
+        tail = beta * ((a - b) * ep + (a + b) * em - 2.0 * a * e2a) / den
+        S = N * kB * (tail - duals.log1p(e2a - ep - em))
+    # Cv = dU/dT.  dU1/dbeta = num2/den - (num1/den)^2 cancels O(a^2)
+    # pieces down to an exponentially small difference at low T, so
+    # num1^2 - num2 den is expanded by hand into terms all of the size of
+    # the answer, and den factors as (1 - ep)(1 - em).
     num = ((a * a + b * b) * ((1.0 + e2a) * (ep + em) - 4.0 * e2a)
-           - 2.0 * a * abs(b) * (1.0 - e2a) * (ep - em))
+           - 2.0 * a * b * (1.0 - e2a) * (ep - em))
     den = duals.expm1(-(ab - bb)) * duals.expm1(-(ab + bb))
-    return tp.N * num / (den * den) / (tp.nc.kB * T * T)
+    return lnZ, U, S, N * num / (den * den) / (kB * T * T)
 
 
 def partition_single_direct(T, tp: ThermoParams):
@@ -181,17 +129,11 @@ class ThermoPoint:
 
 
 def thermo_point(T: float, tp: ThermoParams) -> ThermoPoint:
-    S = entropy(T, tp)
-    return ThermoPoint(
-        T=float(T),
-        theta=tp.nc.theta,
-        Z1=partition_single(T, tp),
-        A=free_energy(T, tp),
-        S=S,
-        U=internal_energy(T, tp),
-        Cv=heat_capacity(T, tp),
-        S_per_NkB=S / (tp.N * tp.nc.kB),
-    )
+    """The equation-of-state row at T, from one closed-form evaluation."""
+    lnZ, U, S, Cv = _closed_forms(T, tp)
+    return ThermoPoint(T=float(T), theta=tp.nc.theta, Z1=duals.exp(lnZ),
+                       A=-tp.N * tp.nc.kB * T * lnZ, S=S, U=U, Cv=Cv,
+                       S_per_NkB=S / (tp.N * tp.nc.kB))
 
 
 def entropy_sweep(temps, tp: ThermoParams, thetas) -> list[ThermoPoint]:

@@ -248,8 +248,10 @@ class WignerTable:
                for a, b in zip(self.axes, other.axes)):
             raise WignerError("overlap needs identical table axes")
         w = self._weights()
-        raw = (2.0 * math.pi * self.params.hbar) ** 2 * float(
-            np.einsum("i,j,k,l,ijkl->", *w, self.values * other.values))
+        # one x-row at a time: no table-sized product is formed
+        rows = [w[1] @ ((a * b) @ w[3]) @ w[2]
+                for a, b in zip(self.values, other.values)]
+        raw = (2.0 * math.pi * self.params.hbar) ** 2 * float(w[0] @ rows)
         if raw > 1.0 + 1e-6:
             raise WignerError(f"overlap {raw!r} exceeds 1 beyond tolerance")
         return min(max(raw, 0.0), 1.0)

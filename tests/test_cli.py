@@ -9,10 +9,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ncplane import cli, dynamics, selftest, spectra, thermo, wigner
+from ncplane import (cli, dynamics, phasespace, selftest, spectra, thermo,
+                     wigner)
 from ncplane.cli import ConfigError, RunConfig, build_config, parse_config_file
 from ncplane.params import CheckFailure, NCParams
-from ncplane.phasespace import PhasePoint
+from ncplane.phasespace import FieldEvaluationError, PhasePoint
 
 
 def _args(**kw):
@@ -184,7 +185,15 @@ def test_unexpected_exception_exits_three(tmp_path, capsys, monkeypatch):
 ])
 def test_thermo_check_failure_exits_one(tmp_path, capsys, monkeypatch,
                                         name, message):
-    monkeypatch.setattr(thermo, name, lambda T, tp: -1e6)
+    kernel = thermo._closed_forms
+
+    def broken(T, tp):
+        # the kernel returns (ln Z1, U, S, Cv); spoil S or Cv
+        forms = list(kernel(T, tp))
+        forms[{"entropy": 2, "heat_capacity": 3}[name]] = -1e6
+        return tuple(forms)
+
+    monkeypatch.setattr(thermo, "_closed_forms", broken)
     rc = cli.main(["thermo", "sweep", "--grid", "2x2",
                    "--out-dir", str(tmp_path)])
     assert rc == 1
@@ -208,6 +217,7 @@ def test_wigner_realness_failure_exits_one(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("exc", [IndexError("index 9 is out of bounds"),
                                  ValueError("operands could not broadcast")])
 def test_selftest_fault_exits_three(tmp_path, capsys, monkeypatch, exc):
+    @selftest._check("faulty")
     def faulty(seed):
         raise exc
 
@@ -221,6 +231,7 @@ def test_selftest_fault_exits_three(tmp_path, capsys, monkeypatch, exc):
 
 def test_selftest_check_failure_prints_fail_and_exits_one(tmp_path, capsys,
                                                          monkeypatch):
+    @selftest._check("missed")
     def missed(seed):
         raise CheckFailure("residual 1e-3 above 1e-9")
 
@@ -230,6 +241,20 @@ def test_selftest_check_failure_prints_fail_and_exits_one(tmp_path, capsys,
     out = capsys.readouterr().out
     assert out.startswith("[FAIL] missed: raised CheckFailure(")
     assert json.loads((tmp_path / "selftest.json").read_text())["ok"] is False
+
+
+def test_failed_check_keeps_its_name(monkeypatch):
+    # a CheckFailure is reported under the name the check passes with
+    def non_finite(*args, **kwargs):
+        raise FieldEvaluationError("bracket value is not finite")
+
+    monkeypatch.setattr(phasespace, "verify_algebra", non_finite)
+    r = selftest.check_algebra(seed=42)
+    assert (r.name, r.passed) == ("galilei-algebra", False)
+    assert r.detail.startswith("raised FieldEvaluationError(")
+    assert selftest.check_algebra.__name__ == "check_algebra"
+    monkeypatch.setattr(selftest, "ALL_CHECKS", (selftest.check_algebra,))
+    assert [r.name for r in selftest.run_all()] == ["galilei-algebra"]
 
 
 def test_spectrum_csv_round_trips_energies(tmp_path, capsys):

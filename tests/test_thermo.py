@@ -44,7 +44,7 @@ def test_partition_matches_direct_sum_on_grid():
     for theta in thetas:
         tp = _tp(float(theta))
         for T in temps:
-            z = thermo.partition_single(float(T), tp)
+            z = thermo.thermo_point(float(T), tp).Z1
             zd = thermo.partition_single_direct(float(T), tp)
             assert abs(z - zd) <= 1e-12 * zd
 
@@ -53,11 +53,11 @@ def test_partition_direct_sum_low_temperature_branch():
     # a beta ~ 40 exercises the scaled logarithm
     tp = _tp(0.5)
     T = 0.025
-    z = thermo.partition_single(T, tp)
+    z = thermo.thermo_point(T, tp).Z1
     zd = thermo.partition_single_direct(T, tp)
     assert abs(z - zd) <= 1e-12 * zd
-    assert thermo.log_partition_single(T, tp) == pytest.approx(math.log(zd),
-                                                               rel=1e-12)
+    assert thermo._closed_forms(T, tp)[0] == pytest.approx(math.log(zd),
+                                                           rel=1e-12)
 
 
 def _scalar_level_sum(T, tp, tol=1e-14):
@@ -87,7 +87,7 @@ def test_commutative_partition_geometric_form():
     tp = _tp(0.0, m=2.0, omega=1.5, hbar=0.7)
     for T in (0.2, 0.9, 3.0):
         x = math.exp(-tp.nc.hbar * tp.nc.omega / (tp.nc.kB * T))
-        assert thermo.partition_single(T, tp) == pytest.approx(
+        assert thermo.thermo_point(T, tp).Z1 == pytest.approx(
             x / (1.0 - x) ** 2, rel=1e-14)
 
 
@@ -96,15 +96,21 @@ def test_commutative_internal_energy_coth_form():
     for T in (0.3, 1.1):
         half = tp.nc.hbar * tp.nc.omega / (2.0 * tp.nc.kB * T)
         expected = tp.N * tp.nc.hbar * tp.nc.omega / math.tanh(half)
-        assert thermo.internal_energy(T, tp) == pytest.approx(expected, rel=1e-13)
+        assert thermo.thermo_point(T, tp).U == pytest.approx(expected,
+                                                             rel=1e-13)
 
 
 def test_partition_even_in_theta():
     for T in (0.2, 1.0, 3.0):
         for theta in (0.5, 1.7):
-            zp = thermo.partition_single(T, _tp(theta))
-            zm = thermo.partition_single(T, _tp(-theta))
+            zp = thermo.thermo_point(T, _tp(theta)).Z1
+            zm = thermo.thermo_point(T, _tp(-theta)).Z1
             assert abs(zp - zm) <= 1e-12 * zp
+    # ln Z1, U, S and Cv bit for bit, on both sides of the low-T switch
+    for T in (0.02, 0.5):
+        for theta in (0.5, 1.7):
+            assert (thermo._closed_forms(T, _tp(theta))
+                    == thermo._closed_forms(T, _tp(-theta)))
 
 
 def test_high_temperature_internal_energy():
@@ -114,7 +120,7 @@ def test_high_temperature_internal_energy():
         corr = (p.hbar ** 2 * p.omega ** 2 * tp.N
                 * (2.0 + p.m ** 2 * p.omega ** 2 * p.theta ** 2)
                 / (12.0 * p.kB * T))
-        U = thermo.internal_energy(T, tp)
+        U = thermo.thermo_point(T, tp).U
         assert abs(U - (lead + corr)) <= 1e-6 * U
 
 
@@ -124,41 +130,48 @@ def test_low_temperature_internal_energy():
     u = (p.m * p.omega * p.theta) ** 2 / 4.0
     a = p.hbar * p.omega * math.sqrt(1.0 + u)
     for T in (0.01, 0.005):
-        assert thermo.internal_energy(T, tp) / tp.N == pytest.approx(a, rel=1e-10)
+        U = thermo.thermo_point(T, tp).U
+        assert U / tp.N == pytest.approx(a, rel=1e-10)
+
+
+def _dual_forms(T0):
+    # the kernel differentiated in T: (ln Z1, U, S, Cv) as dual numbers
+    return thermo._closed_forms(Dual(T0, 1.0), TP)
 
 
 def test_entropy_matches_dual_derivative_of_free_energy():
     for T0 in (0.02, 0.11, 0.7, 4.6, 40.0):
-        ds = -thermo.free_energy(Dual(T0, 1.0), TP).eps
-        s = thermo.entropy(T0, TP)
-        assert s == pytest.approx(ds, rel=1e-9, abs=1e-12)
+        A = -TP.N * P.kB * Dual(T0, 1.0) * _dual_forms(T0)[0]
+        s = thermo.thermo_point(T0, TP).S
+        assert s == pytest.approx(-A.eps, rel=1e-9, abs=1e-12)
 
 
 def test_heat_capacity_matches_dual_derivative_of_energy():
     for T0 in (0.11, 0.7, 4.6, 40.0, 500.0):
-        dc = thermo.internal_energy(Dual(T0, 1.0), TP).eps
-        assert thermo.heat_capacity(T0, TP) == pytest.approx(dc, rel=1e-9)
+        dc = _dual_forms(T0)[1].eps
+        assert thermo.thermo_point(T0, TP).Cv == pytest.approx(dc, rel=1e-9)
 
 
 def test_heat_capacity_equals_T_dS_dT():
     for T0 in (0.2, 0.9, 3.7, 25.0):
-        ds = thermo.entropy(Dual(T0, 1.0), TP).eps
-        assert thermo.heat_capacity(T0, TP) == pytest.approx(T0 * ds, rel=1e-8)
+        ds = _dual_forms(T0)[2].eps
+        assert thermo.thermo_point(T0, TP).Cv == pytest.approx(T0 * ds,
+                                                               rel=1e-8)
 
 
 def test_heat_capacity_nonnegative_and_equipartition():
     for T in np.logspace(-4, 4, 60):
-        assert thermo.heat_capacity(float(T), TP) >= 0.0
+        assert thermo.thermo_point(float(T), TP).Cv >= 0.0
     # 2 quadratic coordinate + 2 momentum modes per site
-    assert thermo.heat_capacity(1e4, TP) == pytest.approx(
+    assert thermo.thermo_point(1e4, TP).Cv == pytest.approx(
         2.0 * TP.N * P.kB, rel=1e-6)
 
 
 def test_entropy_vanishes_at_zero_and_grows():
-    assert 0.0 <= thermo.entropy(1e-3, TP) < 1e-12
-    assert thermo.entropy(1e-4, TP) == 0.0
+    assert 0.0 <= thermo.thermo_point(1e-3, TP).S < 1e-12
+    assert thermo.thermo_point(1e-4, TP).S == 0.0
     Ts = np.logspace(-2, 2, 40)
-    Ss = [thermo.entropy(float(T), TP) for T in Ts]
+    Ss = [thermo.thermo_point(float(T), TP).S for T in Ts]
     assert all(b >= a for a, b in zip(Ss, Ss[1:]))
 
 
@@ -166,21 +179,23 @@ def test_entropy_increases_with_theta_at_low_temperature():
     h = 1e-5
     for T in (0.1, 0.2):
         for theta in (0.3, 1.0):
-            sp = thermo.entropy(T, _tp(theta + h))
-            sm = thermo.entropy(T, _tp(theta - h))
+            sp = thermo.thermo_point(T, _tp(theta + h)).S
+            sm = thermo.thermo_point(T, _tp(theta - h)).S
             assert (sp - sm) / (2.0 * h) > 0.0
 
 
 def test_free_energy_sign_and_scaling_in_N():
-    a1 = thermo.free_energy(0.8, _tp(0.3, N=1))
-    a5 = thermo.free_energy(0.8, _tp(0.3, N=5))
+    a1 = thermo.thermo_point(0.8, _tp(0.3, N=1)).A
+    a5 = thermo.thermo_point(0.8, _tp(0.3, N=5)).A
     assert a5 == pytest.approx(5.0 * a1, rel=1e-14)
 
 
 def test_thermo_point_fields_consistent():
     pt = thermo.thermo_point(0.9, TP)
     assert pt.T == 0.9 and pt.theta == P.theta
-    assert pt.Z1 == pytest.approx(thermo.partition_single(0.9, TP), rel=1e-15)
+    lnZ, U, S, Cv = thermo._closed_forms(0.9, TP)
+    assert (pt.Z1, pt.U, pt.S, pt.Cv) == (math.exp(lnZ), U, S, Cv)
+    assert pt.A == -TP.N * P.kB * 0.9 * lnZ
     assert pt.S_per_NkB == pytest.approx(pt.S / (TP.N * P.kB), rel=1e-15)
     assert pt.U == pytest.approx(pt.A + pt.T * pt.S, rel=1e-12)
 
@@ -192,6 +207,17 @@ def test_thermo_point_rejects_inconsistent_rows():
     with pytest.raises(CheckFailure):
         thermo.ThermoPoint(T=1.0, theta=0.0, Z1=1.0, A=1.0, S=1.0,
                            U=2.0, Cv=-1.0, S_per_NkB=1.0)
+
+
+def test_thermo_point_evaluates_the_kernel_once(monkeypatch):
+    calls = []
+    kernel = thermo._closed_forms
+    monkeypatch.setattr(thermo, "_closed_forms",
+                        lambda T, tp: calls.append(T) or kernel(T, tp))
+    thermo.thermo_point(0.9, TP)
+    assert calls == [0.9]
+    thermo.entropy_sweep([0.5, 1.0, 2.0], TP, thetas=[0.0, 0.5])
+    assert len(calls) == 1 + 6
 
 
 def test_entropy_sweep_rows_and_theta_cross():
@@ -211,9 +237,9 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         ThermoParams(nc=P, N=True)
     with pytest.raises(ValueError):
-        thermo.partition_single(0.0, TP)
+        thermo.thermo_point(0.0, TP)
     with pytest.raises(ValueError):
-        thermo.internal_energy(-1.0, TP)
+        thermo.thermo_point(-1.0, TP)
     with pytest.raises(ValueError):
         ThermoParams(nc=NCParams(m=1.0, omega=0.0, theta=0.1))
 

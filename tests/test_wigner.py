@@ -336,6 +336,31 @@ def test_table_holds_one_table_sized_array(ground_xpy, table_axes):
     assert peak <= 1.5 * table.values.nbytes
 
 
+def test_purity_forms_no_table_sized_product(ground_table):
+    # overlap sums one x-row of W1 W2 at a time
+    tracemalloc.start()
+    try:
+        ground_table.purity()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * ground_table.values.nbytes
+
+
+def test_check_wigner_peak_stays_near_one_table(monkeypatch):
+    tables = []
+    table = wigner.wigner_table
+    monkeypatch.setattr(wigner, "wigner_table", lambda W, axes: (
+        tables.append(table(W, axes)) or tables[-1]))
+    tracemalloc.start()
+    try:
+        assert selftest.check_wigner(seed=42).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * tables[0].values.nbytes
+
+
 def test_check_wigner_builds_one_table(monkeypatch):
     # the excited-state witness is the parity value W(0), not a second table
     calls = []
@@ -416,6 +441,11 @@ def test_displaced_overlap_matches_inner_product(ground_xpy, ground_table,
     fidelity = abs(ground_xpy.inner(disp)) ** 2
     tab_d = wigner_table(wigner_from_state(disp, P), table_axes)
     assert ground_table.overlap(tab_d) == pytest.approx(fidelity, abs=1e-6)
+    # the row-by-row sum against one contraction of the whole product
+    w = [trapezoid_weights(a) for a in table_axes]
+    whole = (2.0 * math.pi * P.hbar) ** 2 * np.einsum(
+        "i,j,k,l,ijkl->", *w, ground_table.values * tab_d.values)
+    assert ground_table.overlap(tab_d) == pytest.approx(whole, rel=1e-13)
 
 
 def test_center_accepts_phase_point():
