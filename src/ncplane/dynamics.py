@@ -1,9 +1,9 @@
 """Classical dynamics under the deformed bracket.
 
-Fixed-step RK4 for the bracket equations of motion, the closed-form flow
-of the isotropic oscillator (the free particle is its omega = 0 case) in
-one elementwise kernel behind the point, path and matrix forms, and
-Noether-charge monitoring.
+Fixed-step RK4 for the bracket equations of motion of a quadratic H on its
+gradient map read once by duals, the closed-form flow of the isotropic
+oscillator (the free particle is its omega = 0 case) in one elementwise
+kernel behind the point, path and matrix forms, and Noether-charge monitoring.
 The integrator is deliberately not symplectic: the deformed bracket is
 non-canonical and is left that way, so runs are certified by charge drift
 instead of by structure preservation.
@@ -12,12 +12,12 @@ instead of by structure preservation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .params import CheckFailure, NCParams
-from .phasespace import PhasePoint, ScalarField, galilei_generators, _coords
+from .phasespace import COORD_NAMES, PhasePoint, ScalarField, galilei_generators
 
 
 class DivergenceError(CheckFailure):
@@ -58,11 +58,6 @@ class Trajectory:
         return Trajectory(self.times, self.points, self.hamiltonian, charges)
 
 
-def _rhs(H, theta, x, y, px, py, t):
-    hx, hy, hpx, hpy = H.partials(x, y, px, py, t)
-    return (hpx + theta * hy, hpy - theta * hx, -hx, -hy)
-
-
 def _time_grid(t0, t1, dt):
     """(n, h, times): n steps of h from t0, dt rounded so that the last
     of the n + 1 times lands exactly on t1."""
@@ -77,40 +72,73 @@ def _time_grid(t0, t1, dt):
     return n, h, times
 
 
+def _start(z0):
+    """A flow's start point as four unconverted scalars, checked like a PhasePoint."""
+    z = astuple(z0) if isinstance(z0, PhasePoint) else tuple(z0)
+    if len(z) != 4:
+        raise ValueError(f"a start point has 4 coordinates {COORD_NAMES}, got {len(z)}")
+    PhasePoint(*z)     # names a non-finite coordinate
+    return z
+
+
+def _gradient_map(H, t0):
+    """(G, g) with grad H(z) = G z + g at t0, read by duals at 0 and each e_j."""
+    g = np.array(H.partials(0.0, 0.0, 0.0, 0.0, t0))
+    return np.array([H.partials(*e, t0) for e in np.eye(4).tolist()]).T - g[:, None], g
+
+
+def _require_linear(H, G, g, z, t):
+    """ValueError unless grad H at (z, t) is G z + g to 1e-12 of |G| |z| + |g|."""
+    err = np.abs(np.subtract(H.partials(*z, t), G @ z + g))
+    off = ~(err <= 1e-12 * (np.abs(G) @ np.abs(z) + np.abs(g)))
+    if off.any():
+        raise ValueError(f"field {H.name!r} is not quadratic and free of t: its d/d"
+                         f"{COORD_NAMES[off.argmax()]} at t={t!r} is off G z + g")
+
+
 def hamiltonian_flow(H: ScalarField, z0, t0, t1, dt, p: NCParams) -> Trajectory:
     """Integrate dq_i/dt = dH/dp_i + theta eps_ij dH/dq_j, dp_i/dt = -dH/dq_i.
 
     Classical RK4 with a fixed step; the requested dt is rounded so the
-    final time lands exactly on t1.  Raises DivergenceError if the state
-    leaves the finite floats.
+    final time lands exactly on t1.  H must be quadratic in z and free of
+    t: its gradient G z + g is read once by duals, and every stage runs on
+    that map (bit-equal to dual gradients for oscillator_hamiltonian short
+    of overflow).  ValueError if the dual gradient at the start or the end
+    is off the map; DivergenceError if the state leaves the finite floats.
     """
+    x, y, px, py = z = _start(z0)
     n, h, times = _time_grid(t0, t1, dt)
     th = p.theta
+    G, g = _gradient_map(H, t0)
+    _require_linear(H, G, g, z, t0)
+    (G00, G01, G02, G03, g0), (G10, G11, G12, G13, g1), (G20, G21, G22, G23, g2), \
+        (G30, G31, G32, G33, g3) = np.column_stack([G, g]).tolist()
+
+    def rhs(x, y, px, py):
+        hx = G00 * x + G01 * y + G02 * px + G03 * py + g0
+        hy = G10 * x + G11 * y + G12 * px + G13 * py + g1
+        return (G20 * x + G21 * y + G22 * px + G23 * py + g2 + th * hy,
+                G30 * x + G31 * y + G32 * px + G33 * py + g3 - th * hx, -hx, -hy)
 
     out = np.empty((n + 1, 4))
-    x, y, px, py = _coords(z0)
-    out[0] = (x, y, px, py)
-    t = t0
-    half = 0.5 * h
-    sixth = h / 6.0
-    isfinite = math.isfinite
+    out[0] = z
+    half, sixth, isfinite = 0.5 * h, h / 6.0, math.isfinite
     for k in range(n):
-        a1, b1, c1, d1 = _rhs(H, th, x, y, px, py, t)
-        a2, b2, c2, d2 = _rhs(H, th, x + half * a1, y + half * b1,
-                              px + half * c1, py + half * d1, t + half)
-        a3, b3, c3, d3 = _rhs(H, th, x + half * a2, y + half * b2,
-                              px + half * c2, py + half * d2, t + half)
-        a4, b4, c4, d4 = _rhs(H, th, x + h * a3, y + h * b3,
-                              px + h * c3, py + h * d3, t + h)
+        a1, b1, c1, d1 = rhs(x, y, px, py)
+        a2, b2, c2, d2 = rhs(x + half * a1, y + half * b1,
+                             px + half * c1, py + half * d1)
+        a3, b3, c3, d3 = rhs(x + half * a2, y + half * b2,
+                             px + half * c2, py + half * d2)
+        a4, b4, c4, d4 = rhs(x + h * a3, y + h * b3, px + h * c3, py + h * d3)
         x += sixth * (a1 + 2.0 * (a2 + a3) + a4)
         y += sixth * (b1 + 2.0 * (b2 + b3) + b4)
         px += sixth * (c1 + 2.0 * (c2 + c3) + c4)
         py += sixth * (d1 + 2.0 * (d2 + d3) + d4)
         if not (isfinite(x) and isfinite(y) and isfinite(px) and isfinite(py)):
-            raise DivergenceError(t)
-        t = t0 + (k + 1) * h
+            raise DivergenceError(float(times[k]))
         out[k + 1] = (x, y, px, py)
 
+    _require_linear(H, G, g, (x, y, px, py), t1)
     return Trajectory(times, out, hamiltonian=H)
 
 
@@ -159,7 +187,7 @@ def _closed_form(x0, y0, px0, py0, t, p: NCParams):
 def oscillator_solution(z0, t, p: NCParams) -> PhasePoint:
     """Closed-form state at time t from phase-space data at 0; omega = 0
     is the free particle."""
-    x0, y0, px0, py0 = _coords(z0)
+    x0, y0, px0, py0 = _start(z0)
     if t == 0.0:
         # keep the initial point bit-exact; the velocity round trip costs an ulp
         return PhasePoint(x0, y0, px0, py0)
@@ -169,11 +197,10 @@ def oscillator_solution(z0, t, p: NCParams) -> PhasePoint:
 def oscillator_path(z0, t0, t1, dt, p: NCParams) -> Trajectory:
     """Closed-form solution sampled on a uniform grid, as a Trajectory."""
     _, _, times = _time_grid(t0, t1, dt)
-    x0, y0, px0, py0 = _coords(z0)
+    z = _start(z0)
     # closed form is written from t=0; shift if t0 != 0
-    pts = np.stack(np.broadcast_arrays(
-        *_closed_form(x0, y0, px0, py0, times - t0, p)), axis=1)
-    pts[0] = (x0, y0, px0, py0)
+    pts = np.stack(np.broadcast_arrays(*_closed_form(*z, times - t0, p)), axis=1)
+    pts[0] = z
     return Trajectory(times, pts, hamiltonian=oscillator_hamiltonian(p))
 
 

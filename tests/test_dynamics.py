@@ -19,6 +19,7 @@ from ncplane import (
     oscillator_path,
     noether_charges,
     charge_drift,
+    galilei_generators,
 )
 
 P = NCParams(m=1.0, omega=1.0, theta=0.3)
@@ -204,11 +205,37 @@ def test_small_theta_rotation_is_second_order():
 
 
 def test_divergence_raises_with_time():
-    p = NCParams()
-    H = ScalarField(lambda x, y, px, py, t: x * x * px, "H_blow")
+    # dt = 1.5 is past RK4's stability limit for omega = 2
+    p = NCParams(m=0.5, omega=2.0, theta=0.3)
+    H = oscillator_hamiltonian(p)
     with pytest.raises(DivergenceError) as ei:
-        hamiltonian_flow(H, PhasePoint(1.0, 0.0, 1.0, 0.0), 0.0, 5.0, 1e-3, p)
-    assert 0.0 < ei.value.t_last < 5.0
+        hamiltonian_flow(H, PhasePoint(1.0, 0.0, 1.0, 0.0), 0.0, 1e4, 1.5, p)
+    assert 0.0 < ei.value.t_last < 1e4
+
+
+def test_flow_rejects_a_non_quadratic_or_time_dependent_hamiltonian():
+    Hosc = oscillator_hamiltonian(P)
+    k1 = galilei_generators(P)[4]
+    for H in (ScalarField(lambda x, y, px, py, t: x * x * px, "H_cubic"), k1,
+              ScalarField(lambda x, y, px, py, t: Hosc.fn(x, y, px, py, t)
+                          + t * x * x, "H_ramp")):
+        with pytest.raises(ValueError, match=f"field '{H.name}'"):
+            hamiltonian_flow(H, Z0, 0.0, 1.0, 0.1, P)
+
+
+def test_flows_validate_the_start_point():
+    # a non-finite start blamed the integrator (DivergenceError) or gave a
+    # NaN path; a short one failed to unpack
+    H = oscillator_hamiltonian(P)
+    flows = (lambda z: hamiltonian_flow(H, z, 0.0, 1.0, 0.1, P),
+             lambda z: oscillator_path(z, 0.0, 1.0, 0.1, P),
+             lambda z: oscillator_solution(z, 1.0, P))
+    for flow in flows:
+        for z, message in (((0.0, 0.0, math.inf, 0.0), "px is not finite"),
+                           (np.array([0.0, math.nan, 0.0, 0.0]), "y is not finite"),
+                           ((1.0, 0.0, 0.0), "got 3")):
+            with pytest.raises(ValueError, match=message):
+                flow(z)
 
 
 def test_trajectory_validation():

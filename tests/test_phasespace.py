@@ -300,8 +300,9 @@ def test_one_pass_gradient_equals_four_passes_at_random_points(c):
 
 
 def _oracle_flow(H, z0, t1, dt, theta):
-    """The RK4 path of dynamics.hamiltonian_flow from t = 0, stepped on the
-    four-pass oracle gradient."""
+    """The RK4 path of dynamics.hamiltonian_flow from t = 0, with the
+    four-pass oracle gradient evaluated at every stage (the flow itself
+    reads a linear gradient map once)."""
     n = max(1, round(t1 / dt))
     h = t1 / n
     half, sixth = 0.5 * h, h / 6.0
@@ -338,6 +339,39 @@ def test_rk4_flow_equals_four_pass_oracle_at_ensemble_settings():
         assert np.array_equal(traj.points, _oracle_flow(H, z0, 0.5, 1e-3, 0.3))
 
 
+@pytest.mark.parametrize("m,omega,theta", [(1.0, 1.0, 0.3), (1.3, 0.8, 0.7),
+                                           (1.0, 1.0, -0.4), (2.0, 0.0, 0.5),
+                                           (0.7, 1.9, 1e-3), (1.0, 1.0, 0.0)])
+def test_rk4_flow_on_the_gradient_map_equals_four_pass_oracle(m, omega, theta):
+    # the flow reads grad H once as a linear map; every stage must still
+    # match the per-stage dual gradient bit for bit, numpy-float starts too
+    p = NCParams(m=m, omega=omega, theta=theta)
+    H = oscillator_hamiltonian(p)
+    rows = np.random.default_rng(11).normal(0.0, 1.5, size=(2, 4))
+    for z0 in (rows[0].tolist(), rows[1]):      # Python and numpy floats
+        traj = hamiltonian_flow(H, z0, 0.0, 0.3, 1e-2, p)
+        want = _oracle_flow(H, z0, 0.3, 1e-2, theta)
+        assert np.array_equal(traj.points, want)
+        assert np.array_equal(np.signbit(traj.points), np.signbit(want))
+
+
+@pytest.mark.parametrize("t1", (1e-2, 1.0))
+def test_flow_reads_the_gradient_seven_times_at_any_step_count(t1, monkeypatch):
+    # five reads build the map, two check it at the start and the end
+    calls = []
+    partials = ScalarField.partials
+
+    def counted(self, *args):
+        calls.append(self.name)
+        return partials(self, *args)
+
+    monkeypatch.setattr(ScalarField, "partials", counted)
+    p = NCParams(theta=0.3)
+    traj = hamiltonian_flow(oscillator_hamiltonian(p), Z1, 0.0, t1, 1e-3, p)
+    assert len(traj) - 1 == round(t1 / 1e-3)
+    assert calls == ["H_osc"] * 7
+
+
 def test_jacobi_residuals_equal_four_pass_oracle():
     p = NCParams(m=1.5, theta=0.9)
 
@@ -355,13 +389,18 @@ def test_jacobi_residuals_equal_four_pass_oracle():
 
 
 def test_nonfinite_gradients_still_raise():
-    blow = ScalarField(lambda x, y, px, py, t: x * x * px, "H_blow")
+    # an RK4 step past its stability limit; at (m, omega) = (0.5, 2) both k
+    # and 1/(2m) are 1, so the dual lane k (x + x) and the map's 2k x
+    # overflow on the same step
     z0 = (1.0, 0.0, 1.0, 0.0)
-    with pytest.raises(DivergenceError) as got:
-        hamiltonian_flow(blow, z0, 0.0, 5.0, 1e-3, NCParams())
-    with pytest.raises(DivergenceError) as want:
-        _oracle_flow(blow, z0, 5.0, 1e-3, 0.0)
-    assert got.value.t_last == want.value.t_last
+    for theta in (0.0, 0.3):
+        p = NCParams(m=0.5, omega=2.0, theta=theta)
+        H = oscillator_hamiltonian(p)
+        with pytest.raises(DivergenceError) as got:
+            hamiltonian_flow(H, z0, 0.0, 1e4, 1.5, p)
+        with pytest.raises(DivergenceError) as want:
+            _oracle_flow(H, z0, 1e4, 1.5, theta)
+        assert got.value.t_last == want.value.t_last
     huge = ScalarField(lambda x, y, px, py, t: 1e300 * x * x * py, "huge")
     with pytest.raises(FieldEvaluationError):
         poisson_bracket(huge, X, (1e10, 0.0, 0.0, 1.0), 0.0)
