@@ -8,8 +8,8 @@ printed with %.17g (integer columns with %d) so they round-trip exactly.
 Exit codes: 0 all checks passed, 1 a named check failed its tolerance or a
 numerical consistency check raised CheckFailure (divergence, a non-finite
 field value or gradient, U = A + TS, Cv >= 0, Wigner realness), 2
-configuration error (bad config or invalid parameters), 3 internal error
-(an unexpected exception, reported as one line on stderr, no traceback).
+configuration error (bad config, non-finite or invalid parameters), 3
+internal error (an unexpected exception, one stderr line, no traceback).
 """
 
 from __future__ import annotations
@@ -114,11 +114,15 @@ def parse_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then flags."""
+    """Defaults, then the config file, then flags; every float finite."""
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {k: v for k, v in vars(args).items()
                  if k in _FIELD_TYPES and v is not None}
-    return replace(RunConfig(), **{**file_values, **overrides})
+    values = {**file_values, **overrides}
+    for key, v in values.items():
+        if _FIELD_TYPES[key] is float and not math.isfinite(v):
+            raise ConfigError(f"{key} must be finite, got {v!r}")
+    return replace(RunConfig(), **values)
 
 
 _BLOCK = 1024  # rows formatted per write; bounds the lists held at once

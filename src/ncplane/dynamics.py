@@ -61,6 +61,9 @@ class Trajectory:
 def _time_grid(t0, t1, dt):
     """(n, h, times): n steps of h from t0, dt rounded so that the last
     of the n + 1 times lands exactly on t1."""
+    for name, v in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not t1 > t0:

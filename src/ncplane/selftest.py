@@ -188,22 +188,16 @@ def check_wigner(seed: int = 42):
 
     ta = np.linspace(-4.8, 4.8, 41)
     table_axes = (psi0.axis1, ta, ta, psi0.axis2)
-    table = wigner.wigner_table(Wq, table_axes)
-    norm_err = abs(table.integral() - 1.0)
-    purity_err = abs(table.purity() - 1.0)
-
-    marg_err = 0.0
-    m = table.marginal("xpy")
-    marg_err = max(marg_err, float(np.max(np.abs(
-        m.values - np.abs(psi0.values) ** 2))))
-    psi0_y = spectra.transform(psi0, "ypx", p, axes=(ta, ta))
-    m = table.marginal("ypx")
-    marg_err = max(marg_err, float(np.max(np.abs(
-        m.values - np.abs(psi0_y.values) ** 2))))
-    m = table.marginal("p")
-    psi0_pp = spectra.transform(psi0, "p", p, axes=(ta, psi0.axis2))
-    marg_err = max(marg_err, float(np.max(np.abs(
-        m.values - np.abs(psi0_pp.values) ** 2))))
+    # the quadrature rows go straight into the sums: no table is stored
+    sums = wigner.table_sums(wigner.quadrature_rows(Wq, table_axes),
+                             table_axes, p)
+    norm_err = abs(sums.integral - 1.0)
+    purity_err = abs(sums.purity - 1.0)
+    # each marginal against |psi|^2 in its own basis
+    marg_err = max(float(np.max(np.abs(
+        sums.marginal(psi.basis).values - np.abs(psi.values) ** 2)))
+        for psi in (psi0, spectra.transform(psi0, "ypx", p, axes=(ta, ta)),
+                    spectra.transform(psi0, "p", p, axes=(ta, psi0.axis2))))
 
     # parity: W(0) = -1/(pi hbar)^2 for every n = 1 state, its minimum
     psi1 = spectra.transform(spectra.eigenfunction(1, 1, p, axes), "xpy", p)

@@ -45,8 +45,8 @@ class ThermoParams:
 
 
 def _beta(T, p: NCParams):
-    if value(T) <= 0.0:
-        raise ValueError(f"temperature must be positive, got {T!r}")
+    if not 0.0 < value(T) < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {T!r}")
     return 1.0 / (p.kB * T)
 
 

@@ -36,12 +36,6 @@ class WignerError(ValueError):
     """Ill-posed Wigner construction or evaluation request."""
 
 
-def _exp(q):
-    if isinstance(q, Dual):
-        return duals.exp(q)
-    return np.exp(q)
-
-
 class GroundStateWigner:
     """Closed-form ground-state distribution, optionally displaced.
 
@@ -68,7 +62,8 @@ class GroundStateWigner:
         q = (-(px * px + py * py) / self._s2
              - self._k
              * ((x + 0.5 * p.theta * py) ** 2 + (y - 0.5 * p.theta * px) ** 2))
-        return _exp(q) / (math.pi * p.hbar) ** 2
+        e = duals.exp(q) if isinstance(q, Dual) else np.exp(q)
+        return e / (math.pi * p.hbar) ** 2
 
 
 class QuadratureWigner:
@@ -235,73 +230,94 @@ class WignerTable:
             raise WignerError(
                 f"values shape {self.values.shape} does not match axes {shape}")
 
-    def _weights(self):
-        return [trapezoid_weights(a) for a in self.axes]
-
     def integral(self) -> float:
-        w = self._weights()
-        return float(np.einsum("i,j,k,l,ijkl->", *w, self.values))
+        return table_sums(self.values, self.axes, self.params).integral
 
     def overlap(self, other: "WignerTable") -> float:
         """(2 pi hbar)^2 integral W1 W2, clipped to the fidelity range."""
         if any(not np.array_equal(a, b)
                for a, b in zip(self.axes, other.axes)):
             raise WignerError("overlap needs identical table axes")
-        w = self._weights()
+        w = [trapezoid_weights(a) for a in self.axes]
         # one x-row at a time: no table-sized product is formed
-        rows = [w[1] @ ((a * b) @ w[3]) @ w[2]
-                for a, b in zip(self.values, other.values)]
-        raw = (2.0 * math.pi * self.params.hbar) ** 2 * float(w[0] @ rows)
-        if raw > 1.0 + 1e-6:
-            raise WignerError(f"overlap {raw!r} exceeds 1 beyond tolerance")
-        return min(max(raw, 0.0), 1.0)
+        return _fidelity(self.params, w[0], [
+            _row_sum(w, a * b) for a, b in zip(self.values, other.values)])
 
     def purity(self) -> float:
         return self.overlap(self)
 
+
+def _row_sum(w, a):
+    """sum_jkl w1_j w2_k w3_l a[j, k, l] over one x-row a[y, px, py]."""
+    return w[1] @ (a @ w[3]) @ w[2]
+
+
+def _fidelity(p: NCParams, w0, row_sums) -> float:
+    raw = (2.0 * math.pi * p.hbar) ** 2 * float(w0 @ row_sums)
+    if raw > 1.0 + 1e-6:
+        raise WignerError(f"overlap {raw!r} exceeds 1 beyond tolerance")
+    return min(max(raw, 0.0), 1.0)
+
+
+@dataclass(frozen=True)
+class TableSums:
+    """A table's integral, purity and marginals (keyed by basis name)."""
+
+    integral: float
+    purity: float
+    marginals: dict
+
     def marginal(self, keep: str) -> GridFunction:
-        """Integrate out the complementary pair; keep is a basis name."""
-        w = self._weights()
-        if keep == "xpy":
-            vals = np.einsum("j,k,ijkl->il", w[1], w[2], self.values)
-            return GridFunction(self.axes[0], self.axes[3], vals, "xpy")
-        if keep == "ypx":
-            vals = np.einsum("i,l,ijkl->jk", w[0], w[3], self.values)
-            return GridFunction(self.axes[1], self.axes[2], vals, "ypx")
-        if keep == "p":
-            vals = np.einsum("i,j,ijkl->kl", w[0], w[1], self.values)
-            return GridFunction(self.axes[2], self.axes[3], vals, "p")
-        raise WignerError(f"unknown marginal {keep!r}")
+        if keep not in self.marginals:
+            raise WignerError(f"unknown marginal {keep!r}")
+        return self.marginals[keep]
+
+
+def table_sums(rows, axes, p: NCParams) -> TableSums:
+    """Every reduction of a table in one pass over its x-rows R_i[y, px, py],
+    a stored table's values or a quadrature_rows stream: the integral and
+    marginals in dx dy dpx dpy, the purity with an overlap's (2 pi hbar)^2."""
+    w = [trapezoid_weights(a) for a in axes]
+    pure, xpy, ypx, pp = [], [], 0.0, 0.0
+    # rows is read to its end, which runs a stream's realness check
+    for i, R in enumerate(rows):
+        pure.append(_row_sum(w, R * R))
+        P = np.tensordot(w[1], R, 1)            # (px, py): y summed out
+        xpy.append(w[2] @ P)
+        ypx = ypx + w[0][i] * (R @ w[3])
+        pp = pp + w[0][i] * P
+    # the integral is that of the (x, py) marginal
+    return TableSums(float(w[0] @ (xpy @ w[3])), _fidelity(p, w[0], pure), {
+        "xpy": GridFunction(axes[0], axes[3], np.array(xpy), "xpy"),
+        "ypx": GridFunction(axes[1], axes[2], ypx, "ypx"),
+        "p": GridFunction(axes[2], axes[3], pp, "p")})
 
 
 def wigner_table(W, axes) -> WignerTable:
-    """Sample an evaluator on a product grid.
-
-    Grid states require the x and py axes to coincide with the state grid;
-    row x_i then sums the correlation psi(x - zeta_k, py - eta_l)
-    psi*(x + zeta_k, py + eta_l) at every py node only over |k| <= min(i,
-    nx - 1 - i), where both factors lie on the grid (the rest are exact
-    zeros, not a truncation), through the kernel QuadratureWigner.at uses.
-    Closed-form evaluators accept any axes.
-    """
+    """Sample an evaluator on a product grid: a grid state stores the rows
+    of quadrature_rows, a closed-form evaluator accepts any axes."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != 4:
         raise WignerError("need four axes (x, y, px, py)")
+    shape = tuple(len(a) for a in axes)
     if isinstance(W, QuadratureWigner):
-        return _quadrature_table(W, axes)
-    X = axes[0][:, None, None, None]
-    Y = axes[1][None, :, None, None]
-    PX = axes[2][None, None, :, None]
-    PY = axes[3][None, None, None, :]
-    vals = np.broadcast_to(np.asarray(W.at(X, Y, PX, PY)),
-                           tuple(len(a) for a in axes)).copy()
+        vals = np.empty(shape)
+        for i, row in enumerate(quadrature_rows(W, axes)):
+            vals[i] = row
+    else:
+        z = np.meshgrid(*axes, indexing="ij", sparse=True)
+        vals = np.broadcast_to(np.asarray(W.at(*z)), shape).copy()
     return WignerTable(axes, vals, W.params)
 
 
-def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
-    """Fill out, the only table-sized array, row by row; the realness
-    check reads running maxima of |Im S| and |Re S| kept per row."""
-    psi, p = W.psi, W.params
+def quadrature_rows(W: QuadratureWigner, axes):
+    """Yield the x-rows R_i[y, px, py] of W's table on axes (x and py those
+    of the state grid), each a fresh array.  Row x_i sums the correlation
+    psi(x - zeta_k, py - eta_l) psi*(x + zeta_k, py + eta_l) only over |k|
+    <= min(i, nx - 1 - i), where both factors lie on the grid (the rest are
+    exact zeros); the realness check reads running maxima of |Im S| and
+    |Re S| kept per row and runs after the last row."""
+    psi = W.psi
     xa, ya, pxa, pya = axes
     if not np.array_equal(xa, psi.axis1) or not np.array_equal(pya, psi.axis2):
         raise WignerError(
@@ -309,7 +325,6 @@ def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
     A, F = W._phases(pxa, W._guard(xa, ya[None, :], pxa[:, None], pya))
     (nx, ny), K = psi.values.shape, W._K
     M = np.empty((2 * K + 1, ny, 2 * W._L + 1), dtype=complex)
-    out = np.empty((nx, len(ya), len(pxa), ny))
     worst_imag = worst_real = 0.0
     for i in range(nx):
         r = min(i, nx - 1 - i)      # the rest of the zeta lattice reads zeros
@@ -317,6 +332,5 @@ def _quadrature_table(W: QuadratureWigner, axes) -> WignerTable:
                         A[:, K - r:K + r + 1], F)            # (na, ny, nb)
         worst_imag = max(worst_imag, float(np.abs(S.imag).max(initial=0)))
         worst_real = max(worst_real, float(np.abs(S.real).max(initial=0)))
-        out[i] = np.transpose(S.real, (2, 0, 1))
+        yield np.ascontiguousarray(np.transpose(S.real, (2, 0, 1)))
     W._check_real(worst_imag, worst_real)
-    return WignerTable(tuple(axes), out, p)

@@ -3,13 +3,15 @@
 Every test runs the same deterministic check the CLI selftest uses,
 asserts it passed at the stated tolerances, enforces the runtime budget,
 and prints one summary line (bypassing capture so the line is always
-visible in the run log).
+visible in the run log).  A last test bounds the suite's peak Python
+heap, so a table-sized array on any check's path fails here.
 """
 
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -82,3 +84,16 @@ def test_criterion_7_cli_selftest(tmp_path, capsys):
     assert report["ok"] is True and report["seed"] == 42
     assert len(report["checks"]) == 6
     assert proc.stdout.count("[PASS]") == 6
+
+
+def test_selftest_peak_memory_stays_below_24_mib():
+    # Python-heap bytes, not RSS, so the bound holds on any machine: no
+    # table-sized array (the Wigner check's would be 54 MiB) is allocated
+    tracemalloc.start()
+    try:
+        results = selftest.run_all(seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 24 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -374,6 +374,36 @@ def test_thermo_sweep_files(tmp_path, capsys):
     assert "thermo_sweep.csv" in curves and curves.count("title") == 3
 
 
+@pytest.mark.parametrize("argv, key, value, written", [
+    (["classical", "simulate", "--t1", "inf"], "t1", "inf", "trajectory.csv"),
+    (["classical", "simulate", "--dt", "nan"], "dt", "nan", "trajectory.csv"),
+    (["thermo", "sweep", "--grid", "2x2", "--tmax", "nan"], "tmax", "nan",
+     "thermo_sweep.csv"),
+    (["thermo", "sweep", "--grid", "2x2", "--tmax", "inf"], "tmax", "inf",
+     "thermo_sweep.csv"),
+    (["algebra-check", "--tol", "nan"], "tol", "nan", "algebra_check.json")])
+def test_non_finite_value_is_a_configuration_error(tmp_path, capsys, argv,
+                                                   key, value, written):
+    # these reached the physics: exit 3 (OverflowError), exit 2 with a
+    # message naming no value, exit 0 with an all-NaN CSV, exit 1 as a
+    # missed tolerance
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {key} must be finite, got {value}" in err
+    assert not (tmp_path / written).exists()
+
+
+def test_build_config_rejects_non_finite_floats(tmp_path):
+    for key in (k for k, kind in cli._FIELD_TYPES.items() if kind is float):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+                build_config(_args(**{key: bad}))
+    f = tmp_path / "run.cfg"
+    f.write_text("tmax = nan\n")
+    with pytest.raises(ConfigError, match="tmax must be finite"):
+        build_config(_args(config=str(f)))
+
+
 def test_thermo_sweep_bad_grid_exits_two(tmp_path, capsys):
     assert cli.main(["thermo", "sweep", "--grid", "oops",
                      "--out-dir", str(tmp_path)]) == 2

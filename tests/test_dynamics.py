@@ -257,3 +257,16 @@ def test_flow_argument_validation():
             hamiltonian_flow(H, Z0, t0, t1, dt, P)
         with pytest.raises(ValueError, match=message):
             oscillator_path(Z0, t0, t1, dt, P)
+
+
+@pytest.mark.parametrize("t0, t1, dt, name", [
+    (0.0, math.inf, 1e-3, "t1"), (0.0, 1.0, math.nan, "dt"),
+    (math.nan, 1.0, 1e-3, "t0"), (-math.inf, 1.0, 1e-3, "t0"),
+    (0.0, math.nan, 1e-3, "t1"), (0.0, 1.0, math.inf, "dt")])
+def test_non_finite_flow_times_are_named(t0, t1, dt, name):
+    # t1 = inf overflowed in round(), dt = nan failed converting NaN to int
+    H = oscillator_hamiltonian(P)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        hamiltonian_flow(H, Z0, t0, t1, dt, P)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        oscillator_path(Z0, t0, t1, dt, P)

@@ -244,6 +244,21 @@ def test_parameter_validation():
         ThermoParams(nc=NCParams(m=1.0, omega=0.0, theta=0.1))
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf])
+def test_non_finite_temperature_is_rejected(T):
+    # nan passed the positivity test and gave an all-NaN row; inf raised a
+    # bare "math domain error"
+    message = f"temperature must be positive and finite, got .*{T}"
+    with pytest.raises(ValueError, match=message):
+        thermo.thermo_point(T, TP)
+    with pytest.raises(ValueError, match=message):
+        thermo._closed_forms(Dual(T, 1.0), TP)
+    with pytest.raises(ValueError, match=message):
+        thermo.entropy_sweep([0.5, T], TP, thetas=[0.0])
+    # a finite dual temperature still differentiates
+    assert thermo._closed_forms(Dual(0.7, 1.0), TP)[2].eps > 0.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(T=st.floats(0.05, 50.0),
        theta=st.floats(0.0, 3.0),

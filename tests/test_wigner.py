@@ -31,6 +31,8 @@ from ncplane.wigner import (
     WignerError,
     WignerTable,
     evolve_liouville,
+    quadrature_rows,
+    table_sums,
     wigner_from_state,
     wigner_ground_state,
     wigner_table,
@@ -324,6 +326,20 @@ def test_table_realness_check_catches_a_tilted_kernel(ground_xpy, table_axes,
         wigner_table(wigner_from_state(ground_xpy, P), table_axes)
 
 
+def test_streamed_realness_check_catches_a_tilted_kernel(ground_xpy,
+                                                         table_axes,
+                                                         monkeypatch):
+    contract = QuadratureWigner._contract
+
+    def tilted(self, M, A, F):
+        return contract(self, 1j * M, A, F)
+
+    monkeypatch.setattr(QuadratureWigner, "_contract", tilted)
+    rows = quadrature_rows(wigner_from_state(ground_xpy, P), table_axes)
+    with pytest.raises(CheckFailure, match="transform lost realness"):
+        table_sums(rows, table_axes, P)
+
+
 def test_table_holds_one_table_sized_array(ground_xpy, table_axes):
     # the realness scale is a running maximum, not |W| over the whole table
     Wq = wigner_from_state(ground_xpy, P)
@@ -347,29 +363,37 @@ def test_purity_forms_no_table_sized_product(ground_table):
     assert peak < 0.1 * ground_table.values.nbytes
 
 
-def test_check_wigner_peak_stays_near_one_table(monkeypatch):
-    tables = []
+TABLE_BYTES = 65 * 41 * 41 * 65 * 8     # check_wigner's table: 54.19 MiB
+
+
+def _record_table_builds(monkeypatch):
+    calls = []
     table = wigner.wigner_table
-    monkeypatch.setattr(wigner, "wigner_table", lambda W, axes: (
-        tables.append(table(W, axes)) or tables[-1]))
+    monkeypatch.setattr(wigner, "wigner_table",
+                        lambda W, axes: calls.append(axes) or table(W, axes))
+    return calls
+
+
+def test_check_wigner_peak_stays_near_one_table(monkeypatch):
+    # the rows stream into the sums: the peak is a few rows, not a table
+    calls = _record_table_builds(monkeypatch)
     tracemalloc.start()
     try:
         assert selftest.check_wigner(seed=42).passed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.4 * tables[0].values.nbytes
+    assert calls == []
+    assert peak < 0.35 * TABLE_BYTES
 
 
 def test_check_wigner_builds_one_table(monkeypatch):
-    # the excited-state witness is the parity value W(0), not a second table
-    calls = []
-    table = wigner.wigner_table
-    monkeypatch.setattr(wigner, "wigner_table",
-                        lambda W, axes: calls.append(axes) or table(W, axes))
+    # the excited-state witness is the parity value W(0), not a table, and
+    # the ground state's sums are taken from the streamed rows
+    calls = _record_table_builds(monkeypatch)
     r = selftest.check_wigner(seed=42)
     assert r.passed and "excited-state minimum -0.1013 < 0" in r.detail
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_table_normalization(ground_table):
@@ -378,21 +402,63 @@ def test_table_normalization(ground_table):
 
 def test_marginals_match_densities(ground_table, ground_xpy, table_axes):
     _, ya, pxa, _ = table_axes
-    m = ground_table.marginal("xpy")
+    sums = table_sums(ground_table.values, table_axes, P)
+    m = sums.marginal("xpy")
     assert np.abs(m.values - np.abs(ground_xpy.values) ** 2).max() < 1e-6
     psi_p = transform(ground_xpy, "p", P, axes=(pxa, ground_xpy.axis2))
-    m = ground_table.marginal("p")
+    m = sums.marginal("p")
     assert np.abs(m.values - np.abs(psi_p.values) ** 2).max() < 1e-6
     psi_ypx = transform(ground_xpy, "ypx", P, axes=(ya, pxa))
-    m = ground_table.marginal("ypx")
+    m = sums.marginal("ypx")
     assert np.abs(m.values - np.abs(psi_ypx.values) ** 2).max() < 1e-6
     with pytest.raises(WignerError):
-        ground_table.marginal("q")
+        sums.marginal("q")
 
 
-def test_excited_marginals_too(excited_table, excited_xpy):
-    m = excited_table.marginal("xpy")
+def test_excited_marginals_too(excited_table, excited_xpy, table_axes):
+    m = table_sums(excited_table.values, table_axes, P).marginal("xpy")
     assert np.abs(m.values - np.abs(excited_xpy.values) ** 2).max() < 1e-6
+
+
+def test_streamed_sums_equal_the_stored_table_sums(ground_xpy, ground_table,
+                                                   table_axes):
+    streamed = table_sums(quadrature_rows(wigner_from_state(ground_xpy, P),
+                                          table_axes), table_axes, P)
+    stored = table_sums(ground_table.values, table_axes, P)
+    assert streamed.integral == stored.integral == ground_table.integral()
+    assert streamed.purity == stored.purity == ground_table.purity()
+    for keep in ("xpy", "ypx", "p"):
+        assert np.array_equal(streamed.marginal(keep).values,
+                              stored.marginal(keep).values)
+
+
+def test_table_values_equal_the_row_by_row_fill(ground_xpy, table_axes):
+    # the fill loop as it stood before the rows became a stream, kept as
+    # the oracle the streamed table must match bit for bit
+    W = wigner_from_state(ground_xpy, P)
+    xa, ya, pxa, pya = table_axes
+    A, F = W._phases(pxa, W._guard(xa, ya[None, :], pxa[:, None], pya))
+    (nx, ny), K = ground_xpy.values.shape, W._K
+    M = np.empty((2 * K + 1, ny, 2 * W._L + 1), dtype=complex)
+    expect = np.empty((nx, len(ya), len(pxa), ny))
+    for i in range(nx):
+        r = min(i, nx - 1 - i)
+        S = W._contract(W._corr(i, slice(None), M[:2 * r + 1], r),
+                        A[:, K - r:K + r + 1], F)
+        expect[i] = np.transpose(S.real, (2, 0, 1))
+    assert np.array_equal(wigner_table(W, table_axes).values, expect)
+
+
+def test_row_sums_match_whole_table_contractions(ground_table, table_axes):
+    w = [trapezoid_weights(a) for a in table_axes]
+    sums = table_sums(ground_table.values, table_axes, P)
+    whole = np.einsum("i,j,k,l,ijkl->", *w, ground_table.values)
+    assert sums.integral == pytest.approx(whole, rel=1e-13)
+    for keep, spec, a, b in (("xpy", "j,k,ijkl->il", 1, 2),
+                             ("ypx", "i,l,ijkl->jk", 0, 3),
+                             ("p", "i,j,ijkl->kl", 0, 1)):
+        expect = np.einsum(spec, w[a], w[b], ground_table.values)
+        assert np.abs(sums.marginal(keep).values - expect).max() < 1e-13
 
 
 def test_purity_of_pure_states(ground_table, excited_table):
