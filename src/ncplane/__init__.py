@@ -57,7 +57,7 @@ from .spectra import (
 from .wigner import (
     WignerError,
     WignerTable,
-    wigner_from_state,
+    QuadratureWigner,
     wigner_ground_state,
     wigner_table,
     evolve_liouville,

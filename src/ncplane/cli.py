@@ -156,9 +156,7 @@ def cmd_algebra_check(cfg: RunConfig) -> int:
     run = {"tol": cfg.tol, "samples": cfg.samples, "seed": cfg.seed,
            "params": {"m": cfg.m, "theta": cfg.theta}}
     try:
-        # boost generators are time-dependent; merge two evaluation times
-        report = verify_algebra(p, samples=pts, tol=cfg.tol).merged_with(
-            verify_algebra(p, t=1.3, samples=pts, tol=cfg.tol))
+        report = verify_algebra(p, samples=pts, tol=cfg.tol)
     except FieldEvaluationError as exc:  # no residuals, but still a report
         _write_json(_out(cfg, "algebra_check.json"),
                     {**run, "error": str(exc), "ok": False})
@@ -242,7 +240,7 @@ def cmd_eigenfunction(cfg: RunConfig) -> int:
     p = cfg.nc()
     axes = spectra.momentum_grid(p, cfg.nodes, cfg.radius)
     psi = spectra.eigenfunction(cfg.n, cfg.two_j, p, axes)
-    rh, rj = spectra._residuals(psi, cfg.n, cfg.two_j, p)
+    rh, rj = spectra.eigen_residuals(psi, cfg.n, cfg.two_j, p)
     vals = psi.values.ravel()  # row-major: py varies fastest
     _write_csv(_out(cfg, "eigenfunction.csv"), "px,py,re,im",
                np.repeat(axes[0], axes[1].size),
@@ -269,7 +267,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
     axes = spectra.momentum_grid(p, cfg.nodes, cfg.radius)
     psi = spectra.transform(spectra.eigenfunction(cfg.n, cfg.two_j, p, axes),
                             "xpy", p)
-    W = wigner.wigner_from_state(psi, p)
+    W = wigner.QuadratureWigner(psi, p)
     stride = max(1, (cfg.nodes - 1) // 64)
     xs = psi.axis1[::stride]
     pxs = np.linspace(-cfg.radius * p.width / 2, cfg.radius * p.width / 2, 41)

@@ -162,6 +162,8 @@ def _closed_form(x0, y0, px0, py0, t, p: NCParams):
     v = p/m + lam eps q, the coefficient functions T1..T4 (T2' = T1,
     T4' = omega^2 T3) move positions and velocities, and v maps back.
     """
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t!r}")
     m = p.m
     if p.omega == 0:
         return x0 + px0 / m * t, y0 + py0 / m * t, px0, py0

@@ -164,11 +164,6 @@ class AlgebraReport:
     def max_residual(self):
         return max(self.residuals.values())
 
-    def merged_with(self, other):
-        """Pointwise max of two reports (e.g. evaluated at different times)."""
-        res = {k: max(v, other.residuals[k]) for k, v in self.residuals.items()}
-        return AlgebraReport(res, self.tol)
-
 
 def sample_points(n, seed=42, box=10.0):
     rng = np.random.default_rng(seed)
@@ -176,20 +171,27 @@ def sample_points(n, seed=42, box=10.0):
     return [PhasePoint.from_array(row) for row in pts]
 
 
-def verify_algebra(p: NCParams, t=0.0, samples=None, tol=1e-9):
-    """Evaluate all eight Galilei bracket relations at every sample point.
+# the boosts k_i depend on t explicitly: the algebra is checked at each time
+_TIMES = (0.0, 1.3)
 
-    ``samples`` is a sequence of points (PhasePoints or rows), stacked into
-    one (4, n) array so each bracket and each right-hand side is evaluated
-    once over all of them.  The expected right-hand sides include the
-    central extensions m and m^2*theta; a failing relation shows up as a
-    large residual, a non-finite bracket as a FieldEvaluationError.
+
+def verify_algebra(p: NCParams, samples=None, tol=1e-9):
+    """Evaluate all eight Galilei bracket relations at every sample point
+    and every time of _TIMES; each residual is the worst of them.
+
+    ``samples`` is a sequence of points (PhasePoints or rows), stacked once
+    per time into one (4, 2n) array so each bracket and each right-hand
+    side is evaluated once over all of them.  The expected right-hand sides
+    include the central extensions m and m^2*theta; a failing relation
+    shows up as a large residual, a non-finite bracket as a
+    FieldEvaluationError.
     """
     if samples is None:
         samples = sample_points(100)
     if len(samples) == 0:
         raise ValueError("verify_algebra needs at least one sample point")
     Z = np.array([_coords(z) for z in samples], dtype=float).T
+    Z, t = np.tile(Z, len(_TIMES)), np.repeat(_TIMES, len(samples))
     m, th = p.m, p.theta
     H, P1, P2, J, K1, K2 = galilei_generators(p)
     Ps = (P1, P2)

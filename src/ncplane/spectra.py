@@ -184,14 +184,10 @@ def apply_angular_momentum(psi: GridFunction, p: NCParams) -> GridFunction:
     return psi.with_values(1j * p.hbar * _rotation(psi))
 
 
-def eigen_residuals(n: int, two_j: int, p: NCParams, axes=None):
-    """(H-residual, J-residual) for psi_{n, j} on the given or default grid."""
-    return _residuals(eigenfunction(n, two_j, p, axes), n, two_j, p)
-
-
-def _residuals(psi: GridFunction, n: int, two_j: int, p: NCParams):
-    """Relative interior L2 residuals ||A psi - lambda psi|| / ||psi|| of
-    A = H and J at level (n, two_j), each stencil applied once."""
+def eigen_residuals(psi: GridFunction, n: int, two_j: int, p: NCParams):
+    """(H-residual, J-residual) of the state psi at level (n, two_j): the
+    relative interior L2 residuals ||A psi - lambda psi|| / ||psi|| of
+    A = H and J, each stencil applied once."""
     L = _rotation(psi)
     norm = psi.interior_norm(STENCIL_BAND)
     H = _hamiltonian(psi, p, L) - energy(n, two_j, p) * psi.values

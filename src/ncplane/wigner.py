@@ -26,8 +26,7 @@ import numpy as np
 from . import duals
 from .duals import Dual
 from .params import CheckFailure, NCParams
-from .phasespace import PhasePoint
-from .dynamics import flow_matrix
+from .dynamics import _start, flow_matrix
 from .grids import GridFunction, trapezoid_weights
 from .spectra import _alias_guard
 
@@ -51,9 +50,8 @@ class GroundStateWigner:
         self._k = params.m * params.w_eff / params.hbar
         if center is None:
             center = (0.0, 0.0, 0.0, 0.0)
-        elif isinstance(center, PhasePoint):
-            center = (center.x, center.y, center.px, center.py)
-        self.center = tuple(float(c) for c in center)
+        # a PhasePoint or four finite coordinates, checked as a flow's start
+        self.center = tuple(float(c) for c in _start(center))
 
     def at(self, x, y, px, py):
         p = self.params
@@ -198,10 +196,6 @@ class EvolvedWigner:
         z0 = [M[i][0] * x + M[i][1] * y + M[i][2] * px + M[i][3] * py
               for i in range(4)]
         return self.base.at(*z0)
-
-
-def wigner_from_state(psi: GridFunction, p: NCParams) -> QuadratureWigner:
-    return QuadratureWigner(psi, p)
 
 
 def wigner_ground_state(p: NCParams, center=None) -> GroundStateWigner:

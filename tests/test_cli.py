@@ -474,8 +474,8 @@ def test_csv_row_layout_of_every_command(tmp_path, capsys):
     phi = spectra.transform(spectra.eigenfunction(0, 0, p, axes), "xpy", p)
     xs = phi.axis1
     pxs = np.linspace(-4.0 * p.width, 4.0 * p.width, 41)
-    W = wigner.wigner_from_state(phi, p).at(xs[:, None], 0.0, pxs[None, :],
-                                            0.0)
+    W = wigner.QuadratureWigner(phi, p).at(xs[:, None], 0.0, pxs[None, :],
+                                           0.0)
     expected["wigner_slice.csv"] = _oracle_csv(
         "c1,c2,W", _grid_rows(xs, pxs, lambda i, j: (W[i, j],)))
 

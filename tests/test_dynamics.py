@@ -270,3 +270,11 @@ def test_non_finite_flow_times_are_named(t0, t1, dt, name):
         hamiltonian_flow(H, Z0, t0, t1, dt, P)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         oscillator_path(Z0, t0, t1, dt, P)
+
+
+@pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
+def test_closed_form_rejects_a_non_finite_time(t):
+    # a NaN time used to surface as "phase-space coordinate x is not finite"
+    for p in (P, NCParams(m=1.0, omega=0.0, theta=0.3)):
+        with pytest.raises(ValueError, match="t must be finite"):
+            oscillator_solution(Z0, t, p)

@@ -169,7 +169,7 @@ def test_level_validation_reaches_eigenfunction():
 def test_eigen_residuals_spot_checks(theta, n, two_j):
     p = NCParams(m=1.0, omega=1.0, theta=theta)
     axes = momentum_grid(p, 256, 8.0)
-    rH, rJ = eigen_residuals(n, two_j, p, axes)
+    rH, rJ = eigen_residuals(eigenfunction(n, two_j, p, axes), n, two_j, p)
     assert rH < 1e-6
     assert rJ < 1e-6
 
@@ -205,7 +205,7 @@ def _assert_same_bits(n, two_j, p, axes):
     H, J = _separate_h(psi, p), _separate_j(psi, p)
     assert np.array_equal(apply_hamiltonian(psi, p).values, H.values)
     assert np.array_equal(apply_angular_momentum(psi, p).values, J.values)
-    assert eigen_residuals(n, two_j, p, axes) == (
+    assert eigen_residuals(psi, n, two_j, p) == (
         _separate_residual(H, psi, energy(n, two_j, p)),
         _separate_residual(J, psi, p.hbar * two_j))
 

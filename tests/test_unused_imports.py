@@ -22,6 +22,9 @@ since that is how the tracer names what it wraps.  Every name
 `__init__.py` imports, and every method or property (dunders aside) of a
 top-level class, must be read in those texts.  `SymmetryBasis.svd_gap`
 is the one exemption: it is a health figure bound for `symmetries.json`.
+
+The front ends, `cli.py` and `selftest.py`, read only public names of the
+other modules: a verification they need has one public home.
 """
 import ast
 import math
@@ -200,6 +203,22 @@ def unread_assignments(sources: dict, readers: list) -> list[str]:
     return sorted(out)
 
 
+def private_reads(source: str) -> list[str]:
+    """Underscore-prefixed names source takes from sibling modules: bound
+    by `from .m import _f` or read as `m._f` after `from . import m`."""
+    tree = ast.parse(source)
+    mods = {a.asname or a.name for n in tree.body
+            if isinstance(n, ast.ImportFrom) and n.level and not n.module
+            for a in n.names}
+    out = [f"{n.module}.{a.name} (line {n.lineno})" for n in tree.body
+           if isinstance(n, ast.ImportFrom) and n.level and n.module
+           for a in n.names if a.name.startswith("_")]
+    out += [f"{n.value.id}.{n.attr} (line {n.lineno})" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id in mods and n.attr.startswith("_")]
+    return sorted(out)
+
+
 def test_checker_flags_an_unused_name():
     src = "import math\nfrom os import path, sep as s\nprint(path)\n"
     assert unused_imports(src) == ["math (line 1)", "s (line 2)"]
@@ -253,6 +272,13 @@ def test_checker_flags_an_unread_method():
         "a.A.dead (line 21)", "a.A.kept (line 18)"]
 
 
+def test_checker_flags_a_private_read():
+    src = ("from . import a, b as c\nfrom .d import _e, f\nimport g\n"
+           "a._h(c._i, a.j, g._k, self._l, _e, f)\n")
+    assert private_reads(src) == ["a._h (line 4)", "c._i (line 4)",
+                                  "d._e (line 2)"]
+
+
 def test_checker_flags_an_unpassed_default():
     source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n\n"
               "def g(a=1):\n    pass\n\n"
@@ -275,6 +301,11 @@ def test_checker_flags_an_unread_assignment():
     readers = [sources["a"], "print(X, a.Z)\n"]
     assert unread_assignments(sources, readers) == [
         "a.T (line 4)", "a.Y (line 3)", "a._DIM (line 2)"]
+
+
+@pytest.mark.parametrize("name", ("cli.py", "selftest.py"))
+def test_front_end_reads_no_private_name_of_another_module(name):
+    assert private_reads((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

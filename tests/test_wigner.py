@@ -33,7 +33,6 @@ from ncplane.wigner import (
     evolve_liouville,
     quadrature_rows,
     table_sums,
-    wigner_from_state,
     wigner_ground_state,
     wigner_table,
 )
@@ -62,12 +61,12 @@ def table_axes(ground_xpy):
 
 @pytest.fixture(scope="module")
 def ground_table(ground_xpy, table_axes):
-    return wigner_table(wigner_from_state(ground_xpy, P), table_axes)
+    return wigner_table(QuadratureWigner(ground_xpy, P), table_axes)
 
 
 @pytest.fixture(scope="module")
 def excited_table(excited_xpy, table_axes):
-    return wigner_table(wigner_from_state(excited_xpy, P), table_axes)
+    return wigner_table(QuadratureWigner(excited_xpy, P), table_axes)
 
 
 def _displaced_gaussian(psi0, d, p):
@@ -91,7 +90,7 @@ def test_ground_state_peak_literal():
 
 
 def test_quadrature_matches_closed_form_on_slices(ground_xpy):
-    Wq = wigner_from_state(ground_xpy, P)
+    Wq = QuadratureWigner(ground_xpy, P)
     Wc = wigner_ground_state(P)
     pxs = np.linspace(-2.5, 2.5, 41)
     X, PX = np.meshgrid(ground_xpy.axis1, pxs, indexing="ij")
@@ -113,7 +112,7 @@ def test_table_matches_pointwise_quadrature_without_reflection_symmetry():
                     axes=(uniform_axis(-4.5, 4.5, 33), mix.axis2))
     psi = psi.with_values(psi.values
                           * np.exp(0.9j * psi.axis1[:, None] / P.hbar))
-    Wq = wigner_from_state(psi, P)
+    Wq = QuadratureWigner(psi, P)
     axes = (psi.axis1, uniform_axis(-1.5, 1.2, 4), uniform_axis(-0.8, 1.1, 3),
             psi.axis2)
     tab = wigner_table(Wq, axes)
@@ -131,7 +130,7 @@ def _excited_state(nodes):
 def test_readme_slice_reaches_the_last_x_node():
     # 256 nodes put py = 0 halfway between nodes: the README's own query
     psi = _excited_state(256)
-    Wq = wigner_from_state(psi, P)
+    Wq = QuadratureWigner(psi, P)
     vals = Wq.at(psi.axis1[-1], 0.0, np.linspace(-2.5, 2.5, 41), 0.0)
     assert np.all(np.isfinite(vals))
     assert np.abs(vals).max() <= 1.0 / (math.pi * P.hbar) ** 2
@@ -141,7 +140,7 @@ def test_pointwise_matches_table_at_every_x_node_of_64():
     # on 64 nodes (x - x_0)/h lands just below the node index at 60 of
     # the 64 x nodes; each must snap onto its node
     psi = _excited_state(64)
-    Wq = wigner_from_state(psi, P)
+    Wq = QuadratureWigner(psi, P)
     axes = (psi.axis1, uniform_axis(-1.0, 1.0, 3), uniform_axis(-0.9, 0.6, 3),
             psi.axis2)
     tab = wigner_table(Wq, axes)
@@ -155,7 +154,7 @@ def test_pointwise_matches_table_at_every_x_node_of_64():
 
 
 def test_pointwise_vanishes_off_the_state_grid(excited_xpy):
-    Wq = wigner_from_state(excited_xpy, P)
+    Wq = QuadratureWigner(excited_xpy, P)
     x, py = excited_xpy.axis1, excited_xpy.axis2
     assert Wq.at(x[-1] + 1.0, 0.0, 0.1, py[3]) == 0.0
     assert Wq.at(x[5], 0.0, 0.1, py[-1] + 0.5 * excited_xpy.step2) == 0.0
@@ -219,7 +218,7 @@ def kicked_mix():
 
 def test_pointwise_matches_term_by_term_oracle(kicked_mix):
     psi = kicked_mix
-    Wq = wigner_from_state(psi, P)
+    Wq = QuadratureWigner(psi, P)
     h1, h2 = psi.step1, psi.step2
     queries = [(psi.axis1[9], 0.3, 0.4, psi.axis2[8]),
                (psi.axis1[7], -0.6, 0.9, psi.axis2[10]),
@@ -242,7 +241,7 @@ def test_queries_within_tolerance_snap_onto_edge_nodes():
     vals = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
     psi = GridFunction(uniform_axis(-2.0, 2.0, 9), uniform_axis(-1.5, 1.5, 7),
                        vals, "xpy")
-    Wq = wigner_from_state(psi, P)
+    Wq = QuadratureWigner(psi, P)
     x, py, h1, h2 = psi.axis1, psi.axis2, psi.step1, psi.step2
     for xn, pyn, dx, dpy in ((x[-1], py[2], 1e-10 * h1, 0.0),
                              (x[0], py[4], -1e-10 * h1, 0.0),
@@ -263,7 +262,7 @@ def test_half_lattice_offsets_lose_no_term(nx, ny):
     vals = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
     psi = GridFunction(uniform_axis(-2.0, 2.0, nx),
                        uniform_axis(-1.5, 1.5, ny), vals, "xpy")
-    Wq = wigner_from_state(psi, P)
+    Wq = QuadratureWigner(psi, P)
     ya, pxa = np.array([-0.4, 0.7]), np.array([-0.5, 0.9])
     tab = wigner_table(Wq, (psi.axis1, ya, pxa, psi.axis2))
     expect = np.array([[[[_oracle(psi, x, y, px, py) for py in psi.axis2]
@@ -284,7 +283,7 @@ def test_half_lattice_offsets_lose_no_term(nx, ny):
 
 @pytest.mark.parametrize("coord", range(4))
 def test_non_finite_query_names_its_coordinate(ground_xpy, table_axes, coord):
-    Wq = wigner_from_state(ground_xpy, P)
+    Wq = QuadratureWigner(ground_xpy, P)
     name = ("x", "y", "p_x", "p_y")[coord]
     for bad in (math.nan, math.inf):
         q = [0.0, 0.0, 0.0, 0.0]
@@ -299,14 +298,14 @@ def test_non_finite_query_names_its_coordinate(ground_xpy, table_axes, coord):
 
 
 def test_empty_query_returns_empty_array_of_its_shape(ground_xpy):
-    Wq = wigner_from_state(ground_xpy, P)
+    Wq = QuadratureWigner(ground_xpy, P)
     assert Wq.at(np.array([]), 0.0, 0.0, 0.0).shape == (0,)
     got = Wq.at(np.zeros((3, 1)), 0.0, np.zeros((1, 0)), 0.0)
     assert got.shape == (3, 0) and got.dtype == float
 
 
 def test_empty_table_axis_gives_empty_table(ground_xpy, table_axes):
-    Wq = wigner_from_state(ground_xpy, P)
+    Wq = QuadratureWigner(ground_xpy, P)
     for k in (1, 2):
         axes = list(table_axes)
         axes[k] = np.array([])
@@ -323,7 +322,7 @@ def test_table_realness_check_catches_a_tilted_kernel(ground_xpy, table_axes,
 
     monkeypatch.setattr(QuadratureWigner, "_contract", tilted)
     with pytest.raises(CheckFailure, match="transform lost realness"):
-        wigner_table(wigner_from_state(ground_xpy, P), table_axes)
+        wigner_table(QuadratureWigner(ground_xpy, P), table_axes)
 
 
 def test_streamed_realness_check_catches_a_tilted_kernel(ground_xpy,
@@ -335,14 +334,14 @@ def test_streamed_realness_check_catches_a_tilted_kernel(ground_xpy,
         return contract(self, 1j * M, A, F)
 
     monkeypatch.setattr(QuadratureWigner, "_contract", tilted)
-    rows = quadrature_rows(wigner_from_state(ground_xpy, P), table_axes)
+    rows = quadrature_rows(QuadratureWigner(ground_xpy, P), table_axes)
     with pytest.raises(CheckFailure, match="transform lost realness"):
         table_sums(rows, table_axes, P)
 
 
 def test_table_holds_one_table_sized_array(ground_xpy, table_axes):
     # the realness scale is a running maximum, not |W| over the whole table
-    Wq = wigner_from_state(ground_xpy, P)
+    Wq = QuadratureWigner(ground_xpy, P)
     tracemalloc.start()
     try:
         table = wigner_table(Wq, table_axes)
@@ -422,7 +421,7 @@ def test_excited_marginals_too(excited_table, excited_xpy, table_axes):
 
 def test_streamed_sums_equal_the_stored_table_sums(ground_xpy, ground_table,
                                                    table_axes):
-    streamed = table_sums(quadrature_rows(wigner_from_state(ground_xpy, P),
+    streamed = table_sums(quadrature_rows(QuadratureWigner(ground_xpy, P),
                                           table_axes), table_axes, P)
     stored = table_sums(ground_table.values, table_axes, P)
     assert streamed.integral == stored.integral == ground_table.integral()
@@ -435,7 +434,7 @@ def test_streamed_sums_equal_the_stored_table_sums(ground_xpy, ground_table,
 def test_table_values_equal_the_row_by_row_fill(ground_xpy, table_axes):
     # the fill loop as it stood before the rows became a stream, kept as
     # the oracle the streamed table must match bit for bit
-    W = wigner_from_state(ground_xpy, P)
+    W = QuadratureWigner(ground_xpy, P)
     xa, ya, pxa, pya = table_axes
     A, F = W._phases(pxa, W._guard(xa, ya[None, :], pxa[:, None], pya))
     (nx, ny), K = ground_xpy.values.shape, W._K
@@ -478,7 +477,7 @@ def test_mixture_purity(ground_table, excited_table, table_axes):
 
 
 def test_first_excited_is_negative_at_origin(excited_xpy, excited_table):
-    Wq = wigner_from_state(excited_xpy, P)
+    Wq = QuadratureWigner(excited_xpy, P)
     # the n=1 state dips to exactly -1/(pi hbar)^2 at the origin
     assert Wq.at(0.0, 0.0, 0.0, 0.0) == pytest.approx(
         -1.0 / (math.pi * P.hbar) ** 2, rel=1e-8)
@@ -488,7 +487,7 @@ def test_first_excited_is_negative_at_origin(excited_xpy, excited_table):
 def test_displaced_closed_form_matches_quadrature(ground_xpy):
     d = (0.6, -0.4, 0.3, 0.5)
     disp = _displaced_gaussian(ground_xpy, d, P)
-    Wq = wigner_from_state(disp, P)
+    Wq = QuadratureWigner(disp, P)
     Wc = wigner_ground_state(P, center=d)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.5, 1.5, (40, 4))
@@ -505,7 +504,7 @@ def test_displaced_overlap_matches_inner_product(ground_xpy, ground_table,
     d = (0.9, -0.5, 0.4, 0.6)
     disp = _displaced_gaussian(ground_xpy, d, P)
     fidelity = abs(ground_xpy.inner(disp)) ** 2
-    tab_d = wigner_table(wigner_from_state(disp, P), table_axes)
+    tab_d = wigner_table(QuadratureWigner(disp, P), table_axes)
     assert ground_table.overlap(tab_d) == pytest.approx(fidelity, abs=1e-6)
     # the row-by-row sum against one contraction of the whole product
     w = [trapezoid_weights(a) for a in table_axes]
@@ -519,10 +518,30 @@ def test_center_accepts_phase_point():
     W1 = wigner_ground_state(P, center=z)
     W2 = wigner_ground_state(P, center=(0.3, -0.2, 0.1, 0.4))
     assert W1.at(1.0, 1.0, 0.0, 0.0) == W2.at(1.0, 1.0, 0.0, 0.0)
+    # the displacement is z - center, bit for bit
+    assert W1.at(1.0, 1.0, 0.0, 0.0) == wigner_ground_state(P).at(
+        1.0 - 0.3, 1.0 + 0.2, 0.0 - 0.1, 0.0 - 0.4)
+
+
+@pytest.mark.parametrize("center, message", [
+    ((0.3, math.nan, 0.1, 0.4), "coordinate y is not finite"),
+    ((0.3, -0.2, 0.1), "4 coordinates"),
+    ((0.3, -0.2, 0.1, 0.4, 0.0), "4 coordinates")])
+def test_bad_center_is_rejected_at_construction(center, message):
+    # a NaN center gave NaN everywhere; a wrong length failed only in at
+    with pytest.raises(ValueError, match=message):
+        GroundStateWigner(P, center=center)
+
+
+@pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
+def test_evolved_wigner_rejects_a_non_finite_time(t):
+    # NaN used to give NaN at every point, inf NaN with RuntimeWarnings
+    with pytest.raises(ValueError, match="t must be finite"):
+        EvolvedWigner(GroundStateWigner(P), P, t)
 
 
 def test_bilinear_fallback_off_nodes(ground_xpy):
-    Wq = wigner_from_state(ground_xpy, P)
+    Wq = QuadratureWigner(ground_xpy, P)
     Wc = wigner_ground_state(P)
     h1, h2 = ground_xpy.step1, ground_xpy.step2
     x = ground_xpy.axis1[30] + 0.37 * h1
@@ -631,7 +650,7 @@ def test_quadrature_requires_xpy_basis():
 
 
 def test_table_validation(ground_xpy, table_axes):
-    Wq = wigner_from_state(ground_xpy, P)
+    Wq = QuadratureWigner(ground_xpy, P)
     bad = (uniform_axis(-1.0, 1.0, 11),) + table_axes[1:]
     with pytest.raises(WignerError):
         wigner_table(Wq, bad)
@@ -642,7 +661,7 @@ def test_table_validation(ground_xpy, table_axes):
 
 
 def test_alias_guard_rejects_wild_arguments(ground_xpy):
-    Wq = wigner_from_state(ground_xpy, P)
+    Wq = QuadratureWigner(ground_xpy, P)
     with pytest.raises(AliasingError):
         Wq.at(0.0, 40.0, 0.0, 0.0)
     wide = uniform_axis(-40.0, 40.0, 21)
