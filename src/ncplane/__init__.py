@@ -13,7 +13,6 @@ from .duals import Dual, value
 from .phasespace import (
     PhasePoint,
     ScalarField,
-    poisson_bracket,
     bracket_field,
     galilei_generators,
     verify_algebra,

@@ -161,12 +161,15 @@ def _closed_form(x0, y0, px0, py0, t, p: NCParams):
     q-independent H.  Otherwise the momenta map to the velocities
     v = p/m + lam eps q, the coefficient functions T1..T4 (T2' = T1,
     T4' = omega^2 T3) move positions and velocities, and v maps back.
+    Wherever t == 0 the start itself comes back, bit for bit: the velocity
+    round trip costs an ulp and x0 + 0.0 loses the sign of a zero.
     """
     if not np.all(np.isfinite(t)):
         raise ValueError(f"t must be finite, got {t!r}")
-    m = p.m
+    z0, m = (x0, y0, px0, py0), p.m
     if p.omega == 0:
-        return x0 + px0 / m * t, y0 + py0 / m * t, px0, py0
+        z = (x0 + px0 / m * t, y0 + py0 / m * t, px0, py0)
+        return tuple(np.where(t == 0, a, b) for a, b in zip(z0, z))
     phi, chi, w, lam = p.phi, p.chi, p.omega, p.lam
     cos_p, cos_c = np.cos(phi * t), np.cos(chi * t)
     sin_p, sin_c = np.sin(phi * t), np.sin(chi * t)
@@ -186,34 +189,28 @@ def _closed_form(x0, y0, px0, py0, t, p: NCParams):
     y = T1 * y0 + T2 * vy0 + T3 * ay - T4 * by
     vx = dT1 * x0 + T1 * vx0 + dT3 * ax - w2 * T3 * bx
     vy = dT1 * y0 + T1 * vy0 + dT3 * ay - w2 * T3 * by
-    return x, y, m * (vx - lam * y), m * (vy + lam * x)
+    z = (x, y, m * (vx - lam * y), m * (vy + lam * x))
+    return tuple(np.where(t == 0, a, b) for a, b in zip(z0, z))
 
 
 def oscillator_solution(z0, t, p: NCParams) -> PhasePoint:
     """Closed-form state at time t from phase-space data at 0; omega = 0
     is the free particle."""
-    x0, y0, px0, py0 = _start(z0)
-    if t == 0.0:
-        # keep the initial point bit-exact; the velocity round trip costs an ulp
-        return PhasePoint(x0, y0, px0, py0)
-    return PhasePoint(*map(float, _closed_form(x0, y0, px0, py0, t, p)))
+    return PhasePoint(*map(float, _closed_form(*_start(z0), t, p)))
 
 
 def oscillator_path(z0, t0, t1, dt, p: NCParams) -> Trajectory:
     """Closed-form solution sampled on a uniform grid, as a Trajectory."""
     _, _, times = _time_grid(t0, t1, dt)
-    z = _start(z0)
     # closed form is written from t=0; shift if t0 != 0
-    pts = np.stack(np.broadcast_arrays(*_closed_form(*z, times - t0, p)), axis=1)
-    pts[0] = z
+    pts = np.stack(np.broadcast_arrays(*_closed_form(*_start(z0), times - t0, p)),
+                   axis=1)
     return Trajectory(times, pts, hamiltonian=oscillator_hamiltonian(p))
 
 
 def flow_matrix(p: NCParams, t: float) -> np.ndarray:
     """The closed-form flow as a linear map z(t) = M z(0): column j is the
     state at t reached from the unit vector e_j."""
-    if t == 0.0:
-        return np.eye(4)
     return np.array(_closed_form(*np.eye(4), t, p))
 
 
@@ -224,15 +221,15 @@ def noether_charges(traj: Trajectory, p: NCParams, hamiltonian=None) -> Trajecto
     (energy of the flow); the remaining five are always the Galilei
     generators, conserved only for Galilei-invariant flows.  Each field is
     evaluated once on the whole path, so it must accept arrays; any
-    exception it raises propagates.
+    exception it raises propagates, and a non-finite charge raises
+    FieldEvaluationError.
     """
     Hfree, P1, P2, J, K1, K2 = galilei_generators(p)
     H = hamiltonian or traj.hamiltonian or Hfree
-    x, y, px, py = traj.points.T
     charges = {}
     for name, f in (("H", H), ("p1", P1), ("p2", P2),
                     ("J", J), ("k1", K1), ("k2", K2)):
-        v = np.asarray(f.fn(x, y, px, py, traj.times), dtype=float)
+        v = np.asarray(f.value(traj.points.T, traj.times), dtype=float)
         charges[name] = np.broadcast_to(v, traj.times.shape)
     return traj.with_charges(charges)
 

@@ -17,6 +17,8 @@ from .duals import Dual
 from .params import CheckFailure, NCParams
 
 COORD_NAMES = ("x", "y", "px", "py")
+# sample_points draws each coordinate uniformly from [-_BOX, _BOX]
+_BOX = 10.0
 
 
 class FieldEvaluationError(CheckFailure):
@@ -35,11 +37,6 @@ class PhasePoint:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"phase-space coordinate {name} is not finite: {v!r}")
-
-    @classmethod
-    def from_array(cls, z):
-        x, y, px, py = (float(v) for v in z)
-        return cls(x, y, px, py)
 
 
 def _coords(z):
@@ -102,27 +99,15 @@ class ScalarField:
         return [0.0, 0.0, 0.0, 0.0]
 
 
-def bracket_terms(df, dg, theta):
-    """Combine two gradient 4-tuples into the deformed bracket value."""
-    fx, fy, fpx, fpy = df
-    gx, gy, gpx, gpy = dg
-    canonical = fx * gpx + fy * gpy - fpx * gx - fpy * gy
-    return canonical + theta * (fx * gy - fy * gx)
-
-
-def poisson_bracket(f, g, z, theta, t=0.0):
-    """{f, g} at (z, t) for NC parameter theta."""
-    return bracket_field(f, g, theta).value(z, t)
-
-
 def bracket_field(f, g, theta):
-    """{f, g} as a new ScalarField, evaluable at dual points (nestable)."""
+    """{f, g} as a new ScalarField, evaluable at dual points (nestable):
+    the canonical bracket plus theta (f_x g_y - f_y g_x)."""
     th = float(theta)
 
     def fn(x, y, px, py, t):
-        df = f.partials(x, y, px, py, t)
-        dg = g.partials(x, y, px, py, t)
-        return bracket_terms(df, dg, th)
+        fx, fy, fpx, fpy = f.partials(x, y, px, py, t)
+        gx, gy, gpx, gpy = g.partials(x, y, px, py, t)
+        return fx * gpx + fy * gpy - fpx * gx - fpy * gy + th * (fx * gy - fy * gx)
 
     return ScalarField(fn, f"{{{f.name},{g.name}}}")
 
@@ -165,10 +150,10 @@ class AlgebraReport:
         return max(self.residuals.values())
 
 
-def sample_points(n, seed=42, box=10.0):
+def sample_points(n, seed=42):
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box, box, size=(n, 4))
-    return [PhasePoint.from_array(row) for row in pts]
+    pts = rng.uniform(-_BOX, _BOX, size=(n, 4))
+    return [PhasePoint(*map(float, row)) for row in pts]
 
 
 # the boosts k_i depend on t explicitly: the algebra is checked at each time
@@ -194,35 +179,21 @@ def verify_algebra(p: NCParams, samples=None, tol=1e-9):
     Z, t = np.tile(Z, len(_TIMES)), np.repeat(_TIMES, len(samples))
     m, th = p.m, p.theta
     H, P1, P2, J, K1, K2 = galilei_generators(p)
-    Ps = (P1, P2)
-    Ks = (K1, K2)
-    eps = ((0.0, 1.0), (-1.0, 0.0))
-
-    zero = lambda z, t: 0.0
+    # each case (f, g, c, G) states {f, g} = c G, or {f, g} = c if G is None
     relations = {
-        "{p_i,H}=0": [(Pi, H, zero) for Pi in Ps],
-        "{p_i,p_j}=0": [(P1, P2, zero)],
-        "{J,H}=0": [(J, H, zero)],
-        "{J,p_i}=eps_ij p_j": [
-            (J, P1, lambda z, t: eps[0][1] * P2.value(z, t)),
-            (J, P2, lambda z, t: eps[1][0] * P1.value(z, t)),
-        ],
-        "{k_j,H}=p_j": [(Kj, H, lambda z, t, Pj=Pj: Pj.value(z, t))
-                        for Kj, Pj in zip(Ks, Ps)],
-        "{k_j,p_i}=m delta_ji": [
-            (Ks[j], Ps[i], lambda z, t, d=(m if i == j else 0.0): d)
-            for j in range(2) for i in range(2)
-        ],
-        "{J,k_i}=eps_ij k_j": [
-            (J, K1, lambda z, t: eps[0][1] * K2.value(z, t)),
-            (J, K2, lambda z, t: eps[1][0] * K1.value(z, t)),
-        ],
-        "{k_i,k_j}=-m^2 theta eps_ij": [
-            (K1, K2, lambda z, t: -m * m * th),
-        ],
+        "{p_i,H}=0": [(P1, H, 0.0, None), (P2, H, 0.0, None)],
+        "{p_i,p_j}=0": [(P1, P2, 0.0, None)],
+        "{J,H}=0": [(J, H, 0.0, None)],
+        "{J,p_i}=eps_ij p_j": [(J, P1, 1.0, P2), (J, P2, -1.0, P1)],
+        "{k_j,H}=p_j": [(K1, H, 1.0, P1), (K2, H, 1.0, P2)],
+        "{k_j,p_i}=m delta_ji": [(K1, P1, m, None), (K1, P2, 0.0, None),
+                                 (K2, P1, 0.0, None), (K2, P2, m, None)],
+        "{J,k_i}=eps_ij k_j": [(J, K1, 1.0, K2), (J, K2, -1.0, K1)],
+        "{k_i,k_j}=-m^2 theta eps_ij": [(K1, K2, -m * m * th, None)],
     }
 
     return AlgebraReport({
-        name: max(float(np.max(np.abs(poisson_bracket(f, g, Z, th, t) - rhs(Z, t))))
-                  for f, g, rhs in cases)
+        name: max(float(np.max(np.abs(bracket_field(f, g, th).value(Z, t)
+                                      - (c if G is None else c * G.value(Z, t)))))
+                  for f, g, c, G in cases)
         for name, cases in relations.items()}, tol)

@@ -50,7 +50,7 @@ def _check(name: str):
 
 
 @_check("galilei-algebra")
-def check_algebra(seed: int = 42):
+def check_algebra(seed: int):
     """All eight bracket relations close at 100 seeded points per (m, theta)."""
     samples = phasespace.sample_points(100, seed=seed)
     worst = 0.0
@@ -65,7 +65,7 @@ def check_algebra(seed: int = 42):
 
 
 @_check("classical-oscillator")
-def check_oscillator(seed: int = 42):
+def check_oscillator(seed: int):
     """RK4 tracks the closed-form oscillator; frequency identities hold."""
     p = NCParams(m=1.0, omega=1.0, theta=0.3)
     z0 = PhasePoint(1.0, -0.5, 0.2, 0.8)
@@ -103,7 +103,7 @@ def check_oscillator(seed: int = 42):
 
 
 @_check("symmetry-collapse")
-def check_symmetries(seed: int = 42):
+def check_symmetries(seed: int):
     """Nullspace dimensions, multiplet membership, su(2) constants, Casimir."""
     p0 = NCParams(m=1.0, omega=1.0, theta=0.0)
     p5 = NCParams(m=1.0, omega=1.0, theta=0.5)
@@ -139,7 +139,7 @@ def check_symmetries(seed: int = 42):
 
 
 @_check("quantum-spectrum")
-def check_spectrum(seed: int = 42):
+def check_spectrum(seed: int):
     """Eigen-residuals below 1e-6 for n <= 4, plus an orthonormal n <= 3 Gram."""
     worst_h = worst_j = 0.0
     family = []                     # the theta = 0.3, n <= 3 states
@@ -165,7 +165,7 @@ def check_spectrum(seed: int = 42):
 
 
 @_check("wigner")
-def check_wigner(seed: int = 42):
+def check_wigner(seed: int):
     """Quadrature vs closed form, normalization, marginals, purity,
     a negative region for the first excited state, and flow stationarity."""
     p = NCParams(m=1.0, omega=1.0, theta=0.3)
@@ -218,7 +218,7 @@ def check_wigner(seed: int = 42):
 
 
 @_check("thermodynamics")
-def check_thermo(seed: int = 42):
+def check_thermo(seed: int):
     """Closed-form partition function vs direct sums plus both asymptotics."""
     temps = np.logspace(math.log10(0.1), math.log10(5.0), 20)
     oracle = 0.0

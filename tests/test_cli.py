@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import pathlib
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -128,6 +129,19 @@ def test_non_finite_bracket_is_a_check_failure(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "check failed: field '{k1,k2}' returned nan")
+
+
+def test_non_finite_charge_is_a_check_failure(tmp_path, capsys):
+    # px^2 overflows in H_osc and J; before, this wrote inf/nan columns and a
+    # bare NaN into charge_drift.json, with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["classical", "simulate", "--px0", "1e200", "--t1", "1",
+                       "--dt", "0.1", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "check failed: field 'H_osc' returned inf")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_finite_bracket_still_writes_a_report(tmp_path, capsys):

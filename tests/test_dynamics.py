@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ncplane.dynamics import flow_matrix
+from ncplane.phasespace import FieldEvaluationError
 from ncplane import (
     NCParams,
     PhasePoint,
@@ -56,6 +57,16 @@ def test_frequencies_require_omega():
 def test_closed_form_initial_point_exact():
     z = oscillator_solution(Z0, 0.0, P)
     assert astuple(z) == astuple(Z0)
+    # one t == 0 rule in the closed form, for both branches and both zeros
+    for p in (P, NCParams(m=1.3, omega=0.0, theta=0.4)):
+        for t in (0.0, -0.0):
+            M = flow_matrix(p, t)
+            assert M.dtype == float and np.array_equal(M, np.eye(4))
+            z = astuple(oscillator_solution((-0.0, 1.0, 0.2, -0.0), t, p))
+            assert z == (-0.0, 1.0, 0.2, -0.0)
+            assert [math.copysign(1.0, v) for v in z] == [-1.0, 1.0, 1.0, -1.0]
+        path = oscillator_path((-0.0, 1.0, 0.2, -0.0), 0.0, 1.0, 0.1, p)
+        assert list(np.signbit(path.points[0])) == [True, False, False, True]
 
 
 def test_closed_form_satisfies_equations_of_motion():
@@ -143,6 +154,16 @@ def test_other_errors_on_arrays_propagate():
     traj = oscillator_path(Z0, 0.0, 1.0, 0.1, P)
     with pytest.raises(RuntimeError, match="array path is broken"):
         noether_charges(traj, P, hamiltonian=ScalarField(fn, "H_bad"))
+
+
+def test_non_finite_charge_raises_and_finite_ones_keep_their_bits():
+    traj = oscillator_path(Z0, 0.0, 1.0, 0.1, P)
+    got = noether_charges(traj, P).charges
+    for name, f in zip(("p1", "p2", "J", "k1", "k2"), galilei_generators(P)[1:]):
+        assert np.array_equal(got[name], f.fn(*traj.points.T, traj.times))
+    huge = oscillator_path((1.0, -0.5, 1e200, 0.8), 0.0, 1.0, 0.1, P)
+    with pytest.raises(FieldEvaluationError, match="field 'H_osc' returned inf"):
+        noether_charges(huge, P)
 
 
 def test_oscillator_path_matches_pointwise_solution():

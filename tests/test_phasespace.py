@@ -20,7 +20,6 @@ from ncplane import (
     NCParams,
     PhasePoint,
     ScalarField,
-    poisson_bracket,
     bracket_field,
     galilei_generators,
     verify_algebra,
@@ -30,7 +29,6 @@ from ncplane import (
     oscillator_hamiltonian,
 )
 from ncplane import duals, phasespace
-from ncplane.phasespace import bracket_terms
 from ncplane.wigner import GroundStateWigner
 
 
@@ -83,12 +81,12 @@ def test_gradient_of_a_boost_reads_the_time():
 def test_coordinate_brackets():
     p = NCParams(theta=0.7)
     # the deformation lives entirely in the position-position bracket
-    assert poisson_bracket(X, Y, Z1, p.theta) == pytest.approx(0.7, abs=0)
-    assert poisson_bracket(X, PX, Z1, p.theta) == 1.0
-    assert poisson_bracket(Y, PY, Z1, p.theta) == 1.0
-    assert poisson_bracket(X, PY, Z1, p.theta) == 0.0
-    assert poisson_bracket(PX, PY, Z1, p.theta) == 0.0
-    assert poisson_bracket(Y, X, Z1, p.theta) == -0.7
+    assert bracket_field(X, Y, p.theta).value(Z1) == pytest.approx(0.7, abs=0)
+    assert bracket_field(X, PX, p.theta).value(Z1) == 1.0
+    assert bracket_field(Y, PY, p.theta).value(Z1) == 1.0
+    assert bracket_field(X, PY, p.theta).value(Z1) == 0.0
+    assert bracket_field(PX, PY, p.theta).value(Z1) == 0.0
+    assert bracket_field(Y, X, p.theta).value(Z1) == -0.7
 
 
 def test_angular_momentum_literal():
@@ -103,10 +101,10 @@ def test_bracket_antisymmetry_and_bilinearity():
     fn = lambda x, y, px, py, t: x * x * py + y * px
     gn = lambda x, y, px, py, t: px * py - 2.0 * x * y
     f, g = ScalarField(fn), ScalarField(gn)
-    ab = poisson_bracket(f, g, Z1, p.theta)
-    assert poisson_bracket(g, f, Z1, p.theta) == pytest.approx(-ab, rel=1e-15)
+    ab = bracket_field(f, g, p.theta).value(Z1)
+    assert bracket_field(g, f, p.theta).value(Z1) == pytest.approx(-ab, rel=1e-15)
     h2 = ScalarField(lambda *z: 2.5 * fn(*z) + gn(*z))
-    lhs = poisson_bracket(h2, g, Z1, p.theta)
+    lhs = bracket_field(h2, g, p.theta).value(Z1)
     assert lhs == pytest.approx(2.5 * ab + 0.0, rel=1e-13, abs=1e-13)
 
 
@@ -116,9 +114,10 @@ def test_leibniz_rule():
     gn = lambda x, y, px, py, t: px + 2.0 * y
     hn = lambda x, y, px, py, t: x * px * py
     g, h = ScalarField(gn), ScalarField(hn)
-    lhs = poisson_bracket(f, ScalarField(lambda *z: gn(*z) * hn(*z)), Z1, p.theta)
-    rhs = (poisson_bracket(f, g, Z1, p.theta) * h.value(Z1)
-           + g.value(Z1) * poisson_bracket(f, h, Z1, p.theta))
+    gh = ScalarField(lambda *z: gn(*z) * hn(*z))
+    lhs = bracket_field(f, gh, p.theta).value(Z1)
+    rhs = (bracket_field(f, g, p.theta).value(Z1) * h.value(Z1)
+           + g.value(Z1) * bracket_field(f, h, p.theta).value(Z1))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -127,7 +126,7 @@ def test_bracket_matches_fd_oracle():
     f = ScalarField(lambda x, y, px, py, t: x * x * y + px * py ** 2)
     g = ScalarField(lambda x, y, px, py, t: y * px - x * py + x ** 3)
     want = fd_bracket(f, g, Z1, theta)
-    got = poisson_bracket(f, g, Z1, theta=theta)
+    got = bracket_field(f, g, theta).value(Z1)
     assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
 
 
@@ -171,9 +170,9 @@ def test_verify_algebra_grid():
             assert rep.max_residual() < 1e-9
 
 
-def _worst_over_times(p, samples):
+def _worst_over_times(p, samples, generators=None):
     """Per relation, the larger pointwise residual of t = 0 and t = 1.3."""
-    r0, r1 = (_pointwise_algebra(p, t, samples) for t in (0.0, 1.3))
+    r0, r1 = (_pointwise_algebra(p, t, samples, generators) for t in (0.0, 1.3))
     return {k: max(v, r1[k]) for k, v in r0.items()}
 
 
@@ -196,9 +195,73 @@ def test_verify_algebra_sees_a_wrong_time_coefficient(monkeypatch):
         return right(p)[:4] + (K1,) + right(p)[5:]
 
     monkeypatch.setattr(phasespace, "galilei_generators", wrong_boost)
-    rows = {name: ok for name, _, ok in
-            verify_algebra(NCParams(m=1.5, theta=0.4)).rows()}
+    p = NCParams(m=1.5, theta=0.4)
+    rows = {name: ok for name, _, ok in verify_algebra(p).rows()}
     assert rows["{J,k_i}=eps_ij k_j"] is False
+
+    # each generator plus eps times each coordinate in turn breaks some
+    # relation; every residual equals the loop's, and each case of the
+    # relation table sets its relation's residual under one of these, so a
+    # dropped case shows
+    points = sample_points(20)
+    for i, f in enumerate(right(p)):
+        for c in range(4):
+            bent = ScalarField(lambda *z, f=f, c=c: f.fn(*z) + 1e-6 * z[c], f.name)
+            generators = right(p)[:i] + (bent,) + right(p)[i + 1:]
+            monkeypatch.setattr(phasespace, "galilei_generators",
+                                lambda p, g=generators: g)
+            rep = verify_algebra(p, samples=points)
+            assert rep.ok is False, (f.name, c)
+            assert rep.residuals == _worst_over_times(p, points, generators)
+
+
+def _per_case_lambdas(p, samples):
+    """verify_algebra as it was written before the relation table: one
+    lambda per right-hand side, an eps table and a zero helper."""
+    Z = np.array([astuple(z) for z in samples], dtype=float).T
+    Z, t = np.tile(Z, 2), np.repeat((0.0, 1.3), len(samples))
+    m, th = p.m, p.theta
+    H, P1, P2, J, K1, K2 = galilei_generators(p)
+    Ps, Ks = (P1, P2), (K1, K2)
+    eps = ((0.0, 1.0), (-1.0, 0.0))
+    zero = lambda z, t: 0.0
+    relations = {
+        "{p_i,H}=0": [(Pi, H, zero) for Pi in Ps],
+        "{p_i,p_j}=0": [(P1, P2, zero)],
+        "{J,H}=0": [(J, H, zero)],
+        "{J,p_i}=eps_ij p_j": [
+            (J, P1, lambda z, t: eps[0][1] * P2.value(z, t)),
+            (J, P2, lambda z, t: eps[1][0] * P1.value(z, t))],
+        "{k_j,H}=p_j": [(Kj, H, lambda z, t, Pj=Pj: Pj.value(z, t))
+                        for Kj, Pj in zip(Ks, Ps)],
+        "{k_j,p_i}=m delta_ji": [
+            (Ks[j], Ps[i], lambda z, t, d=(m if i == j else 0.0): d)
+            for j in range(2) for i in range(2)],
+        "{J,k_i}=eps_ij k_j": [
+            (J, K1, lambda z, t: eps[0][1] * K2.value(z, t)),
+            (J, K2, lambda z, t: eps[1][0] * K1.value(z, t))],
+        "{k_i,k_j}=-m^2 theta eps_ij": [(K1, K2, lambda z, t: -m * m * th)],
+    }
+    return {name: max(float(np.max(np.abs(
+        bracket_field(f, g, th).value(Z, t) - rhs(Z, t)))) for f, g, rhs in cases)
+        for name, cases in relations.items()}
+
+
+@pytest.mark.parametrize("n", (7, 100))
+def test_verify_algebra_equals_the_per_case_lambdas(n):
+    # the selftest's six (m, theta) sets; 1.0 * x, -1.0 * x and - 0.0 are
+    # exact, so the table gives the same floats as one lambda per case
+    samples = sample_points(n)
+    for m in (1.0, 2.0):
+        for theta in (0.0, 0.5, -0.3):
+            p = NCParams(m=m, theta=theta)
+            want = _per_case_lambdas(p, samples)
+            assert list(want) == [
+                "{p_i,H}=0", "{p_i,p_j}=0", "{J,H}=0", "{J,p_i}=eps_ij p_j",
+                "{k_j,H}=p_j", "{k_j,p_i}=m delta_ji", "{J,k_i}=eps_ij k_j",
+                "{k_i,k_j}=-m^2 theta eps_ij"]
+            got = verify_algebra(p, samples=samples).residuals
+            assert list(got.items()) == list(want.items())
 
 
 def test_sample_points_deterministic():
@@ -214,7 +277,7 @@ def test_theta_zero_reduces_to_canonical():
     g = ScalarField(lambda x, y, px, py, t: y * py - x * px)
     p0 = NCParams(theta=0.0)
     canonical = fd_bracket(f, g, Z1, 0.0)
-    assert poisson_bracket(f, g, Z1, p0.theta) == pytest.approx(canonical, rel=1e-7)
+    assert bracket_field(f, g, p0.theta).value(Z1) == pytest.approx(canonical, rel=1e-7)
 
 
 def test_nonfinite_field_value_raises():
@@ -226,8 +289,9 @@ def test_nonfinite_field_value_raises():
 def test_phase_point_validation():
     with pytest.raises(ValueError):
         PhasePoint(float("nan"), 0.0, 0.0, 0.0)
-    z = PhasePoint.from_array([1.0, 2.0, 3.0, 4.0])
-    assert astuple(z) == (1.0, 2.0, 3.0, 4.0)
+    # sample points hold Python floats, not numpy scalars
+    z = sample_points(1)[0]
+    assert [type(v) for v in astuple(z)] == [float] * 4
 
 
 def test_params_validation():
@@ -396,9 +460,12 @@ def test_jacobi_residuals_equal_four_pass_oracle():
     p = NCParams(m=1.5, theta=0.9)
 
     def bracket(f, g):
-        return ScalarField(lambda x, y, px, py, t: bracket_terms(
-            four_pass_partials(f, x, y, px, py, t),
-            four_pass_partials(g, x, y, px, py, t), p.theta))
+        def fn(x, y, px, py, t):
+            fx, fy, fpx, fpy = four_pass_partials(f, x, y, px, py, t)
+            gx, gy, gpx, gpy = four_pass_partials(g, x, y, px, py, t)
+            return (fx * gpx + fy * gpy - fpx * gx - fpy * gy
+                    + p.theta * (fx * gy - fy * gx))
+        return ScalarField(fn)
 
     for f, g, h in itertools.combinations(galilei_generators(p), 3):
         for z in (Z1, PhasePoint(-0.3, 2.0, -1.2, 0.6)):
@@ -423,7 +490,7 @@ def test_nonfinite_gradients_still_raise():
         assert got.value.t_last == want.value.t_last
     huge = ScalarField(lambda x, y, px, py, t: 1e300 * x * x * py, "huge")
     with pytest.raises(FieldEvaluationError):
-        poisson_bracket(huge, X, (1e10, 0.0, 0.0, 1.0), 0.0)
+        bracket_field(huge, X, 0.0).value((1e10, 0.0, 0.0, 1.0))
 
 
 # --- one array pass against a loop over points ---------------------------------
@@ -449,10 +516,11 @@ def test_brackets_on_arrays_equal_pointwise_values(theta):
                 assert np.array_equal(got, want), (b.name, t)
 
 
-def _pointwise_algebra(p, t, samples):
-    """The Galilei relations, one scalar bracket per sample point."""
+def _pointwise_algebra(p, t, samples, generators=None):
+    """The Galilei relations, one scalar bracket per sample point, for
+    galilei_generators(p) or the given six fields."""
     m, th = p.m, p.theta
-    H, P1, P2, J, K1, K2 = galilei_generators(p)
+    H, P1, P2, J, K1, K2 = generators or galilei_generators(p)
     neg = lambda f: ScalarField(lambda *z: -1.0 * f.fn(*z))
     relations = {
         "{p_i,H}=0": [(P1, H, None), (P2, H, None)],
@@ -472,7 +540,7 @@ def _pointwise_algebra(p, t, samples):
             for z in samples:
                 want = (0.0 if rhs is None else rhs if isinstance(rhs, float)
                         else rhs.value(z, t))
-                worst = max(worst, abs(poisson_bracket(f, g, z, th, t) - want))
+                worst = max(worst, abs(bracket_field(f, g, th).value(z, t) - want))
         out[name] = worst
     return out
 

@@ -7,7 +7,7 @@ re-verified here through the independent dual-number bracket path.
 import numpy as np
 import pytest
 
-from ncplane import (NCParams, PhasePoint, ScalarField, poisson_bracket,
+from ncplane import (NCParams, PhasePoint, ScalarField, bracket_field,
                      sample_points)
 from ncplane.dynamics import oscillator_path
 from ncplane.symmetries import (
@@ -113,7 +113,7 @@ def test_basis_elements_conserved_by_dual_bracket():
         for f in basis.forms:
             Sf = quadratic_field(f)
             for z in sample_points(100, seed=3):
-                r = poisson_bracket(Hf, Sf, z, p.theta)
+                r = bracket_field(Hf, Sf, p.theta).value(z)
                 assert abs(r) / (1.0 + abs(Sf.value(z))) < 1e-9
 
 
@@ -125,9 +125,11 @@ def test_matrix_bracket_matches_dual_bracket():
         f1 = BilinearForm(A + A.T)
         f2 = BilinearForm(B + B.T)
         fb = f1.bracket(f2, P5.theta)
-        for z in sample_points(5, seed=8, box=3.0):
-            want = poisson_bracket(quadratic_field(f1), quadratic_field(f2),
-                                   z, P5.theta)
+        # five points from the cube [-3, 3]^4
+        for row in np.random.default_rng(8).uniform(-3.0, 3.0, size=(5, 4)):
+            z = PhasePoint(*map(float, row))
+            want = bracket_field(quadratic_field(f1), quadratic_field(f2),
+                                 P5.theta).value(z)
             assert fb.value(z) == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 

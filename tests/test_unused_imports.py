@@ -9,11 +9,12 @@ re-exports included) or read as an attribute of its module (`m.f`).  A
 call from its own body counts: the elementwise dual-number functions
 (`duals.tanh`) recurse onto the value lane and are otherwise called only
 from user-written fields.  A parameter with a default, on a top-level
-function or a method, must be passed by position or keyword at some call
-in the package, the tests, the benchmark harness or the README's library
-tour; one that never is belongs in a module constant.  A name bound by a
-top-level assignment in the package must be read somewhere in the
-package, the tests or the benchmark harness (`__version__` excepted).
+function or a method, must be passed by position or keyword at some
+production call: in the package, `perfbench/*.py` or the README's library
+tour.  A knob that only a test turns belongs in a module constant.  A
+name bound by a top-level assignment in the package must be read
+somewhere in the package, the tests or the benchmark harness
+(`__version__` excepted).
 
 Exports and methods must have a caller outside the tests.  The production
 texts are the package modules, `perfbench/*.py` and the README's library
@@ -331,11 +332,13 @@ def test_every_method_is_read_outside_the_tests():
 
 
 def test_every_default_is_passed_somewhere():
+    """Every defaulted parameter is passed by some production caller: the
+    package, perfbench/*.py or the README's library tour, not a test."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     callers = [p.read_text(encoding="utf-8")
-               for d in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
-               for p in sorted(d.rglob("*.py"))]
+               for p in [*sorted(PACKAGE.glob("*.py")),
+                         *sorted((ROOT / "perfbench").glob("*.py"))]]
     callers += re.findall(r"```python\n(.*?)```", readme, re.S)
     assert unpassed_defaults(sources, callers) == []
 

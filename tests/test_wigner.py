@@ -15,7 +15,7 @@ import pytest
 
 from ncplane import selftest, wigner
 from ncplane.params import CheckFailure, NCParams
-from ncplane.phasespace import PhasePoint, ScalarField, poisson_bracket
+from ncplane.phasespace import PhasePoint, ScalarField, bracket_field
 from ncplane.dynamics import flow_matrix, oscillator_hamiltonian
 from ncplane.grids import GridFunction, trapezoid_weights, uniform_axis
 from ncplane.spectra import (
@@ -588,7 +588,7 @@ def test_liouville_equation_from_bracket():
     for z in rng.uniform(-1.0, 1.0, (50, 4)):
         lhs = (evolve_liouville(Wd, P, dt).at(*z)
                - evolve_liouville(Wd, P, -dt).at(*z)) / (2 * dt)
-        rhs = poisson_bracket(Hf, Wf, PhasePoint(*z), P.theta)
+        rhs = bracket_field(Hf, Wf, P.theta).value(PhasePoint(*z))
         assert abs(lhs - rhs) < 1e-5
 
 
