@@ -1,17 +1,11 @@
 """Forward-mode automatic differentiation with dual numbers.
 
-A Dual is a value plus four tangent lanes (eps, e1, e2, e3), infinitesimals
-whose pairwise products vanish, so one evaluation carries the exact first
-derivatives for four independent seeds.  Lane 0 is ``eps``: Dual(val, eps)
-is the ordinary one-seed dual number, so d f/dx at x is f(Dual(x, 1.0)).eps.
-Components may themselves be Dual, which is how second derivatives (nested
-brackets, Jacobi identity) fall out of the same machinery; grid code
-differentiates with stencils instead.
-
-Every value part is computed by the same float operation as on plain
-numbers, and one rule serves all lanes, so a lane that is zero in an operand
-adds only exact zeros: one four-seed pass reproduces four one-seed passes
-bit for bit (up to the sign of a zero) while the values stay finite.
+A dual number val + eps*e (e**2 = 0) carries the exact first derivative
+for one seed: d f/dx at x is f(Dual(x, 1.0)).eps.  Components may
+themselves be Dual, which is how second derivatives (nested brackets,
+Jacobi identity) fall out of the same machinery; grid code differentiates
+with stencils instead.  Every value part is computed by the same float
+operation as on plain numbers.
 
 Parts may be numpy arrays, so one pass covers an array of points; numpy
 rounds + - * / as Python floats do, so each element equals its scalar pass.
@@ -29,50 +23,42 @@ _NUM = (int, float, np.ndarray)
 
 
 class Dual:
-    """val plus the tangent lanes eps (lane 0), e1, e2 and e3."""
+    """val + eps e, carrying d(val)/d(seed) in eps."""
 
-    __slots__ = ("val", "eps", "e1", "e2", "e3")
+    __slots__ = ("val", "eps")
     __array_ufunc__ = None   # ndarray op Dual defers to Dual's reflected op
 
-    def __init__(self, val, eps=0.0, e1=0.0, e2=0.0, e3=0.0):
+    def __init__(self, val, eps=0.0):
         self.val = val
         self.eps = eps
-        self.e1 = e1
-        self.e2 = e2
-        self.e3 = e3
 
     def __repr__(self):
-        return (f"Dual({self.val!r}, {self.eps!r}, {self.e1!r}, "
-                f"{self.e2!r}, {self.e3!r})")
+        return f"Dual({self.val!r}, {self.eps!r})"
 
     def __add__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.val + o.val, self.eps + o.eps, self.e1 + o.e1,
-                        self.e2 + o.e2, self.e3 + o.e3)
+            return Dual(self.val + o.val, self.eps + o.eps)
         if isinstance(o, _NUM):
-            return Dual(self.val + o, self.eps, self.e1, self.e2, self.e3)
+            return Dual(self.val + o, self.eps)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.val - o.val, self.eps - o.eps, self.e1 - o.e1,
-                        self.e2 - o.e2, self.e3 - o.e3)
+            return Dual(self.val - o.val, self.eps - o.eps)
         if isinstance(o, _NUM):
-            return Dual(self.val - o, self.eps, self.e1, self.e2, self.e3)
+            return Dual(self.val - o, self.eps)
         return NotImplemented
 
     def __rsub__(self, o):
         if isinstance(o, _NUM):
-            return Dual(o - self.val, -self.eps, -self.e1, -self.e2, -self.e3)
+            return Dual(o - self.val, -self.eps)
         return NotImplemented
 
     def __mul__(self, o):
         if isinstance(o, Dual):
-            a, b = self.val, o.val
-            return Dual(a * b, a * o.eps + self.eps * b, a * o.e1 + self.e1 * b,
-                        a * o.e2 + self.e2 * b, a * o.e3 + self.e3 * b)
+            return Dual(self.val * o.val, self.val * o.eps + self.eps * o.val)
         if isinstance(o, _NUM):
             return _chain(self, self.val * o, o)
         return NotImplemented
@@ -80,15 +66,11 @@ class Dual:
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        # lanes s' / b - (v / b) o', which reduce exactly to the one-dual
-        # rules below when either operand's lane is zero
+        # (s / o)' = s' / o - (s / o) o' / o, both terms scaled by 1 / o
         if isinstance(o, Dual):
-            b = o.val
-            v = self.val / b
-            inv = 1.0 / b
-            d = -v * inv
-            return Dual(v, self.eps * inv + d * o.eps, self.e1 * inv + d * o.e1,
-                        self.e2 * inv + d * o.e2, self.e3 * inv + d * o.e3)
+            v = self.val / o.val
+            inv = 1.0 / o.val
+            return Dual(v, self.eps * inv + -v * inv * o.eps)
         if isinstance(o, _NUM):
             return _chain(self, self.val / o, 1.0 / o)
         return NotImplemented
@@ -100,7 +82,7 @@ class Dual:
         return NotImplemented
 
     def __neg__(self):
-        return Dual(-self.val, -self.eps, -self.e1, -self.e2, -self.e3)
+        return Dual(-self.val, -self.eps)
 
     def __pos__(self):
         return self
@@ -111,18 +93,10 @@ class Dual:
         d = n * self.val ** (n - 1) if n != 0 else 0.0
         return _chain(self, self.val ** n, d)
 
-    # comparisons act on the value part; handy for range guards in fields
-    def __lt__(self, o):
-        return self.val < (o.val if isinstance(o, Dual) else o)
-
-    def __gt__(self, o):
-        return self.val > (o.val if isinstance(o, Dual) else o)
-
 
 def _chain(x, fx, d):
-    """f(x) as a Dual, given f's value fx and derivative d at x.val: the
-    chain rule, written once for every lane."""
-    return Dual(fx, d * x.eps, d * x.e1, d * x.e2, d * x.e3)
+    """f(x) as a Dual, given f's value fx and derivative d at x.val."""
+    return Dual(fx, d * x.eps)
 
 
 def value(x):

@@ -148,6 +148,8 @@ def hamiltonian_flow(H: ScalarField, z0, t0, t1, dt, p: NCParams) -> Trajectory:
 def oscillator_hamiltonian(p: NCParams) -> ScalarField:
     inv2m = 0.5 / p.m
     k = 0.5 * p.m * p.omega ** 2
+    if k == 0:      # the free particle: no 0 * inf at far positions
+        return ScalarField(lambda x, y, px, py, t: (px * px + py * py) * inv2m, "H_osc")
     return ScalarField(
         lambda x, y, px, py, t: (px * px + py * py) * inv2m + k * (x * x + y * y),
         "H_osc")

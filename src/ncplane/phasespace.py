@@ -80,23 +80,23 @@ class ScalarField:
         raise FieldEvaluationError(f"field {self.name!r} returned {v!r} at {z}")
 
     def partials(self, x, y, px, py, t=0.0):
-        """The four phase-space partial derivatives at one point, from one
-        evaluation of ``fn``: x, y, px and py are seeded on dual lanes 0-3
-        and the four lanes of the result are read back.  Each comes out
-        bit-identical to a single-seed pass (see ``duals``).
+        """The four phase-space partial derivatives at one point: one
+        single-seed dual pass of ``fn`` per coordinate, the others left as
+        plain numbers.  Four passes are cheap enough because no caller
+        differentiates per step or per point: a flow reads grad H seven
+        times in all, and a bracket once over a whole array of points.
 
         When any input already carries a dual (a nested differentiation in
         progress), every argument, t included, is lifted as a constant of
         the new level; mixing levels would silently conflate the two seeds.
         """
-        if (isinstance(x, Dual) or isinstance(y, Dual) or isinstance(px, Dual)
-                or isinstance(py, Dual) or isinstance(t, Dual)):
-            t = Dual(t)
-        r = self.fn(Dual(x, 1.0), Dual(y, 0.0, 1.0), Dual(px, 0.0, 0.0, 1.0),
-                    Dual(py, 0.0, 0.0, 0.0, 1.0), t)
-        if isinstance(r, Dual):
-            return [r.eps, r.e1, r.e2, r.e3]
-        return [0.0, 0.0, 0.0, 0.0]
+        z = (x, y, px, py, t)
+        args = tuple(map(Dual, z)) if any(isinstance(v, Dual) for v in z) else z
+        grad = []
+        for i in range(4):
+            r = self.fn(*args[:i], Dual(z[i], 1.0), *args[i + 1:])
+            grad.append(r.eps if isinstance(r, Dual) else 0.0)
+        return grad
 
 
 def bracket_field(f, g, theta):
@@ -151,6 +151,8 @@ class AlgebraReport:
 
 
 def sample_points(n, seed=42):
+    if n < 1:
+        raise ValueError(f"samples must be at least 1, got {n!r}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-_BOX, _BOX, size=(n, 4))
     return [PhasePoint(*map(float, row)) for row in pts]

@@ -47,7 +47,11 @@ class ThermoParams:
 def _beta(T, p: NCParams):
     if not 0.0 < value(T) < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {T!r}")
-    return 1.0 / (p.kB * T)
+    kT = p.kB * T
+    if value(kT) == 0.0 or 1.0 / value(kT) == math.inf:
+        raise ValueError(f"kB*T = {value(kT)!r} underflows at kB={p.kB!r}, "
+                         f"T={value(T)!r}: beta = 1/(kB*T) is not finite")
+    return 1.0 / kT
 
 
 def _closed_forms(T, tp: ThermoParams):
@@ -81,7 +85,13 @@ def _closed_forms(T, tp: ThermoParams):
     num = ((a * a + b * b) * ((1.0 + e2a) * (ep + em) - 4.0 * e2a)
            - 2.0 * a * b * (1.0 - e2a) * (ep - em))
     den = duals.expm1(-(ab - bb)) * duals.expm1(-(ab + bb))
-    return lnZ, U, S, N * num / (den * den) / (kB * T * T)
+    kTT = kB * T * T
+    if value(kTT) == 0.0:
+        # T -> 0, where Cv ~ num / kTT underflows along with num itself
+        if value(num) != 0.0:
+            raise ValueError(f"kB*T*T underflows to 0 at T={value(T)!r}")
+        return lnZ, U, S, 0.0
+    return lnZ, U, S, N * num / (den * den) / kTT
 
 
 def partition_single_direct(T, tp: ThermoParams):

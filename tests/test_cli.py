@@ -144,6 +144,45 @@ def test_non_finite_charge_is_a_check_failure(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_free_particle_far_out_is_exact(tmp_path):
+    # at omega = 0, H_osc evaluated 0 * (x^2 + y^2) = 0 * inf = nan at
+    # x = 1e200 and the run exited 1
+    rc = cli.main(["classical", "simulate", "--omega", "0", "--x0", "1e200",
+                   "--t1", "1", "--dt", "0.1", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    px, py, H = rows[:, 3], rows[:, 4], rows[:, 5]
+    assert np.array_equal(H, (px * px + py * py) * 0.5)
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_too_few_samples_exit_two_naming_the_key(tmp_path, capsys, n):
+    rc = cli.main(["algebra-check", "--samples", n, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"configuration error: samples must be at least 1, got {n}")
+
+
+def test_low_temperature_sweep_is_the_zero_temperature_limit(tmp_path):
+    # kB T^2 underflows below T = 1.5e-162: this sweep crashed with
+    # ZeroDivisionError (exit 3)
+    rc = cli.main(["thermo", "sweep", "--tmin", "1e-300", "--tmax", "1e-299",
+                   "--grid", "2x2", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    rows = np.loadtxt(tmp_path / "thermo_sweep.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (4, 8)
+    assert np.all(rows[:, [4, 6, 7]] == 0.0)      # S, Cv, S_per_NkB
+
+
+def test_underflowing_kB_T_exits_two(tmp_path, capsys):
+    rc = cli.main(["thermo", "sweep", "--kB", "1e-300", "--tmin", "1e-30",
+                   "--tmax", "1e-29", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: kB*T = 0.0 underflows")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_finite_bracket_still_writes_a_report(tmp_path, capsys):
     out = tmp_path / "new"              # the run must create it
     rc = cli.main(["algebra-check", "--m", "1e200", "--theta", "0.5",

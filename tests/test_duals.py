@@ -87,11 +87,6 @@ def test_value_strips_nesting():
     assert value(4.25) == 4.25
 
 
-def test_comparisons_follow_value():
-    assert Dual(2.0, 99.0) > 1.0
-    assert Dual(0.5, -3.0) < Dual(1.0, 0.0)
-
-
 @given(st.floats(-3, 3), st.floats(-3, 3))
 @settings(max_examples=60, deadline=None)
 def test_product_rule_matches_fd(a, b):
@@ -118,9 +113,9 @@ def test_division_derivative():
 
 def test_array_operands_give_array_duals():
     # ndarray op Dual defers to Dual's reflected operators: a Dual with array
-    # parts, each lane equal to the scalar pass at that element
+    # parts, each part equal to the scalar pass at that element
     a = np.array([0.5, -1.25, 3.0])
-    d = Dual(1.5, 1.0, -0.5)
+    d = Dual(1.5, -0.5)
     for op in (lambda u, v: u + v, lambda u, v: u - v,
                lambda u, v: u * v, lambda u, v: u / v):
         for got in (op(a, d), op(d, a)):
@@ -128,7 +123,6 @@ def test_array_operands_give_array_duals():
         for k, ak in enumerate(a.tolist()):
             for got, want in ((op(a, d), op(ak, d)), (op(d, a), op(d, ak))):
                 assert [np.asarray(c)[k] if np.ndim(c) else c for c in
-                        (got.val, got.eps, got.e1, got.e2, got.e3)] == \
-                    [want.val, want.eps, want.e1, want.e2, want.e3]
+                        (got.val, got.eps)] == [want.val, want.eps]
     with pytest.raises(TypeError):
         d ** a

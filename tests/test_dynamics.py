@@ -102,8 +102,8 @@ def test_rk4_fourth_order_convergence():
         tr = hamiltonian_flow(H, Z0, 0.0, 10.0, dt, P)
         return np.max(np.abs(tr.points[-1] - zc))
 
-    e1, e2 = err(0.05), err(0.025)
-    assert 12.0 < e1 / e2 < 20.0
+    coarse, fine = err(0.05), err(0.025)
+    assert 12.0 < coarse / fine < 20.0
 
 
 def test_energy_conservation_along_rk4():
@@ -221,8 +221,8 @@ def test_small_theta_rotation_is_second_order():
             worst = max(worst, abs(complex(zt.x, zt.y) - rot))
         return worst
 
-    e1, e2 = mismatch(2e-3), mismatch(1e-3)
-    assert e1 / e2 == pytest.approx(4.0, rel=0.1)
+    coarse, fine = mismatch(2e-3), mismatch(1e-3)
+    assert coarse / fine == pytest.approx(4.0, rel=0.1)
 
 
 def test_divergence_raises_with_time():

@@ -304,32 +304,12 @@ def test_params_validation():
         p.require_omega()
 
 
-# --- one four-lane pass against four single-seed passes -----------------------
-
-def four_pass_partials(f, x, y, px, py, t=0.0):
-    """Oracle gradient: one single-seed dual pass per coordinate, the rest
-    left as plain numbers, or lifted as constants when the point is nested."""
-    c = (x, y, px, py, t)
-    lift = any(isinstance(v, Dual) for v in c)
-    out = []
-    for i in range(4):
-        args = [Dual(v) if lift else v for v in c]
-        args[i] = Dual(c[i], 1.0)
-        r = f.fn(*args)
-        out.append(r.eps if isinstance(r, Dual) else 0.0)
-    return out
-
-
-def _flat(v):
-    """Every float component of a possibly nested Dual, in a fixed order."""
-    if isinstance(v, Dual):
-        return sum((_flat(c) for c in (v.val, v.eps, v.e1, v.e2, v.e3)), ())
-    return (v,)
-
+# --- the dual gradient against finite differences and through whole flows ---
 
 def _rational(x, y, px, py, t):
-    # + - * / with their reflected forms, unary +/-, int and float powers
-    a = (x * y - 2.0 * px) / (1.5 + py * py) - x / 3
+    # + - * / with their reflected forms, unary +/-, int and float powers;
+    # x seeds both sides of the first quotient
+    a = (x * y - 2.0 * px) / (1.5 + py * py + x * x) - x / 3
     b = 3.0 / (2.0 + x * x) - (0.5 - y) * px ** 3 + (2.0 + y * y) ** -2
     c = -(px * t) + 1 - (1.0 + py * py) ** 1.5 / (x * x + 1.0) + +py
     return a + b * c * 0.25 + 2 * x ** 0 - 1 / (3.0 + y * px * px)
@@ -353,46 +333,35 @@ ORACLE_FIELDS = (
     ScalarField(lambda x, y, px, py, t: 2.5, "2.5"),
 ) + galilei_generators(NCParams(m=1.5, theta=0.9))
 
-NESTED_POINTS = (
-    (Dual(0.4, 1.0), Dual(-1.1, 0.0, 1.0), 0.8, Dual(2.3, 0.3, -0.2, 0.5, 1.1),
-     Dual(0.7, 0.0, 0.0, 1.0)),
-    (0.4, -1.1, 0.8, 2.3, Dual(0.7, 1.0)),
-    (Dual(Dual(0.4, 1.0), 0.5), -1.1, Dual(0.8, 0.0, 2.0), 2.3, 0.7),
-)
-
-
-def _assert_one_pass_equals_four(f, point):
-    got = f.partials(*point)
-    want = four_pass_partials(f, *point)
-    assert [_flat(g) for g in got] == [_flat(w) for w in want], f.name
-
 
 @pytest.mark.parametrize("point", ((0.4, -1.1, 0.8, 2.3, 0.7),
-                                   (-1.7, 0.0, 2.9, -0.6, 0.0))
-                         + NESTED_POINTS)
-def test_one_pass_gradient_equals_four_single_seed_passes(point):
+                                   (-1.7, 0.0, 2.9, -0.6, 0.0)))
+def test_partials_match_fd_for_every_oracle_field(point):
     for f in ORACLE_FIELDS:
-        _assert_one_pass_equals_four(f, point)
+        got = f.partials(*point)
+        assert np.allclose(got, fd_gradient(f, point[:4], point[4]),
+                           rtol=1e-7, atol=1e-8), f.name
 
 
-@given(st.lists(st.floats(-3, 3), min_size=5, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_one_pass_gradient_equals_four_passes_at_random_points(c):
-    for point in (tuple(c), (Dual(c[0], 1.0, -0.5), *c[1:3], Dual(c[3], 0.0, 0.0, 1.0), c[4])):
-        for f in ORACLE_FIELDS:
-            _assert_one_pass_equals_four(f, point)
+def test_partials_lift_an_outer_dual_to_a_constant():
+    # d/dy (x y) at x = Dual(2, 1) is x itself, still dual in the outer
+    # seed; without the lift the outer seed would leak in and give 5.0
+    xy = ScalarField(lambda x, y, px, py, t: x * y, "xy")
+    dy = xy.partials(Dual(2.0, 1.0), 3.0, 0.0, 0.0)[1]
+    assert isinstance(dy, Dual)
+    assert (dy.val, dy.eps) == (2.0, 1.0)
 
 
 def _oracle_flow(H, z0, t1, dt, theta):
-    """The RK4 path of dynamics.hamiltonian_flow from t = 0, with the
-    four-pass oracle gradient evaluated at every stage (the flow itself
-    reads a linear gradient map once)."""
+    """The RK4 path of dynamics.hamiltonian_flow from t = 0, with the dual
+    gradient H.partials evaluated at every stage (the flow itself reads a
+    linear gradient map once)."""
     n = max(1, round(t1 / dt))
     h = t1 / n
     half, sixth = 0.5 * h, h / 6.0
 
     def rhs(x, y, px, py, t):
-        hx, hy, hpx, hpy = four_pass_partials(H, x, y, px, py, t)
+        hx, hy, hpx, hpy = H.partials(x, y, px, py, t)
         return hpx + theta * hy, hpy - theta * hx, -hx, -hy
 
     x, y, px, py = z0
@@ -461,8 +430,8 @@ def test_jacobi_residuals_equal_four_pass_oracle():
 
     def bracket(f, g):
         def fn(x, y, px, py, t):
-            fx, fy, fpx, fpy = four_pass_partials(f, x, y, px, py, t)
-            gx, gy, gpx, gpy = four_pass_partials(g, x, y, px, py, t)
+            fx, fy, fpx, fpy = f.partials(x, y, px, py, t)
+            gx, gy, gpx, gpy = g.partials(x, y, px, py, t)
             return (fx * gpx + fy * gpy - fpx * gx - fpy * gy
                     + p.theta * (fx * gy - fy * gx))
         return ScalarField(fn)
@@ -506,13 +475,16 @@ def _columns(Z):
 def test_brackets_on_arrays_equal_pointwise_values(theta):
     p = NCParams(m=1.3, omega=0.8, theta=theta)
     fields = galilei_generators(p) + (oscillator_hamiltonian(p),)
-    points = _columns(ARRAY_Z)
+    # each seed of a doubly nested bracket reruns both inner gradients, so
+    # those are compared on every 4th column only
+    every, fourth = ARRAY_Z, ARRAY_Z[:, ::4]
     for f, g in itertools.combinations(fields, 2):
         fg = bracket_field(f, g, theta)
-        for b in (fg, bracket_field(fg, g, theta), bracket_field(f, fg, theta)):
+        for b, Z in ((fg, every), (bracket_field(fg, g, theta), fourth),
+                     (bracket_field(f, fg, theta), fourth)):
             for t in (0.0, 1.3):
-                got = np.broadcast_to(b.value(ARRAY_Z, t), (200,))
-                want = [b.value(z, t) for z in points]
+                got = np.broadcast_to(b.value(Z, t), Z.shape[1:])
+                want = [b.value(z, t) for z in _columns(Z)]
                 assert np.array_equal(got, want), (b.name, t)
 
 

@@ -259,6 +259,27 @@ def test_non_finite_temperature_is_rejected(T):
     assert thermo._closed_forms(Dual(0.7, 1.0), TP)[2].eps > 0.0
 
 
+@pytest.mark.parametrize("T", [1e-300, 1e-299, 1e-163, 1e-160])
+def test_zero_temperature_limit_where_kB_T_squared_underflows(T):
+    # kB T^2 underflows below about 1.5e-162, where Cv = num / (kB T^2)
+    # was 0 / 0; the row is the T -> 0 limit that T = 1e-160 already gave
+    row = thermo.thermo_point(T, TP)
+    a = TP.nc.a
+    assert (row.Cv, row.S, row.S_per_NkB, row.Z1) == (0.0, 0.0, 0.0, 0.0)
+    assert row.U == TP.N * a
+    assert thermo._closed_forms(T, TP)[3] == 0.0
+
+
+def test_underflowing_kB_T_is_a_value_error():
+    # beta = 1 / (kB T) was a ZeroDivisionError at kB T = 0 and inf just above
+    for kB, T in ((1e-300, 1e-30), (1e-300, 1e-10)):
+        with pytest.raises(ValueError, match=r"kB\*T = .* underflows"):
+            thermo.thermo_point(T, _tp(0.3, kB=kB))
+    # kB T finite but kB T^2 underflowing while Cv's numerator has not
+    with pytest.raises(ValueError, match=r"kB\*T\*T underflows"):
+        thermo.thermo_point(1e-320, _tp(0.3, kB=1e300, hbar=1e-18))
+
+
 @settings(max_examples=60, deadline=None)
 @given(T=st.floats(0.05, 50.0),
        theta=st.floats(0.0, 3.0),
