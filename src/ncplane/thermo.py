@@ -1,16 +1,16 @@
 """Einstein-solid thermodynamics built on the deformed oscillator levels.
 
-With E(n, two_j) = a (n + 1) - b two_j, where a = hbar w sqrt(1 + u),
-b = hbar m theta w^2 / 2 and u = (m w theta)^2 / 4 (the NCParams
-properties), the single-site partition function has the closed form
+The levels E(n, two_j) = a (n + 1) - b two_j (a, b the NCParams scales)
+are those of two ordinary oscillators, the normal modes of J(theta) A,
+with quanta a +- |b| = hbar phi and hbar chi.  So the single-site
+partition function is a product of two geometric series,
 
-    Z1 = 1 / (2 [cosh(a beta) - cosh(b beta)]),
+    Z1 = e^{-beta a} / ((1 - e^{-beta hbar phi}) (1 - e^{-beta hbar chi})),
 
-even in theta because b enters through cosh only.  A solid of N
-independent sites multiplies free energies.  The kernel _closed_forms,
-behind thermo_point, accepts dual numbers in T, so temperature
-derivatives can be cross-checked against the analytic entropy and heat
-capacity.
+even in theta because theta -> -theta swaps the modes.  _closed_forms sums
+ln Z1, U, S and Cv over the two modes in forms that cancel at no
+temperature, and accepts dual numbers in T.  A solid of N independent
+sites multiplies free energies.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .duals import value
 from .params import CheckFailure, NCParams
 from .spectra import _level_energy
 
-# beyond this the exponential form of cosh is exact to double precision
-_LOG_SWITCH = 30.0
 # partition_single_direct sums until the slowest term falls below this
 DIRECT_TOL = 1e-14
 
@@ -55,54 +53,36 @@ def _beta(T, p: NCParams):
 
 
 def _closed_forms(T, tp: ThermoParams):
-    """(ln Z1, U, S, Cv) at T from one set of Boltzmann factors."""
-    N, kB = tp.N, tp.nc.kB
-    a, b = tp.nc.a, abs(tp.nc.b)      # every quantity is even in b
-    beta = _beta(T, tp.nc)
-    ab, bb = a * beta, b * beta
-    e2a = duals.exp(-2.0 * ab)        # = ep em
-    ep = duals.exp(-(ab - bb))
-    em = duals.exp(-(ab + bb))
-    if value(ab) < _LOG_SWITCH:
-        c = duals.cosh(ab) - duals.cosh(bb)
-        lnZ = -duals.log(2.0 * c)
-        U = N * (a * duals.sinh(ab) - b * duals.sinh(bb)) / c
-        S = N * kB * lnZ + U / T
-    else:
-        # cosh x = e^x (1 + e^{-2x}) / 2: scaled by 2 e^{-a beta}, every
-        # remaining exponent is negative; a > |b| keeps the bracket positive
-        lnZ = -(ab + duals.log1p(e2a - ep - em))
-        den = 1.0 + e2a - ep - em
-        U = N * (a * (1.0 - e2a) - b * (ep - em)) / den
-        # N kB ln Z1 and U / T each grow like a beta while S decays, so
-        # beta (U1 - a) is written without forming U1 - a by subtraction
-        tail = beta * ((a - b) * ep + (a + b) * em - 2.0 * a * e2a) / den
-        S = N * kB * (tail - duals.log1p(e2a - ep - em))
-    # Cv = dU/dT.  dU1/dbeta = num2/den - (num1/den)^2 cancels O(a^2)
-    # pieces down to an exponentially small difference at low T, so
-    # num1^2 - num2 den is expanded by hand into terms all of the size of
-    # the answer, and den factors as (1 - ep)(1 - em).
-    num = ((a * a + b * b) * ((1.0 + e2a) * (ep + em) - 4.0 * e2a)
-           - 2.0 * a * b * (1.0 - e2a) * (ep - em))
-    den = duals.expm1(-(ab - bb)) * duals.expm1(-(ab + bb))
-    kTT = kB * T * T
-    if value(kTT) == 0.0:
-        # T -> 0, where Cv ~ num / kTT underflows along with num itself
-        if value(num) != 0.0:
-            raise ValueError(f"kB*T*T underflows to 0 at T={value(T)!r}")
-        return lnZ, U, S, 0.0
-    return lnZ, U, S, N * num / (den * den) / kTT
+    """(ln Z1, U, S, Cv) at T, summed over the two normal modes."""
+    p, N, kB, a = tp.nc, tp.N, tp.nc.kB, tp.nc.a
+    beta = _beta(T, p)
+    lnZ, U, S, Cv = -beta * a, N * a, 0.0, 0.0   # the zero-point part
+    # the larger quantum first, so that theta -> -theta keeps every bit
+    for e in sorted((p.hbar * p.phi, p.hbar * p.chi), reverse=True):
+        x2 = beta * e                     # 2x = beta hbar omega of the mode
+        if not 0.0 < value(x2) < math.inf:
+            raise ValueError(f"beta*hbar*omega = {value(x2)!r} at "
+                             f"T={value(T)!r} is not finite and positive")
+        q, d = duals.exp(-x2), -duals.expm1(-x2)      # d = 1 - q
+        r = q / d                         # the mode's mean occupation
+        ln_d = duals.log1p(-q) if value(q) < 0.5 else duals.log(d)
+        lnZ = lnZ - ln_d
+        U = U + N * e * r
+        S = S + N * kB * (x2 * r - ln_d)
+        # 4 x^2 q / d^2, grouped so that no x^2 overflows and no 0 * inf occurs
+        Cv = Cv + N * kB * (x2 * (x2 * r) / d)
+    return lnZ, U, S, Cv
 
 
 def partition_single_direct(T, tp: ThermoParams):
     """Brute-force oracle: sum e^{-beta E} over levels until terms vanish.
 
-    It shares the level scales (a, b) of NCParams with the closed form, so
-    what it pins is the cosh resummation alone; the scales themselves are
-    pinned against the normal modes of J(theta) A in the tests.  The
-    slowest series direction decays like e^{-beta (a - b) n}, which sets
-    the cut-off.  The ladder up to n_max is laid out as integer arrays and
-    the terms are added one by one with math.fsum.
+    It builds the levels from the scales (a, b) of NCParams, while the
+    closed form takes its mode quanta from phi and chi: the two share only
+    the zero-point scale a, so a wrong level spacing on either side shows.
+    The slowest series direction decays like e^{-beta (a - b) n}, which
+    sets the cut-off.  The ladder up to n_max is laid out as integer arrays
+    and the terms are added one by one with math.fsum.
     """
     a, b = tp.nc.a, tp.nc.b
     beta = _beta(T, tp.nc)
@@ -129,6 +109,9 @@ class ThermoPoint:
     S_per_NkB: float
 
     def __post_init__(self):
+        for name, v in vars(self).items():   # NaN passes both checks below
+            if not math.isfinite(v):
+                raise CheckFailure(f"non-finite {name} = {v!r} at T={self.T}")
         scale = max(abs(self.U), abs(self.A), 1e-300)
         if abs(self.U - (self.A + self.T * self.S)) > 1e-10 * scale:
             raise CheckFailure(
@@ -141,7 +124,11 @@ class ThermoPoint:
 def thermo_point(T: float, tp: ThermoParams) -> ThermoPoint:
     """The equation-of-state row at T, from one closed-form evaluation."""
     lnZ, U, S, Cv = _closed_forms(T, tp)
-    return ThermoPoint(T=float(T), theta=tp.nc.theta, Z1=duals.exp(lnZ),
+    try:
+        Z1 = math.exp(lnZ)
+    except OverflowError:
+        raise ValueError(f"Z1 = exp({lnZ!r}) overflows at T={T!r}") from None
+    return ThermoPoint(T=float(T), theta=tp.nc.theta, Z1=Z1,
                        A=-tp.N * tp.nc.kB * T * lnZ, S=S, U=U, Cv=Cv,
                        S_per_NkB=S / (tp.N * tp.nc.kB))
 

@@ -183,6 +183,32 @@ def test_underflowing_kB_T_exits_two(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_overflowing_beta_hbar_omega_exits_two(tmp_path, capsys):
+    # this exited 2 blaming kB*T*T; at theta = 0.3 the same point was a row
+    # with A = inf
+    rc = cli.main(["thermo", "sweep", "--hbar", "10", "--tmin", "1e-308",
+                   "--tmax", "2e-308", "--grid", "2x2",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "configuration error: beta*hbar*omega = inf at T=1e-308")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_high_temperature_sweep_reaches_equipartition(tmp_path):
+    # from T = 1e8 this sweep exited 2 with "math domain error"
+    rc = cli.main(["thermo", "sweep", "--tmin", "1e7", "--tmax", "1e12",
+                   "--grid", "3x3", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    rows = np.loadtxt(tmp_path / "thermo_sweep.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (9, 8)
+    T, U, Cv = rows[:, 0], rows[:, 5], rows[:, 6]
+    NkB = 1.0                                   # the defaults N = kB = 1
+    assert np.all(np.abs(Cv - 2.0 * NkB) <= 1e-6)
+    assert np.all(np.abs(U - 2.0 * NkB * T) <= 1e-6 * 2.0 * NkB * T)
+
+
 def test_non_finite_bracket_still_writes_a_report(tmp_path, capsys):
     out = tmp_path / "new"              # the run must create it
     rc = cli.main(["algebra-check", "--m", "1e200", "--theta", "0.5",

@@ -1,5 +1,6 @@
 """Einstein-solid thermodynamics: closed forms vs direct sums and duals."""
 
+import decimal
 import math
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_partition_matches_direct_sum_on_grid():
 
 
 def test_partition_direct_sum_low_temperature_branch():
-    # a beta ~ 40 exercises the scaled logarithm
+    # a beta ~ 41: Z1 is its ground-state term to within about 3e-14
     tp = _tp(0.5)
     T = 0.025
     z = thermo.thermo_point(T, tp).Z1
@@ -72,7 +73,7 @@ def _scalar_level_sum(T, tp, tol=1e-14):
 
 @pytest.mark.parametrize("T, theta", [
     (1.0, -0.7),     # b < 0
-    (0.025, 0.5),    # low-temperature branch of the closed form
+    (0.025, 0.5),    # a beta ~ 41
     (5.0, 2.0),      # n_max ~ 400
     (0.7, 0.0),
 ])
@@ -106,11 +107,57 @@ def test_partition_even_in_theta():
             zp = thermo.thermo_point(T, _tp(theta)).Z1
             zm = thermo.thermo_point(T, _tp(-theta)).Z1
             assert abs(zp - zm) <= 1e-12 * zp
-    # ln Z1, U, S and Cv bit for bit, on both sides of the low-T switch
-    for T in (0.02, 0.5):
+    # ln Z1, U, S and Cv bit for bit, from the ground state to the classical
+    # regime: theta -> -theta swaps the two modes, summed larger one first
+    for T in (0.02, 0.5, 1e6):
         for theta in (0.5, 1.7):
             assert (thermo._closed_forms(T, _tp(theta))
                     == thermo._closed_forms(T, _tp(-theta)))
+
+
+def _decimal_forms(T, tp):
+    """(ln Z1, U, S, Cv) of the two modes at 60 digits.
+
+    The mode quanta are a +- |b| of the level scales written out in
+    Decimal, where the kernel takes hbar phi and hbar chi from NCParams.
+    ln(1 - q) is its series while q is too small for 1 - q to hold it.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p = tp.nc
+        m, w, th, hb, kB = (D(v) for v in (p.m, p.omega, p.theta, p.hbar, p.kB))
+        a = hb * w * (1 + (m * w * th) ** 2 / 4).sqrt()
+        b = abs(hb * m * th * w * w / 2)
+        beta, N = 1 / (kB * D(T)), D(tp.N)
+        lnZ, U, S, Cv = -beta * a, N * a, D(0), D(0)
+        for e in (a + b, a - b):
+            y = beta * e
+            q = (-y).exp()
+            ln_d = ((1 - q).ln() if q > D("1e-12")
+                    else -sum(q ** k / k for k in range(1, 7)))
+            r = q / (1 - q)
+            lnZ -= ln_d
+            U += N * e * r
+            S += N * kB * (y * r - ln_d)
+            Cv += N * kB * y * y * r / (1 - q)
+        return lnZ, U, S, Cv
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 2.0])
+def test_closed_forms_match_a_decimal_reference(theta):
+    # the cosh form was off by 3e-8 at T = 1e4 and 6e-2 at 1e7, raised
+    # from T = 1e8, and cancelled in S at a beta in [5, 30); the bound
+    # grows with beta hbar phi, which amplifies the last-bit rounding of beta
+    tp = _tp(theta, N=3)
+    points = [(10.0 ** k, range(4)) for k in range(-2, 13)]
+    points += [(tp.nc.a / (tp.nc.kB * k), [2]) for k in range(5, 30)]
+    for T, which in points:
+        got, ref = thermo._closed_forms(T, tp), _decimal_forms(T, tp)
+        bound = 1e-14 * max(1.0, tp.nc.hbar * tp.nc.phi / (tp.nc.kB * T) / 30)
+        for i in which:
+            err = abs(decimal.Decimal(got[i]) - ref[i]) / abs(ref[i])
+            assert float(err) <= bound, (T, i, float(err))
 
 
 def test_high_temperature_internal_energy():
@@ -207,6 +254,10 @@ def test_thermo_point_rejects_inconsistent_rows():
     with pytest.raises(CheckFailure):
         thermo.ThermoPoint(T=1.0, theta=0.0, Z1=1.0, A=1.0, S=1.0,
                            U=2.0, Cv=-1.0, S_per_NkB=1.0)
+    # NaN is false under both comparisons above, so this row constructed
+    with pytest.raises(CheckFailure, match="non-finite A = nan at T=1.0"):
+        thermo.ThermoPoint(T=1.0, theta=0.0, Z1=1.0, A=math.nan, S=math.nan,
+                           U=1.0, Cv=math.nan, S_per_NkB=math.nan)
 
 
 def test_thermo_point_evaluates_the_kernel_once(monkeypatch):
@@ -275,9 +326,26 @@ def test_underflowing_kB_T_is_a_value_error():
     for kB, T in ((1e-300, 1e-30), (1e-300, 1e-10)):
         with pytest.raises(ValueError, match=r"kB\*T = .* underflows"):
             thermo.thermo_point(T, _tp(0.3, kB=kB))
-    # kB T finite but kB T^2 underflowing while Cv's numerator has not
-    with pytest.raises(ValueError, match=r"kB\*T\*T underflows"):
-        thermo.thermo_point(1e-320, _tp(0.3, kB=1e300, hbar=1e-18))
+    # kB T finite while kB T^2 underflows: this raised, but no division by
+    # kB T^2 is left, so the row is finite, at its zero-point limit
+    tp = _tp(0.3, kB=1e300, hbar=1e-18)
+    row = thermo.thermo_point(1e-320, tp)
+    assert all(math.isfinite(v) for v in vars(row).values())
+    assert row.S >= 0.0 and row.Cv >= 0.0
+    assert row.U == pytest.approx(tp.N * tp.nc.a, rel=1e-15)
+
+
+@pytest.mark.parametrize("T, hbar, theta, message", [
+    # A = inf, which passed U = A + TS because its scale was inf too
+    (1e-308, 10.0, 0.3, r"beta\*hbar\*omega = inf at T=1e-308"),
+    # a beta - b beta = inf - inf, reported as "kB*T*T underflows"
+    (1e-308, 10.0, 2.0, r"beta\*hbar\*omega = inf at T=1e-308"),
+    (1e10, 1e-320, 0.3, r"beta\*hbar\*omega = 0.0 at T=10000000000.0"),
+    (1e155, 1.0, 0.3, r"Z1 = exp\(.*\) overflows at T=1e\+155"),
+], ids=["A-inf", "nan", "mode-underflow", "Z1-overflow"])
+def test_unrepresentable_mode_factor_is_a_value_error(T, hbar, theta, message):
+    with pytest.raises(ValueError, match=message):
+        thermo.thermo_point(T, _tp(theta, hbar=hbar))
 
 
 @settings(max_examples=60, deadline=None)

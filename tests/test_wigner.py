@@ -484,6 +484,26 @@ def test_first_excited_is_negative_at_origin(excited_xpy, excited_table):
     assert excited_table.values.min() < -0.09 / P.hbar**2
 
 
+@pytest.mark.parametrize("p", [
+    NCParams(m=1.0, omega=1.0, theta=0.3, hbar=0.7),
+    NCParams(m=1.3, omega=0.8, theta=-0.7, hbar=1.6)])
+def test_quadrature_prefactor_away_from_unit_hbar(p):
+    # (pi hbar)^2 and pi^2 hbar agree at hbar = 1 only.  Queries sit on the
+    # state's (x, p_y) nodes: off them the bilinear fallback misses by 1e-2
+    scale = (math.pi * p.hbar) ** 2
+    grid = momentum_grid(p, 65, 8.0)
+    ground = transform(eigenfunction(0, 0, p, grid), "xpy", p)
+    X, PX, PY = np.meshgrid(ground.axis1[8:57:4], np.linspace(-1.5, 1.5, 7),
+                            ground.axis2[8:57:4], indexing="ij")
+    vq = QuadratureWigner(ground, p).at(X, 0.0, PX, PY)
+    vc = GroundStateWigner(p).at(X, 0.0, PX, PY)
+    assert np.abs(vq - vc).max() * scale < 1e-12
+    # the parity value of the (1, 1) state
+    excited = transform(eigenfunction(1, 1, p, grid), "xpy", p)
+    w0 = QuadratureWigner(excited, p).at(0.0, 0.0, 0.0, 0.0)
+    assert w0 * scale == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_displaced_closed_form_matches_quadrature(ground_xpy):
     d = (0.6, -0.4, 0.3, 0.5)
     disp = _displaced_gaussian(ground_xpy, d, P)
