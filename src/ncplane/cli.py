@@ -23,10 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import dynamics, selftest, spectra, symmetries, thermo, wigner
 from .params import CheckFailure, NCParams
-from .phasespace import (FieldEvaluationError, PhasePoint, sample_points,
-                         verify_algebra)
 
 
 class ConfigError(Exception):
@@ -152,6 +149,7 @@ def _out(cfg: RunConfig, name: str) -> str:
 
 
 def cmd_algebra_check(cfg: RunConfig) -> int:
+    from .phasespace import FieldEvaluationError, sample_points, verify_algebra
     pts, p = sample_points(cfg.samples, seed=cfg.seed), cfg.nc()
     run = {"tol": cfg.tol, "samples": cfg.samples, "seed": cfg.seed,
            "params": {"m": cfg.m, "theta": cfg.theta}}
@@ -176,6 +174,8 @@ def cmd_algebra_check(cfg: RunConfig) -> int:
 
 
 def cmd_classical_simulate(cfg: RunConfig) -> int:
+    from . import dynamics
+    from .phasespace import PhasePoint
     p = cfg.nc()
     z0 = PhasePoint(cfg.x0, cfg.y0, cfg.px0, cfg.py0)
     H = dynamics.oscillator_hamiltonian(p)  # the free particle at omega = 0
@@ -202,6 +202,7 @@ def cmd_classical_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_classical_symmetries(cfg: RunConfig) -> int:
+    from . import symmetries
     p = cfg.nc()
     basis = symmetries.conserved_bilinears(p)
     probes = symmetries.expected_conserved(p)
@@ -227,6 +228,7 @@ def cmd_classical_symmetries(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
+    from . import spectra
     p = cfg.nc()
     entries = spectra.spectrum(cfg.n_max, p)
     _write_csv(_out(cfg, "spectrum.csv"), "n,two_j,E",
@@ -237,6 +239,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_eigenfunction(cfg: RunConfig) -> int:
+    from . import spectra
     p = cfg.nc()
     axes = spectra.momentum_grid(p, cfg.nodes, cfg.radius)
     psi = spectra.eigenfunction(cfg.n, cfg.two_j, p, axes)
@@ -263,6 +266,7 @@ def cmd_eigenfunction(cfg: RunConfig) -> int:
 
 
 def cmd_wigner(cfg: RunConfig) -> int:
+    from . import spectra, wigner
     p = cfg.nc()
     axes = spectra.momentum_grid(p, cfg.nodes, cfg.radius)
     psi = spectra.transform(spectra.eigenfunction(cfg.n, cfg.two_j, p, axes),
@@ -303,6 +307,7 @@ def _parse_grid(spec: str):
 
 
 def cmd_thermo_sweep(cfg: RunConfig) -> int:
+    from . import thermo
     nt, nth = _parse_grid(cfg.grid)
     if cfg.tmin <= 0 or cfg.tmax <= cfg.tmin:
         raise ConfigError("need 0 < tmin < tmax")
@@ -354,6 +359,7 @@ def _write_curves_script(path, csv_name, picks):
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
+    from . import selftest
     try:
         results = selftest.run_all(seed=cfg.seed)
     except ValueError as exc:  # selftest takes no input to blame

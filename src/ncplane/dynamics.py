@@ -70,7 +70,11 @@ def _time_grid(t0, t1, dt):
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     n = max(1, round((t1 - t0) / dt))
     h = (t1 - t0) / n
-    times = t0 + h * np.arange(n + 1)
+    try:
+        times = t0 + h * np.arange(n + 1)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"dt = {dt} on [{t0}, {t1}] needs {n:.3g} steps, "
+                         f"a time grid too large to allocate") from exc
     times[-1] = t1
     return n, h, times
 

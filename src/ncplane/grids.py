@@ -98,8 +98,8 @@ class GridFunction:
 
     def interior_norm(self, band: int) -> float:
         """Trapezoid L2 norm over the grid minus a boundary band."""
-        if band < 0 or 2 * band >= min(self.axis1.size, self.axis2.size):
-            raise GridError(f"band {band} leaves no interior")
+        if band < 0 or 2 * band + 2 > min(self.axis1.size, self.axis2.size):
+            raise GridError(f"band {band} leaves under two interior nodes")
         if band == 0:
             return self.norm()
         a1 = self.axis1[band:-band]

@@ -141,7 +141,7 @@ class QuadratureWigner:
         out = np.zeros(xf.size, dtype=complex)
         M = np.empty((2 * self._K + 1, 2 * self._L + 1), dtype=complex)
         C = np.empty_like(M)
-        pairs = {}
+        pairs, memo = {}, (None, None)
         for n in range(xf.size):
             pairs.setdefault((xf[n], pyf[n]), []).append(n)
         for (xq, pyq), idx in pairs.items():
@@ -160,7 +160,12 @@ class QuadratureWigner:
                         self._corr(i + di, j + dj, C, self._K)
                         C *= wx * wy
                         M += C
-            A, F = self._phases(pxf[idx], uf[idx][:, None])
+            # a slice repeats one (px, u) column per pair: reuse the last
+            # phases when its bytes match (so -0.0 and 0.0 differ)
+            key = pxf[idx].tobytes(), uf[idx].tobytes()
+            if key != memo[0]:
+                memo = key, self._phases(pxf[idx], uf[idx][:, None])
+            A, F = memo[1]
             out[idx] = self._contract(M, A, F[:, :, 0])
         self._check_real(float(np.abs(out.imag).max(initial=0)),
                          float(np.abs(out.real).max(initial=0)))

@@ -404,6 +404,31 @@ def test_eigenfunction_coarse_grid_fails_residual_gate(tmp_path, capsys):
     assert rep["ok"] is False
 
 
+def test_eigenfunction_on_seven_nodes_exits_two(tmp_path, capsys):
+    # the stencil band of 3 left one interior node: an IndexError, exit 3
+    rc = cli.main(["eigenfunction", "--nodes", "7", "--out-dir",
+                   str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("configuration error: band 3 leaves "
+                                       "under two interior nodes\n")
+    # eight nodes keep two interior nodes and miss the residual gate
+    with pytest.warns(RuntimeWarning, match="coarse"):
+        rc = cli.main(["eigenfunction", "--nodes", "8", "--out-dir",
+                       str(tmp_path)])
+    assert rc == 1
+
+
+def test_unallocatable_time_grid_exits_two_naming_dt(tmp_path, capsys):
+    # numpy refuses 1e300 steps before allocating anything
+    rc = cli.main(["classical", "simulate", "--t1", "1", "--dt", "1e-300",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "configuration error: dt = 1e-300 on [0.0, 1.0] needs 1e+300 "
+        "steps, a time grid too large to allocate\n")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_wigner_negativity_search(tmp_path, capsys):
     rc = cli.main(["wigner", "--n", "1", "--two-j", "1", "--theta", "0.3",
                    "--nodes", "65", "--out-dir", str(tmp_path)])

@@ -2,10 +2,12 @@
 
 import math
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ncplane import dynamics
 from ncplane.dynamics import flow_matrix
 from ncplane.phasespace import FieldEvaluationError
 from ncplane import (
@@ -278,6 +280,29 @@ def test_flow_argument_validation():
             hamiltonian_flow(H, Z0, t0, t1, dt, P)
         with pytest.raises(ValueError, match=message):
             oscillator_path(Z0, t0, t1, dt, P)
+
+
+def test_unallocatable_time_grid_is_a_named_value_error(monkeypatch):
+    # numpy refuses 1e300 steps by size; a grid past the memory limit
+    # raises MemoryError, stood in for here: no multi-TiB array is asked for
+    H = oscillator_hamiltonian(P)
+    message = (r"dt = 1e-300 on \[0.0, 1.0\] needs 1e\+300 steps, a time "
+               r"grid too large to allocate")
+    with pytest.raises(ValueError, match=message):
+        hamiltonian_flow(H, Z0, 0.0, 1.0, 1e-300, P)
+    with pytest.raises(ValueError, match=message):
+        oscillator_path(Z0, 0.0, 1.0, 1e-300, P)
+
+    def no_memory(n):
+        raise MemoryError(f"Unable to allocate {8 * n} bytes")
+
+    monkeypatch.setattr(dynamics, "np", SimpleNamespace(arange=no_memory))
+    message = r"dt = 1e-09 on \[0.0, 1000.0\] needs 1e\+12 steps"
+    with pytest.raises(ValueError, match=message) as info:
+        hamiltonian_flow(H, Z0, 0.0, 1000.0, 1e-9, P)
+    assert isinstance(info.value.__cause__, MemoryError)
+    with pytest.raises(ValueError, match=message):
+        oscillator_path(Z0, 0.0, 1000.0, 1e-9, P)
 
 
 @pytest.mark.parametrize("t0, t1, dt, name", [

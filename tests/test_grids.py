@@ -131,6 +131,20 @@ def test_interior_norm_excludes_boundary_band():
     assert F.boundary_max() == 100.0
 
 
+@pytest.mark.parametrize("n, band, interior", [(7, 3, 1), (5, 2, 1), (8, 4, 0),
+                                               (8, 3, 2), (6, 2, 2)])
+def test_interior_norm_needs_two_interior_nodes(n, band, interior):
+    # one interior node left trapezoid_weights reading past its axis
+    ax = uniform_axis(0.0, 1.0, n)
+    F = GridFunction(ax, ax, np.ones((n, n)), "p")
+    if interior < 2:
+        with pytest.raises(GridError, match=f"band {band} leaves under two"):
+            F.interior_norm(band)
+    else:
+        # the trapezoid over two nodes is one step: sqrt(h * h * 1)
+        assert F.interior_norm(band) == pytest.approx(F.step1, rel=1e-12)
+
+
 def test_boundary_max_reads_only_the_edges():
     ax = uniform_axis(0.0, 1.0, 9)
     vals = np.zeros((9, 9), complex)

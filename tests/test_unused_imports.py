@@ -1,11 +1,13 @@
-"""Every module-level import and definition in the package is used.
+"""Every import and module-level definition in the package is used.
 
 No linter ships with the test dependencies, so these are small `ast`
-checks.  A name bound by a top-level `import` or `from ... import` must be
-referenced somewhere in its module; `__init__.py` is skipped because its
-imports are the public re-exports.  A top-level function or class must be
-read in its own module, imported by name from it (`from .m import f`, the
-re-exports included) or read as an attribute of its module (`m.f`).  A
+checks.  A name bound by an `import` or `from ... import` must be
+referenced in its scope: the module for a top-level import, the function
+for one inside a function (the CLI commands import what they run);
+`__init__.py` is skipped because it only holds the export table.  A
+top-level function or class must be read in its own module, imported by
+name from it (`from .m import f`, at any depth), named in the `_EXPORTS`
+table of `__init__.py` or read as an attribute of its module (`m.f`).  A
 call from its own body counts: the elementwise dual-number functions
 (`duals.tanh`) recurse onto the value lane and are otherwise called only
 from user-written fields.  A parameter with a default, on a top-level
@@ -19,10 +21,11 @@ somewhere in the package, the tests or the benchmark harness
 Exports and methods must have a caller outside the tests.  The production
 texts are the package modules, `perfbench/*.py` and the README's library
 tour; in `perfbench/*.py` an identifier string constant counts as a read,
-since that is how the tracer names what it wraps.  Every name
-`__init__.py` imports, and every method or property (dunders aside) of a
-top-level class, must be read in those texts.  `SymmetryBasis.svd_gap`
-is the one exemption: it is a health figure bound for `symmetries.json`.
+since that is how the tracer names what it wraps.  Every name in the
+`_EXPORTS` table of `__init__.py`, and every method or property (dunders
+aside) of a top-level class, must be read in those texts.
+`SymmetryBasis.svd_gap` is the one exemption: it is a health figure bound
+for `symmetries.json`.
 
 The front ends, `cli.py` and `selftest.py`, read only public names of the
 other modules: a verification they need has one public home.
@@ -42,26 +45,55 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parents[1]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(scope):
+    """The nodes of a module's or function's body, not those of the
+    functions nested in it."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(source: str) -> list[str]:
+    """Names bound by an import that their scope never references: the
+    module for a top-level import, the function for a nested one."""
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                bound[name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(f"{name} (line {line})" for name, line in bound.items()
-                  if name not in used)
+    out = []
+    for scope in [tree, *(n for n in ast.walk(tree)
+                          if isinstance(n, _SCOPES))]:
+        bound = {}
+        for node in _own_nodes(scope):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        out += [f"{name} (line {line})" for name, line in bound.items()
+                if name not in used]
+    return sorted(out)
+
+
+def exports(init_source: str) -> dict:
+    """The `_EXPORTS` table of init_source: module -> exported names."""
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no _EXPORTS table in __init__.py")
 
 
 def unreferenced_definitions(sources: dict, init_source: str) -> list[str]:
     """Top-level defs and classes of sources (module name -> text) that no
     module reads: not bare in their own module (f), not imported by name
-    from it (from .m import f, init_source included) and not as an
-    attribute of its name (m.f)."""
+    from it (from .m import f, at any depth), not in the export table of
+    init_source and not as an attribute of its name (m.f)."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     read = set()
     for mod, tree in trees.items():
@@ -71,10 +103,12 @@ def unreferenced_definitions(sources: dict, init_source: str) -> list[str]:
             elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
                   and isinstance(n.value, ast.Name)):
                 read.add((n.value.id, n.attr))
-    for tree in [*trees.values(), ast.parse(init_source)]:
+    for tree in trees.values():
         read |= {((n.module or "").rpartition(".")[2], alias.name)
-                 for n in tree.body if isinstance(n, ast.ImportFrom)
+                 for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                  for alias in n.names}
+    read |= {(mod, name) for mod, names in exports(init_source).items()
+             for name in names}
     return sorted(f"{mod}.{node.name} (line {node.lineno})"
                   for mod, tree in trees.items() for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -96,11 +130,10 @@ def _reads(text: str, strings: bool = False) -> set:
 
 
 def unread_exports(init_source: str, reads: set) -> list[str]:
-    """Names init_source imports that are not in reads."""
-    return sorted(f"{alias.asname or alias.name} (line {node.lineno})"
-                  for node in ast.parse(init_source).body
-                  if isinstance(node, ast.ImportFrom) for alias in node.names
-                  if (alias.asname or alias.name) not in reads)
+    """Names in the export table of init_source that are not in reads."""
+    return sorted(f"{mod}.{name}" for mod, names in
+                  exports(init_source).items()
+                  for name in names if name not in reads)
 
 
 def unread_methods(sources: dict, reads: set, exempt=()) -> list[str]:
@@ -206,14 +239,15 @@ def unread_assignments(sources: dict, readers: list) -> list[str]:
 
 def private_reads(source: str) -> list[str]:
     """Underscore-prefixed names source takes from sibling modules: bound
-    by `from .m import _f` or read as `m._f` after `from . import m`."""
+    by `from .m import _f` or read as `m._f` after `from . import m`, at
+    the top of the module or inside a function."""
     tree = ast.parse(source)
-    mods = {a.asname or a.name for n in tree.body
-            if isinstance(n, ast.ImportFrom) and n.level and not n.module
+    imports = [n for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) and n.level]
+    mods = {a.asname or a.name for n in imports if not n.module
             for a in n.names}
-    out = [f"{n.module}.{a.name} (line {n.lineno})" for n in tree.body
-           if isinstance(n, ast.ImportFrom) and n.level and n.module
-           for a in n.names if a.name.startswith("_")]
+    out = [f"{n.module}.{a.name} (line {n.lineno})" for n in imports
+           if n.module for a in n.names if a.name.startswith("_")]
     out += [f"{n.value.id}.{n.attr} (line {n.lineno})" for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
             and n.value.id in mods and n.attr.startswith("_")]
@@ -223,6 +257,10 @@ def private_reads(source: str) -> list[str]:
 def test_checker_flags_an_unused_name():
     src = "import math\nfrom os import path, sep as s\nprint(path)\n"
     assert unused_imports(src) == ["math (line 1)", "s (line 2)"]
+    # b is read in g, but f binds it and never reads it
+    src = ("import json\n\ndef f():\n    from . import a, b\n    return a\n\n"
+           "def g():\n    from .c import d\n    return json, b\n")
+    assert unused_imports(src) == ["b (line 4)", "d (line 8)"]
 
 
 def test_checker_flags_an_unreferenced_definition():
@@ -233,13 +271,14 @@ def test_checker_flags_an_unreferenced_definition():
               "class Used:\n    pass\n\n"
               "class Unused:\n    pass\n\n"
               "def twin():\n    pass\n"),
-        "b": ("from . import a\nfrom .c import taken\n\n"
-              "def exported():\n    return a.Used, taken, twin, x.Unused\n\n"
+        "b": ("from . import a\n\n"
+              "def exported():\n    from .c import taken\n"
+              "    return a.Used, taken, twin, x.Unused\n\n"
               "def _orphan():\n    return a._helper()\n\n"
               "def twin():\n    pass\n"),
         "c": "def taken():\n    pass\n",
     }
-    init = "from .a import public\nfrom .b import exported as e\n"
+    init = '_EXPORTS = {"a": ("public",), "b": ("exported",)}\n'
     # a.twin shares its name with b.twin, which b reads; x is not a module
     assert unreferenced_definitions(sources, init) == [
         "a.Unused (line 14)", "a._dead (line 8)", "a.twin (line 17)",
@@ -247,12 +286,17 @@ def test_checker_flags_an_unreferenced_definition():
 
 
 def test_checker_flags_an_unread_export():
-    init = ("from .a import f, g, h as k\nfrom .b import Tracked, C\n"
-            "from . import m\n")
+    init = ("import importlib\n\n"
+            "_EXPORTS = {\n    'a': ('f', 'g', 'k'),\n"
+            "    'b': ('Tracked', 'C'),\n}\n"
+            "__all__ = [n for names in _EXPORTS.values() for n in names]\n")
     reads = _reads("f()\nx.C\nm\n") | _reads("T = ('Tracked', 'k j')\n",
                                               strings=True)
     assert "k j" not in reads and "k" not in reads
-    assert unread_exports(init, reads) == ["g (line 1)", "k (line 1)"]
+    assert unread_exports(init, reads) == ["a.g", "a.k"]
+    # re-exports by import are no table: the guard cannot pass vacuously
+    with pytest.raises(AssertionError, match="no _EXPORTS table"):
+        unread_exports("from .a import f, g\n", reads)
 
 
 def test_checker_flags_an_unread_method():
@@ -275,9 +319,12 @@ def test_checker_flags_an_unread_method():
 
 def test_checker_flags_a_private_read():
     src = ("from . import a, b as c\nfrom .d import _e, f\nimport g\n"
-           "a._h(c._i, a.j, g._k, self._l, _e, f)\n")
+           "a._h(c._i, a.j, g._k, self._l, _e, f)\n\n"
+           "def cmd():\n    from . import m\n    from .n import _o\n"
+           "    return m._p, _o\n")
     assert private_reads(src) == ["a._h (line 4)", "c._i (line 4)",
-                                  "d._e (line 2)"]
+                                  "d._e (line 2)", "m._p (line 9)",
+                                  "n._o (line 8)"]
 
 
 def test_checker_flags_an_unpassed_default():

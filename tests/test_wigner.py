@@ -136,6 +136,30 @@ def test_readme_slice_reaches_the_last_x_node():
     assert np.abs(vals).max() <= 1.0 / (math.pi * P.hbar) ** 2
 
 
+def test_readme_slice_computes_its_phases_once(monkeypatch):
+    # the `wigner` command's slice on 65 nodes: every x node, 41 p_x
+    psi = _excited_state(65)
+    Wq = QuadratureWigner(psi, P)
+    xs, pxs = psi.axis1, np.linspace(-4.0 * P.width, 4.0 * P.width, 41)
+    phases, calls = QuadratureWigner._phases, []
+
+    def counted(self, px, u):
+        calls.append(px.size)
+        return phases(self, px, u)
+
+    monkeypatch.setattr(QuadratureWigner, "_phases", counted)
+    vals = Wq.at(xs[:, None], 0.0, pxs[None, :], 0.0)
+    assert calls == [41]
+    # one query per pair rebuilds the phases each time, to the same bits
+    loop = np.array([Wq.at(x, 0.0, pxs, 0.0) for x in xs])
+    assert len(calls) == 1 + xs.size
+    assert np.array_equal(vals, loop)
+    # -0.0 and 0.0 columns hold different bytes: no reuse across them
+    del calls[:]
+    Wq.at(xs[:2, None], 0.0, np.array([[0.0], [-0.0]]), 0.0)
+    assert calls == [1, 1]
+
+
 def test_pointwise_matches_table_at_every_x_node_of_64():
     # on 64 nodes (x - x_0)/h lands just below the node index at 60 of
     # the 64 x nodes; each must snap onto its node
