@@ -119,6 +119,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key, v in values.items():
         if _FIELD_TYPES[key] is float and not math.isfinite(v):
             raise ConfigError(f"{key} must be finite, got {v!r}")
+    if values.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be non-negative, got {values['seed']}")
     return replace(RunConfig(), **values)
 
 
@@ -208,7 +210,7 @@ def cmd_classical_symmetries(cfg: RunConfig) -> int:
     probes = symmetries.expected_conserved(p)
     expected = len(probes)
     member = max(symmetries.membership_check(S, basis) for S in probes)
-    c, res = symmetries.structure_constants(list(basis.forms), p)
+    c, res = symmetries.structure_constants(basis.forms, p)
     ok = basis.dimension == expected and member < 1e-10
     _write_json(_out(cfg, "symmetries.json"), {
         "dimension": basis.dimension,

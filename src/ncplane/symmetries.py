@@ -4,10 +4,11 @@ A quadratic observable S(z) = 1/2 z^T M z is conserved iff the matrix
 A J M - M J A vanishes, where A is the oscillator coefficient matrix and J
 the deformed bracket tensor over (x, y, px, py).  Conservation is therefore
 a linear condition on the 10-dimensional space of symmetric M; the solver
-assembles that operator exactly and reads the conserved span off its SVD
-nullspace.  At theta = 0 the span is four dimensional (the su(2) family
-plus H); any theta != 0 collapses it to two (H and the deformed angular
-momentum), and the commutative symmetry is not recovered as theta -> 0.
+assembles that operator exactly, reads the conserved span off its SVD
+nullspace and fixes a basis of it that depends on the span alone.  At
+theta = 0 the span is four dimensional (the su(2) family plus H); any
+theta != 0 collapses it to two (H and the deformed angular momentum), and
+the commutative symmetry is not recovered as theta -> 0.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .phasespace import _coords
 
 _N = 4
 SVD_THRESHOLD = 1e-10  # relative to sigma_max; smaller singular values are null
+# symmetric coordinates: the diagonal, then the pairs a < b scaled by sqrt 2
+_PAIRS = [(a, a) for a in range(_N)] + [
+    (a, b) for a in range(_N) for b in range(a + 1, _N)]
 
 
 def deformed_symplectic(theta: float) -> np.ndarray:
@@ -41,24 +45,23 @@ def hamiltonian_matrix(p: NCParams) -> np.ndarray:
 def sym_basis() -> list[np.ndarray]:
     """Frobenius-orthonormal basis of the symmetric 4x4 matrices."""
     out = []
-    for a in range(_N):
+    for a, b in _PAIRS:
         E = np.zeros((_N, _N))
-        E[a, a] = 1.0
+        E[a, b] = E[b, a] = 1.0 if a == b else 1.0 / np.sqrt(2.0)
         out.append(E)
-    r = 1.0 / np.sqrt(2.0)
-    for a in range(_N):
-        for b in range(a + 1, _N):
-            E = np.zeros((_N, _N))
-            E[a, b] = E[b, a] = r
-            out.append(E)
     return out
 
 
 def _vec(M: np.ndarray) -> np.ndarray:
     """Coordinates of a symmetric matrix in the orthonormal basis above."""
-    v = [M[a, a] for a in range(_N)]
-    v += [np.sqrt(2.0) * M[a, b] for a in range(_N) for b in range(a + 1, _N)]
-    return np.array(v)
+    return np.array([M[a, b] if a == b else np.sqrt(2.0) * M[a, b]
+                     for a, b in _PAIRS])
+
+
+def bracket_matrix(M1, M2, theta: float) -> np.ndarray:
+    """{S1, S2} is again quadratic; its matrix is M1 J M2 - M2 J M1."""
+    J = deformed_symplectic(theta)
+    return M1 @ J @ M2 - M2 @ J @ M1
 
 
 class BilinearForm:
@@ -78,12 +81,6 @@ class BilinearForm:
         c = np.array(_coords(z))
         return float(0.5 * c @ self.M @ c)
 
-    def bracket(self, other: "BilinearForm", theta: float) -> "BilinearForm":
-        """{S1, S2} is again quadratic; its matrix is M1 J M2 - M2 J M1."""
-        J = deformed_symplectic(theta)
-        B = self.M @ J @ other.M - other.M @ J @ self.M
-        return BilinearForm(B)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.M))
 
@@ -100,31 +97,31 @@ class SymmetryBasis:
     singular_values: np.ndarray
 
     def __post_init__(self):
-        mats = [f.M for f in self.forms]
-        n = len(mats)
-        gram = np.array([[np.sum(a * b) for b in mats] for a in mats])
-        if n and not np.allclose(gram, np.eye(n), atol=1e-10):
+        G = np.array([_vec(f.M) for f in self.forms])  # Frobenius coordinates
+        if not np.allclose(G @ G.T, np.eye(len(G)), atol=1e-10):
             raise ValueError("basis is not Frobenius-orthonormal")
-
-    def svd_gap(self) -> float:
-        """Smallest kept over largest discarded singular value."""
-        s = np.sort(self.singular_values)
-        kept = s[self.dimension:]
-        dropped = s[:self.dimension]
-        if dropped.size == 0 or dropped.max() == 0.0:
-            return np.inf
-        return float(kept.min() / dropped.max()) if kept.size else np.inf
 
 
 def conservation_operator(p: NCParams) -> np.ndarray:
     """Matrix of M -> matrix of {H, S_M} over the orthonormal symmetric basis."""
     A = hamiltonian_matrix(p)
-    J = deformed_symplectic(p.theta)
-    cols = []
-    for E in sym_basis():
-        B = A @ J @ E - E @ J @ A
-        cols.append(_vec(B))
-    return np.column_stack(cols)
+    return np.column_stack([_vec(bracket_matrix(A, E, p.theta))
+                            for E in sym_basis()])
+
+
+def span_basis(null_rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows with the row span of N = null_rows, fixed by the span:
+    Gram-Schmidt on the columns of the projector N^T N, one step per row of
+    N, each taking the first column whose remainder is at least half the
+    largest (so rounding-level remainders never become pivots)."""
+    R = null_rows.T @ null_rows
+    Q = np.zeros_like(null_rows)
+    for i in range(len(Q)):
+        norms = np.linalg.norm(R, axis=0)
+        k = np.argmax(norms >= 0.5 * norms.max())
+        Q[i] = R[:, k] / norms[k]
+        R -= np.outer(Q[i], Q[i] @ R)
+    return Q
 
 
 def conserved_bilinears(p: NCParams) -> SymmetryBasis:
@@ -133,16 +130,14 @@ def conserved_bilinears(p: NCParams) -> SymmetryBasis:
     Relative threshold: directions with singular value below
     SVD_THRESHOLD * sigma_max are declared null.  The operator is exact
     rational in (m, omega, theta), so the spectral gap is enormous and the
-    rank decision is stable.
+    rank decision is stable.  `span_basis`, not the SVD, picks the forms.
     """
     p.require_omega()
     L = conservation_operator(p)
     _, s, Vt = np.linalg.svd(L)
-    null_rows = Vt[s < SVD_THRESHOLD * s[0]]
     mats = sym_basis()
-    forms = tuple(
-        BilinearForm(sum(c * E for c, E in zip(row, mats))) for row in null_rows
-    )
+    forms = tuple(BilinearForm(sum(c * E for c, E in zip(row, mats)))
+                  for row in span_basis(Vt[s < SVD_THRESHOLD * s[0]]))
     return SymmetryBasis(forms, len(forms), s)
 
 
@@ -168,23 +163,19 @@ def membership_check(S: BilinearForm, basis: SymmetryBasis) -> float:
 
 
 def structure_constants(basis, p: NCParams):
-    """Least-squares c_ijk with {S_i, S_j} = sum_k c_ijk S_k.
+    """Least-squares c_ijk with {S_i, S_j} = sum_k c_ijk S_k, in one solve.
 
     Returns (c, residual) where residual[i, j] is the out-of-span
-    Frobenius norm of the bracket, scaled by 1 + ||bracket||.
+    Frobenius norm of the bracket, scaled by 1 + ||bracket||.  The forms
+    need not be orthonormal.
     """
     n = len(basis)
     G = np.column_stack([_vec(f.M) for f in basis])  # 10 x n
-    c = np.zeros((n, n, n))
-    res = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            b = _vec(basis[i].bracket(basis[j], p.theta).M)
-            coef, *_ = np.linalg.lstsq(G, b, rcond=None)
-            c[i, j] = coef
-            r = b - G @ coef
-            res[i, j] = np.linalg.norm(r) / (1.0 + np.linalg.norm(b))
-    return c, res
+    B = np.column_stack([_vec(bracket_matrix(f.M, g.M, p.theta))
+                         for f in basis for g in basis])  # 10 x n^2
+    c = np.linalg.lstsq(G, B, rcond=None)[0]
+    res = np.linalg.norm(B - G @ c, axis=0) / (1.0 + np.linalg.norm(B, axis=0))
+    return c.T.reshape(n, n, n), res.reshape(n, n)
 
 
 def hamiltonian_form(p: NCParams) -> BilinearForm:

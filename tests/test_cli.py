@@ -163,6 +163,15 @@ def test_too_few_samples_exit_two_naming_the_key(tmp_path, capsys, n):
         f"configuration error: samples must be at least 1, got {n}")
 
 
+@pytest.mark.parametrize("argv", [["selftest"], ["algebra-check"]])
+def test_negative_seed_exits_two_naming_the_key(tmp_path, capsys, argv):
+    # selftest exited 3 with numpy's "expected non-negative integer"
+    rc = cli.main([*argv, "--seed", "-1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and err.startswith("configuration error: ")
+
+
 def test_low_temperature_sweep_is_the_zero_temperature_limit(tmp_path):
     # kB T^2 underflows below T = 1.5e-162: this sweep crashed with
     # ZeroDivisionError (exit 3)

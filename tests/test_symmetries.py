@@ -11,13 +11,17 @@ from ncplane import (NCParams, PhasePoint, ScalarField, bracket_field,
                      sample_points)
 from ncplane.dynamics import oscillator_path
 from ncplane.symmetries import (
+    SVD_THRESHOLD,
     BilinearForm,
     SymmetryBasis,
     angular_momentum_form,
+    bracket_matrix,
+    conservation_operator,
     conserved_bilinears,
     deformed_symplectic,
     hamiltonian_form,
     membership_check,
+    span_basis,
     structure_constants,
     su2_standard_forms,
     sym_basis,
@@ -47,8 +51,11 @@ def test_dimension_two_across_theta_range():
 
 
 def test_svd_gap():
+    # smallest kept singular value over the largest discarded one
     for p in (P0, P5):
-        assert conserved_bilinears(p).svd_gap() > 1e4
+        basis = conserved_bilinears(p)
+        s = np.sort(basis.singular_values)
+        assert s[basis.dimension] > 1e4 * s[basis.dimension - 1]
 
 
 def test_hamiltonian_in_span():
@@ -79,12 +86,15 @@ def test_commutative_multiplet_breaks_at_nonzero_theta():
 
 
 def test_su2_structure_constants():
-    c, res = structure_constants(list(su2_standard_forms(P0)), P0)
     eps = np.zeros((3, 3, 3))
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         eps[i, j, k], eps[j, i, k] = 1.0, -1.0
-    assert np.max(np.abs(c - eps)) < 1e-10
-    assert np.max(res) < 1e-10
+    # off (m, omega) = (1, 1) the multiplet is not Frobenius-orthonormal,
+    # so projections onto it would miss eps_ijk; the least-squares fit not
+    for p in (P0, NCParams(m=1.3, omega=0.8, theta=0.0)):
+        c, res = structure_constants(su2_standard_forms(p), p)
+        assert np.max(np.abs(c - eps)) < 1e-10
+        assert np.max(res) < 1e-10
 
 
 def test_deformed_pair_is_abelian():
@@ -124,13 +134,48 @@ def test_matrix_bracket_matches_dual_bracket():
         B = rng.standard_normal((4, 4))
         f1 = BilinearForm(A + A.T)
         f2 = BilinearForm(B + B.T)
-        fb = f1.bracket(f2, P5.theta)
+        fb = BilinearForm(bracket_matrix(f1.M, f2.M, P5.theta))
         # five points from the cube [-3, 3]^4
         for row in np.random.default_rng(8).uniform(-3.0, 3.0, size=(5, 4)):
             z = PhasePoint(*map(float, row))
             want = bracket_field(quadratic_field(f1), quadratic_field(f2),
                                  P5.theta).value(z)
             assert fb.value(z) == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+def _null_rows(p):
+    _, s, Vt = np.linalg.svd(conservation_operator(p))
+    return Vt[s < SVD_THRESHOLD * s[0]]
+
+
+@pytest.mark.parametrize("p", [P0, P5, NCParams(theta=1e-6),
+                               NCParams(m=1.3, omega=0.8, theta=-1.2)],
+                         ids=["theta0", "theta0.5", "theta1e-6", "m1.3-w0.8"])
+def test_span_basis_ignores_the_basis_of_the_null_rows(p):
+    # another BLAS kernel hands back another orthonormal basis of the same
+    # span; rotating the null rows stands in for it
+    N = _null_rows(p)
+    want = span_basis(N)
+    assert want.shape == N.shape
+    assert np.allclose(want @ want.T, np.eye(len(N)), atol=1e-14)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        Q, _ = np.linalg.qr(rng.standard_normal((len(N), len(N))))
+        assert np.max(np.abs(span_basis(Q @ N) - want)) < 1e-14
+
+
+def test_structure_constants_at_theta_zero_in_the_canonical_basis():
+    # the basis is (x^2 + px^2)/(2 sqrt 2), (y^2 + py^2)/(2 sqrt 2),
+    # (x y + px py)/2 and (x py - y px)/2
+    basis = conserved_bilinears(P0)
+    r = 1.0 / np.sqrt(2.0)
+    want = np.zeros((4, 4, 4))
+    for i, j, k, v in [(0, 2, 3, r), (0, 3, 2, -r), (1, 2, 3, -r),
+                       (1, 3, 2, r), (2, 3, 0, r), (2, 3, 1, -r)]:
+        want[i, j, k], want[j, i, k] = v, -v
+    c, res = structure_constants(basis.forms, P0)
+    assert np.max(np.abs(c - want)) <= 1e-15
+    assert np.max(res) < 1e-14
 
 
 def test_symplectic_tensor_entries():

@@ -24,8 +24,6 @@ tour; in `perfbench/*.py` an identifier string constant counts as a read,
 since that is how the tracer names what it wraps.  Every name in the
 `_EXPORTS` table of `__init__.py`, and every method or property (dunders
 aside) of a top-level class, must be read in those texts.
-`SymmetryBasis.svd_gap` is the one exemption: it is a health figure bound
-for `symmetries.json`.
 
 The front ends, `cli.py` and `selftest.py`, read only public names of the
 other modules: a verification they need has one public home.
@@ -136,18 +134,16 @@ def unread_exports(init_source: str, reads: set) -> list[str]:
                   for name in names if name not in reads)
 
 
-def unread_methods(sources: dict, reads: set, exempt=()) -> list[str]:
+def unread_methods(sources: dict, reads: set) -> list[str]:
     """Methods and properties, dunders aside, of the top-level classes in
-    sources (module name -> text) whose names are not in reads; exempt
-    holds "Class.method" labels."""
+    sources (module name -> text) whose names are not in reads."""
     return sorted(f"{mod}.{cls.name}.{fn.name} (line {fn.lineno})"
                   for mod, text in sources.items()
                   for cls in ast.parse(text).body
                   if isinstance(cls, ast.ClassDef)
                   for fn in cls.body if isinstance(fn, ast.FunctionDef)
                   and not (fn.name.startswith("__") and fn.name.endswith("__"))
-                  and fn.name not in reads
-                  and f"{cls.name}.{fn.name}" not in exempt)
+                  and fn.name not in reads)
 
 
 def production_reads() -> set:
@@ -306,15 +302,11 @@ def test_checker_flags_an_unread_method():
               "    def _private(self):\n        pass\n\n"
               "    @property\n    def shown(self):\n        pass\n\n"
               "    def traced(self):\n        pass\n\n"
-              "    def kept(self):\n        pass\n\n"
               "    def dead(self):\n        pass\n\n"
               "def free():\n    pass\n")
     reads = (_reads(source) | _reads("A().used(); a.shown\n")
              | _reads("S = ('A', 'traced')\n", strings=True))
-    assert unread_methods({"a": source}, reads, exempt={"A.kept"}) == [
-        "a.A.dead (line 21)"]
-    assert unread_methods({"a": source}, reads) == [
-        "a.A.dead (line 21)", "a.A.kept (line 18)"]
+    assert unread_methods({"a": source}, reads) == ["a.A.dead (line 18)"]
 
 
 def test_checker_flags_a_private_read():
@@ -374,8 +366,7 @@ def test_every_export_is_read_outside_the_tests():
 
 def test_every_method_is_read_outside_the_tests():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
-    assert unread_methods(sources, production_reads(),
-                          exempt={"SymmetryBasis.svd_gap"}) == []
+    assert unread_methods(sources, production_reads()) == []
 
 
 def test_every_default_is_passed_somewhere():
