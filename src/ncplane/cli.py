@@ -364,7 +364,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
     from . import selftest
     try:
         results = selftest.run_all(seed=cfg.seed)
-    except ValueError as exc:  # selftest takes no input to blame
+    except ValueError as exc:  # build_config checked the seed: a fault
         return _internal(exc)
     for r in results:
         print(r.line())

@@ -109,18 +109,6 @@ def value(x):
 # elementary functions, recursive so that nested duals work
 
 
-def sin(x):
-    if isinstance(x, Dual):
-        return _chain(x, sin(x.val), cos(x.val))
-    return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Dual):
-        return _chain(x, cos(x.val), -sin(x.val))
-    return math.cos(x)
-
-
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.val)
@@ -144,29 +132,3 @@ def log1p(x):
     if isinstance(x, Dual):
         return _chain(x, log1p(x.val), 1.0 / (1.0 + x.val))
     return math.log1p(x)
-
-
-def sqrt(x):
-    if isinstance(x, Dual):
-        r = sqrt(x.val)
-        return _chain(x, r, 0.5 / r)
-    return math.sqrt(x)
-
-
-def sinh(x):
-    if isinstance(x, Dual):
-        return _chain(x, sinh(x.val), cosh(x.val))
-    return math.sinh(x)
-
-
-def cosh(x):
-    if isinstance(x, Dual):
-        return _chain(x, cosh(x.val), sinh(x.val))
-    return math.cosh(x)
-
-
-def tanh(x):
-    if isinstance(x, Dual):
-        t = tanh(x.val)
-        return _chain(x, t, 1.0 - t * t)
-    return math.tanh(x)

@@ -11,6 +11,14 @@ class CheckFailure(RuntimeError):
     """A computed result missed a numerical consistency check (exit 1)."""
 
 
+def _square(name, v):
+    """v ** 2, or a ValueError naming the quantity when it overflows."""
+    try:
+        return v ** 2
+    except OverflowError:
+        raise ValueError(f"{name} = {v!r} is too large to square") from None
+
+
 @dataclass(frozen=True)
 class NCParams:
     """Mass, oscillator frequency, NC parameter theta, hbar and kB.
@@ -40,6 +48,9 @@ class NCParams:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if self.kB <= 0:
             raise ValueError(f"kB must be positive, got {self.kB}")
+        # every later omega^2, hbar^2 and (pi hbar)^2 is then finite
+        _square("omega", self.omega)
+        _square("2 pi hbar", 2.0 * math.pi * self.hbar)
 
     def require_omega(self):
         if self.omega <= 0:
@@ -53,7 +64,7 @@ class NCParams:
     @property
     def lam(self) -> float:
         """lam = m theta omega^2 = phi - chi (signed)."""
-        return self.m * self.theta * self.omega ** 2
+        return self.m * self.theta * _square("omega", self.omega)
 
     @property
     def phi(self) -> float:
@@ -71,7 +82,7 @@ class NCParams:
     def u(self) -> float:
         """u = (m omega theta)^2 / 4; sqrt(1 + u) = (phi + chi) / (2 omega)."""
         self.require_omega()
-        return (self.m * self.omega * self.theta) ** 2 / 4.0
+        return _square("m omega theta", self.m * self.omega * self.theta) / 4.0
 
     @property
     def w_eff(self) -> float:
@@ -92,3 +103,7 @@ class NCParams:
     def b(self) -> float:
         """b = hbar lam / 2 = hbar (phi - chi) / 2."""
         return self.hbar * self.lam / 2.0
+
+    def level(self, n, two_j):
+        """E(n, two_j) unchecked; elementwise on integer arrays of levels."""
+        return self.a * (n + 1) - self.b * two_j

@@ -63,12 +63,7 @@ def validate_level(n: int, two_j: int):
 
 def energy(n: int, two_j: int, p: NCParams) -> float:
     validate_level(n, two_j)
-    return _level_energy(n, two_j, p)
-
-
-def _level_energy(n, two_j, p: NCParams):
-    """E(n, two_j) unchecked; elementwise on integer arrays of levels."""
-    return p.a * (n + 1) - p.b * two_j
+    return p.level(n, two_j)
 
 
 def spectrum(n_max: int, p: NCParams) -> list[SpectrumEntry]:

@@ -23,7 +23,6 @@ import numpy as np
 from . import duals
 from .duals import value
 from .params import CheckFailure, NCParams
-from .spectra import _level_energy
 
 # partition_single_direct sums until the slowest term falls below this
 DIRECT_TOL = 1e-14
@@ -91,7 +90,7 @@ def partition_single_direct(T, tp: ThermoParams):
         raise ValueError("level ladder is not bounded below")
     n_max = math.ceil(math.log(1.0 / DIRECT_TOL) / (beta * gap)) + 10
     n, k = np.tril_indices(n_max + 1)      # row n, two_j = 2k - n
-    E = _level_energy(n, 2 * k - n, tp.nc)
+    E = tp.nc.level(n, 2 * k - n)
     return math.fsum(np.exp(-beta * E).tolist())
 
 

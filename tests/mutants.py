@@ -54,8 +54,8 @@ MUTANTS = [
      "return self.hbar * self.omega"),
     ("lambda-L-sign", _SPE, "- 0.5j * p.hbar * p.lam * L)",
      "+ 0.5j * p.hbar * p.lam * L)"),
-    ("level-b-sign", _SPE, "return p.a * (n + 1) - p.b * two_j",
-     "return p.a * (n + 1) + p.b * two_j"),
+    ("level-b-sign", _PAR, "return self.a * (n + 1) - self.b * two_j",
+     "return self.a * (n + 1) + self.b * two_j"),
     ("params-b-sign", _PAR, "return self.hbar * self.lam / 2.0",
      "return -self.hbar * self.lam / 2.0"),
     ("hermite-argument-width-squared", _SPE,

@@ -172,6 +172,27 @@ def test_negative_seed_exits_two_naming_the_key(tmp_path, capsys, argv):
     assert "seed" in err and err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("spectrum --n-max 3 --theta 1e200", "theta"),
+    ("spectrum --omega 1e200", "omega"),
+    ("eigenfunction --hbar 1e300", "hbar"),
+    ("wigner --theta 1e200 --nodes 65", "theta"),
+    ("wigner --hbar 1e300 --nodes 65", "hbar"),
+    ("thermo sweep --theta-max 1e200 --grid 3x3", "theta"),
+    ("thermo sweep --m 1e200 --grid 3x3", "m omega"),
+    ("classical simulate --omega 1e200 --t1 1", "omega"),
+])
+def test_overflowing_square_exits_two_naming_it(tmp_path, capsys, argv,
+                                                name):
+    # Python's float ** raised OverflowError here: exit 3
+    rc = cli.main([*argv.split(), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and name in err
+    assert "too large to square" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_low_temperature_sweep_is_the_zero_temperature_limit(tmp_path):
     # kB T^2 underflows below T = 1.5e-162: this sweep crashed with
     # ZeroDivisionError (exit 3)

@@ -30,8 +30,7 @@ FOOTPRINT = {
     ("wigner", "--nodes", "64"):
         {"params", "duals", "phasespace", "dynamics", "grids", "spectra",
          "wigner"},
-    ("thermo", "sweep", "--grid", "2x2"):
-        {"params", "duals", "grids", "spectra", "thermo"},
+    ("thermo", "sweep", "--grid", "2x2"): {"params", "duals", "thermo"},
     ("selftest",): ALL,
 }
 _PROBE = """\

@@ -316,10 +316,11 @@ def _rational(x, y, px, py, t):
 
 
 def _transcendental(x, y, px, py, t):
-    return (duals.sin(x * py) * duals.cos(y - t) + duals.exp(0.3 * px)
-            - duals.expm1(0.2 * x * y) + duals.log(1.0 + y * y)
-            + duals.log1p(px * px) * duals.sqrt(2.0 + x * x + py * py)
-            + duals.sinh(0.5 * y) * duals.cosh(0.4 * px) + duals.tanh(x - py))
+    # nested so that no pair collapses (expm1(log1p(u)) would be u)
+    return (duals.exp(0.3 * px - duals.log1p(x * x)) - duals.expm1(0.2 * x * y)
+            + duals.log(1.0 + y * y + duals.exp(0.5 * (py - t)))
+            + duals.log1p(px * px) * duals.expm1(0.4 * duals.log(2.0 + py * py))
+            + duals.log1p(duals.exp(x - py)) * duals.exp(-duals.expm1(-y * y)))
 
 
 _W = GroundStateWigner(NCParams(m=1.3, omega=0.8, theta=0.3, hbar=0.9),

@@ -8,15 +8,13 @@ for one inside a function (the CLI commands import what they run);
 top-level function or class must be read in its own module, imported by
 name from it (`from .m import f`, at any depth), named in the `_EXPORTS`
 table of `__init__.py` or read as an attribute of its module (`m.f`).  A
-call from its own body counts: the elementwise dual-number functions
-(`duals.tanh`) recurse onto the value lane and are otherwise called only
-from user-written fields.  A parameter with a default, on a top-level
-function or a method, must be passed by position or keyword at some
-production call: in the package, `perfbench/*.py` or the README's library
-tour.  A knob that only a test turns belongs in a module constant.  A
-name bound by a top-level assignment in the package must be read
-somewhere in the package, the tests or the benchmark harness
-(`__version__` excepted).
+read from its own body does not count, so recursion alone keeps nothing.
+A parameter with a default, on a top-level function or a method, must be
+passed by position or keyword at some production call: in the package,
+`perfbench/*.py` or the README's library tour.  A knob that only a test
+turns belongs in a module constant.  A name bound by a top-level
+assignment in the package must be read somewhere in the package, the
+tests or the benchmark harness (`__version__` excepted).
 
 Exports and methods must have a caller outside the tests.  The production
 texts are the package modules, `perfbench/*.py` and the README's library
@@ -91,20 +89,24 @@ def unreferenced_definitions(sources: dict, init_source: str) -> list[str]:
     """Top-level defs and classes of sources (module name -> text) that no
     module reads: not bare in their own module (f), not imported by name
     from it (from .m import f, at any depth), not in the export table of
-    init_source and not as an attribute of its name (m.f)."""
+    init_source and not as an attribute of its name (m.f).  A definition's
+    reads of itself, from its own body, do not count."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     read = set()
     for mod, tree in trees.items():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add((mod, n.id))
-            elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-                  and isinstance(n.value, ast.Name)):
-                read.add((n.value.id, n.attr))
-    for tree in trees.values():
-        read |= {((n.module or "").rpartition(".")[2], alias.name)
-                 for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                 for alias in n.names}
+        for top in tree.body:
+            here = set()
+            for n in ast.walk(top):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    here.add((mod, n.id))
+                elif (isinstance(n, ast.Attribute)
+                      and isinstance(n.ctx, ast.Load)
+                      and isinstance(n.value, ast.Name)):
+                    here.add((n.value.id, n.attr))
+                elif isinstance(n, ast.ImportFrom):
+                    here |= {((n.module or "").rpartition(".")[2], alias.name)
+                             for alias in n.names}
+            read |= here - {(mod, getattr(top, "name", None))}
     read |= {(mod, name) for mod, names in exports(init_source).items()
              for name in names}
     return sorted(f"{mod}.{node.name} (line {node.lineno})"
@@ -279,6 +281,19 @@ def test_checker_flags_an_unreferenced_definition():
     assert unreferenced_definitions(sources, init) == [
         "a.Unused (line 14)", "a._dead (line 8)", "a.twin (line 17)",
         "b._orphan (line 7)"]
+
+
+def test_checker_flags_a_self_recursive_definition():
+    sources = {"a": ("from . import a\n\n"
+                     "def fact(n):\n    return n * fact(n - 1) if n else 1\n\n"
+                     "def twice(n):\n    return a.twice(n - 1) if n else 0\n\n"
+                     "def even(n):\n    return not n or odd(n - 1)\n\n"
+                     "def odd(n):\n    return bool(n) and even(n - 1)\n\n"
+                     "even(4)\n")}
+    # recursion alone keeps nothing; a read from another definition or
+    # from the module's top level does
+    assert unreferenced_definitions(sources, "_EXPORTS = {}\n") == [
+        "a.fact (line 3)", "a.twice (line 6)"]
 
 
 def test_checker_flags_an_unread_export():
