@@ -35,8 +35,8 @@ _EXPORTS = {
                 "apply_angular_momentum", "transform"),
     "wigner": ("WignerError", "WignerTable", "QuadratureWigner",
                "wigner_ground_state", "wigner_table", "evolve_liouville"),
-    "thermo": ("ThermoParams", "ThermoPoint", "partition_single_direct",
-               "entropy_sweep", "thermo_point"),
+    "thermo": ("ThermoPoint", "partition_single_direct", "entropy_sweep",
+               "thermo_point"),
     "selftest": ("CheckResult", "run_all"),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -313,11 +313,10 @@ def cmd_thermo_sweep(cfg: RunConfig) -> int:
     nt, nth = _parse_grid(cfg.grid)
     if cfg.tmin <= 0 or cfg.tmax <= cfg.tmin:
         raise ConfigError("need 0 < tmin < tmax")
-    tp = thermo.ThermoParams(nc=cfg.nc(), N=cfg.N)
     temps = np.linspace(cfg.tmin, cfg.tmax, nt)
     thetas = np.linspace(0.0, cfg.theta_max, nth)
-    rows = thermo.entropy_sweep([float(T) for T in temps], tp,
-                                thetas=[float(t) for t in thetas])
+    rows = thermo.entropy_sweep([float(T) for T in temps], cfg.nc(),
+                                thetas=[float(t) for t in thetas], N=cfg.N)
     csv_name = "thermo_sweep.csv"
     header = "T,theta,Z1,A,S,U,Cv,S_per_NkB"
     _write_csv(_out(cfg, csv_name), header,

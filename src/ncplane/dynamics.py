@@ -34,7 +34,6 @@ class Trajectory:
 
     times: np.ndarray
     points: np.ndarray
-    hamiltonian: ScalarField | None = None
     charges: dict | None = None
 
     def __post_init__(self):
@@ -55,7 +54,7 @@ class Trajectory:
         return self.times.size
 
     def with_charges(self, charges):
-        return Trajectory(self.times, self.points, self.hamiltonian, charges)
+        return Trajectory(self.times, self.points, charges)
 
 
 def _time_grid(t0, t1, dt):
@@ -146,7 +145,7 @@ def hamiltonian_flow(H: ScalarField, z0, t0, t1, dt, p: NCParams) -> Trajectory:
         out[k + 1] = (x, y, px, py)
 
     _require_linear(H, G, g, (x, y, px, py), t1)
-    return Trajectory(times, out, hamiltonian=H)
+    return Trajectory(times, out)
 
 
 def oscillator_hamiltonian(p: NCParams) -> ScalarField:
@@ -211,7 +210,7 @@ def oscillator_path(z0, t0, t1, dt, p: NCParams) -> Trajectory:
     # closed form is written from t=0; shift if t0 != 0
     pts = np.stack(np.broadcast_arrays(*_closed_form(*_start(z0), times - t0, p)),
                    axis=1)
-    return Trajectory(times, pts, hamiltonian=oscillator_hamiltonian(p))
+    return Trajectory(times, pts)
 
 
 def flow_matrix(p: NCParams, t: float) -> np.ndarray:
@@ -220,20 +219,19 @@ def flow_matrix(p: NCParams, t: float) -> np.ndarray:
     return np.array(_closed_form(*np.eye(4), t, p))
 
 
-def noether_charges(traj: Trajectory, p: NCParams, hamiltonian=None) -> Trajectory:
+def noether_charges(traj: Trajectory, p: NCParams, hamiltonian) -> Trajectory:
     """Attach H, p1, p2, J, k1, k2 sampled along the trajectory.
 
-    The H column is the trajectory's generating Hamiltonian when known
-    (energy of the flow); the remaining five are always the Galilei
-    generators, conserved only for Galilei-invariant flows.  Each field is
+    The H column is the hamiltonian ScalarField, the energy of the flow it
+    generates; the remaining five are always the Galilei generators,
+    conserved only for Galilei-invariant flows.  Each field is
     evaluated once on the whole path, so it must accept arrays; any
     exception it raises propagates, and a non-finite charge raises
     FieldEvaluationError.
     """
-    Hfree, P1, P2, J, K1, K2 = galilei_generators(p)
-    H = hamiltonian or traj.hamiltonian or Hfree
+    _, P1, P2, J, K1, K2 = galilei_generators(p)
     charges = {}
-    for name, f in (("H", H), ("p1", P1), ("p2", P2),
+    for name, f in (("H", hamiltonian), ("p1", P1), ("p2", P2),
                     ("J", J), ("k1", K1), ("k2", K2)):
         v = np.asarray(f.value(traj.points.T, traj.times), dtype=float)
         charges[name] = np.broadcast_to(v, traj.times.shape)

@@ -173,6 +173,8 @@ def verify_algebra(p: NCParams, samples=None, tol=1e-9):
     shows up as a large residual, a non-finite bracket as a
     FieldEvaluationError.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if samples is None:
         samples = sample_points(100)
     if len(samples) == 0:

@@ -223,27 +223,26 @@ def check_thermo(seed: int):
     temps = np.logspace(math.log10(0.1), math.log10(5.0), 20)
     oracle = 0.0
     for theta in np.linspace(0.0, 2.0, 20):
-        tp = thermo.ThermoParams(nc=NCParams(m=1.0, omega=1.0,
-                                             theta=float(theta)))
+        p = NCParams(m=1.0, omega=1.0, theta=float(theta))
         for T in temps:
-            z = thermo.thermo_point(float(T), tp).Z1
-            zd = thermo.partition_single_direct(float(T), tp)
+            z = thermo.thermo_point(float(T), p).Z1
+            zd = thermo.partition_single_direct(float(T), p)
             oracle = max(oracle, abs(z - zd) / zd)
 
-    tp1 = thermo.ThermoParams(nc=NCParams(m=1.0, omega=1.0, theta=1.0))
+    p1 = NCParams(m=1.0, omega=1.0, theta=1.0)
     T = 100.0
     pred = 2.0 * T + (2.0 + 1.0) / (12.0 * T)
-    hi = abs(thermo.thermo_point(T, tp1).U - pred) / pred
+    hi = abs(thermo.thermo_point(T, p1).U - pred) / pred
 
-    lo = abs(thermo.thermo_point(0.01, tp1).U / tp1.nc.a - 1.0)
+    lo = abs(thermo.thermo_point(0.01, p1).U / p1.a - 1.0)
 
     h = 1e-6
     slope_ok = True
     for theta in np.linspace(0.1, 2.0, 12):
-        sp = thermo.thermo_point(0.2, thermo.ThermoParams(
-            nc=NCParams(m=1.0, omega=1.0, theta=float(theta) + h))).S
-        sm = thermo.thermo_point(0.2, thermo.ThermoParams(
-            nc=NCParams(m=1.0, omega=1.0, theta=float(theta) - h))).S
+        sp = thermo.thermo_point(
+            0.2, NCParams(m=1.0, omega=1.0, theta=float(theta) + h)).S
+        sm = thermo.thermo_point(
+            0.2, NCParams(m=1.0, omega=1.0, theta=float(theta) - h)).S
         slope_ok = slope_ok and (sp - sm) > 0.0
 
     ok = oracle < 1e-12 and hi < 1e-6 and lo < 1e-10 and slope_ok

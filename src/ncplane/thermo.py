@@ -28,19 +28,6 @@ from .params import CheckFailure, NCParams
 DIRECT_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class ThermoParams:
-    """Oscillator parameters plus the number of independent sites."""
-
-    nc: NCParams
-    N: int = 1
-
-    def __post_init__(self):
-        self.nc.require_omega()
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
-
-
 def _beta(T, p: NCParams):
     if not 0.0 < value(T) < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {T!r}")
@@ -51,9 +38,9 @@ def _beta(T, p: NCParams):
     return 1.0 / kT
 
 
-def _closed_forms(T, tp: ThermoParams):
-    """(ln Z1, U, S, Cv) at T, summed over the two normal modes."""
-    p, N, kB, a = tp.nc, tp.N, tp.nc.kB, tp.nc.a
+def _closed_forms(T, p: NCParams, N: int):
+    """(ln Z1, U, S, Cv) at T for N sites, summed over the two normal modes."""
+    kB, a = p.kB, p.a
     beta = _beta(T, p)
     lnZ, U, S, Cv = -beta * a, N * a, 0.0, 0.0   # the zero-point part
     # the larger quantum first, so that theta -> -theta keeps every bit
@@ -73,7 +60,7 @@ def _closed_forms(T, tp: ThermoParams):
     return lnZ, U, S, Cv
 
 
-def partition_single_direct(T, tp: ThermoParams):
+def partition_single_direct(T, p: NCParams):
     """Brute-force oracle: sum e^{-beta E} over levels until terms vanish.
 
     It builds the levels from the scales (a, b) of NCParams, while the
@@ -83,14 +70,14 @@ def partition_single_direct(T, tp: ThermoParams):
     sets the cut-off.  The ladder up to n_max is laid out as integer arrays
     and the terms are added one by one with math.fsum.
     """
-    a, b = tp.nc.a, tp.nc.b
-    beta = _beta(T, tp.nc)
+    a, b = p.a, p.b
+    beta = _beta(T, p)
     gap = a - abs(b)
     if gap <= 0:
         raise ValueError("level ladder is not bounded below")
     n_max = math.ceil(math.log(1.0 / DIRECT_TOL) / (beta * gap)) + 10
     n, k = np.tril_indices(n_max + 1)      # row n, two_j = 2k - n
-    E = tp.nc.level(n, 2 * k - n)
+    E = p.level(n, 2 * k - n)
     return math.fsum(np.exp(-beta * E).tolist())
 
 
@@ -120,23 +107,26 @@ class ThermoPoint:
             raise CheckFailure(f"negative heat capacity {self.Cv!r} at T={self.T}")
 
 
-def thermo_point(T: float, tp: ThermoParams) -> ThermoPoint:
-    """The equation-of-state row at T, from one closed-form evaluation."""
-    lnZ, U, S, Cv = _closed_forms(T, tp)
+def thermo_point(T: float, p: NCParams, N: int = 1) -> ThermoPoint:
+    """The equation-of-state row of N sites at T, from one closed-form
+    evaluation."""
+    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
+    lnZ, U, S, Cv = _closed_forms(T, p, N)
     try:
         Z1 = math.exp(lnZ)
     except OverflowError:
         raise ValueError(f"Z1 = exp({lnZ!r}) overflows at T={T!r}") from None
-    return ThermoPoint(T=float(T), theta=tp.nc.theta, Z1=Z1,
-                       A=-tp.N * tp.nc.kB * T * lnZ, S=S, U=U, Cv=Cv,
-                       S_per_NkB=S / (tp.N * tp.nc.kB))
+    return ThermoPoint(T=float(T), theta=p.theta, Z1=Z1,
+                       A=-N * p.kB * T * lnZ, S=S, U=U, Cv=Cv,
+                       S_per_NkB=S / (N * p.kB))
 
 
-def entropy_sweep(temps, tp: ThermoParams, thetas) -> list[ThermoPoint]:
-    """Equation-of-state rows over temperatures crossed with thetas, theta
-    outermost; tp.nc.theta is replaced by each theta in turn."""
+def entropy_sweep(temps, p: NCParams, thetas, N: int = 1) -> list[ThermoPoint]:
+    """Equation-of-state rows of N sites over temperatures crossed with
+    thetas, theta outermost; p.theta is replaced by each theta in turn."""
     rows = []
     for theta in thetas:
-        tpt = replace(tp, nc=replace(tp.nc, theta=float(theta)))
-        rows.extend(thermo_point(T, tpt) for T in temps)
+        p_theta = replace(p, theta=float(theta))
+        rows.extend(thermo_point(T, p_theta, N) for T in temps)
     return rows

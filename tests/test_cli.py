@@ -163,6 +163,16 @@ def test_too_few_samples_exit_two_naming_the_key(tmp_path, capsys, n):
         f"configuration error: samples must be at least 1, got {n}")
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_non_positive_tol_exits_two_naming_the_key(tmp_path, capsys, tol):
+    # every relation printed FAIL at residual 0: no residual is below tol <= 0
+    rc = cli.main(["algebra-check", "--tol", tol, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"configuration error: tol must be positive, got {float(tol)!r}")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["selftest"], ["algebra-check"]])
 def test_negative_seed_exits_two_naming_the_key(tmp_path, capsys, argv):
     # selftest exited 3 with numpy's "expected non-negative integer"
@@ -296,9 +306,9 @@ def test_thermo_check_failure_exits_one(tmp_path, capsys, monkeypatch,
                                         name, message):
     kernel = thermo._closed_forms
 
-    def broken(T, tp):
+    def broken(T, p, N):
         # the kernel returns (ln Z1, U, S, Cv); spoil S or Cv
-        forms = list(kernel(T, tp))
+        forms = list(kernel(T, p, N))
         forms[{"entropy": 2, "heat_capacity": 3}[name]] = -1e6
         return tuple(forms)
 
@@ -545,6 +555,16 @@ def test_thermo_sweep_bad_grid_exits_two(tmp_path, capsys):
                      "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_thermo_sweep_non_positive_N_exits_two(tmp_path, capsys, n):
+    rc = cli.main(["thermo", "sweep", "--grid", "2x2", "--N", n,
+                   "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"configuration error: N must be a positive integer, got {n}")
+    assert not (tmp_path / "thermo_sweep.csv").exists()
+
+
 def test_outputs_byte_identical_across_runs(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -617,8 +637,7 @@ def test_csv_row_layout_of_every_command(tmp_path, capsys):
         "n,two_j,E", [(e.n, e.two_j, e.E) for e in spectra.spectrum(4, p)])
 
     sweep = thermo.entropy_sweep(
-        [float(T) for T in np.linspace(0.1, 5.0, 5)],
-        thermo.ThermoParams(nc=p),
+        [float(T) for T in np.linspace(0.1, 5.0, 5)], p,
         thetas=[float(t) for t in np.linspace(0.0, 2.0, 4)])
     expected["thermo_sweep.csv"] = _oracle_csv(
         "T,theta,Z1,A,S,U,Cv,S_per_NkB",

@@ -74,9 +74,9 @@ def test_namespace_is_the_parents_55_names():
     names = ["AliasingError", "BilinearForm", "CheckFailure", "CheckResult",
              "DivergenceError", "Dual", "FieldEvaluationError", "GridError",
              "GridFunction", "NCParams", "PhasePoint", "QuadratureWigner",
-             "ScalarField", "SpectrumEntry", "SymmetryBasis", "ThermoParams",
-             "ThermoPoint", "Trajectory", "TruncationError", "WignerError",
-             "WignerTable", "angular_momentum_form", "apply_angular_momentum",
+             "ScalarField", "SpectrumEntry", "SymmetryBasis", "ThermoPoint",
+             "Trajectory", "TruncationError", "WignerError", "WignerTable",
+             "angular_momentum_form", "apply_angular_momentum",
              "apply_hamiltonian", "bracket_field", "charge_drift",
              "conserved_bilinears", "eigen_residuals", "eigenfunction",
              "energy", "entropy_sweep", "evolve_liouville",
