@@ -216,7 +216,6 @@ def cmd_classical_symmetries(cfg: RunConfig) -> int:
         "dimension": basis.dimension,
         "expected_dimension": expected,
         "membership_residual": member,
-        "singular_values": [float(s) for s in basis.singular_values],
         "structure_constants": [[[float(v) for v in row] for row in mat]
                                 for mat in c],
         "closure_residual": float(np.max(res)),

@@ -69,14 +69,19 @@ class NCParams:
     @property
     def phi(self) -> float:
         """phi = (lam + sqrt(lam^2 + 4 omega^2)) / 2."""
-        w, lam = self.require_omega(), self.lam
-        return 0.5 * (lam + math.sqrt(lam * lam + 4.0 * w * w))
+        return self._mode(self.lam)
 
     @property
     def chi(self) -> float:
         """chi = (-lam + sqrt(lam^2 + 4 omega^2)) / 2."""
-        w, lam = self.require_omega(), self.lam
-        return 0.5 * (-lam + math.sqrt(lam * lam + 4.0 * w * w))
+        return self._mode(-self.lam)
+
+    def _mode(self, lam: float) -> float:
+        """(lam + sqrt(lam^2 + 4 omega^2)) / 2 as a sum for lam >= 0, and
+        otherwise as omega^2 over the other root, so it never cancels."""
+        w2 = self.require_omega() ** 2
+        s = 0.5 * (abs(lam) + math.sqrt(lam * lam + 4.0 * w2))
+        return s if lam >= 0 else w2 / s
 
     @property
     def u(self) -> float:

@@ -66,7 +66,7 @@ def check_algebra(seed: int):
 
 @_check("classical-oscillator")
 def check_oscillator(seed: int):
-    """RK4 tracks the closed-form oscillator; frequency identities hold."""
+    """RK4 follows the closed form; phi - chi = lam tests the mode roots."""
     p = NCParams(m=1.0, omega=1.0, theta=0.3)
     z0 = PhasePoint(1.0, -0.5, 0.2, 0.8)
     traj = dynamics.hamiltonian_flow(dynamics.oscillator_hamiltonian(p),

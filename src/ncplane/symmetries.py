@@ -1,19 +1,21 @@
 """Bilinear conserved quantities of the deformed oscillator.
 
-A quadratic observable S(z) = 1/2 z^T M z is conserved iff the matrix
-A J M - M J A vanishes, where A is the oscillator coefficient matrix and J
-the deformed bracket tensor over (x, y, px, py).  Conservation is therefore
-a linear condition on the 10-dimensional space of symmetric M; the solver
-assembles that operator exactly, reads the conserved span off its SVD
-nullspace and fixes a basis of it that depends on the span alone.  At
-theta = 0 the span is four dimensional (the su(2) family plus H); any
-theta != 0 collapses it to two (H and the deformed angular momentum), and
-the commutative symmetry is not recovered as theta -> 0.
+A quadratic observable S(z) = 1/2 z^T M z is conserved iff A J M - M J A
+vanishes, where A is the oscillator coefficient matrix and J the deformed
+bracket tensor over (x, y, px, py): a linear condition on the 10 entries
+M_ab, a <= b, whose coefficients are exact rationals in the float entries
+of A and J.  The solver row-reduces it exactly, so the dimension is exact
+and the basis depends on the span alone.  At theta = 0 the span is four
+dimensional (the su(2) family plus H); any theta != 0 collapses it to two
+(H and the deformed angular momentum), and the commutative symmetry is not
+recovered as theta -> 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,10 +23,9 @@ from .params import NCParams
 from .phasespace import _coords
 
 _N = 4
-SVD_THRESHOLD = 1e-10  # relative to sigma_max; smaller singular values are null
-# symmetric coordinates: the diagonal, then the pairs a < b scaled by sqrt 2
-_PAIRS = [(a, a) for a in range(_N)] + [
-    (a, b) for a in range(_N) for b in range(a + 1, _N)]
+# the entries M_ab, a <= b, diagonal by diagonal: the main one first
+_PAIRS = [(a, a + k) for k in range(_N) for a in range(_N - k)]
+_ROWS, _COLS = np.array(_PAIRS).T
 
 
 def deformed_symplectic(theta: float) -> np.ndarray:
@@ -42,20 +43,10 @@ def hamiltonian_matrix(p: NCParams) -> np.ndarray:
     return np.diag([k, k, 1.0 / p.m, 1.0 / p.m])
 
 
-def sym_basis() -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of the symmetric 4x4 matrices."""
-    out = []
-    for a, b in _PAIRS:
-        E = np.zeros((_N, _N))
-        E[a, b] = E[b, a] = 1.0 if a == b else 1.0 / np.sqrt(2.0)
-        out.append(E)
-    return out
-
-
 def _vec(M: np.ndarray) -> np.ndarray:
-    """Coordinates of a symmetric matrix in the orthonormal basis above."""
-    return np.array([M[a, b] if a == b else np.sqrt(2.0) * M[a, b]
-                     for a, b in _PAIRS])
+    """Frobenius-orthonormal coordinates of a symmetric matrix: the entries
+    M_ab, a <= b, with those off the diagonal scaled by sqrt 2."""
+    return np.where(_ROWS == _COLS, 1.0, math.sqrt(2.0)) * M[_ROWS, _COLS]
 
 
 def bracket_matrix(M1, M2, theta: float) -> np.ndarray:
@@ -81,64 +72,69 @@ class BilinearForm:
         c = np.array(_coords(z))
         return float(0.5 * c @ self.M @ c)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.M))
-
     def __repr__(self):
         return f"BilinearForm({self.M.round(12).tolist()})"
 
 
 @dataclass(frozen=True)
 class SymmetryBasis:
-    """Orthonormal span of conserved bilinears plus the SVD diagnostics."""
+    """Frobenius-orthonormal span of conserved bilinears."""
 
     forms: tuple
-    dimension: int
-    singular_values: np.ndarray
 
     def __post_init__(self):
         G = np.array([_vec(f.M) for f in self.forms])  # Frobenius coordinates
         if not np.allclose(G @ G.T, np.eye(len(G)), atol=1e-10):
             raise ValueError("basis is not Frobenius-orthonormal")
 
-
-def conservation_operator(p: NCParams) -> np.ndarray:
-    """Matrix of M -> matrix of {H, S_M} over the orthonormal symmetric basis."""
-    A = hamiltonian_matrix(p)
-    return np.column_stack([_vec(bracket_matrix(A, E, p.theta))
-                            for E in sym_basis()])
+    @property
+    def dimension(self) -> int:
+        return len(self.forms)
 
 
-def span_basis(null_rows: np.ndarray) -> np.ndarray:
-    """Orthonormal rows with the row span of N = null_rows, fixed by the span:
-    Gram-Schmidt on the columns of the projector N^T N, one step per row of
-    N, each taking the first column whose remainder is at least half the
-    largest (so rounding-level remainders never become pivots)."""
-    R = null_rows.T @ null_rows
-    Q = np.zeros_like(null_rows)
-    for i in range(len(Q)):
-        norms = np.linalg.norm(R, axis=0)
-        k = np.argmax(norms >= 0.5 * norms.max())
-        Q[i] = R[:, k] / norms[k]
-        R -= np.outer(Q[i], Q[i] @ R)
-    return Q
+def _null_space(L: list) -> list:
+    """Exact null vectors of the rational matrix L (a list of rows), one per
+    free column of its reduced row echelon form, in column order."""
+    R, pivots, n = [list(row) for row in L], [], len(L[0])
+    for c in range(n):
+        k = len(pivots)
+        r = next((i for i in range(k, len(R)) if R[i][c] != 0), None)
+        if r is None:
+            continue
+        R[k], R[r] = R[r], R[k]
+        R[k] = [v / R[k][c] for v in R[k]]
+        for i in range(len(R)):
+            f = R[i][c]
+            if i != k and f != 0:
+                R[i] = [u - f * v for u, v in zip(R[i], R[k])]
+        pivots.append(c)
+    return [[-R[pivots.index(c)][f] if c in pivots else Fraction(c == f)
+             for c in range(n)] for f in range(n) if f not in pivots]
 
 
 def conserved_bilinears(p: NCParams) -> SymmetryBasis:
-    """Orthonormal basis of conserved quadratic forms via an SVD nullspace.
+    """Orthonormal basis of the conserved quadratic forms, solved exactly.
 
-    Relative threshold: directions with singular value below
-    SVD_THRESHOLD * sigma_max are declared null.  The operator is exact
-    rational in (m, omega, theta), so the spectral gap is enormous and the
-    rank decision is stable.  `span_basis`, not the SVD, picks the forms.
-    """
+    M -> A J M - M J A = X + X^T, X = A J M, is built in Fractions and
+    row-reduced; each null vector is divided by its largest entry, turned
+    to float and orthonormalized in order by Frobenius Gram-Schmidt."""
     p.require_omega()
-    L = conservation_operator(p)
-    _, s, Vt = np.linalg.svd(L)
-    mats = sym_basis()
-    forms = tuple(BilinearForm(sum(c * E for c, E in zip(row, mats)))
-                  for row in span_basis(Vt[s < SVD_THRESHOLD * s[0]]))
-    return SymmetryBasis(forms, len(forms), s)
+    exact = np.vectorize(Fraction, otypes=[object])
+    K = exact(hamiltonian_matrix(p)) @ exact(deformed_symplectic(p.theta))
+    cols = []
+    for a, b in _PAIRS:
+        X = np.zeros((_N, _N), dtype=object)  # X = K E, E_ab = E_ba = 1
+        X[:, b], X[:, a] = K[:, a], K[:, b]
+        cols.append((X + X.T)[_ROWS, _COLS])
+    forms = []
+    for v in _null_space(np.column_stack(cols).tolist()):
+        top = max(map(abs, v))
+        M = np.zeros((_N, _N))
+        M[_ROWS, _COLS] = M[_COLS, _ROWS] = [float(x / top) for x in v]
+        for Q in forms:
+            M -= np.sum(M * Q) * Q
+        forms.append(M / math.sqrt(np.sum(M * M)))
+    return SymmetryBasis(tuple(BilinearForm(M) for M in forms))
 
 
 def expected_conserved(p: NCParams) -> tuple:
@@ -150,16 +146,16 @@ def expected_conserved(p: NCParams) -> tuple:
 
 
 def membership_check(S: BilinearForm, basis: SymmetryBasis) -> float:
-    """Frobenius distance from S to span(basis), normalized by ||S||."""
+    """Frobenius distance from S to span(basis), normalized by ||S||.  S is
+    first divided by its largest entry, so no norm overflows."""
     if not basis.forms:
         raise ValueError("basis is empty")
-    nrm = S.norm()
-    if nrm == 0.0:
+    top = np.abs(S.M).max()
+    if top == 0.0:
         raise ValueError("zero form has no direction to check")
-    R = S.M.copy()
-    for f in basis.forms:
-        R -= np.sum(S.M * f.M) * f.M
-    return float(np.linalg.norm(R) / nrm)
+    M = S.M / top
+    R = M - sum(np.sum(M * f.M) * f.M for f in basis.forms)
+    return float(np.linalg.norm(R) / np.linalg.norm(M))
 
 
 def structure_constants(basis, p: NCParams):

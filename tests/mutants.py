@@ -54,6 +54,8 @@ MUTANTS = [
      "return self.hbar * self.omega"),
     ("lambda-L-sign", _SPE, "- 0.5j * p.hbar * p.lam * L)",
      "+ 0.5j * p.hbar * p.lam * L)"),
+    ("mode-root-cancels", _PAR, "return s if lam >= 0 else w2 / s",
+     "return s if lam >= 0 else s - abs(lam)"),
     ("level-b-sign", _PAR, "return self.a * (n + 1) - self.b * two_j",
      "return self.a * (n + 1) + self.b * two_j"),
     ("params-b-sign", _PAR, "return self.hbar * self.lam / 2.0",
@@ -87,9 +89,11 @@ MUTANTS = [
     # the symmetry layer
     ("bracket-matrix-operands-swapped", _SYM,
      "return M1 @ J @ M2 - M2 @ J @ M1", "return M2 @ J @ M1 - M1 @ J @ M2"),
-    ("span-basis-absolute-pivot", _SYM,
-     "k = np.argmax(norms >= 0.5 * norms.max())",
-     "k = np.argmax(norms > SVD_THRESHOLD)"),
+    ("exact-solver-reads-J-at-theta-zero", _SYM,
+     "exact(deformed_symplectic(p.theta))", "exact(deformed_symplectic(0.0))"),
+    ("row-reduction-eliminates-below-pivot-only", _SYM,
+     "for i in range(len(R)):", "for i in range(k + 1, len(R)):"),
+    ("null-vector-unscaled-to-float", _SYM, "float(x / top)", "float(x)"),
     ("structure-constants-projection", _SYM,
      "c = np.linalg.lstsq(G, B, rcond=None)[0]", "c = G.T @ B"),
 ]

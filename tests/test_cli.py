@@ -3,7 +3,10 @@
 import argparse
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -421,6 +424,46 @@ def test_symmetries_report(tmp_path, capsys):
     assert rc == 0
     rep = json.loads((tmp_path / "symmetries.json").read_text())
     assert rep["dimension"] == 4
+
+
+# points where a floating SVD with a relative cut-off took the wrong rank or
+# missed the 1e-10 membership bound; theta = 1e200 overflowed the norms too
+EXACT_SPAN_POINTS = [
+    ("--theta", "1e-6"), ("--theta", "1e4"), ("--theta", "1e6"),
+    ("--theta", "1e200"), ("--theta", "1e-300"),
+    ("--omega", "0.01", "--theta", "0.5"),
+    ("--omega", "0.001", "--theta", "0.5"),
+    ("--m", "0.01", "--theta", "0.5"), ("--m", "1000", "--theta", "1e-3"),
+    ("--m", "1e-150", "--theta", "1"),
+]
+
+
+@pytest.mark.parametrize("args", EXACT_SPAN_POINTS, ids=" ".join)
+def test_symmetries_dimension_two_at_every_scale(tmp_path, capsys, args):
+    rc = cli.main(["classical", "symmetries", *args,
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    rep = json.loads((tmp_path / "symmetries.json").read_text())
+    assert rep["dimension"] == 2 and rep["membership_residual"] < 1e-10
+    assert capsys.readouterr().err == ""
+
+
+def test_symmetries_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks the kernel when the process starts, so each
+    # run is a child with the variable set in its own environment only
+    out = {}
+    for core in ("", "Prescott"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        out[core] = tmp_path / (core or "default")
+        subprocess.run([sys.executable, "-m", "ncplane.cli", "classical",
+                        "symmetries", "--theta", "0.5", "--out-dir",
+                        str(out[core])], env=env, check=True,
+                       capture_output=True, timeout=60)
+    assert ((out[""] / "symmetries.json").read_bytes()
+            == (out["Prescott"] / "symmetries.json").read_bytes())
 
 
 def test_eigenfunction_outputs(tmp_path, capsys):
