@@ -33,8 +33,8 @@ _EXPORTS = {
                 "energy", "spectrum", "eigenfunction", "eigen_residuals",
                 "momentum_grid", "apply_hamiltonian",
                 "apply_angular_momentum", "transform"),
-    "wigner": ("WignerError", "WignerTable", "QuadratureWigner",
-               "wigner_ground_state", "wigner_table", "evolve_liouville"),
+    "wigner": ("WignerError", "QuadratureWigner", "wigner_ground_state",
+               "wigner_table", "table_sums", "evolve_liouville"),
     "thermo": ("ThermoPoint", "partition_single_direct", "entropy_sweep",
                "thermo_point"),
     "selftest": ("CheckResult", "run_all"),

@@ -236,14 +236,9 @@ def check_thermo(seed: int):
 
     lo = abs(thermo.thermo_point(0.01, p1).U / p1.a - 1.0)
 
-    h = 1e-6
-    slope_ok = True
-    for theta in np.linspace(0.1, 2.0, 12):
-        sp = thermo.thermo_point(
-            0.2, NCParams(m=1.0, omega=1.0, theta=float(theta) + h)).S
-        sm = thermo.thermo_point(
-            0.2, NCParams(m=1.0, omega=1.0, theta=float(theta) - h)).S
-        slope_ok = slope_ok and (sp - sm) > 0.0
+    S = [thermo.thermo_point(0.2, NCParams(m=1.0, omega=1.0, theta=th)).S
+         for th in np.linspace(0.1, 2.0, 12).tolist()]
+    slope_ok = all(b > a for a, b in zip(S, S[1:]))
 
     ok = oracle < 1e-12 and hi < 1e-6 and lo < 1e-10 and slope_ok
     return (ok,

@@ -183,10 +183,14 @@ def eigen_residuals(psi: GridFunction, n: int, two_j: int, p: NCParams):
     """(H-residual, J-residual) of the state psi at level (n, two_j): the
     relative interior L2 residuals ||A psi - lambda psi|| / ||psi|| of
     A = H and J, each stencil applied once."""
-    L = _rotation(psi)
     norm = psi.interior_norm(STENCIL_BAND)
-    H = _hamiltonian(psi, p, L) - energy(n, two_j, p) * psi.values
-    J = 1j * p.hbar * L - p.hbar * two_j * psi.values
+    with np.errstate(all="ignore"):
+        L = _rotation(psi)
+        H = _hamiltonian(psi, p, L) - energy(n, two_j, p) * psi.values
+        J = 1j * p.hbar * L - p.hbar * two_j * psi.values
+    if not (np.isfinite(H).all() and np.isfinite(J).all()):
+        raise ValueError(f"stencils overflow on grid step {psi.step1:.3g} "
+                         f"at width sqrt(m hbar w_eff) = {p.width:.3g}")
     return (psi.with_values(H).interior_norm(STENCIL_BAND) / norm,
             psi.with_values(J).interior_norm(STENCIL_BAND) / norm)
 

@@ -76,6 +76,8 @@ MUTANTS = [
     ("quadrature-prefactor-pi2-hbar", _WIG,
      "psi.step2 / (math.pi * params.hbar) ** 2",
      "psi.step2 / (math.pi ** 2 * params.hbar)"),
+    ("purity-prefactor-hbar-squared", _WIG,
+     "(2.0 * math.pi * p.hbar) ** 2", "(2.0 * math.pi) ** 2 * p.hbar"),
     # the two-mode thermodynamics kernel
     ("thermo-U-quantum-a", _THE, "U = U + N * e * r", "U = U + N * a * r"),
     ("thermo-S-ln_d-sign", _THE, "(x2 * r - ln_d)", "(x2 * r + ln_d)"),

@@ -206,6 +206,21 @@ def test_overflowing_square_exits_two_naming_it(tmp_path, capsys, argv,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--hbar", "--m", "--omega"])
+def test_eigenfunction_at_a_tiny_scale_exits_two_naming_the_step(
+        tmp_path, capsys, flag):
+    # a width of 1e-150 overflows the stencils: three RuntimeWarnings, then
+    # "values contain non-finite entries" (exit 3 when warnings are errors)
+    rc = cli.main(["eigenfunction", flag, "1e-300",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("configuration error: ")
+    assert "grid step 6.27e-152" in err
+    assert "sqrt(m hbar w_eff) = 1e-150" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_low_temperature_sweep_is_the_zero_temperature_limit(tmp_path):
     # kB T^2 underflows below T = 1.5e-162: this sweep crashed with
     # ZeroDivisionError (exit 3)

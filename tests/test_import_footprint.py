@@ -75,7 +75,7 @@ def test_namespace_is_the_parents_55_names():
              "DivergenceError", "Dual", "FieldEvaluationError", "GridError",
              "GridFunction", "NCParams", "PhasePoint", "QuadratureWigner",
              "ScalarField", "SpectrumEntry", "SymmetryBasis", "ThermoPoint",
-             "Trajectory", "TruncationError", "WignerError", "WignerTable",
+             "Trajectory", "TruncationError", "WignerError",
              "angular_momentum_form", "apply_angular_momentum",
              "apply_hamiltonian", "bracket_field", "charge_drift",
              "conserved_bilinears", "eigen_residuals", "eigenfunction",
@@ -85,7 +85,7 @@ def test_namespace_is_the_parents_55_names():
              "oscillator_hamiltonian", "oscillator_path",
              "oscillator_solution", "partition_single_direct", "run_all",
              "sample_points", "spectrum", "structure_constants",
-             "su2_standard_forms", "thermo_point", "transform",
+             "su2_standard_forms", "table_sums", "thermo_point", "transform",
              "trapezoid_weights", "uniform_axis", "value", "verify_algebra",
              "wigner_ground_state", "wigner_table"]
     assert sorted(ncplane.__all__) == names

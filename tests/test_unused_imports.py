@@ -180,13 +180,19 @@ def _calls(texts) -> dict:
 def unpassed_defaults(sources: dict, callers: list) -> list[str]:
     """Defaulted parameters of the top-level functions and methods in
     sources (module name -> text) that no call in callers (texts) passes.
-    A call matches by callee name, bare or attribute; a class name stands
-    for its __init__, other dunder methods are skipped, and a method's
-    positions start after self."""
+    A call matches by callee name, bare or attribute, or by a name a
+    top-level `alias = callee` binds; a class name stands for its __init__,
+    other dunder methods are skipped, and a method's positions start after
+    self."""
     calls = _calls(callers)
     defs = []
     for mod, text in sources.items():
         for node in ast.parse(text).body:
+            if isinstance(node, ast.Assign) and isinstance(node.value,
+                                                           ast.Name):
+                calls[node.value.id] += [c for t in node.targets
+                                         if isinstance(t, ast.Name)
+                                         for c in calls[t.id]]
             if isinstance(node, ast.FunctionDef):
                 defs.append((f"{mod}.{node.name}", node.name, node, 0))
             elif isinstance(node, ast.ClassDef):

@@ -2,8 +2,9 @@
 
 The quadrature evaluator is checked against the closed Gaussian form,
 marginals against |psi|^2 in all three bases (computed by the basis
-transforms, an independent code path), overlaps against wave-function
-inner products, and the evolution against the deformed bracket.
+transforms, an independent code path), overlaps of two tables (a plain
+trapezoid sum here) against wave-function inner products, and the
+evolution against the deformed bracket.
 """
 
 import cmath
@@ -29,7 +30,6 @@ from ncplane.wigner import (
     GroundStateWigner,
     QuadratureWigner,
     WignerError,
-    WignerTable,
     evolve_liouville,
     quadrature_rows,
     table_sums,
@@ -67,6 +67,17 @@ def ground_table(ground_xpy, table_axes):
 @pytest.fixture(scope="module")
 def excited_table(excited_xpy, table_axes):
     return wigner_table(QuadratureWigner(excited_xpy, P), table_axes)
+
+
+def integrate(values, axes):
+    """Plain trapezoid integral of a table over dx dy dpx dpy."""
+    w = [trapezoid_weights(a) for a in axes]
+    return float(np.einsum("i,j,k,l,ijkl->", *w, values))
+
+
+def overlap(a, b, axes):
+    """(2 pi hbar)^2 integral W1 W2, |<psi1|psi2>|^2 for two pure states."""
+    return (2.0 * math.pi * P.hbar) ** 2 * integrate(a * b, axes)
 
 
 def _displaced_gaussian(psi0, d, p):
@@ -118,8 +129,8 @@ def test_table_matches_pointwise_quadrature_without_reflection_symmetry():
     tab = wigner_table(Wq, axes)
     pointwise = Wq.at(*np.meshgrid(*axes, indexing="ij"))
     scale = 1.0 / (math.pi * P.hbar) ** 2
-    assert np.abs(tab.values).max() > 0.1 * scale
-    assert np.abs(tab.values - pointwise).max() < 1e-12 * scale
+    assert np.abs(tab).max() > 0.1 * scale
+    assert np.abs(tab - pointwise).max() < 1e-12 * scale
 
 
 def _excited_state(nodes):
@@ -172,8 +183,8 @@ def test_pointwise_matches_table_at_every_x_node_of_64():
     X, Y, PX, PY = np.meshgrid(axes[0], axes[1], axes[2], axes[3][cols],
                                indexing="ij")
     scale = 1.0 / (math.pi * P.hbar) ** 2
-    assert np.abs(tab.values).max() > 0.1 * scale
-    assert np.abs(Wq.at(X, Y, PX, PY) - tab.values[..., cols]).max() \
+    assert np.abs(tab).max() > 0.1 * scale
+    assert np.abs(Wq.at(X, Y, PX, PY) - tab[..., cols]).max() \
         < 1e-12 * scale
 
 
@@ -293,7 +304,7 @@ def test_half_lattice_offsets_lose_no_term(nx, ny):
                          for px in pxa] for y in ya] for x in psi.axis1])
     scale = 1.0 / (math.pi * P.hbar) ** 2
     assert np.abs(expect).max() > 0.1 * scale
-    assert np.abs(tab.values - expect).max() < 1e-13 * scale
+    assert np.abs(tab - expect).max() < 1e-13 * scale
 
     x, py, h1, h2 = psi.axis1, psi.axis2, psi.step1, psi.step2
     queries = [(x[0], 0.3, 0.4, py[2]), (x[-1], -0.6, 0.9, py[-1]),
@@ -334,7 +345,7 @@ def test_empty_table_axis_gives_empty_table(ground_xpy, table_axes):
         axes = list(table_axes)
         axes[k] = np.array([])
         tab = wigner_table(Wq, axes)
-        assert tab.values.shape[k] == 0 and tab.values.size == 0
+        assert tab.shape[k] == 0 and tab.size == 0
 
 
 def test_table_realness_check_catches_a_tilted_kernel(ground_xpy, table_axes,
@@ -372,18 +383,18 @@ def test_table_holds_one_table_sized_array(ground_xpy, table_axes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * table.values.nbytes
+    assert peak <= 1.5 * table.nbytes
 
 
-def test_purity_forms_no_table_sized_product(ground_table):
-    # overlap sums one x-row of W1 W2 at a time
+def test_purity_forms_no_table_sized_product(ground_table, table_axes):
+    # the purity sums one x-row of W^2 at a time
     tracemalloc.start()
     try:
-        ground_table.purity()
+        table_sums(ground_table, table_axes, P)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.1 * ground_table.values.nbytes
+    assert peak < 0.1 * ground_table.nbytes
 
 
 TABLE_BYTES = 65 * 41 * 41 * 65 * 8     # check_wigner's table: 54.19 MiB
@@ -419,13 +430,14 @@ def test_check_wigner_builds_one_table(monkeypatch):
     assert calls == []
 
 
-def test_table_normalization(ground_table):
-    assert ground_table.integral() == pytest.approx(1.0, abs=1e-6)
+def test_table_normalization(ground_table, table_axes):
+    sums = table_sums(ground_table, table_axes, P)
+    assert sums.integral == pytest.approx(1.0, abs=1e-6)
 
 
 def test_marginals_match_densities(ground_table, ground_xpy, table_axes):
     _, ya, pxa, _ = table_axes
-    sums = table_sums(ground_table.values, table_axes, P)
+    sums = table_sums(ground_table, table_axes, P)
     m = sums.marginal("xpy")
     assert np.abs(m.values - np.abs(ground_xpy.values) ** 2).max() < 1e-6
     psi_p = transform(ground_xpy, "p", P, axes=(pxa, ground_xpy.axis2))
@@ -439,7 +451,7 @@ def test_marginals_match_densities(ground_table, ground_xpy, table_axes):
 
 
 def test_excited_marginals_too(excited_table, excited_xpy, table_axes):
-    m = table_sums(excited_table.values, table_axes, P).marginal("xpy")
+    m = table_sums(excited_table, table_axes, P).marginal("xpy")
     assert np.abs(m.values - np.abs(excited_xpy.values) ** 2).max() < 1e-6
 
 
@@ -447,9 +459,9 @@ def test_streamed_sums_equal_the_stored_table_sums(ground_xpy, ground_table,
                                                    table_axes):
     streamed = table_sums(quadrature_rows(QuadratureWigner(ground_xpy, P),
                                           table_axes), table_axes, P)
-    stored = table_sums(ground_table.values, table_axes, P)
-    assert streamed.integral == stored.integral == ground_table.integral()
-    assert streamed.purity == stored.purity == ground_table.purity()
+    stored = table_sums(ground_table, table_axes, P)
+    assert streamed.integral == stored.integral
+    assert streamed.purity == stored.purity
     for keep in ("xpy", "ypx", "p"):
         assert np.array_equal(streamed.marginal(keep).values,
                               stored.marginal(keep).values)
@@ -469,35 +481,40 @@ def test_table_values_equal_the_row_by_row_fill(ground_xpy, table_axes):
         S = W._contract(W._corr(i, slice(None), M[:2 * r + 1], r),
                         A[:, K - r:K + r + 1], F)
         expect[i] = np.transpose(S.real, (2, 0, 1))
-    assert np.array_equal(wigner_table(W, table_axes).values, expect)
+    assert np.array_equal(wigner_table(W, table_axes), expect)
 
 
 def test_row_sums_match_whole_table_contractions(ground_table, table_axes):
     w = [trapezoid_weights(a) for a in table_axes]
-    sums = table_sums(ground_table.values, table_axes, P)
-    whole = np.einsum("i,j,k,l,ijkl->", *w, ground_table.values)
-    assert sums.integral == pytest.approx(whole, rel=1e-13)
+    sums = table_sums(ground_table, table_axes, P)
+    assert sums.integral == pytest.approx(integrate(ground_table, table_axes),
+                                          rel=1e-13)
+    whole = (2.0 * math.pi * P.hbar) ** 2 * integrate(ground_table ** 2,
+                                                      table_axes)
+    assert sums.purity == pytest.approx(whole, rel=1e-13)
     for keep, spec, a, b in (("xpy", "j,k,ijkl->il", 1, 2),
                              ("ypx", "i,l,ijkl->jk", 0, 3),
                              ("p", "i,j,ijkl->kl", 0, 1)):
-        expect = np.einsum(spec, w[a], w[b], ground_table.values)
+        expect = np.einsum(spec, w[a], w[b], ground_table)
         assert np.abs(sums.marginal(keep).values - expect).max() < 1e-13
 
 
-def test_purity_of_pure_states(ground_table, excited_table):
-    assert ground_table.purity() == pytest.approx(1.0, abs=1e-6)
-    assert excited_table.purity() == pytest.approx(1.0, abs=1e-6)
+def test_purity_of_pure_states(ground_table, excited_table, table_axes):
+    for table in (ground_table, excited_table):
+        purity = table_sums(table, table_axes, P).purity
+        assert purity == pytest.approx(1.0, abs=1e-6)
 
 
-def test_orthogonal_states_have_zero_overlap(ground_table, excited_table):
-    assert ground_table.overlap(excited_table) == pytest.approx(0.0, abs=1e-8)
+def test_orthogonal_states_have_zero_overlap(ground_table, excited_table,
+                                             table_axes):
+    assert overlap(ground_table, excited_table, table_axes) == pytest.approx(
+        0.0, abs=1e-8)
 
 
 def test_mixture_purity(ground_table, excited_table, table_axes):
-    vals = 0.5 * ground_table.values + 0.5 * excited_table.values
-    mixed = WignerTable(table_axes, vals, P)
-    assert mixed.integral() == pytest.approx(1.0, abs=1e-6)
-    assert mixed.purity() == pytest.approx(0.5, abs=1e-6)
+    mixed = table_sums(0.5 * ground_table + 0.5 * excited_table, table_axes, P)
+    assert mixed.integral == pytest.approx(1.0, abs=1e-6)
+    assert mixed.purity == pytest.approx(0.5, abs=1e-6)
 
 
 def test_first_excited_is_negative_at_origin(excited_xpy, excited_table):
@@ -505,7 +522,7 @@ def test_first_excited_is_negative_at_origin(excited_xpy, excited_table):
     # the n=1 state dips to exactly -1/(pi hbar)^2 at the origin
     assert Wq.at(0.0, 0.0, 0.0, 0.0) == pytest.approx(
         -1.0 / (math.pi * P.hbar) ** 2, rel=1e-8)
-    assert excited_table.values.min() < -0.09 / P.hbar**2
+    assert excited_table.min() < -0.09 / P.hbar**2
 
 
 @pytest.mark.parametrize("p", [
@@ -526,6 +543,19 @@ def test_quadrature_prefactor_away_from_unit_hbar(p):
     excited = transform(eigenfunction(1, 1, p, grid), "xpy", p)
     w0 = QuadratureWigner(excited, p).at(0.0, 0.0, 0.0, 0.0)
     assert w0 * scale == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_purity_away_from_unit_hbar():
+    # (2 pi hbar)^2 and (2 pi)^2 hbar agree at hbar = 1 only; the first
+    # parameter set above, streamed through small y and p_x axes
+    p = NCParams(m=1.0, omega=1.0, theta=0.3, hbar=0.7)
+    psi = transform(eigenfunction(0, 0, p, momentum_grid(p, 65, 8.0)), "xpy",
+                    p)
+    side = uniform_axis(-4.8, 4.8, 25) * math.sqrt(p.hbar)
+    axes = (psi.axis1, side, side.copy(), psi.axis2)
+    sums = table_sums(quadrature_rows(QuadratureWigner(psi, p), axes), axes, p)
+    assert sums.integral == pytest.approx(1.0, abs=1e-6)
+    assert sums.purity == pytest.approx(1.0, abs=1e-6)
 
 
 def test_displaced_closed_form_matches_quadrature(ground_xpy):
@@ -549,12 +579,8 @@ def test_displaced_overlap_matches_inner_product(ground_xpy, ground_table,
     disp = _displaced_gaussian(ground_xpy, d, P)
     fidelity = abs(ground_xpy.inner(disp)) ** 2
     tab_d = wigner_table(QuadratureWigner(disp, P), table_axes)
-    assert ground_table.overlap(tab_d) == pytest.approx(fidelity, abs=1e-6)
-    # the row-by-row sum against one contraction of the whole product
-    w = [trapezoid_weights(a) for a in table_axes]
-    whole = (2.0 * math.pi * P.hbar) ** 2 * np.einsum(
-        "i,j,k,l,ijkl->", *w, ground_table.values * tab_d.values)
-    assert ground_table.overlap(tab_d) == pytest.approx(whole, rel=1e-13)
+    assert overlap(ground_table, tab_d, table_axes) == pytest.approx(
+        fidelity, abs=1e-6)
 
 
 def test_center_accepts_phase_point():
@@ -645,12 +671,11 @@ def test_flow_matrix_preserves_volume():
             assert np.abs(Mi @ M - np.eye(4)).max() < 1e-10
 
 
-def average(tab, A):
-    """Plain phase-space average integral W(z) A(z) d^4 z over a table, by
-    the trapezoid rule; A broadcasts over (x, y, px, py)."""
-    z = np.meshgrid(*tab.axes, indexing="ij", sparse=True)
-    w = [trapezoid_weights(a) for a in tab.axes]
-    return float(np.einsum("i,j,k,l,ijkl->", *w, A(*z) * tab.values))
+def average(tab, axes, A):
+    """Plain phase-space average integral W(z) A(z) d^4 z over a table;
+    A broadcasts over (x, y, px, py)."""
+    z = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return integrate(A(*z) * tab, axes)
 
 
 def test_free_flow_shears_position_variance():
@@ -659,31 +684,36 @@ def test_free_flow_shears_position_variance():
     Wt = evolve_liouville(W0, P_FREE, t)
     axq = uniform_axis(-9.0, 9.0, 49)
     axp = uniform_axis(-5.0, 5.0, 49)
-    tab = wigner_table(Wt, (axq, axq, axp, axp))
+    axes = (axq, axq, axp, axp)
+    tab = wigner_table(Wt, axes)
     weff = P.w_eff
     var0 = P.hbar / (2 * P.m * weff) + P.theta**2 * P.m * P.hbar * weff / 8
     expect = var0 + (t / P.m) ** 2 * (P.m * P.hbar * weff / 2)
-    assert tab.integral() == pytest.approx(1.0, abs=1e-6)
-    assert average(tab, lambda x, y, px, py: x**2) == pytest.approx(
+    sums = table_sums(tab, axes, P)
+    assert sums.integral == pytest.approx(1.0, abs=1e-6)
+    assert sums.purity == pytest.approx(1.0, abs=1e-6)
+    assert average(tab, axes, lambda x, y, px, py: x**2) == pytest.approx(
         expect, rel=1e-6)
 
 
-def test_expectation_unit_and_odd_moments(ground_table):
-    assert average(ground_table, lambda x, y, px, py: 1.0 + 0 * x) == \
+def test_expectation_unit_and_odd_moments(ground_table, table_axes):
+    assert average(ground_table, table_axes,
+                   lambda x, y, px, py: 1.0 + 0 * x) == \
         pytest.approx(1.0, abs=1e-6)
     for mono in (lambda x, y, px, py: x,
                  lambda x, y, px, py: y * px**2,
                  lambda x, y, px, py: py**3):
-        assert abs(average(ground_table, mono)) < 1e-7
+        assert abs(average(ground_table, table_axes, mono)) < 1e-7
 
 
 def test_commutative_energy_expectation():
     p0 = NCParams(m=1.0, omega=1.0, theta=0.0)
     W = wigner_ground_state(p0)
     ax = uniform_axis(-6.0, 6.0, 61)
-    tab = wigner_table(W, (ax, ax, ax, ax))
+    axes = (ax, ax, ax, ax)
+    tab = wigner_table(W, axes)
     H = oscillator_hamiltonian(p0)
-    assert average(tab, lambda *z: H.fn(*z, 0.0)) == pytest.approx(
+    assert average(tab, axes, lambda *z: H.fn(*z, 0.0)) == pytest.approx(
         p0.hbar * p0.omega, rel=1e-5)
 
 
@@ -693,15 +723,21 @@ def test_quadrature_requires_xpy_basis():
         QuadratureWigner(psi_p, P)
 
 
-def test_table_validation(ground_xpy, table_axes):
+def test_table_validation(ground_xpy, ground_table, table_axes):
     Wq = QuadratureWigner(ground_xpy, P)
     bad = (uniform_axis(-1.0, 1.0, 11),) + table_axes[1:]
     with pytest.raises(WignerError):
         wigner_table(Wq, bad)
     with pytest.raises(WignerError):
         wigner_table(Wq, table_axes[:3])
-    with pytest.raises(WignerError):
-        WignerTable(table_axes, np.zeros((2, 2, 2, 2)), P)
+    # table_sums checks each row against the axes, and the row count
+    for rows in (np.zeros((2, 2, 2, 2)), ground_table[:, :, :, :-1],
+                 ground_table[:-1], [*ground_table, ground_table[0]],
+                 ground_table[0]):
+        with pytest.raises(WignerError):
+            table_sums(rows, table_axes, P)
+    with pytest.raises(WignerError, match="four axes"):
+        table_sums(ground_table, table_axes[:3], P)
 
 
 def test_alias_guard_rejects_wild_arguments(ground_xpy):
@@ -712,12 +748,6 @@ def test_alias_guard_rejects_wild_arguments(ground_xpy):
     with pytest.raises(AliasingError):
         wigner_table(Wq, (ground_xpy.axis1, wide, wide, ground_xpy.axis2))
 
-
-def test_overlap_needs_matching_axes(ground_table):
-    other_axes = tuple(a + 0.1 for a in ground_table.axes)
-    other = WignerTable(other_axes, ground_table.values, P)
-    with pytest.raises(WignerError):
-        ground_table.overlap(other)
 
 
 def test_evolved_wigner_composes(ground_xpy):
