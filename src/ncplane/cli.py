@@ -245,7 +245,7 @@ def cmd_eigenfunction(cfg: RunConfig) -> int:
     axes = spectra.momentum_grid(p, cfg.nodes, cfg.radius)
     psi = spectra.eigenfunction(cfg.n, cfg.two_j, p, axes)
     rh, rj = spectra.eigen_residuals(psi, cfg.n, cfg.two_j, p)
-    vals = psi.values.ravel()  # row-major: py varies fastest
+    vals = psi.grid().values.ravel()  # row-major: py varies fastest
     _write_csv(_out(cfg, "eigenfunction.csv"), "px,py,re,im",
                np.repeat(axes[0], axes[1].size),
                np.tile(axes[1], axes[0].size), vals.real, vals.imag)
@@ -270,8 +270,8 @@ def cmd_wigner(cfg: RunConfig) -> int:
     from . import spectra, wigner
     p = cfg.nc()
     axes = spectra.momentum_grid(p, cfg.nodes, cfg.radius)
-    psi = spectra.transform(spectra.eigenfunction(cfg.n, cfg.two_j, p, axes),
-                            "xpy", p)
+    psi = spectra.transform(
+        spectra.eigenfunction(cfg.n, cfg.two_j, p, axes).grid(), "xpy", p)
     W = wigner.QuadratureWigner(psi, p)
     stride = max(1, (cfg.nodes - 1) // 64)
     xs = psi.axis1[::stride]

@@ -90,31 +90,22 @@ class GridFunction:
     def norm(self) -> float:
         return float(np.sqrt(self.inner(self).real))
 
-    def normalized(self) -> "GridFunction":
-        n = self.norm()
-        if n == 0.0:
-            raise GridError("cannot normalize the zero function")
-        return self.with_values(self.values / n)
-
-    def interior_norm(self, band: int) -> float:
-        """Trapezoid L2 norm over the grid minus a boundary band."""
-        if band < 0 or 2 * band + 2 > min(self.axis1.size, self.axis2.size):
-            raise GridError(f"band {band} leaves under two interior nodes")
-        if band == 0:
-            return self.norm()
-        a1 = self.axis1[band:-band]
-        a2 = self.axis2[band:-band]
-        v = self.values[band:-band, band:-band]
-        w1 = trapezoid_weights(a1)
-        w2 = trapezoid_weights(a2)
-        s = np.einsum("i,j,ij->", w1, w2, np.abs(v) ** 2)
-        return float(np.sqrt(s))
-
     def boundary_max(self) -> float:
         """Largest |psi| on the four edges; only the edges are read."""
         v = self.values
         edges = (v[0], v[-1], v[:, 0], v[:, -1])
         return float(max(np.abs(e).max() for e in edges))
+
+
+def interior_norm(values, axes, band: int) -> float:
+    """Trapezoid L2 norm of grid values on axes (axis1, axis2), leaving
+    out a boundary band of band nodes on every side."""
+    n1, n2 = np.shape(values)
+    if band < 0 or 2 * band + 2 > min(n1, n2):
+        raise GridError(f"band {band} leaves under two interior nodes")
+    v = values[band:n1 - band, band:n2 - band]
+    w1, w2 = (trapezoid_weights(a[band:len(a) - band]) for a in axes)
+    return float(np.sqrt(np.einsum("i,j,ij->", w1, w2, np.abs(v) ** 2)))
 
 
 # sixth-order centered coefficients as (offset, weight); they reach
@@ -130,15 +121,11 @@ def _apply_stencil(coeffs, F, h, axis, power):
     b, n = STENCIL_BAND, F.shape[axis]
     if n <= 2 * b:
         raise GridError(f"grid too small for the order-{2*b} stencil band")
+    F = np.moveaxis(F, axis, 0)
     out = np.zeros_like(F)
-    core = slice(b, n - b)
     for k, c in coeffs:
-        src = slice(b + k, n - b + k)
-        if axis == 0:
-            out[core, :] += c * F[src, :]
-        else:
-            out[:, core] += c * F[:, src]
-    return out / h ** power
+        out[b:n - b] += c * F[b + k:n - b + k]
+    return np.moveaxis(out, 0, axis) / h ** power
 
 
 def first_derivative(F: np.ndarray, h: float, axis: int):

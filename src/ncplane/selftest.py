@@ -170,7 +170,7 @@ def check_wigner(seed: int):
     a negative region for the first excited state, and flow stationarity."""
     p = NCParams(m=1.0, omega=1.0, theta=0.3)
     axes = spectra.momentum_grid(p, 65)
-    psi0_p = spectra.eigenfunction(0, 0, p, axes)
+    psi0_p = spectra.eigenfunction(0, 0, p, axes).grid()
     psi0 = spectra.transform(psi0_p, "xpy", p)
     Wq = wigner.QuadratureWigner(psi0, p)
     W0 = wigner.GroundStateWigner(p)
@@ -197,7 +197,8 @@ def check_wigner(seed: int):
                     spectra.transform(psi0, "p", p, axes=(ta, psi0.axis2))))
 
     # parity: W(0) = -1/(pi hbar)^2 for every n = 1 state, its minimum
-    psi1 = spectra.transform(spectra.eigenfunction(1, 1, p, axes), "xpy", p)
+    psi1 = spectra.transform(spectra.eigenfunction(1, 1, p, axes).grid(),
+                             "xpy", p)
     witness = wigner.QuadratureWigner(psi1, p).at(0.0, 0.0, 0.0, 0.0)
 
     rng = np.random.default_rng(seed)

@@ -12,6 +12,10 @@ labelled by (n, two_j) with |two_j| <= n and two_j = n (mod 2):
 
 where u, w_eff, a and b are read from the NCParams properties.
 
+An eigenstate is kept as n + 1 products of functions of p_x and of p_y.
+H and J are sums of products of one-axis operators, so every stencil acts
+on (nodes x (n + 1)) factor matrices and a residual is one matrix product.
+
 Two conventions here fix known misprints in the source formulas and are
 forced by the eigen-residual checks: Hermite arguments carry
 p / sqrt(m hbar w_eff) (not p / (m hbar w_eff)), and the kinetic Laplacian
@@ -22,14 +26,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .params import NCParams
 from .grids import (BASES, STENCIL_BAND, GridError, GridFunction,
-                    first_derivative, second_derivative, trapezoid_weights,
-                    uniform_axis)
+                    first_derivative, interior_norm, second_derivative,
+                    trapezoid_weights, uniform_axis)
 
 # eigenfunction rejects a state whose edge exceeds this share of its peak
 TAIL_TOL = 1e-10
@@ -70,11 +74,8 @@ def spectrum(n_max: int, p: NCParams) -> list[SpectrumEntry]:
     """All levels with n <= n_max, ordered by n then two_j ascending."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    out = []
-    for n in range(n_max + 1):
-        for two_j in range(-n, n + 1, 2):
-            out.append(SpectrumEntry(n, two_j, energy(n, two_j, p)))
-    return out
+    return [SpectrumEntry(n, two_j, energy(n, two_j, p))
+            for n in range(n_max + 1) for two_j in range(-n, n + 1, 2)]
 
 
 def hermite(n: int, x):
@@ -82,11 +83,8 @@ def hermite(n: int, x):
     if n < 0:
         raise ValueError(f"hermite order must be >= 0, got {n}")
     x = np.asarray(x, dtype=float)
-    h0 = np.ones_like(x)
-    if n == 0:
-        return h0
-    h1 = 2.0 * x
-    for k in range(1, n):
+    h0, h1 = np.zeros_like(x), np.ones_like(x)      # H_{-1} = 0, H_0 = 1
+    for k in range(n):
         h0, h1 = h1, 2.0 * x * h1 - 2.0 * k * h0
     return h1
 
@@ -97,102 +95,116 @@ def momentum_grid(p: NCParams, n_nodes: int = 256, radius: float = 8.0):
     return ax, ax.copy()
 
 
-def eigenfunction(n: int, two_j: int, p: NCParams, axes=None) -> GridFunction:
-    """Joint (H, J) eigenstate psi_{n, j} on a (p_x, p_y) grid, unit L2 norm.
+@dataclass(frozen=True)
+class Separable:
+    """psi(p_x, p_y) = sum_k c_k X[:, k] Y[:, k] on the (p_x, p_y) axes."""
 
-    Evaluates the double binomial sum over products of Hermite functions of
-    P = p / sqrt(m hbar w_eff), then renormalizes numerically.  Raises
-    TruncationError when the boundary amplitude exceeds TAIL_TOL relative
-    to the peak (grid too small for the state).
-    """
+    X: np.ndarray
+    Y: np.ndarray
+    c: np.ndarray
+    axes: tuple
+
+    def grid(self) -> GridFunction:
+        return GridFunction(*self.axes, (self.X * self.c) @ self.Y.T, "p")
+
+    def inner(self, other: "Separable") -> complex:
+        """<self|other> on shared axes: c^H ((X^H W X') o (Y^H W Y')) c'."""
+        wx, wy = (trapezoid_weights(a) for a in self.axes)
+        G = (((self.X.conj().T * wx) @ other.X)
+             * ((self.Y.conj().T * wy) @ other.Y))
+        return complex(self.c.conj() @ G @ other.c)
+
+
+def eigenfunction(n: int, two_j: int, p: NCParams, axes=None) -> Separable:
+    """Joint (H, J) eigenstate psi_{n, j} on a (p_x, p_y) grid, unit L2 norm:
+    n + 1 products h_{n-k}(P_x) h_k(P_y) of h_m(P) = H_m(P) e^{-P^2/2},
+    P = p / sqrt(m hbar w_eff), with numerically renormalized coefficients.
+    Raises TruncationError when the boundary amplitude exceeds TAIL_TOL
+    relative to the peak (grid too small for the state)."""
     validate_level(n, two_j)
     if axes is None:
         axes = momentum_grid(p)
-    pxa, pya = axes
-    Px = np.asarray(pxa, dtype=float) / p.width
-    Py = np.asarray(pya, dtype=float) / p.width
-
-    a = (n + two_j) // 2
-    b = (n - two_j) // 2
-    # precompute the Hermite ladder on both axes once
-    Hx = [hermite(k, Px) for k in range(n + 1)]
-    Hy = [hermite(k, Py) for k in range(n + 1)]
-    i_pow = (1.0, 1.0j, -1.0, -1.0j)
-    acc = np.zeros((Px.size, Py.size), dtype=complex)
-    for r in range(a + 1):
-        for q in range(b + 1):
-            k = r + q
-            c = math.comb(a, r) * math.comb(b, q) * (-1) ** q * i_pow[k % 4]
-            acc += c * np.outer(Hx[n - k], Hy[k])
-    gauss = np.exp(-0.5 * Px ** 2)[:, None] * np.exp(-0.5 * Py ** 2)[None, :]
-    psi = GridFunction(pxa, pya, acc * gauss, "p").normalized()
-
-    edge, peak = psi.boundary_max(), float(np.abs(psi.values).max())
-    if edge > TAIL_TOL * peak:
-        raise TruncationError(
-            f"boundary amplitude {edge:.3e} exceeds "
-            f"{TAIL_TOL:.1e} of the peak; enlarge the grid")
+    # c_k = i^k [t^k] (1 + t)^a (1 - t)^b, a + b = n, a - b = two_j
+    a, b = (n + two_j) // 2, (n - two_j) // 2
+    c = np.convolve([math.comb(a, r) for r in range(a + 1)],
+                    [(-1) ** q * math.comb(b, q) for q in range(b + 1)])
+    c = c * np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]
+    P = [np.asarray(ax, dtype=float) / p.width for ax in axes]
+    X, Y = (np.stack([hermite(k, Pi) for k in orders], 1)
+            * np.exp(-0.5 * Pi ** 2)[:, None]
+            for Pi, orders in zip(P, (range(n, -1, -1), range(n + 1))))
+    psi = Separable(X, Y, c, axes)
+    psi = replace(psi, c=c / math.sqrt(psi.inner(psi).real))
+    g = psi.grid()
+    edge = g.boundary_max()
+    if edge > TAIL_TOL * np.abs(g.values).max():
+        raise TruncationError(f"boundary amplitude {edge:.3e} exceeds "
+                              f"{TAIL_TOL:.1e} of the peak; enlarge the grid")
     return psi
 
 
-def _rotation(psi: GridFunction) -> np.ndarray:
-    """(p_y d/dp_x - p_x d/dp_y) psi, the stencil term of both J and H."""
+def _operator_terms(psi: Separable, p: NCParams, e: float = 0.0,
+                    two_j: int = 0):
+    """Factor pairs (U, V) with U V^T = (H / (hbar omega) - e) psi and
+    (J / hbar - two_j) psi, for H = (1 + u) p^2/2m - (hbar^2 m w^2/2) lap
+    - (i hbar lam/2) L and J = i hbar L, L = p_y d/dp_x - p_x d/dp_y.  The
+    coefficients are divided by hbar omega before they multiply a factor;
+    the stencils leave a band of STENCIL_BAND nodes that norms exclude."""
+    (px, py), (hx, hy) = psi.axes, (a[1] - a[0] for a in psi.axes)
+    if max(hx, hy) > 0.5 * p.width:
+        warnings.warn(
+            f"grid step {max(hx, hy):.3g} is coarse against the oscillator "
+            f"width {p.width:.3g}; differential operators lose accuracy",
+            RuntimeWarning, stacklevel=3)
+    kin = (1.0 + p.u) / (2.0 * p.m * p.hbar * p.omega)
+    lap = 0.5 * p.m * p.hbar * p.omega
+    X, Y = psi.X * psi.c, psi.Y
+    KX, KY = (kin * a[:, None] ** 2 * F - lap * second_derivative(F, h, 0)
+              for a, F, h in ((px, X, hx), (py, Y, hy)))
+    iUL = 1j * np.hstack([first_derivative(X, hx, 0), -px[:, None] * X])
+    VL = np.hstack([py[:, None] * Y, first_derivative(Y, hy, 0)])
+    rot = -0.5 * (p.lam / p.omega) * iUL
+    return ((np.hstack([KX - e * X, X, rot]), np.hstack([Y, KY, VL])),
+            (np.hstack([iUL, -two_j * X]), np.hstack([VL, Y])))
+
+
+def eigen_residuals(psi: Separable, n: int, two_j: int, p: NCParams):
+    """(H-residual, J-residual) of the state psi at level (n, two_j): the
+    interior L2 residuals ||A psi - lambda psi|| / ||psi|| of A = H in units
+    of hbar omega and of A = J in units of hbar, each assembled as one
+    product U V^T before its norm is taken."""
+    norm = interior_norm((psi.X * psi.c) @ psi.Y.T, psi.axes, STENCIL_BAND)
+    e = energy(n, two_j, p) / (p.hbar * p.omega)
+    with np.errstate(all="ignore"):
+        terms = _operator_terms(psi, p, e, two_j)
+    if not all(np.isfinite(F).all() for pair in terms for F in pair):
+        raise ValueError(f"stencils overflow on grid step "
+                         f"{psi.axes[0][1] - psi.axes[0][0]:.3g} at width "
+                         f"sqrt(m hbar w_eff) = {p.width:.3g}")
+    return tuple(interior_norm(U @ V.T, psi.axes, STENCIL_BAND) / norm
+                 for U, V in terms)
+
+
+def _apply(psi: GridFunction, p: NCParams, which: int, unit: float):
+    """unit * _operator_terms[which] on a grid as X = values, Y = I."""
     if psi.basis != "p":
         raise GridError(f"operator defined on the (p_x, p_y) basis, "
                         f"got {psi.basis!r}")
-    dpx = first_derivative(psi.values, psi.step1, 0)
-    dpy = first_derivative(psi.values, psi.step2, 1)
-    return psi.axis2[None, :] * dpx - psi.axis1[:, None] * dpy
-
-
-def _hamiltonian(psi: GridFunction, p: NCParams, L):
-    """H psi values, given L = _rotation(psi)."""
-    h = max(psi.step1, psi.step2)
-    if h > 0.5 * p.width:
-        warnings.warn(
-            f"grid step {h:.3g} is coarse against the oscillator width "
-            f"{p.width:.3g}; differential operators lose accuracy",
-            RuntimeWarning, stacklevel=3)
-    px, py, F = psi.axis1[:, None], psi.axis2[None, :], psi.values
-    lap = (second_derivative(F, psi.step1, 0)
-           + second_derivative(F, psi.step2, 1))
-    return ((1.0 + p.u) / (2.0 * p.m) * (px ** 2 + py ** 2) * F
-            - 0.5 * p.hbar ** 2 * p.m * p.omega ** 2 * lap
-            - 0.5j * p.hbar * p.lam * L)
+    k = psi.axis2.size
+    U, V = _operator_terms(Separable(psi.values, np.eye(k), np.ones(k),
+                                     (psi.axis1, psi.axis2)), p)[which]
+    return psi.with_values(unit * (U @ V.T))
 
 
 def apply_hamiltonian(psi: GridFunction, p: NCParams) -> GridFunction:
-    """Oscillator Hamiltonian in the momentum representation.
-
-    H psi = (1 + u) p^2/2m psi - (hbar^2 m w^2/2) lap(psi)
-            - (i hbar theta m w^2 / 2)(p_y d/dp_x - p_x d/dp_y) psi,
-    with u = m^2 w^2 theta^2 / 4.  Differencing is centered of sixth order,
-    which holds eigen-residuals below 1e-6 on 256^2 grids up to n = 4, with
-    a boundary band of STENCIL_BAND nodes left zero; callers exclude that
-    band from norms.
-    """
-    return psi.with_values(_hamiltonian(psi, p, _rotation(psi)))
+    """H psi = (1 + u) p^2/2m psi - (hbar^2 m w^2/2) lap psi - i hbar lam L/2
+    psi, the oscillator Hamiltonian in the momentum representation."""
+    return _apply(psi, p, 0, p.hbar * p.omega)
 
 
 def apply_angular_momentum(psi: GridFunction, p: NCParams) -> GridFunction:
     """J psi = i hbar (p_y d/dp_x - p_x d/dp_y) psi."""
-    return psi.with_values(1j * p.hbar * _rotation(psi))
-
-
-def eigen_residuals(psi: GridFunction, n: int, two_j: int, p: NCParams):
-    """(H-residual, J-residual) of the state psi at level (n, two_j): the
-    relative interior L2 residuals ||A psi - lambda psi|| / ||psi|| of
-    A = H and J, each stencil applied once."""
-    norm = psi.interior_norm(STENCIL_BAND)
-    with np.errstate(all="ignore"):
-        L = _rotation(psi)
-        H = _hamiltonian(psi, p, L) - energy(n, two_j, p) * psi.values
-        J = 1j * p.hbar * L - p.hbar * two_j * psi.values
-    if not (np.isfinite(H).all() and np.isfinite(J).all()):
-        raise ValueError(f"stencils overflow on grid step {psi.step1:.3g} "
-                         f"at width sqrt(m hbar w_eff) = {p.width:.3g}")
-    return (psi.with_values(H).interior_norm(STENCIL_BAND) / norm,
-            psi.with_values(J).interior_norm(STENCIL_BAND) / norm)
+    return _apply(psi, p, 1, p.hbar)
 
 
 # --- quadrature transforms -------------------------------------------------

@@ -67,9 +67,8 @@ def partition_single_direct(T, p: NCParams):
     closed form takes its mode quanta from phi and chi: the two share only
     the zero-point scale a, so a wrong level spacing on either side shows.
     The slowest series direction decays like e^{-beta (a - b) n}, which
-    sets the cut-off.  The ladder up to n_max is laid out as integer arrays
-    and the terms are added one by one with math.fsum.
-    """
+    sets the cut-off.  np.add.reduceat sums each shell n of the ladder (its
+    n + 1 values of two_j) and math.fsum adds the n_max + 1 shell sums."""
     a, b = p.a, p.b
     beta = _beta(T, p)
     gap = a - abs(b)
@@ -78,7 +77,8 @@ def partition_single_direct(T, p: NCParams):
     n_max = math.ceil(math.log(1.0 / DIRECT_TOL) / (beta * gap)) + 10
     n, k = np.tril_indices(n_max + 1)      # row n, two_j = 2k - n
     E = p.level(n, 2 * k - n)
-    return math.fsum(np.exp(-beta * E).tolist())
+    shells = np.add.reduceat(np.exp(-beta * E), np.flatnonzero(k == 0))
+    return math.fsum(shells.tolist())
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,8 @@ MUTANTS = [
     ("a-drops-1+u", _PAR,
      "return self.hbar * self.omega * math.sqrt(1.0 + self.u)",
      "return self.hbar * self.omega"),
-    ("lambda-L-sign", _SPE, "- 0.5j * p.hbar * p.lam * L)",
-     "+ 0.5j * p.hbar * p.lam * L)"),
+    ("lambda-L-sign", _SPE, "rot = -0.5 * (p.lam / p.omega) * iUL",
+     "rot = 0.5 * (p.lam / p.omega) * iUL"),
     ("mode-root-cancels", _PAR, "return s if lam >= 0 else w2 / s",
      "return s if lam >= 0 else s - abs(lam)"),
     ("level-b-sign", _PAR, "return self.a * (n + 1) - self.b * two_j",
@@ -61,8 +61,8 @@ MUTANTS = [
     ("params-b-sign", _PAR, "return self.hbar * self.lam / 2.0",
      "return -self.hbar * self.lam / 2.0"),
     ("hermite-argument-width-squared", _SPE,
-     "Px = np.asarray(pxa, dtype=float) / p.width",
-     "Px = np.asarray(pxa, dtype=float) / p.width ** 2"),
+     "np.asarray(ax, dtype=float) / p.width for ax in axes",
+     "np.asarray(ax, dtype=float) / p.width ** 2 for ax in axes"),
     # the shear y -> y - theta p_x and the Wigner normalization
     ("quadrature-guard-shear-sign", _WIG,
      "u, hbar = y - self.params.theta * px",

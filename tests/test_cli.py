@@ -221,6 +221,20 @@ def test_eigenfunction_at_a_tiny_scale_exits_two_naming_the_step(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_eigenfunction_gate_at_hbar_1e_200_reads_units_of_hbar(tmp_path,
+                                                               capsys):
+    # the residuals were in energy units and underflowed to 0.0, so even a
+    # 65-node grid passed the 1e-6 gate
+    base = ["eigenfunction", "--hbar", "1e-200", "--n", "1", "--two-j", "-1",
+            "--theta", "0.3", "--out-dir", str(tmp_path)]
+    assert cli.main(base) == 0
+    rep = json.loads((tmp_path / "eigenfunction.json").read_text())
+    assert 1e-9 < rep["residual_H"] < 1e-6 and 1e-9 < rep["residual_J"] < 1e-6
+    assert cli.main([*base, "--nodes", "65"]) == 1
+    rep = json.loads((tmp_path / "eigenfunction.json").read_text())
+    assert rep["ok"] is False and rep["residual_H"] > 1e-5
+
+
 def test_low_temperature_sweep_is_the_zero_temperature_limit(tmp_path):
     # kB T^2 underflows below T = 1.5e-162: this sweep crashed with
     # ZeroDivisionError (exit 3)
@@ -678,12 +692,13 @@ def test_csv_row_layout_of_every_command(tmp_path, capsys):
         assert cli.main([*argv, "--out-dir", str(tmp_path)]) == rc
     p = NCParams()
     axes = spectra.momentum_grid(p, 33, 8.0)
-    psi = spectra.eigenfunction(0, 0, p, axes).values
+    psi = spectra.eigenfunction(0, 0, p, axes).grid().values
     expected = {"eigenfunction.csv": _oracle_csv("px,py,re,im", _grid_rows(
         *axes, lambda i, j: (psi[i, j].real, psi[i, j].imag)))}
 
     axes = spectra.momentum_grid(p, 65, 8.0)
-    phi = spectra.transform(spectra.eigenfunction(0, 0, p, axes), "xpy", p)
+    phi = spectra.transform(spectra.eigenfunction(0, 0, p, axes).grid(),
+                            "xpy", p)
     xs = phi.axis1
     pxs = np.linspace(-4.0 * p.width, 4.0 * p.width, 41)
     W = wigner.QuadratureWigner(phi, p).at(xs[:, None], 0.0, pxs[None, :],

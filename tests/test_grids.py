@@ -5,6 +5,8 @@ derivatives of smooth functions, and by polynomial exactness (a centered
 stencil of order k differentiates low-degree polynomials exactly).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ncplane.grids import (
     GridError,
     GridFunction,
     first_derivative,
+    interior_norm,
     second_derivative,
     STENCIL_BAND,
     trapezoid_weights,
@@ -112,11 +115,12 @@ def test_inner_requires_matching_grid_and_basis():
         F.inner(H)
 
 
-def test_normalized_gaussian():
+def test_norm_of_a_gaussian():
+    # |F|^2 = e^{-(x^2 + y^2)} integrates to pi over the plane
     ax = uniform_axis(-8.0, 8.0, 101)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
-    F = GridFunction(ax, ax, np.exp(-(X**2 + Y**2) / 2), "p").normalized()
-    assert F.norm() == pytest.approx(1.0, abs=1e-13)
+    F = GridFunction(ax, ax, np.exp(-(X**2 + Y**2) / 2), "p")
+    assert F.norm() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
 def test_interior_norm_excludes_boundary_band():
@@ -127,7 +131,8 @@ def test_interior_norm_excludes_boundary_band():
     vals[8, 8] = 3.0
     F = GridFunction(ax, ax, vals, "p")
     h = F.step1
-    assert F.interior_norm(2) == pytest.approx(3.0 * h, rel=1e-12)
+    assert interior_norm(vals, (ax, ax), 2) == pytest.approx(3.0 * h,
+                                                             rel=1e-12)
     assert F.boundary_max() == 100.0
 
 
@@ -136,13 +141,13 @@ def test_interior_norm_excludes_boundary_band():
 def test_interior_norm_needs_two_interior_nodes(n, band, interior):
     # one interior node left trapezoid_weights reading past its axis
     ax = uniform_axis(0.0, 1.0, n)
-    F = GridFunction(ax, ax, np.ones((n, n)), "p")
     if interior < 2:
         with pytest.raises(GridError, match=f"band {band} leaves under two"):
-            F.interior_norm(band)
+            interior_norm(np.ones((n, n)), (ax, ax), band)
     else:
         # the trapezoid over two nodes is one step: sqrt(h * h * 1)
-        assert F.interior_norm(band) == pytest.approx(F.step1, rel=1e-12)
+        assert interior_norm(np.ones((n, n)), (ax, ax), band) == \
+            pytest.approx(ax[1] - ax[0], rel=1e-12)
 
 
 def test_boundary_max_reads_only_the_edges():

@@ -17,6 +17,7 @@ from ncplane.grids import (
     GridError,
     GridFunction,
     first_derivative,
+    interior_norm,
     second_derivative,
     STENCIL_BAND,
     uniform_axis,
@@ -127,7 +128,7 @@ def test_momentum_grid_span():
 
 def test_ground_state_is_gaussian():
     # psi_00 = exp(-p^2 / (2 m hbar w_eff)) / sqrt(pi m hbar w_eff)
-    psi = eigenfunction(0, 0, P03)
+    psi = eigenfunction(0, 0, P03).grid()
     s2 = P03.m * P03.hbar * P03.w_eff
     Px, Py = np.meshgrid(psi.axis1, psi.axis2, indexing="ij")
     expect = np.exp(-(Px**2 + Py**2) / (2 * s2)) / math.sqrt(math.pi * s2)
@@ -137,16 +138,29 @@ def test_ground_state_is_gaussian():
 
 def test_eigenfunctions_are_normalized():
     for (n, tj) in [(1, 1), (3, -1), (4, 0)]:
-        psi = eigenfunction(n, tj, P03)
+        psi = eigenfunction(n, tj, P03).grid()
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gram_matrix_is_identity():
     axes = momentum_grid(P03, 256, 8.0)
-    states = [eigenfunction(n, tj, P03, axes)
+    states = [eigenfunction(n, tj, P03, axes).grid()
               for n in range(4) for tj in range(-n, n + 1, 2)]
     G = np.array([[a.inner(b) for b in states] for a in states])
     assert np.abs(G - np.eye(10)).max() < 2e-6
+
+
+def test_factor_gram_matches_the_grid_inner_product():
+    # the selftest's theta = 0.3 family: (X^H W X') o (Y^H W Y') contracted
+    # with the coefficients against the trapezoid sum over the 256^2 grid
+    axes = momentum_grid(P03, 256)
+    states = [eigenfunction(n, tj, P03, axes)
+              for n in range(4) for tj in range(-n, n + 1, 2)]
+    grids = [s.grid() for s in states]
+    factor = np.array([[a.inner(b) for b in states] for a in states])
+    grid = np.array([[a.inner(b) for b in grids] for a in grids])
+    assert np.abs(factor - grid).max() < 1e-14
+    assert np.abs(factor - np.eye(10)).max() < 1e-14
 
 
 def test_truncation_error_on_small_grid():
@@ -195,39 +209,60 @@ def _separate_j(psi, p):
 
 
 def _separate_residual(applied, psi, eigenvalue):
-    diff = applied.with_values(applied.values - eigenvalue * psi.values)
-    return (diff.interior_norm(STENCIL_BAND)
-            / psi.interior_norm(STENCIL_BAND))
+    axes = (psi.axis1, psi.axis2)
+    return (interior_norm(applied.values - eigenvalue * psi.values, axes,
+                          STENCIL_BAND)
+            / interior_norm(psi.values, axes, STENCIL_BAND))
 
 
-def _assert_same_bits(n, two_j, p, axes):
-    psi = eigenfunction(n, two_j, p, axes)
-    H, J = _separate_h(psi, p), _separate_j(psi, p)
-    assert np.array_equal(apply_hamiltonian(psi, p).values, H.values)
-    assert np.array_equal(apply_angular_momentum(psi, p).values, J.values)
-    assert eigen_residuals(psi, n, two_j, p) == (
-        _separate_residual(H, psi, energy(n, two_j, p)),
-        _separate_residual(J, psi, p.hbar * two_j))
+def _grid_residuals(psi, n, two_j, p):
+    """The residuals by 2-D stencils on the synthesized grid, in units of
+    hbar omega and hbar."""
+    g = psi.grid()
+    return (_separate_residual(_separate_h(g, p), g, energy(n, two_j, p))
+            / (p.hbar * p.omega),
+            _separate_residual(_separate_j(g, p), g, p.hbar * two_j) / p.hbar)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
-def test_one_pass_residuals_equal_separate_applications(theta):
-    # one stencil pass per state must not move a single bit
+def test_factor_residuals_match_the_grid_stencils(theta):
+    # the 45 selftest levels: the factor kernel against the 2-D stencils
     p = NCParams(m=1.0, omega=1.0, theta=theta)
     axes = momentum_grid(p, 256)
     for n in range(5):
         for two_j in range(-n, n + 1, 2):
-            _assert_same_bits(n, two_j, p, axes)
+            psi = eigenfunction(n, two_j, p, axes)
+            got = eigen_residuals(psi, n, two_j, p)
+            want = _grid_residuals(psi, n, two_j, p)
+            assert got == pytest.approx(want, rel=1e-6), (n, two_j)
 
 
-def test_one_pass_residuals_equal_separate_applications_off_unit():
-    # hbar * two_j * psi rounds apart from hbar * (two_j * psi) at |two_j| = 3
+def test_factor_residuals_match_the_grid_stencils_off_unit():
+    # hbar omega != 1 and a 200-node grid: the unit enters each coefficient
     p = NCParams(m=1.3, omega=1.0, theta=0.4, hbar=0.9)
-    _assert_same_bits(3, 3, p, momentum_grid(p, 200))
+    psi = eigenfunction(3, 3, p, momentum_grid(p, 200))
+    got = eigen_residuals(psi, 3, 3, p)
+    assert got == pytest.approx(_grid_residuals(psi, 3, 3, p), rel=1e-6)
+
+
+@pytest.mark.parametrize("hbar", [1e-100, 1e-200])
+def test_residuals_are_dimensionless_at_a_tiny_hbar(hbar):
+    # in units of hbar omega and hbar the residuals do not scale with hbar;
+    # in energy units the wrong-level check below read 6.8e-109 at 1e-100
+    # and 0.0 at 1e-200
+    p1, p = P03, NCParams(m=1.0, omega=1.0, theta=0.3, hbar=hbar)
+    for n, two_j in ((1, 1), (4, 2)):
+        got = eigen_residuals(eigenfunction(n, two_j, p), n, two_j, p)
+        ref = eigen_residuals(eigenfunction(n, two_j, p1), n, two_j, p1)
+        assert max(got) < 1e-6
+        assert got == pytest.approx(ref, rel=1e-5)
+    # a state checked against the wrong level misses by O(1), not by 0.0
+    wrong = eigen_residuals(eigenfunction(1, 1, p), 0, 0, p)
+    assert all(0.5 < r < 2.0 for r in wrong)
 
 
 def test_energy_expectation_matches_eigenvalue():
-    psi = eigenfunction(3, 1, P03)
+    psi = eigenfunction(3, 1, P03).grid()
     Hpsi = apply_hamiltonian(psi, P03)
     assert psi.inner(Hpsi) == pytest.approx(energy(3, 1, P03), rel=1e-8)
     Jpsi = apply_angular_momentum(psi, P03)
@@ -238,14 +273,14 @@ def test_hamiltonian_commutes_with_angular_momentum():
     # on a superposition of eigenstates both operator orders agree in the
     # continuum; the discrete mismatch is pure stencil error
     axes = momentum_grid(P03, 256, 8.0)
-    a = eigenfunction(2, 0, P03, axes)
-    b = eigenfunction(3, 1, P03, axes)
+    a = eigenfunction(2, 0, P03, axes).grid()
+    b = eigenfunction(3, 1, P03, axes).grid()
     mix = a.with_values((a.values + b.values) / math.sqrt(2.0))
     HJ = apply_hamiltonian(apply_angular_momentum(mix, P03), P03)
     JH = apply_angular_momentum(apply_hamiltonian(mix, P03), P03)
-    comm = HJ.with_values(HJ.values - JH.values)
+    comm = interior_norm(HJ.values - JH.values, (mix.axis1, mix.axis2), 6)
     scale = apply_hamiltonian(mix, P03).norm() * P03.hbar
-    assert comm.interior_norm(6) / scale < 1e-5
+    assert comm / scale < 1e-5
 
 
 def test_operators_require_momentum_basis():
@@ -286,7 +321,7 @@ def _gaussian_ypx_literal(y, px, p):
 @pytest.mark.parametrize("theta", [0.0, 0.3])
 def test_transform_ground_state_to_xpy_matches_gaussian(theta):
     p = NCParams(m=1.0, omega=1.0, theta=theta)
-    psi = eigenfunction(0, 0, p, momentum_grid(p, 257, 8.0))
+    psi = eigenfunction(0, 0, p, momentum_grid(p, 257, 8.0)).grid()
     f = transform(psi, "xpy", p)
     X, PY = np.meshgrid(f.axis1, f.axis2, indexing="ij")
     expect = _gaussian_xpy_literal(X, PY, p)
@@ -297,7 +332,7 @@ def test_transform_ground_state_to_xpy_matches_gaussian(theta):
 @pytest.mark.parametrize("theta", [0.0, 0.3])
 def test_transform_ground_state_to_ypx_matches_gaussian(theta):
     p = NCParams(m=1.0, omega=1.0, theta=theta)
-    psi = eigenfunction(0, 0, p, momentum_grid(p, 257, 8.0))
+    psi = eigenfunction(0, 0, p, momentum_grid(p, 257, 8.0)).grid()
     f = transform(psi, "ypx", p)
     Y, PX = np.meshgrid(f.axis1, f.axis2, indexing="ij")
     expect = _gaussian_ypx_literal(Y, PX, p)
@@ -305,7 +340,7 @@ def test_transform_ground_state_to_ypx_matches_gaussian(theta):
 
 
 def test_transform_roundtrips():
-    psi = eigenfunction(1, 1, P03, momentum_grid(P03, 161, 8.0))
+    psi = eigenfunction(1, 1, P03, momentum_grid(P03, 161, 8.0)).grid()
     for mid in ("xpy", "ypx"):
         back = transform(transform(psi, mid, P03), "p", P03)
         assert np.abs(back.values - psi.values).max() < 1e-6
@@ -313,13 +348,13 @@ def test_transform_roundtrips():
 
 
 def test_transform_preserves_norm():
-    psi = eigenfunction(2, 0, P03, momentum_grid(P03, 161, 8.0))
+    psi = eigenfunction(2, 0, P03, momentum_grid(P03, 161, 8.0)).grid()
     for dst in ("xpy", "ypx"):
         assert transform(psi, dst, P03).norm() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_transform_composition_consistency():
-    psi = eigenfunction(1, -1, P03, momentum_grid(P03, 161, 8.0))
+    psi = eigenfunction(1, -1, P03, momentum_grid(P03, 161, 8.0)).grid()
     via = transform(transform(psi, "xpy", P03), "ypx", P03)
     direct = transform(psi, "ypx", P03)
     assert np.abs(via.values - direct.values).max() < 1e-6
@@ -327,8 +362,8 @@ def test_transform_composition_consistency():
 
 def test_transform_is_linear():
     axes = momentum_grid(P03, 97, 8.0)
-    a = eigenfunction(0, 0, P03, axes)
-    b = eigenfunction(2, 2, P03, axes)
+    a = eigenfunction(0, 0, P03, axes).grid()
+    b = eigenfunction(2, 2, P03, axes).grid()
     mix = a.with_values(0.3 * a.values - 1.7j * b.values)
     lhs = transform(mix, "xpy", P03).values
     rhs = (0.3 * transform(a, "xpy", P03).values
@@ -337,7 +372,7 @@ def test_transform_is_linear():
 
 
 def test_transform_identity_and_unknown_basis():
-    psi = eigenfunction(0, 0, P03, momentum_grid(P03, 65, 8.0))
+    psi = eigenfunction(0, 0, P03, momentum_grid(P03, 65, 8.0)).grid()
     assert transform(psi, "p", P03) is psi
     with pytest.raises(GridError):
         transform(psi, "q", P03)
@@ -346,7 +381,7 @@ def test_transform_identity_and_unknown_basis():
 def test_transform_against_explicit_kernel_quadrature():
     # independent route: loop the kernel phase against trapezoid weights
     p = P03
-    psi = eigenfunction(1, 1, p, momentum_grid(p, 65, 8.0))
+    psi = eigenfunction(1, 1, p, momentum_grid(p, 65, 8.0)).grid()
     f = transform(psi, "xpy", p)
     pxa, pya = psi.axis1, psi.axis2
     h = pxa[1] - pxa[0]
@@ -363,7 +398,7 @@ def test_transform_against_explicit_kernel_quadrature():
 
 def test_mixed_transform_against_double_quadrature():
     p = P03
-    psi = eigenfunction(1, -1, p, momentum_grid(p, 65, 8.0))
+    psi = eigenfunction(1, -1, p, momentum_grid(p, 65, 8.0)).grid()
     F = transform(psi, "xpy", p)
     G = transform(F, "ypx", p)
     xa, pya = F.axis1, F.axis2
@@ -415,7 +450,7 @@ def test_every_pair_matches_explicit_kernel_quadrature(src, dst):
     # sign or a swapped axis shows; its values serve as a source state in
     # every basis
     p = P03
-    base = eigenfunction(1, 1, p, momentum_grid(p, 65, 8.0))
+    base = eigenfunction(1, 1, p, momentum_grid(p, 65, 8.0)).grid()
     kicked = base.values * np.exp(0.9j * base.axis1)[:, None]
     psi = GridFunction(base.axis1, base.axis2, kicked, src)
     f = transform(psi, dst, p)
@@ -458,7 +493,7 @@ def test_mixed_to_mixed_alias_guard_counts_the_full_shear():
 def test_momentum_phase_translates_position():
     # multiplying by exp(-i a p_x / hbar) shifts the x wave function by a
     p = P03
-    psi = eigenfunction(0, 0, p, momentum_grid(p, 257, 8.0))
+    psi = eigenfunction(0, 0, p, momentum_grid(p, 257, 8.0)).grid()
     a = 0.8
     shifted = psi.with_values(
         psi.values * np.exp(-1j * a * psi.axis1 / p.hbar)[:, None])
@@ -469,7 +504,7 @@ def test_momentum_phase_translates_position():
 
 
 def test_axes_given_as_one_array_match_the_tuple_form():
-    psi = eigenfunction(0, 0, P03, momentum_grid(P03, 33, 8.0))
+    psi = eigenfunction(0, 0, P03, momentum_grid(P03, 33, 8.0)).grid()
     xs = uniform_axis(-3.0, 3.0, 33)
     xpy = transform(psi, "xpy", P03, axes=(xs, psi.axis2))
     for src, dst, axes in ((psi, "xpy", (xs, psi.axis2)),
@@ -483,7 +518,7 @@ def test_axes_given_as_one_array_match_the_tuple_form():
 
 
 def test_delta_matched_axes_must_agree():
-    psi = eigenfunction(0, 0, P03, momentum_grid(P03, 65, 8.0))
+    psi = eigenfunction(0, 0, P03, momentum_grid(P03, 65, 8.0)).grid()
     other = uniform_axis(-3.0, 3.0, 65)
     with pytest.raises(GridError):
         transform(psi, "xpy", P03, axes=(psi.axis1, other))
@@ -491,7 +526,7 @@ def test_delta_matched_axes_must_agree():
 
 def test_aliasing_guard_fires():
     axes = momentum_grid(P03, 16, 8.0)
-    psi = eigenfunction(0, 0, P03, axes)
+    psi = eigenfunction(0, 0, P03, axes).grid()
     wide = uniform_axis(-60.0, 60.0, 64)
     with pytest.raises(AliasingError):
         transform(psi, "xpy", P03, axes=(wide, psi.axis2))

@@ -43,13 +43,13 @@ P_FREE = NCParams(m=1.0, omega=0.0, theta=0.3)     # the free flow
 
 @pytest.fixture(scope="module")
 def ground_xpy():
-    psi_p = eigenfunction(0, 0, P, momentum_grid(P, 65, 8.0))
+    psi_p = eigenfunction(0, 0, P, momentum_grid(P, 65, 8.0)).grid()
     return transform(psi_p, "xpy", P)
 
 
 @pytest.fixture(scope="module")
 def excited_xpy():
-    psi_p = eigenfunction(1, 1, P, momentum_grid(P, 65, 8.0))
+    psi_p = eigenfunction(1, 1, P, momentum_grid(P, 65, 8.0)).grid()
     return transform(psi_p, "xpy", P)
 
 
@@ -116,9 +116,9 @@ def test_table_matches_pointwise_quadrature_without_reflection_symmetry():
     # a parity mix with a momentum kick: psi(-x, -py) is no multiple of
     # psi(x, py), so a reversed or shifted correlation window shows here
     pgrid = momentum_grid(P, 33, 8.0)
-    mix = eigenfunction(2, 2, P, pgrid)
+    mix = eigenfunction(2, 2, P, pgrid).grid()
     mix = mix.with_values(mix.values
-                          + 0.5 * eigenfunction(1, 1, P, pgrid).values)
+                          + 0.5 * eigenfunction(1, 1, P, pgrid).grid().values)
     psi = transform(mix, "xpy", P,
                     axes=(uniform_axis(-4.5, 4.5, 33), mix.axis2))
     psi = psi.with_values(psi.values
@@ -134,7 +134,7 @@ def test_table_matches_pointwise_quadrature_without_reflection_symmetry():
 
 
 def _excited_state(nodes):
-    psi_p = eigenfunction(1, 1, P, momentum_grid(P, nodes, 8.0))
+    psi_p = eigenfunction(1, 1, P, momentum_grid(P, nodes, 8.0)).grid()
     return transform(psi_p, "xpy", P)
 
 
@@ -241,9 +241,9 @@ def kicked_mix():
     """A 19 x 17 parity mix with a momentum kick: it has no reflection
     symmetry, so a reversed or shifted correlation window shows."""
     pgrid = momentum_grid(P, 33, 8.0)
-    mix = eigenfunction(2, 2, P, pgrid)
+    mix = eigenfunction(2, 2, P, pgrid).grid()
     mix = mix.with_values(mix.values
-                          + 0.5 * eigenfunction(1, 1, P, pgrid).values)
+                          + 0.5 * eigenfunction(1, 1, P, pgrid).grid().values)
     psi = transform(mix, "xpy", P,
                     axes=(uniform_axis(-3.6, 3.6, 19), mix.axis2))
     return GridFunction(psi.axis1, psi.axis2[::2],
@@ -533,14 +533,14 @@ def test_quadrature_prefactor_away_from_unit_hbar(p):
     # state's (x, p_y) nodes: off them the bilinear fallback misses by 1e-2
     scale = (math.pi * p.hbar) ** 2
     grid = momentum_grid(p, 65, 8.0)
-    ground = transform(eigenfunction(0, 0, p, grid), "xpy", p)
+    ground = transform(eigenfunction(0, 0, p, grid).grid(), "xpy", p)
     X, PX, PY = np.meshgrid(ground.axis1[8:57:4], np.linspace(-1.5, 1.5, 7),
                             ground.axis2[8:57:4], indexing="ij")
     vq = QuadratureWigner(ground, p).at(X, 0.0, PX, PY)
     vc = GroundStateWigner(p).at(X, 0.0, PX, PY)
     assert np.abs(vq - vc).max() * scale < 1e-12
     # the parity value of the (1, 1) state
-    excited = transform(eigenfunction(1, 1, p, grid), "xpy", p)
+    excited = transform(eigenfunction(1, 1, p, grid).grid(), "xpy", p)
     w0 = QuadratureWigner(excited, p).at(0.0, 0.0, 0.0, 0.0)
     assert w0 * scale == pytest.approx(-1.0, abs=1e-12)
 
@@ -549,8 +549,8 @@ def test_purity_away_from_unit_hbar():
     # (2 pi hbar)^2 and (2 pi)^2 hbar agree at hbar = 1 only; the first
     # parameter set above, streamed through small y and p_x axes
     p = NCParams(m=1.0, omega=1.0, theta=0.3, hbar=0.7)
-    psi = transform(eigenfunction(0, 0, p, momentum_grid(p, 65, 8.0)), "xpy",
-                    p)
+    psi = transform(eigenfunction(0, 0, p, momentum_grid(p, 65, 8.0)).grid(),
+                    "xpy", p)
     side = uniform_axis(-4.8, 4.8, 25) * math.sqrt(p.hbar)
     axes = (psi.axis1, side, side.copy(), psi.axis2)
     sums = table_sums(quadrature_rows(QuadratureWigner(psi, p), axes), axes, p)
@@ -718,7 +718,7 @@ def test_commutative_energy_expectation():
 
 
 def test_quadrature_requires_xpy_basis():
-    psi_p = eigenfunction(0, 0, P, momentum_grid(P, 33, 8.0))
+    psi_p = eigenfunction(0, 0, P, momentum_grid(P, 33, 8.0)).grid()
     with pytest.raises(WignerError):
         QuadratureWigner(psi_p, P)
 
