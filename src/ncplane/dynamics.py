@@ -67,11 +67,12 @@ def _time_grid(t0, t1, dt):
         raise ValueError(f"dt must be positive, got {dt}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    n = max(1, round((t1 - t0) / dt))
-    h = (t1 - t0) / n
+    n = (t1 - t0) / dt
     try:
+        n = max(1, round(n))            # OverflowError when n is inf
+        h = (t1 - t0) / n
         times = t0 + h * np.arange(n + 1)
-    except (MemoryError, ValueError) as exc:
+    except (OverflowError, MemoryError, ValueError) as exc:
         raise ValueError(f"dt = {dt} on [{t0}, {t1}] needs {n:.3g} steps, "
                          f"a time grid too large to allocate") from exc
     times[-1] = t1

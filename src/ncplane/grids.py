@@ -72,9 +72,6 @@ class GridFunction:
     def step2(self):
         return float(self.axis2[1] - self.axis2[0])
 
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.axis1, self.axis2, values, self.basis)
-
     def inner(self, other: "GridFunction") -> complex:
         if other.basis != self.basis:
             raise GridError(f"basis mismatch: {self.basis} vs {other.basis}")
@@ -89,12 +86,6 @@ class GridFunction:
 
     def norm(self) -> float:
         return float(np.sqrt(self.inner(self).real))
-
-    def boundary_max(self) -> float:
-        """Largest |psi| on the four edges; only the edges are read."""
-        v = self.values
-        edges = (v[0], v[-1], v[:, 0], v[:, -1])
-        return float(max(np.abs(e).max() for e in edges))
 
 
 def interior_norm(values, axes, band: int) -> float:

@@ -48,9 +48,11 @@ class NCParams:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if self.kB <= 0:
             raise ValueError(f"kB must be positive, got {self.kB}")
-        # every later omega^2, hbar^2 and (pi hbar)^2 is then finite
+        # every later omega^2, hbar^2, (pi hbar)^2 and 1/m is then finite
         _square("omega", self.omega)
         _square("2 pi hbar", 2.0 * math.pi * self.hbar)
+        if not math.isfinite(1.0 / self.m):
+            raise ValueError(f"m = {self.m!r} is too small to invert")
 
     def require_omega(self):
         if self.omega <= 0:

@@ -135,9 +135,9 @@ def eigenfunction(n: int, two_j: int, p: NCParams, axes=None) -> Separable:
             for Pi, orders in zip(P, (range(n, -1, -1), range(n + 1))))
     psi = Separable(X, Y, c, axes)
     psi = replace(psi, c=c / math.sqrt(psi.inner(psi).real))
-    g = psi.grid()
-    edge = g.boundary_max()
-    if edge > TAIL_TOL * np.abs(g.values).max():
+    v = (psi.X * psi.c) @ psi.Y.T
+    edge = max(np.abs(e).max() for e in (v[0], v[-1], v[:, 0], v[:, -1]))
+    if edge > TAIL_TOL * np.abs(v).max():
         raise TruncationError(f"boundary amplitude {edge:.3e} exceeds "
                               f"{TAIL_TOL:.1e} of the peak; enlarge the grid")
     return psi
@@ -185,26 +185,18 @@ def eigen_residuals(psi: Separable, n: int, two_j: int, p: NCParams):
                  for U, V in terms)
 
 
-def _apply(psi: GridFunction, p: NCParams, which: int, unit: float):
-    """unit * _operator_terms[which] on a grid as X = values, Y = I."""
-    if psi.basis != "p":
-        raise GridError(f"operator defined on the (p_x, p_y) basis, "
-                        f"got {psi.basis!r}")
-    k = psi.axis2.size
-    U, V = _operator_terms(Separable(psi.values, np.eye(k), np.ones(k),
-                                     (psi.axis1, psi.axis2)), p)[which]
-    return psi.with_values(unit * (U @ V.T))
-
-
-def apply_hamiltonian(psi: GridFunction, p: NCParams) -> GridFunction:
+def apply_hamiltonian(psi: Separable, p: NCParams) -> Separable:
     """H psi = (1 + u) p^2/2m psi - (hbar^2 m w^2/2) lap psi - i hbar lam L/2
-    psi, the oscillator Hamiltonian in the momentum representation."""
-    return _apply(psi, p, 0, p.hbar * p.omega)
+    psi, the oscillator Hamiltonian in the momentum representation, as a
+    separable state on psi's axes."""
+    U, V = _operator_terms(psi, p)[0]
+    return Separable(p.hbar * p.omega * U, V, np.ones(V.shape[1]), psi.axes)
 
 
-def apply_angular_momentum(psi: GridFunction, p: NCParams) -> GridFunction:
-    """J psi = i hbar (p_y d/dp_x - p_x d/dp_y) psi."""
-    return _apply(psi, p, 1, p.hbar)
+def apply_angular_momentum(psi: Separable, p: NCParams) -> Separable:
+    """J psi = i hbar (p_y d/dp_x - p_x d/dp_y) psi, a separable state."""
+    U, V = _operator_terms(psi, p)[1]
+    return Separable(p.hbar * U, V, np.ones(V.shape[1]), psi.axes)
 
 
 # --- quadrature transforms -------------------------------------------------

@@ -37,6 +37,16 @@ class WignerError(ValueError):
     """Ill-posed Wigner construction or evaluation request."""
 
 
+def _pi_hbar_squared(hbar: float) -> float:
+    """(pi hbar)^2, or a WignerError naming hbar when the Wigner scale
+    1/(pi hbar)^2 is not a finite float."""
+    s = (math.pi * hbar) ** 2
+    if not s or not math.isfinite(1.0 / s):
+        raise WignerError(f"hbar = {hbar!r} is too small: the Wigner scale "
+                          f"1/(pi hbar)^2 overflows")
+    return s
+
+
 class GroundStateWigner:
     """Closed-form ground-state distribution, optionally displaced.
 
@@ -50,6 +60,7 @@ class GroundStateWigner:
         self.params = params
         self._s2 = params.m * params.hbar * params.w_eff
         self._k = params.m * params.w_eff / params.hbar
+        self._pi_hbar2 = _pi_hbar_squared(params.hbar)
         if center is None:
             center = (0.0, 0.0, 0.0, 0.0)
         # a PhasePoint or four finite coordinates, checked as a flow's start
@@ -63,7 +74,7 @@ class GroundStateWigner:
              - self._k
              * ((x + 0.5 * p.theta * py) ** 2 + (y - 0.5 * p.theta * px) ** 2))
         e = duals.exp(q) if isinstance(q, Dual) else np.exp(q)
-        return e / (math.pi * p.hbar) ** 2
+        return e / self._pi_hbar2
 
 
 class QuadratureWigner:
@@ -95,7 +106,8 @@ class QuadratureWigner:
             pad, 2 * self._L + 1, axis=1)
         self._zeta = np.arange(-self._K, self._K + 1) * psi.step1
         self._eta = np.arange(-self._L, self._L + 1) * psi.step2
-        self._pref = psi.step1 * psi.step2 / (math.pi * params.hbar) ** 2
+        self._pi_hbar2 = _pi_hbar_squared(params.hbar)
+        self._pref = psi.step1 * psi.step2 / self._pi_hbar2
 
     def _guard(self, x, y, px, py):
         """Reject non-finite coordinates and grid steps over half a period
@@ -176,7 +188,7 @@ class QuadratureWigner:
     def _check_real(self, worst_imag: float, worst_real: float) -> None:
         """W is real up to round-off, or the quadrature itself is wrong;
         takes running maxima of |Im W| and |Re W|, the latter the scale."""
-        scale = max(worst_real, 1.0 / (math.pi * self.params.hbar) ** 2)
+        scale = max(worst_real, 1.0 / self._pi_hbar2)
         if worst_imag > 1e-10 * scale:
             raise CheckFailure(f"transform lost realness: imaginary part "
                                f"{worst_imag:.3e} against scale {scale:.3e}")

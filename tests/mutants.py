@@ -63,6 +63,8 @@ MUTANTS = [
     ("hermite-argument-width-squared", _SPE,
      "np.asarray(ax, dtype=float) / p.width for ax in axes",
      "np.asarray(ax, dtype=float) / p.width ** 2 for ax in axes"),
+    ("H-unit-drops-omega", _SPE, "Separable(p.hbar * p.omega * U,",
+     "Separable(p.hbar * U,"),
     # the shear y -> y - theta p_x and the Wigner normalization
     ("quadrature-guard-shear-sign", _WIG,
      "u, hbar = y - self.params.theta * px",
@@ -73,9 +75,8 @@ MUTANTS = [
     ("ground-state-omega-for-w_eff", _WIG,
      "self._k = params.m * params.w_eff / params.hbar",
      "self._k = params.m * params.omega / params.hbar"),
-    ("quadrature-prefactor-pi2-hbar", _WIG,
-     "psi.step2 / (math.pi * params.hbar) ** 2",
-     "psi.step2 / (math.pi ** 2 * params.hbar)"),
+    ("wigner-scale-pi2-hbar", _WIG, "s = (math.pi * hbar) ** 2",
+     "s = math.pi ** 2 * hbar"),
     ("purity-prefactor-hbar-squared", _WIG,
      "(2.0 * math.pi * p.hbar) ** 2", "(2.0 * math.pi) ** 2 * p.hbar"),
     # the two-mode thermodynamics kernel

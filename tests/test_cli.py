@@ -541,6 +541,43 @@ def test_unallocatable_time_grid_exits_two_naming_dt(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # round() of an infinite step count raised OverflowError: exit 3
+    ("classical simulate --dt 1e-320",
+     "dt = 1e-320 on [0.0, 20.0] needs inf steps"),
+    ("classical simulate --t1 1e300 --dt 1e-20",
+     "dt = 1e-20 on [0.0, 1e+300] needs inf steps"),
+    # (pi hbar)^2 underflowed to 0.0 (ZeroDivisionError, exit 3) or to a
+    # subnormal whose reciprocal overflowed (exit 0, min_W -7.3e302)
+    ("wigner --hbar 1e-300 --nodes 64", "hbar = 1e-300 is too small"),
+    ("wigner --hbar 1e-160 --nodes 64", "hbar = 1e-160 is too small"),
+    # 1/m overflowed: exit 3 from Fraction(inf), exit 2 blaming the
+    # Hamiltonian, exit 1 on a NaN bracket, and exit 0 twice
+    ("classical symmetries --m 1e-310", "m = 1e-310 is too small to invert"),
+    ("classical simulate --m 1e-320 --t1 1", "m = 1e-320 is too small"),
+    ("algebra-check --m 1e-320 --samples 3", "m = 1e-320 is too small"),
+    ("spectrum --m 1e-320", "m = 1e-320 is too small"),
+    ("thermo sweep --m 1e-320 --grid 2x2", "m = 1e-320 is too small"),
+])
+def test_scale_beyond_the_float_range_exits_two_naming_it(tmp_path, capsys,
+                                                         argv, message):
+    rc = cli.main([*argv.split(), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"configuration error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_wigner_at_hbar_1e_150_stays_finite(tmp_path, capsys):
+    # 1/(pi hbar)^2 is about 1e299 here, still a float
+    assert cli.main(["wigner", "--hbar", "1e-150", "--nodes", "64",
+                     "--out-dir", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "wigner.json").read_text())
+    assert math.isfinite(rep["min_W"])
+    assert rep["negative_region_found"] is False
+
+
 def test_wigner_negativity_search(tmp_path, capsys):
     rc = cli.main(["wigner", "--n", "1", "--two-j", "1", "--theta", "0.3",
                    "--nodes", "65", "--out-dir", str(tmp_path)])

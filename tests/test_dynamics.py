@@ -1,6 +1,7 @@
 """Flows and closed forms: RK4 order, closed-form consistency, charges."""
 
 import math
+import re
 from dataclasses import astuple
 from types import SimpleNamespace
 
@@ -305,6 +306,18 @@ def test_unallocatable_time_grid_is_a_named_value_error(monkeypatch):
     assert isinstance(info.value.__cause__, MemoryError)
     with pytest.raises(ValueError, match=message):
         oscillator_path(Z0, 0.0, 1000.0, 1e-9, P)
+
+
+@pytest.mark.parametrize("t1, dt", [(1.0, 1e-320), (1e300, 1e-20)])
+def test_infinite_step_count_is_a_named_value_error(t1, dt):
+    # (t1 - t0) / dt overflows to inf and round() raised OverflowError
+    H = oscillator_hamiltonian(P)
+    message = re.escape(f"dt = {dt} on [0.0, {t1}] needs inf steps, a time "
+                        f"grid too large to allocate")
+    with pytest.raises(ValueError, match=message):
+        hamiltonian_flow(H, Z0, 0.0, t1, dt, P)
+    with pytest.raises(ValueError, match=message):
+        oscillator_path(Z0, 0.0, t1, dt, P)
 
 
 @pytest.mark.parametrize("t0, t1, dt, name", [

@@ -133,7 +133,6 @@ def test_interior_norm_excludes_boundary_band():
     h = F.step1
     assert interior_norm(vals, (ax, ax), 2) == pytest.approx(3.0 * h,
                                                              rel=1e-12)
-    assert F.boundary_max() == 100.0
 
 
 @pytest.mark.parametrize("n, band, interior", [(7, 3, 1), (5, 2, 1), (8, 4, 0),
@@ -148,18 +147,6 @@ def test_interior_norm_needs_two_interior_nodes(n, band, interior):
         # the trapezoid over two nodes is one step: sqrt(h * h * 1)
         assert interior_norm(np.ones((n, n)), (ax, ax), band) == \
             pytest.approx(ax[1] - ax[0], rel=1e-12)
-
-
-def test_boundary_max_reads_only_the_edges():
-    ax = uniform_axis(0.0, 1.0, 9)
-    vals = np.zeros((9, 9), complex)
-    vals[1:-1, 1:-1] = 1e6             # the interior never counts
-    vals[0, 3], vals[-1, 5] = 2.0, -3.0
-    vals[4, 0], vals[6, -1] = 4j, 3.0 - 4.0j    # |.| = 5, the largest
-    F = GridFunction(ax, ax, vals, "p")
-    assert F.boundary_max() == 5.0
-    F = GridFunction(ax, ax, np.where(vals == 3.0 - 4.0j, 0, vals), "p")
-    assert F.boundary_max() == 4.0
 
 
 def test_stencil_band_widths():
@@ -236,13 +223,3 @@ def test_derivative_rejects_tiny_grid():
         with pytest.raises(GridError):
             D(np.ones((6, 7)), 0.1, 0)
         D(np.ones((7, 6)), 0.1, 0)      # one interior node is enough
-
-
-def test_with_values_keeps_grid():
-    ax = uniform_axis(0.0, 1.0, 8)
-    F = GridFunction(ax, ax, np.ones((8, 8)), "ypx")
-    G = F.with_values(2.0 * F.values)
-    assert G.basis == "ypx" and G.values[0, 0] == 2.0
-    assert np.array_equal(G.axis1, F.axis1)
-    with pytest.raises(GridError):
-        F.with_values(np.ones((7, 8)))

@@ -7,6 +7,7 @@ transform), and the energy formula evaluated by hand at pinned points.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from ncplane.grids import (
 )
 from ncplane.spectra import (
     AliasingError,
+    Separable,
     SpectrumEntry,
     TruncationError,
     apply_angular_momentum,
@@ -39,6 +41,11 @@ from ncplane.spectra import (
 )
 
 P03 = NCParams(m=1.0, omega=1.0, theta=0.3)
+
+
+def _like(g, values):
+    """A grid function with g's axes and basis and new values."""
+    return GridFunction(g.axis1, g.axis2, values, g.basis)
 
 
 # --- spectrum ---------------------------------------------------------------
@@ -171,6 +178,19 @@ def test_truncation_error_on_small_grid():
     eigenfunction(4, 0, P03)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1.0, 8.0), (-8.0, 1.0)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_truncation_error_reads_each_edge(axis, lo, hi):
+    # a grid that cuts the ground state at one edge, one width from its
+    # peak, raises; the other three edges lie eight widths out
+    w = P03.width
+    axes = [uniform_axis(-8.0 * w, 8.0 * w, 161)] * 2
+    eigenfunction(0, 0, P03, tuple(axes))
+    axes[axis] = uniform_axis(lo * w, hi * w, 161)
+    with pytest.raises(TruncationError, match="boundary amplitude"):
+        eigenfunction(0, 0, P03, tuple(axes))
+
+
 def test_level_validation_reaches_eigenfunction():
     with pytest.raises(ValueError):
         eigenfunction(2, 1, P03)
@@ -195,8 +215,8 @@ def _separate_h(psi, p):
            + second_derivative(F, psi.step2, 1))
     dpx = first_derivative(F, psi.step1, 0)
     dpy = first_derivative(F, psi.step2, 1)
-    return psi.with_values(
-        (1.0 + p.u) / (2.0 * p.m) * (px ** 2 + py ** 2) * F
+    return _like(
+        psi, (1.0 + p.u) / (2.0 * p.m) * (px ** 2 + py ** 2) * F
         - 0.5 * p.hbar ** 2 * p.m * p.omega ** 2 * lap
         - 0.5j * p.hbar * p.lam * (py * dpx - px * dpy))
 
@@ -205,7 +225,7 @@ def _separate_j(psi, p):
     px, py = psi.axis1[:, None], psi.axis2[None, :]
     dpx = first_derivative(psi.values, psi.step1, 0)
     dpy = first_derivative(psi.values, psi.step2, 1)
-    return psi.with_values(1j * p.hbar * (py * dpx - px * dpy))
+    return _like(psi, 1j * p.hbar * (py * dpx - px * dpy))
 
 
 def _separate_residual(applied, psi, eigenvalue):
@@ -261,8 +281,27 @@ def test_residuals_are_dimensionless_at_a_tiny_hbar(hbar):
     assert all(0.5 < r < 2.0 for r in wrong)
 
 
+@pytest.mark.parametrize("p, nodes, n, two_j", [
+    *((NCParams(m=1.0, omega=1.0, theta=th), 256, n, tj)
+      for th in (0.3, 1.0) for n, tj in ((2, 0), (4, -2))),
+    (NCParams(m=1.3, omega=0.8, theta=0.4, hbar=0.9), 200, 3, 3),
+], ids=["0.3-(2,0)", "0.3-(4,-2)", "1-(2,0)", "1-(4,-2)", "off-unit-(3,3)"])
+def test_factor_operators_match_the_grid_stencils(p, nodes, n, two_j):
+    # H psi in units of hbar omega max|psi| and J psi in units of hbar
+    # max|psi| against the 2-D stencils on the interior band; omega != 1
+    # in the off-unit case pins the unit of H
+    psi = eigenfunction(n, two_j, p, momentum_grid(p, nodes))
+    g, b = psi.grid(), STENCIL_BAND
+    peak = np.abs(g.values).max()
+    for apply, oracle, unit in ((apply_hamiltonian, _separate_h,
+                                 p.hbar * p.omega),
+                                (apply_angular_momentum, _separate_j, p.hbar)):
+        diff = apply(psi, p).grid().values - oracle(g, p).values
+        assert np.abs(diff[b:-b, b:-b]).max() < 1e-11 * unit * peak
+
+
 def test_energy_expectation_matches_eigenvalue():
-    psi = eigenfunction(3, 1, P03).grid()
+    psi = eigenfunction(3, 1, P03)
     Hpsi = apply_hamiltonian(psi, P03)
     assert psi.inner(Hpsi) == pytest.approx(energy(3, 1, P03), rel=1e-8)
     Jpsi = apply_angular_momentum(psi, P03)
@@ -273,28 +312,32 @@ def test_hamiltonian_commutes_with_angular_momentum():
     # on a superposition of eigenstates both operator orders agree in the
     # continuum; the discrete mismatch is pure stencil error
     axes = momentum_grid(P03, 256, 8.0)
-    a = eigenfunction(2, 0, P03, axes).grid()
-    b = eigenfunction(3, 1, P03, axes).grid()
-    mix = a.with_values((a.values + b.values) / math.sqrt(2.0))
-    HJ = apply_hamiltonian(apply_angular_momentum(mix, P03), P03)
-    JH = apply_angular_momentum(apply_hamiltonian(mix, P03), P03)
-    comm = interior_norm(HJ.values - JH.values, (mix.axis1, mix.axis2), 6)
-    scale = apply_hamiltonian(mix, P03).norm() * P03.hbar
+    a, b = (eigenfunction(n, tj, P03, axes) for n, tj in ((2, 0), (3, 1)))
+    mix = Separable(np.hstack([a.X, b.X]), np.hstack([a.Y, b.Y]),
+                    np.concatenate([a.c, b.c]) / math.sqrt(2.0), axes)
+    HJ = apply_hamiltonian(apply_angular_momentum(mix, P03), P03).grid()
+    JH = apply_angular_momentum(apply_hamiltonian(mix, P03), P03).grid()
+    comm = interior_norm(HJ.values - JH.values, axes, 6)
+    scale = apply_hamiltonian(mix, P03).grid().norm() * P03.hbar
     assert comm / scale < 1e-5
 
 
-def test_operators_require_momentum_basis():
-    ax = uniform_axis(-4.0, 4.0, 32)
-    F = GridFunction(ax, ax, np.ones((32, 32), complex), "xpy")
-    with pytest.raises(GridError):
-        apply_hamiltonian(F, P03)
-    with pytest.raises(GridError):
-        apply_angular_momentum(F, P03)
+def test_apply_hamiltonian_allocates_factors_not_grids():
+    # as a 256^2 grid times a 256 x 256 identity it peaked at 18.5 MiB
+    psi = eigenfunction(2, 0, P03, momentum_grid(P03, 256))
+    apply_hamiltonian(psi, P03)
+    tracemalloc.start()
+    try:
+        apply_hamiltonian(psi, P03)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_coarse_grid_warns():
     ax = uniform_axis(-8.0, 8.0, 12)
-    F = GridFunction(ax, ax, np.ones((12, 12), complex), "p")
+    F = Separable(np.ones((12, 1)), np.ones((12, 1)), np.ones(1), (ax, ax))
     with pytest.warns(RuntimeWarning):
         apply_hamiltonian(F, P03)
 
@@ -364,7 +407,7 @@ def test_transform_is_linear():
     axes = momentum_grid(P03, 97, 8.0)
     a = eigenfunction(0, 0, P03, axes).grid()
     b = eigenfunction(2, 2, P03, axes).grid()
-    mix = a.with_values(0.3 * a.values - 1.7j * b.values)
+    mix = _like(a, 0.3 * a.values - 1.7j * b.values)
     lhs = transform(mix, "xpy", P03).values
     rhs = (0.3 * transform(a, "xpy", P03).values
            - 1.7j * transform(b, "xpy", P03).values)
@@ -495,8 +538,8 @@ def test_momentum_phase_translates_position():
     p = P03
     psi = eigenfunction(0, 0, p, momentum_grid(p, 257, 8.0)).grid()
     a = 0.8
-    shifted = psi.with_values(
-        psi.values * np.exp(-1j * a * psi.axis1 / p.hbar)[:, None])
+    shifted = _like(
+        psi, psi.values * np.exp(-1j * a * psi.axis1 / p.hbar)[:, None])
     f = transform(shifted, "xpy", p)
     X, PY = np.meshgrid(f.axis1, f.axis2, indexing="ij")
     expect = _gaussian_xpy_literal(X - a, PY, p)

@@ -38,6 +38,11 @@ from ncplane.wigner import (
 )
 
 P = NCParams(m=1.0, omega=1.0, theta=0.3)
+
+
+def _like(g, values):
+    """A grid function with g's axes and basis and new values."""
+    return GridFunction(g.axis1, g.axis2, values, g.basis)
 P_FREE = NCParams(m=1.0, omega=0.0, theta=0.3)     # the free flow
 
 
@@ -91,7 +96,7 @@ def _displaced_gaussian(psi0, d, p):
     base = ((s2 / (math.pi * p.hbar**2)) ** 0.25
             * np.exp(-U**2 * s2 / (2 * p.hbar**2))
             * np.exp(-(PY - b)**2 / (2 * s2)) / (math.pi * s2) ** 0.25)
-    return psi0.with_values(base * np.exp(1j * (al * X + be * PY) / p.hbar))
+    return _like(psi0, base * np.exp(1j * (al * X + be * PY) / p.hbar))
 
 
 def test_ground_state_peak_literal():
@@ -117,12 +122,12 @@ def test_table_matches_pointwise_quadrature_without_reflection_symmetry():
     # psi(x, py), so a reversed or shifted correlation window shows here
     pgrid = momentum_grid(P, 33, 8.0)
     mix = eigenfunction(2, 2, P, pgrid).grid()
-    mix = mix.with_values(mix.values
-                          + 0.5 * eigenfunction(1, 1, P, pgrid).grid().values)
+    mix = _like(mix, mix.values
+                + 0.5 * eigenfunction(1, 1, P, pgrid).grid().values)
     psi = transform(mix, "xpy", P,
                     axes=(uniform_axis(-4.5, 4.5, 33), mix.axis2))
-    psi = psi.with_values(psi.values
-                          * np.exp(0.9j * psi.axis1[:, None] / P.hbar))
+    psi = _like(psi, psi.values
+                * np.exp(0.9j * psi.axis1[:, None] / P.hbar))
     Wq = QuadratureWigner(psi, P)
     axes = (psi.axis1, uniform_axis(-1.5, 1.2, 4), uniform_axis(-0.8, 1.1, 3),
             psi.axis2)
@@ -242,8 +247,8 @@ def kicked_mix():
     symmetry, so a reversed or shifted correlation window shows."""
     pgrid = momentum_grid(P, 33, 8.0)
     mix = eigenfunction(2, 2, P, pgrid).grid()
-    mix = mix.with_values(mix.values
-                          + 0.5 * eigenfunction(1, 1, P, pgrid).grid().values)
+    mix = _like(mix, mix.values
+                + 0.5 * eigenfunction(1, 1, P, pgrid).grid().values)
     psi = transform(mix, "xpy", P,
                     axes=(uniform_axis(-3.6, 3.6, 19), mix.axis2))
     return GridFunction(psi.axis1, psi.axis2[::2],
