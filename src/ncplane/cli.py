@@ -21,6 +21,12 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 
+# OpenBLAS starts its thread pool when numpy loads; every product here is
+# small, so one thread is the default unless the user names a count
+if "numpy" not in sys.modules and not os.environ.keys() & {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .params import CheckFailure, NCParams
@@ -435,6 +441,10 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a --nodes grid of 1e12 points
+        print(f"configuration error: {str(exc) or 'out of memory'}: the "
+              "result is too large to allocate", file=sys.stderr)
+        return 2
     except Exception as exc:  # a fault in the program, not a missed tolerance
         return _internal(exc)
 

@@ -495,6 +495,60 @@ def test_symmetries_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
             == (out["Prescott"] / "symmetries.json").read_bytes())
 
 
+# the variables this OpenBLAS build reads for its thread count; the pytest
+# process may hold one, so each child starts with all three removed
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS")
+
+
+def _blas_child(code: str, *args: str, **env) -> str:
+    """Last stdout line of a fresh interpreter running code under env."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env={**base, **env},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the threads in /proc/self/task")
+@pytest.mark.parametrize("env, threads", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"GOTO_NUM_THREADS": "2"}, 2),
+], ids=["unset", "OPENBLAS", "OMP", "GOTO"])
+def test_cli_runs_openblas_on_one_thread_unless_a_count_is_named(env,
+                                                                 threads):
+    if threads > 1 and (os.cpu_count() or 1) < 2:
+        pytest.skip("one core: OpenBLAS starts no second thread")
+    code = "import os, ncplane.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _blas_child(code, **env) == str(threads)
+
+
+def test_cli_leaves_the_environment_alone_once_numpy_is_loaded():
+    code = ("import os, numpy; before = dict(os.environ); "
+            "import ncplane.cli; print(dict(os.environ) == before)")
+    assert _blas_child(code) == "True"
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # selftest and the README wigner line, in one child per thread count
+    code = ("import sys; from ncplane import cli; out = sys.argv[1]; "
+            "print(cli.main(['selftest', '--out-dir', out]), "
+            "cli.main(['wigner', '--n', '1', '--two-j', '1', '--theta', "
+            "'0.3', '--out-dir', out]))")
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert _blas_child(code, str(one)) == "0 0"
+    assert _blas_child(code, str(two), OPENBLAS_NUM_THREADS="2") == "0 0"
+    names = sorted(p.name for p in one.iterdir())
+    assert names == ["selftest.json", "wigner.json", "wigner_slice.csv"]
+    assert names == sorted(p.name for p in two.iterdir())
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
 def test_eigenfunction_outputs(tmp_path, capsys):
     # the 1e-6 residual gate is calibrated for the default 256-node grid
     rc = cli.main(["eigenfunction", "--n", "1", "--two-j", "-1",
@@ -541,6 +595,18 @@ def test_unallocatable_time_grid_exits_two_naming_dt(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def test_memory_error_without_a_message_exits_two(tmp_path, capsys,
+                                                  monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_spectrum", exhausted)
+    assert cli.main(["spectrum", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: out of memory: the result is too large to "
+        "allocate\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     # round() of an infinite step count raised OverflowError: exit 3
     ("classical simulate --dt 1e-320",
@@ -558,6 +624,12 @@ def test_unallocatable_time_grid_exits_two_naming_dt(tmp_path, capsys):
     ("algebra-check --m 1e-320 --samples 3", "m = 1e-320 is too small"),
     ("spectrum --m 1e-320", "m = 1e-320 is too small"),
     ("thermo sweep --m 1e-320 --grid 2x2", "m = 1e-320 is too small"),
+    # numpy refuses the 14.6 TiB grid before touching memory: exit 3 with
+    # "internal error: MemoryError"
+    *((f"{command} --nodes 1000000", "Unable to allocate 14.6 TiB for an "
+       "array with shape (1000000, 1000000) and data type complex128: the "
+       "result is too large to allocate")
+      for command in ("eigenfunction", "wigner")),
 ])
 def test_scale_beyond_the_float_range_exits_two_naming_it(tmp_path, capsys,
                                                          argv, message):

@@ -229,6 +229,52 @@ def test_entropy_increases_with_theta_at_low_temperature():
             assert (sp - sm) / (2.0 * h) > 0.0
 
 
+def _dS_dtheta(T, p):
+    """Closed-form dS/dtheta per site: the modes phi and chi obey
+    d ln phi = -d ln chi = m omega^2 / sqrt(lam^2 + 4 omega^2) dtheta and
+    dS/d(beta hbar e) of one mode is -g(x) / (2 x), x = beta hbar e / 2, so
+
+        dS/dtheta = kB [g(x_chi) - g(x_phi)] m omega^2 / sqrt(lam^2 + 4 w^2)
+
+    with w = omega and g(x) = x^2 / sinh^2 x, one mode's Cv / kB.  T may
+    be an array."""
+    half_beta_hbar = p.hbar / (2.0 * p.kB * np.asarray(T))
+    g = lambda x: (x / np.sinh(x)) ** 2
+    return (p.kB * (g(half_beta_hbar * p.chi) - g(half_beta_hbar * p.phi))
+            * p.m * p.omega ** 2 / math.hypot(p.lam, 2.0 * p.omega))
+
+
+@pytest.mark.parametrize("m, omega, theta, hbar, kB", [
+    (1.0, 1.0, 0.3, 1.0, 1.0),
+    (1.3, 0.8, 0.7, 0.9, 1.0),
+    (1.0, 1.0, 1.0, 1.0, 2.0),
+])
+def test_dS_dtheta_closed_form_matches_central_differences(m, omega, theta,
+                                                           hbar, kB):
+    h = 1e-5
+    for T in (0.3, 0.7, 1.0, 2.0, 5.0):
+        sp, sm = (thermo.thermo_point(T, _p(theta + s, m, omega, hbar, kB)).S
+                  for s in (h, -h))
+        exact = _dS_dtheta(T, _p(theta, m, omega, hbar, kB))
+        assert (sp - sm) / (2.0 * h) == pytest.approx(exact, rel=1e-6)
+
+
+def test_dS_dtheta_reaches_its_high_temperature_asymptote():
+    # g(x_chi) - g(x_phi) -> (x_phi^2 - x_chi^2) / 3 as T grows, so
+    # dS/dtheta -> kB hbar^2 m^2 omega^4 theta / (12 (kB T)^2)
+    p, T = _p(1.0), 50.0
+    asymptote = (p.kB * p.hbar ** 2 * p.m ** 2 * p.omega ** 4 * p.theta
+                 / (12.0 * (p.kB * T) ** 2))
+    assert float(_dS_dtheta(T, p)) == pytest.approx(asymptote, rel=1e-3)
+
+
+def test_dS_dtheta_is_positive_at_every_temperature():
+    # the paper's low-temperature claim, over five decades of T
+    Ts = np.logspace(-2, 3, 100)
+    slopes = [_dS_dtheta(Ts, _p(theta)) for theta in np.linspace(0.02, 2, 100)]
+    assert np.min(slopes) > 0.0
+
+
 def test_free_energy_sign_and_scaling_in_N():
     a1 = thermo.thermo_point(0.8, _p(0.3), N=1).A
     a5 = thermo.thermo_point(0.8, _p(0.3), N=5).A
