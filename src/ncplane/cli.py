@@ -151,6 +151,15 @@ def _write_json(path: str, obj):
         fh.write("\n")
 
 
+def _reserve(key: str, value, rows: int, what: str, cols: int):
+    """Allocate the untouched output first: numpy refuses an impossible size."""
+    try:
+        np.empty((rows, cols))
+    except (MemoryError, ValueError) as exc:
+        raise MemoryError(f"{key} = {value} asks for {rows} {what}: "
+                          f"{exc}") from None
+
+
 def _out(cfg: RunConfig, name: str) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
@@ -237,6 +246,8 @@ def cmd_classical_symmetries(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     from . import spectra
     p = cfg.nc()
+    _reserve("n_max", cfg.n_max, max(cfg.n_max + 1, 0) * (cfg.n_max + 2) // 2,
+             "levels", 3)
     entries = spectra.spectrum(cfg.n_max, p)
     _write_csv(_out(cfg, "spectrum.csv"), "n,two_j,E",
                *zip(*((e.n, e.two_j, e.E) for e in entries)))
@@ -276,11 +287,10 @@ def cmd_wigner(cfg: RunConfig) -> int:
     from . import spectra, wigner
     p = cfg.nc()
     axes = spectra.momentum_grid(p, cfg.nodes, cfg.radius)
-    psi = spectra.transform(
-        spectra.eigenfunction(cfg.n, cfg.two_j, p, axes).grid(), "xpy", p)
-    W = wigner.QuadratureWigner(psi, p)
+    W = wigner.QuadratureWigner(
+        spectra.eigenfunction(cfg.n, cfg.two_j, p, axes), p)
     stride = max(1, (cfg.nodes - 1) // 64)
-    xs = psi.axis1[::stride]
+    xs = axes[0][::stride]
     pxs = np.linspace(-cfg.radius * p.width / 2, cfg.radius * p.width / 2, 41)
     vals = W.at(xs[:, None], 0.0, pxs[None, :], 0.0)
     _write_csv(_out(cfg, "wigner_slice.csv"), "c1,c2,W",
@@ -293,6 +303,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
         "two_j": cfg.two_j,
         "slice": "W(x, 0, px, 0)",
         "min_W": wmin,
+        "W_origin": W.at(0.0, 0.0, 0.0, 0.0),
         "min_at": {"x": float(xs[kmin[0]]), "px": float(pxs[kmin[1]])},
         "negative_region_found": negative,
     })
@@ -318,6 +329,7 @@ def cmd_thermo_sweep(cfg: RunConfig) -> int:
     nt, nth = _parse_grid(cfg.grid)
     if cfg.tmin <= 0 or cfg.tmax <= cfg.tmin:
         raise ConfigError("need 0 < tmin < tmax")
+    _reserve("grid", cfg.grid, nt * nth, "rows", 8)
     temps = np.linspace(cfg.tmin, cfg.tmax, nt)
     thetas = np.linspace(0.0, cfg.theta_max, nth)
     rows = thermo.entropy_sweep([float(T) for T in temps], cfg.nc(),

@@ -166,40 +166,39 @@ def check_spectrum(seed: int):
 
 @_check("wigner")
 def check_wigner(seed: int):
-    """Quadrature vs closed form, normalization, marginals, purity,
+    """Factor sum vs closed form, normalization, marginals, purity,
     a negative region for the first excited state, and flow stationarity."""
     p = NCParams(m=1.0, omega=1.0, theta=0.3)
     axes = spectra.momentum_grid(p, 65)
-    psi0_p = spectra.eigenfunction(0, 0, p, axes).grid()
-    psi0 = spectra.transform(psi0_p, "xpy", p)
+    psi0 = spectra.eigenfunction(0, 0, p, axes)
     Wq = wigner.QuadratureWigner(psi0, p)
     W0 = wigner.GroundStateWigner(p)
 
-    xa = psi0.axis1[8:-8]
+    xa = axes[0][8:-8]
     slice_err = float(np.max(np.abs(Wq.at(xa, 0.0, 0.37, 0.0)
                                     - W0.at(xa, 0.0, 0.37, 0.0))))
     ya = np.linspace(-3.0, 3.0, 21)
-    x0, py0 = psi0.axis1[32], psi0.axis2[40]
+    x0, py0 = axes[0][32], axes[1][40]
     slice_err = max(slice_err, float(np.max(np.abs(
         Wq.at(x0, ya, -0.8, py0) - W0.at(x0, ya, -0.8, py0)))))
 
     ta = np.linspace(-4.8, 4.8, 41)
-    table_axes = (psi0.axis1, ta, ta, psi0.axis2)
-    # the quadrature rows go straight into the sums: no table is stored
+    table_axes = (axes[0], ta, ta, axes[1])
+    # the factor-sum rows go straight into the sums: no table is stored
     sums = wigner.table_sums(wigner.quadrature_rows(Wq, table_axes),
                              table_axes, p)
     norm_err = abs(sums.integral - 1.0)
     purity_err = abs(sums.purity - 1.0)
-    # each marginal against |psi|^2 in its own basis
+    # each marginal against |psi|^2 in its own basis, by the transforms
+    xpy = spectra.transform(psi0.grid(), "xpy", p)
     marg_err = max(float(np.max(np.abs(
         sums.marginal(psi.basis).values - np.abs(psi.values) ** 2)))
-        for psi in (psi0, spectra.transform(psi0, "ypx", p, axes=(ta, ta)),
-                    spectra.transform(psi0, "p", p, axes=(ta, psi0.axis2))))
+        for psi in (xpy, spectra.transform(xpy, "ypx", p, axes=(ta, ta)),
+                    spectra.transform(xpy, "p", p, axes=(ta, axes[1]))))
 
     # parity: W(0) = -1/(pi hbar)^2 for every n = 1 state, its minimum
-    psi1 = spectra.transform(spectra.eigenfunction(1, 1, p, axes).grid(),
-                             "xpy", p)
-    witness = wigner.QuadratureWigner(psi1, p).at(0.0, 0.0, 0.0, 0.0)
+    witness = wigner.QuadratureWigner(spectra.eigenfunction(1, 1, p, axes),
+                                      p).at(0.0, 0.0, 0.0, 0.0)
 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-3.0, 3.0, size=(50, 4))

@@ -24,6 +24,7 @@ acts on both momentum axes.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -89,6 +90,14 @@ def hermite(n: int, x):
     return h1
 
 
+def hermite_functions(orders, width: float, p) -> np.ndarray:
+    """h_m(P) = H_m(P) e^{-P^2/2}, P = p / width, for m in orders on a new
+    last axis: the eigenstates' factor columns at any momenta p."""
+    P = np.asarray(p, dtype=float) / width
+    return (np.stack([hermite(m, P) for m in orders], -1)
+            * np.exp(-0.5 * P ** 2)[..., None])
+
+
 def momentum_grid(p: NCParams, n_nodes: int = 256, radius: float = 8.0):
     """Square (p_x, p_y) axes spanning radius Gaussian widths sqrt(m hbar w_eff)."""
     ax = uniform_axis(-radius * p.width, radius * p.width, n_nodes)
@@ -97,12 +106,15 @@ def momentum_grid(p: NCParams, n_nodes: int = 256, radius: float = 8.0):
 
 @dataclass(frozen=True)
 class Separable:
-    """psi(p_x, p_y) = sum_k c_k X[:, k] Y[:, k] on the (p_x, p_y) axes."""
+    """psi(p_x, p_y) = sum_k c_k X[:, k] Y[:, k] on the (p_x, p_y) axes;
+    columns, if known, maps each axis's momenta (any shape, on or off the
+    grid) to its factor columns, on a new last axis."""
 
     X: np.ndarray
     Y: np.ndarray
     c: np.ndarray
     axes: tuple
+    columns: tuple | None = None
 
     def grid(self) -> GridFunction:
         return GridFunction(*self.axes, (self.X * self.c) @ self.Y.T, "p")
@@ -129,11 +141,9 @@ def eigenfunction(n: int, two_j: int, p: NCParams, axes=None) -> Separable:
     c = np.convolve([math.comb(a, r) for r in range(a + 1)],
                     [(-1) ** q * math.comb(b, q) for q in range(b + 1)])
     c = c * np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]
-    P = [np.asarray(ax, dtype=float) / p.width for ax in axes]
-    X, Y = (np.stack([hermite(k, Pi) for k in orders], 1)
-            * np.exp(-0.5 * Pi ** 2)[:, None]
-            for Pi, orders in zip(P, (range(n, -1, -1), range(n + 1))))
-    psi = Separable(X, Y, c, axes)
+    cols = tuple(functools.partial(hermite_functions, tuple(orders), p.width)
+                 for orders in (range(n, -1, -1), range(n + 1)))
+    psi = Separable(*(f(ax) for f, ax in zip(cols, axes)), c, axes, cols)
     psi = replace(psi, c=c / math.sqrt(psi.inner(psi).real))
     v = (psi.X * psi.c) @ psi.Y.T
     edge = max(np.abs(e).max() for e in (v[0], v[-1], v[:, 0], v[:, -1]))

@@ -8,14 +8,14 @@ The Wigner transform acts on wave functions in the (x, p_y) basis:
 
 The theta-dependent phase shift makes the y marginal land on the
 commuting combination y - theta px, which is what reproduces |psi|^2 in
-all three mixed bases at once.  Evaluation strategies: exact closed form
-for the (possibly displaced) ground state, trapezoid quadrature of the
-defining integral for grid states, and backward transport along the
-closed-form classical flow for time evolution.  The quadrature stops the
-offsets at |k| <= (nx - 1) // 2, |l| <= (ny - 1) // 2: past that one state
-factor always lies off the grid, so every term left out is an exact zero.
-A table is a plain 4-D array, or the stream of its x-rows that
-quadrature_rows yields, and table_sums is its one reduction.
+all three mixed bases at once.  In the (p_x, p_y) basis the same W is the
+commutative Wigner function at the sheared positions x + theta py/2 and
+y - theta px/2.  Evaluation strategies: exact closed form for the
+(possibly displaced) ground state, trapezoid quadrature over the factors
+of a separable state, and backward transport along the closed-form
+classical flow for time evolution.  A table is a plain 4-D array, or the
+stream of its x-rows that quadrature_rows yields, and table_sums is its
+one reduction.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .duals import Dual
 from .params import CheckFailure, NCParams
 from .dynamics import _start, flow_matrix
 from .grids import GridFunction, trapezoid_weights
-from .spectra import _alias_guard
+from .spectra import AliasingError, Separable
 
 
 class WignerError(ValueError):
@@ -78,126 +78,102 @@ class GroundStateWigner:
 
 
 class QuadratureWigner:
-    """Wigner transform of an (x, p_y) grid state by direct quadrature.
+    """Wigner function of psi = sum_k c_k f_k(p_x) g_k(p_y), a separable
+    state, by trapezoid quadrature over its factors at the sheared
+    positions X = x + theta p_y/2, Y = y - theta p_x/2:
 
-    The state is treated as zero outside its grid (valid when the
-    boundary amplitude is negligible), so W = 0 exactly for any (x, py)
-    off the grid.  At node (i, j) both factors of psi(x - zeta_k, py - eta_l)
-    psi*(x + zeta_k, py + eta_l) lie on the grid only for |k| <= min(i,
-    nx - 1 - i) and |l| <= min(j, ny - 1 - j), so the offsets stop at
-    K = (nx - 1) // 2, L = (ny - 1) // 2: the full sum, not a truncation,
-    since every term left out is zero.  An (x, py) within 1e-9 grid steps
-    of a node is snapped onto it; other off-node requests interpolate the
-    correlation bilinearly between the four surrounding nodes.
-    """
+        W = (pi hbar)^-2 Re sum_kl c_k c_l* w^f_kl(X, p_x) w^g_kl(Y, p_y)
+        w^f_kl(X, p) = h' sum_r f_k(p - zeta_r) f_l*(p + zeta_r) e^{-2i zeta_r X/hbar}
 
-    def __init__(self, psi: GridFunction, params: NCParams):
-        if psi.basis != "xpy":
-            raise WignerError(
-                f"the transform consumes (x, p_y) wave functions, "
-                f"got basis {psi.basis!r}")
-        self.psi = psi
-        self.params = params
-        nx, ny = psi.values.shape
-        self._K, self._L = (nx - 1) // 2, (ny - 1) // 2
-        pad = np.pad(psi.values.astype(complex), ((self._K,), (self._L,)))
-        # win[r, j, l] = pad[r, j + l]: exactly ny windows of 2L+1 columns
-        self._win = np.lib.stride_tricks.sliding_window_view(
-            pad, 2 * self._L + 1, axis=1)
-        self._zeta = np.arange(-self._K, self._K + 1) * psi.step1
-        self._eta = np.arange(-self._L, self._L + 1) * psi.step2
+    with zeta_r = r h', |r| <= s (n - 1) // 2 on an axis of n nodes and
+    step h.  The factors are read at any momentum (Separable.columns), so
+    h' = h / s for the least s with h' <= pi hbar / (2 max|X|) over the
+    request: the sum never aliases.  As w^f_lk = conj(w^f_kl), a pair k <
+    l is summed once and doubled, and W is real when each w_kk is."""
+
+    def __init__(self, psi: Separable, params: NCParams):
+        if getattr(psi, "columns", None) is None:
+            raise WignerError("the factor sum reads the state's factors off "
+                              "its grid; pass a state that knows them")
+        self.psi, self.params = psi, params
         self._pi_hbar2 = _pi_hbar_squared(params.hbar)
-        self._pref = psi.step1 * psi.step2 / self._pi_hbar2
+        k, l = self._pairs = np.triu_indices(len(psi.c))
+        # c_k c_l* w^f w^g is O(1) at every scale: 1/(pi hbar)^2 comes last
+        self._coef = np.where(k == l, 1.0, 2.0) * psi.c[k] * np.conj(psi.c[l])
+        self._diag = np.flatnonzero(k == l)
 
-    def _guard(self, x, y, px, py):
-        """Reject non-finite coordinates and grid steps over half a period
-        of exp{2i[zeta px - eta u]/hbar}; returns u = y - theta px."""
-        for name, v in (("x", x), ("y", y), ("p_x", px), ("p_y", py)):
-            if not np.isfinite(v).all():
-                raise WignerError(f"non-finite {name} in a Wigner query")
-        u, hbar = y - self.params.theta * px, self.params.hbar
-        _alias_guard(self.psi.step1, 2.0 * float(np.abs(px).max(initial=0)),
-                     hbar, "p_x")
-        _alias_guard(self.psi.step2, 2.0 * float(np.abs(u).max(initial=0)),
-                     hbar, "y - theta p_x")
-        return u
+    def _side(self, i, p, q):
+        """(F, zeta) on axis i at momenta p, F[a, m, r] = h' f_k(p_m - zeta_r)
+        f_l*(p_m + zeta_r), h' resolving exp(-2i zeta q/hbar) at all q."""
+        ax, hbar = self.psi.axes[i], self.params.hbar
+        h, reach = float(ax[1] - ax[0]), 2.0 * float(np.abs(q).max(initial=0))
+        s = math.ceil(min(h * reach / (math.pi * hbar), MAX_OFFSETS)) or 1
+        s += reach > 0 and h / s > math.pi * hbar / reach   # ceil's round-off
+        R = s * ((len(ax) - 1) // 2)
+        if 2 * R + 1 > MAX_OFFSETS:
+            raise AliasingError(f"{('X', 'Y')[i]} out to {reach / 2:.3g} needs "
+                                f"{2 * R + 1} momentum offsets, over the "
+                                f"limit {MAX_OFFSETS}")
+        zeta = np.arange(-R, R + 1) * (h / s)
+        f = self.psi.columns[i](np.subtract.outer(p, zeta))   # (m, r, k)
+        # f(p + zeta_r) = f(p - zeta_{-r}): the same samples, r reversed
+        F = f[..., self._pairs[0]] * np.conj(f[:, ::-1, self._pairs[1]])
+        return np.moveaxis(F, -1, 0) * (h / s), zeta
 
-    def _corr(self, i, j, out, r):
-        """M[k, ..., l] = psi(x_i - zeta_k, py_j - eta_l) psi*(x_i + zeta_k,
-        py_j + eta_l) for row i, column(s) j and |k| <= r, written into out;
-        rows holds psi(x_i + zeta_k, py_j + eta_l), its k, l reversal the
-        first factor."""
-        rows = self._win[i + self._K - r:i + self._K + r + 1, j]
-        M = np.conjugate(rows, out=out)
-        return np.multiply(rows[::-1, ..., ::-1], M, out=M)
+    @staticmethod
+    def _kernel(F, phase):
+        """w[a, m, q] = sum_r F[a, m, r] phase[r, q]; a real F reads phase as
+        floats."""
+        if np.isrealobj(F):
+            return (F @ phase.view(float)).view(complex)
+        return F @ phase
 
-    def _phases(self, px, u):
-        """A[a, k] = exp(2i zeta_k px_a/hbar) and
-        F[a, l, b] = exp(-2i eta_l u[a, b]/hbar), u = y - theta px."""
-        hbar = self.params.hbar
-        return (np.exp(2j * np.outer(px, self._zeta) / hbar),
-                np.exp(-2j * (self._eta[:, None] * u[:, None, :]) / hbar))
-
-    def _contract(self, M, A, F):
-        """pref sum_kl A[a, k] M[k, ..., l] F[a, l, ...], zeta sum first.  A
-        table row M[k, j, l] takes the eta sum as a batched matmul; a point's
-        M[k, l] keeps einsum's running sum, the order at has always used."""
-        T = np.tensordot(A, M, axes=(1, 0))
-        S = np.matmul(T, F) if M.ndim == 3 else np.einsum("al,al->a", T, F)
-        return S * self._pref
+    def _points(self, i, p, q):
+        """w[a, n] at momenta p[n], sheared positions q[n], by blocks of points
+        in q order on the grid of their distinct p and q."""
+        up, ip = np.unique(p, return_inverse=True)
+        F, zeta = self._side(i, up, q)
+        w = np.empty((len(F), q.size), dtype=complex)
+        order = np.argsort(q, kind="stable")
+        for b in range(0, q.size, _BLOCK):
+            n = order[b:b + _BLOCK]
+            uq, jq = np.unique(q[n], return_inverse=True)
+            um, jm = np.unique(ip[n], return_inverse=True)
+            phase = np.exp(np.outer((-2j / self.params.hbar) * zeta, uq))
+            w[:, n] = self._kernel(F[:, um], phase)[:, jm, jq]
+        self._check_real(self._imag(w), F)
+        return w
 
     def at(self, x, y, px, py):
         x, y, px, py = np.broadcast_arrays(
             *(np.asarray(v, dtype=float) for v in (x, y, px, py)))
-        shape, u = x.shape, self._guard(x, y, px, py)
-        xf, uf, pxf, pyf = (v.ravel() for v in (x, u, px, py))
-        nx, ny = self.psi.values.shape
-        out = np.zeros(xf.size, dtype=complex)
-        M = np.empty((2 * self._K + 1, 2 * self._L + 1), dtype=complex)
-        C = np.empty_like(M)
-        pairs, memo = {}, (None, None)
-        for n in range(xf.size):
-            pairs.setdefault((xf[n], pyf[n]), []).append(n)
-        for (xq, pyq), idx in pairs.items():
-            fi = _snap((xq - self.psi.axis1[0]) / self.psi.step1)
-            fj = _snap((pyq - self.psi.axis2[0]) / self.psi.step2)
-            if not (0 <= fi <= nx - 1 and 0 <= fj <= ny - 1):
-                continue  # the state vanishes off its grid
-            i, j = math.floor(fi), math.floor(fj)
-            fx, fy = fi - i, fj - j
-            # bilinear in (x, py); a zero weight reads nothing, so an
-            # in-grid query never leaves the padded state
-            M.fill(0.0)
-            for di, wx in ((0, 1 - fx), (1, fx)):
-                for dj, wy in ((0, 1 - fy), (1, fy)):
-                    if wx * wy != 0.0:
-                        self._corr(i + di, j + dj, C, self._K)
-                        C *= wx * wy
-                        M += C
-            # a slice repeats one (px, u) column per pair: reuse the last
-            # phases when its bytes match (so -0.0 and 0.0 differ)
-            key = pxf[idx].tobytes(), uf[idx].tobytes()
-            if key != memo[0]:
-                memo = key, self._phases(pxf[idx], uf[idx][:, None])
-            A, F = memo[1]
-            out[idx] = self._contract(M, A, F[:, :, 0])
-        self._check_real(float(np.abs(out.imag).max(initial=0)),
-                         float(np.abs(out.real).max(initial=0)))
-        return out.real.reshape(shape) if shape else float(out[0].real)
+        _finite(x=x, y=y, p_x=px, p_y=py)
+        th = self.params.theta
+        wf = self._points(0, px.ravel(), (x + 0.5 * th * py).ravel())
+        wg = self._points(1, py.ravel(), (y - 0.5 * th * px).ravel())
+        out = (self._coef @ (wf * wg)).real / self._pi_hbar2
+        return out.reshape(x.shape) if x.shape else float(out[0])
 
-    def _check_real(self, worst_imag: float, worst_real: float) -> None:
-        """W is real up to round-off, or the quadrature itself is wrong;
-        takes running maxima of |Im W| and |Re W|, the latter the scale."""
-        scale = max(worst_real, 1.0 / self._pi_hbar2)
+    def _imag(self, w) -> float:    # max|Im w_kk|
+        return float(np.abs(w[self._diag].imag).max(initial=0))
+
+    def _check_real(self, worst_imag: float, F) -> None:
+        """Each w_kk is real up to round-off, against its largest sum of
+        |terms| in F, or the factor sum itself is wrong."""
+        scale = float(np.abs(F[self._diag]).sum(-1).max(initial=0))
         if worst_imag > 1e-10 * scale:
             raise CheckFailure(f"transform lost realness: imaginary part "
                                f"{worst_imag:.3e} against scale {scale:.3e}")
 
 
-def _snap(f: float) -> float:
-    """A fractional grid index, rounded onto a node within 1e-9 of it."""
-    r = round(f)
-    return r if abs(f - r) < 1e-9 else f
+MAX_OFFSETS = 4096  # per axis; past it a query is hundreds of widths out
+_BLOCK = 64         # points per block of a pointwise query
+
+
+def _finite(**coords):
+    for name, v in coords.items():
+        if not np.isfinite(v).all():
+            raise WignerError(f"non-finite {name} in a Wigner query")
 
 
 class EvolvedWigner:
@@ -273,8 +249,8 @@ def table_sums(rows, axes, p: NCParams) -> TableSums:
 
 def wigner_table(W, axes) -> np.ndarray:
     """W sampled on the (x, y, px, py) product grid of axes, a 4-D array: a
-    grid state stores the rows of quadrature_rows, a closed-form evaluator
-    accepts any axes."""
+    factor sum stores the rows of quadrature_rows, a closed-form evaluator
+    its values on the broadcast grid."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     shape = _shape(axes)
     if isinstance(W, QuadratureWigner):
@@ -287,26 +263,28 @@ def wigner_table(W, axes) -> np.ndarray:
 
 
 def quadrature_rows(W: QuadratureWigner, axes):
-    """Yield the x-rows R_i[y, px, py] of W's table on axes (x and py those
-    of the state grid), each a fresh array.  Row x_i sums the correlation
-    psi(x - zeta_k, py - eta_l) psi*(x + zeta_k, py + eta_l) only over |k|
-    <= min(i, nx - 1 - i), where both factors lie on the grid (the rest are
-    exact zeros); the realness check reads running maxima of |Im S| and
-    |Re S| kept per row and runs after the last row."""
-    psi = W.psi
-    xa, ya, pxa, pya = axes
-    if not np.array_equal(xa, psi.axis1) or not np.array_equal(pya, psi.axis2):
-        raise WignerError(
-            "table axes 0 and 3 must coincide with the state grid")
-    A, F = W._phases(pxa, W._guard(xa, ya[None, :], pxa[:, None], pya))
-    (nx, ny), K = psi.values.shape, W._K
-    M = np.empty((2 * K + 1, ny, 2 * W._L + 1), dtype=complex)
-    worst_imag = worst_real = 0.0
-    for i in range(nx):
-        r = min(i, nx - 1 - i)      # the rest of the zeta lattice reads zeros
-        S = W._contract(W._corr(i, slice(None), M[:2 * r + 1], r),
-                        A[:, K - r:K + r + 1], F)            # (na, ny, nb)
-        worst_imag = max(worst_imag, float(np.abs(S.imag).max(initial=0)))
-        worst_real = max(worst_real, float(np.abs(S.real).max(initial=0)))
-        yield np.ascontiguousarray(np.transpose(S.real, (2, 0, 1)))
-    W._check_real(worst_imag, worst_real)
+    """Yield the x-rows R_i[y, px, py] of W's table on any axes, fresh
+    arrays: w^g[a, y, px, py] once, then per row w^f[a, px, py] in one
+    matmul; the realness check reads running maxima after the last row."""
+    xa, ya, pxa, pya = (np.asarray(a, dtype=float) for a in axes)
+    _finite(x=xa, y=ya, p_x=pxa, p_y=pya)
+    th, hbar = W.params.theta, W.params.hbar
+    Ff, zf = W._side(0, pxa, np.add.outer(xa, 0.5 * th * pya))
+    Fg, zg = W._side(1, pya, np.subtract.outer(ya, 0.5 * th * pxa))
+    # exp(-2i zeta Y/hbar) = exp(-2i zeta y/hbar) exp(i theta zeta px/hbar)
+    phase = (np.exp(np.outer((-2j / hbar) * zg, ya))[:, :, None]
+             * np.exp(np.outer((1j * th / hbar) * zg, pxa))[:, None, :])
+    wg = W._kernel(Fg, phase.reshape(zg.size, -1))      # (a, py, y px)
+    W._check_real(W._imag(wg), Fg)
+    wg = np.moveaxis(wg.reshape(len(Fg), pya.size, ya.size, pxa.size), 1, -1)
+    # Re(v w) = Re v Re w - Im v Im w: the pairs' real parts, stacked
+    G = np.concatenate([wg.real, -wg.imag]) / W._pi_hbar2
+    # exp(-2i zeta X/hbar) = exp(-2i zeta x_i/hbar) exp(-i theta zeta py/hbar)
+    half = np.exp(np.outer((-1j * th / hbar) * zf, pya))       # (r, py)
+    worst = 0.0
+    for x in xa:
+        wf = W._kernel(Ff, np.exp((-2j / hbar) * x * zf)[:, None] * half)
+        worst = max(worst, W._imag(wf))
+        wf *= W._coef[:, None, None]
+        yield np.einsum("aypq,apq->ypq", G, np.concatenate([wf.real, wf.imag]))
+    W._check_real(worst, Ff)

@@ -61,14 +61,16 @@ MUTANTS = [
     ("params-b-sign", _PAR, "return self.hbar * self.lam / 2.0",
      "return -self.hbar * self.lam / 2.0"),
     ("hermite-argument-width-squared", _SPE,
-     "np.asarray(ax, dtype=float) / p.width for ax in axes",
-     "np.asarray(ax, dtype=float) / p.width ** 2 for ax in axes"),
+     "P = np.asarray(p, dtype=float) / width",
+     "P = np.asarray(p, dtype=float) / width ** 2"),
     ("H-unit-drops-omega", _SPE, "Separable(p.hbar * p.omega * U,",
      "Separable(p.hbar * U,"),
     # the shear y -> y - theta p_x and the Wigner normalization
     ("quadrature-guard-shear-sign", _WIG,
-     "u, hbar = y - self.params.theta * px",
-     "u, hbar = y + self.params.theta * px"),
+     "np.subtract.outer(ya, 0.5 * th * pxa)",
+     "np.add.outer(ya, 0.5 * th * pxa)"),
+    ("factor-shear-X-sign", _WIG, "(x + 0.5 * th * py).ravel()",
+     "(x - 0.5 * th * py).ravel()"),
     ("ground-state-shear-sign", _WIG, "(y - 0.5 * p.theta * px) ** 2",
      "(y + 0.5 * p.theta * px) ** 2"),
     ("xpy-shear-sign", _SPE, '"xpy": (0, 1.0)', '"xpy": (0, -1.0)'),

@@ -352,12 +352,10 @@ def test_thermo_check_failure_exits_one(tmp_path, capsys, monkeypatch,
 
 
 def test_wigner_realness_failure_exits_one(tmp_path, capsys, monkeypatch):
-    corr = wigner.QuadratureWigner._corr
-
-    def tilted(self, i, j, out, r):
-        return np.multiply(corr(self, i, j, out, r), 1j, out=out)
-
-    monkeypatch.setattr(wigner.QuadratureWigner, "_corr", tilted)
+    # the cross-Wigner kernels turned by a quarter period: w_kk is imaginary
+    kernel = wigner.QuadratureWigner._kernel
+    monkeypatch.setattr(wigner.QuadratureWigner, "_kernel",
+                        staticmethod(lambda F, phase: 1j * kernel(F, phase)))
     rc = cli.main(["wigner", "--n", "0", "--two-j", "0", "--nodes", "65",
                    "--out-dir", str(tmp_path)])
     assert rc == 1
@@ -630,6 +628,15 @@ def test_memory_error_without_a_message_exits_two(tmp_path, capsys,
        "array with shape (1000000, 1000000) and data type complex128: the "
        "result is too large to allocate")
       for command in ("eigenfunction", "wigner")),
+    # these grew Python lists row by row until memory ran out
+    ("spectrum --n-max 100000000", "n_max = 100000000 asks for "
+     "5000000150000001 levels: Unable to allocate 107. PiB for an array "
+     "with shape (5000000150000001, 3) and data type float64: the result "
+     "is too large to allocate"),
+    ("thermo sweep --grid 100000000x100000000", "grid = 100000000x100000000 "
+     "asks for 10000000000000000 rows: Unable to allocate 568. PiB for an "
+     "array with shape (10000000000000000, 8) and data type float64: the "
+     "result is too large to allocate"),
 ])
 def test_scale_beyond_the_float_range_exits_two_naming_it(tmp_path, capsys,
                                                          argv, message):
@@ -672,6 +679,10 @@ def test_wigner_readme_line_at_default_nodes(tmp_path, capsys):
                       skiprows=1)
     assert rows.shape == (86 * 41, 3)
     assert np.abs(rows[:, 2]).max() <= 1.0 / math.pi ** 2
+    # no x node lies at 0, so the slice's minimum misses the parity value
+    # that W_origin reports
+    assert rep["W_origin"] == pytest.approx(-1.0 / math.pi ** 2, rel=1e-13)
+    assert rep["W_origin"] < rep["min_W"] < 0.98 * rep["W_origin"]
 
 
 def test_wigner_ground_state_stays_positive(tmp_path, capsys):
@@ -793,7 +804,7 @@ def _grid_rows(a, b, values):
 
 def test_csv_row_layout_of_every_command(tmp_path, capsys):
     # 33 nodes fail the eigenfunction residual gate (exit 1) but write the
-    # CSV; the Wigner transform needs 65 to pass its alias guard
+    # CSV
     for argv, rc in ((["eigenfunction", "--nodes", "33"], 1),
                      (["wigner", "--nodes", "65"], 0), (["spectrum"], 0),
                      (["thermo", "sweep", "--grid", "5x4"], 0),
@@ -806,12 +817,10 @@ def test_csv_row_layout_of_every_command(tmp_path, capsys):
         *axes, lambda i, j: (psi[i, j].real, psi[i, j].imag)))}
 
     axes = spectra.momentum_grid(p, 65, 8.0)
-    phi = spectra.transform(spectra.eigenfunction(0, 0, p, axes).grid(),
-                            "xpy", p)
-    xs = phi.axis1
+    xs = axes[0]
     pxs = np.linspace(-4.0 * p.width, 4.0 * p.width, 41)
-    W = wigner.QuadratureWigner(phi, p).at(xs[:, None], 0.0, pxs[None, :],
-                                           0.0)
+    W = wigner.QuadratureWigner(spectra.eigenfunction(0, 0, p, axes), p).at(
+        xs[:, None], 0.0, pxs[None, :], 0.0)
     expected["wigner_slice.csv"] = _oracle_csv(
         "c1,c2,W", _grid_rows(xs, pxs, lambda i, j: (W[i, j],)))
 

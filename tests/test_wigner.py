@@ -1,10 +1,12 @@
-"""Wigner transform, tables, mixed-state tables, and Liouville transport.
+"""Wigner functions: the factor sum, tables, mixed-state tables, and
+Liouville transport.
 
-The quadrature evaluator is checked against the closed Gaussian form,
-marginals against |psi|^2 in all three bases (computed by the basis
-transforms, an independent code path), overlaps of two tables (a plain
-trapezoid sum here) against wave-function inner products, and the
-evolution against the deformed bracket.
+The factor sum is checked against the closed Gaussian form, against the
+(x, p_y) quadrature it replaced (kept here as an oracle), and against the
+parity value at the origin; marginals against |psi|^2 in all three bases
+(computed by the basis transforms, an independent code path), overlaps of
+two tables (a plain trapezoid sum here) against wave-function inner
+products, and the evolution against the deformed bracket.
 """
 
 import cmath
@@ -18,14 +20,16 @@ from ncplane import selftest, wigner
 from ncplane.params import CheckFailure, NCParams
 from ncplane.phasespace import PhasePoint, ScalarField, bracket_field
 from ncplane.dynamics import flow_matrix, oscillator_hamiltonian
-from ncplane.grids import GridFunction, trapezoid_weights, uniform_axis
+from ncplane.grids import trapezoid_weights, uniform_axis
 from ncplane.spectra import (
     AliasingError,
+    Separable,
     eigenfunction,
     momentum_grid,
     transform,
 )
 from ncplane.wigner import (
+    MAX_OFFSETS,
     EvolvedWigner,
     GroundStateWigner,
     QuadratureWigner,
@@ -38,40 +42,39 @@ from ncplane.wigner import (
 )
 
 P = NCParams(m=1.0, omega=1.0, theta=0.3)
-
-
-def _like(g, values):
-    """A grid function with g's axes and basis and new values."""
-    return GridFunction(g.axis1, g.axis2, values, g.basis)
 P_FREE = NCParams(m=1.0, omega=0.0, theta=0.3)     # the free flow
+SCALE = 1.0 / (math.pi * P.hbar) ** 2
 
 
 @pytest.fixture(scope="module")
-def ground_xpy():
-    psi_p = eigenfunction(0, 0, P, momentum_grid(P, 65, 8.0)).grid()
-    return transform(psi_p, "xpy", P)
+def ground():
+    return eigenfunction(0, 0, P, momentum_grid(P, 65, 8.0))
 
 
 @pytest.fixture(scope="module")
-def excited_xpy():
-    psi_p = eigenfunction(1, 1, P, momentum_grid(P, 65, 8.0)).grid()
-    return transform(psi_p, "xpy", P)
+def excited():
+    return eigenfunction(1, 1, P, momentum_grid(P, 65, 8.0))
 
 
 @pytest.fixture(scope="module")
-def table_axes(ground_xpy):
+def ground_xpy(ground):
+    return transform(ground.grid(), "xpy", P)
+
+
+@pytest.fixture(scope="module")
+def table_axes(ground):
     side = uniform_axis(-4.8, 4.8, 41)
-    return (ground_xpy.axis1, side, side.copy(), ground_xpy.axis2)
+    return (ground.axes[0], side, side.copy(), ground.axes[1])
 
 
 @pytest.fixture(scope="module")
-def ground_table(ground_xpy, table_axes):
-    return wigner_table(QuadratureWigner(ground_xpy, P), table_axes)
+def ground_table(ground, table_axes):
+    return wigner_table(QuadratureWigner(ground, P), table_axes)
 
 
 @pytest.fixture(scope="module")
-def excited_table(excited_xpy, table_axes):
-    return wigner_table(QuadratureWigner(excited_xpy, P), table_axes)
+def excited_table(excited, table_axes):
+    return wigner_table(QuadratureWigner(excited, P), table_axes)
 
 
 def integrate(values, axes):
@@ -85,18 +88,31 @@ def overlap(a, b, axes):
     return (2.0 * math.pi * P.hbar) ** 2 * integrate(a * b, axes)
 
 
-def _displaced_gaussian(psi0, d, p):
-    """Ground state displaced by d = (x, y, px, py) in phase space."""
-    a, al, b = d[0], d[2], d[3]
-    be = p.theta * d[2] - d[1]
-    weff = p.w_eff
-    s2 = p.m * p.hbar * weff
-    X, PY = np.meshgrid(psi0.axis1, psi0.axis2, indexing="ij")
-    U = (X - a) + 0.5 * p.theta * (PY - b)
-    base = ((s2 / (math.pi * p.hbar**2)) ** 0.25
-            * np.exp(-U**2 * s2 / (2 * p.hbar**2))
-            * np.exp(-(PY - b)**2 / (2 * s2)) / (math.pi * s2) ** 0.25)
-    return _like(psi0, base * np.exp(1j * (al * X + be * PY) / p.hbar))
+def _superpose(a, b, weight):
+    """a + weight b as one separable state: the columns of both, side by
+    side (not renormalized)."""
+    cols = tuple(lambda p, fa=fa, fb=fb: np.concatenate([fa(p), fb(p)], -1)
+                 for fa, fb in zip(a.columns, b.columns))
+    return Separable(np.hstack([a.X, b.X]), np.hstack([a.Y, b.Y]),
+                     np.concatenate([a.c, weight * b.c]), a.axes, cols)
+
+
+def _displaced_gaussian(axes, d, p):
+    """The ground state displaced by d = (x, y, px, py) in phase space, so
+    that its Wigner function is W0(z - d).  In (p_x, p_y) it is a product
+    of Gaussians about (px, py), each carrying the phase exp(-i q0 p/hbar)
+    of its sheared position q0: X0 = x + theta py/2, Y0 = y - theta px/2.
+    Its factors are complex."""
+    shifts = ((d[2], d[0] + 0.5 * p.theta * d[3]),
+              (d[3], d[1] - 0.5 * p.theta * d[2]))
+    cols = tuple(
+        lambda q, p0=p0, q0=q0: np.exp(-0.5 * ((q - p0) / p.width) ** 2
+                                       - 1j * q0 * q / p.hbar)[..., None]
+        for p0, q0 in shifts)
+    psi = Separable(cols[0](axes[0]), cols[1](axes[1]), np.ones(1), axes,
+                    cols)
+    return Separable(psi.X, psi.Y, psi.c / math.sqrt(psi.inner(psi).real),
+                     axes, cols)
 
 
 def test_ground_state_peak_literal():
@@ -105,283 +121,244 @@ def test_ground_state_peak_literal():
         1.0 / (math.pi * P.hbar) ** 2, rel=1e-15)
 
 
-def test_quadrature_matches_closed_form_on_slices(ground_xpy):
-    Wq = QuadratureWigner(ground_xpy, P)
+def test_quadrature_matches_closed_form_on_slices(ground):
+    Wq = QuadratureWigner(ground, P)
     Wc = wigner_ground_state(P)
     pxs = np.linspace(-2.5, 2.5, 41)
-    X, PX = np.meshgrid(ground_xpy.axis1, pxs, indexing="ij")
-    assert np.abs(Wq.at(X, 0.0, PX, 0.0) - Wc.at(X, 0.0, PX, 0.0)).max() < 1e-8
+    X, PX = np.meshgrid(ground.axes[0], pxs, indexing="ij")
+    assert np.abs(Wq.at(X, 0.0, PX, 0.0)
+                  - Wc.at(X, 0.0, PX, 0.0)).max() < 1e-13 * SCALE
     ys = np.linspace(-2.0, 2.0, 31)
-    Y, PY = np.meshgrid(ys, ground_xpy.axis2, indexing="ij")
-    x0 = ground_xpy.axis1[32]
-    assert np.abs(Wq.at(x0, Y, 0.37, PY) - Wc.at(x0, Y, 0.37, PY)).max() < 1e-8
+    Y, PY = np.meshgrid(ys, ground.axes[1], indexing="ij")
+    x0 = ground.axes[0][32]
+    assert np.abs(Wq.at(x0, Y, 0.37, PY)
+                  - Wc.at(x0, Y, 0.37, PY)).max() < 1e-13 * SCALE
 
 
 def test_table_matches_pointwise_quadrature_without_reflection_symmetry():
-    # a parity mix with a momentum kick: psi(-x, -py) is no multiple of
-    # psi(x, py), so a reversed or shifted correlation window shows here
+    # a parity mix with a complex weight: W(-z) is no multiple of W(z), so
+    # a reversed or conjugated pair shows here
     pgrid = momentum_grid(P, 33, 8.0)
-    mix = eigenfunction(2, 2, P, pgrid).grid()
-    mix = _like(mix, mix.values
-                + 0.5 * eigenfunction(1, 1, P, pgrid).grid().values)
-    psi = transform(mix, "xpy", P,
-                    axes=(uniform_axis(-4.5, 4.5, 33), mix.axis2))
-    psi = _like(psi, psi.values
-                * np.exp(0.9j * psi.axis1[:, None] / P.hbar))
-    Wq = QuadratureWigner(psi, P)
-    axes = (psi.axis1, uniform_axis(-1.5, 1.2, 4), uniform_axis(-0.8, 1.1, 3),
-            psi.axis2)
+    mix = _superpose(eigenfunction(2, 2, P, pgrid),
+                     eigenfunction(1, 1, P, pgrid), 0.5 * cmath.exp(0.7j))
+    Wq = QuadratureWigner(mix, P)
+    axes = (uniform_axis(-4.5, 4.5, 33), uniform_axis(-1.5, 1.2, 4),
+            uniform_axis(-0.8, 1.1, 3), pgrid[1])
     tab = wigner_table(Wq, axes)
     pointwise = Wq.at(*np.meshgrid(*axes, indexing="ij"))
-    scale = 1.0 / (math.pi * P.hbar) ** 2
-    assert np.abs(tab).max() > 0.1 * scale
-    assert np.abs(tab - pointwise).max() < 1e-12 * scale
-
-
-def _excited_state(nodes):
-    psi_p = eigenfunction(1, 1, P, momentum_grid(P, nodes, 8.0)).grid()
-    return transform(psi_p, "xpy", P)
+    assert np.abs(tab).max() > 0.1 * SCALE
+    assert np.abs(tab - pointwise).max() < 1e-12 * SCALE
+    flipped = Wq.at(*(-z for z in np.meshgrid(*axes, indexing="ij")))
+    assert np.abs(tab - flipped).max() > 0.01 * SCALE
 
 
 def test_readme_slice_reaches_the_last_x_node():
-    # 256 nodes put py = 0 halfway between nodes: the README's own query
-    psi = _excited_state(256)
+    # the README's state and grid: 256 nodes, none at p_y = 0
+    psi = eigenfunction(1, 1, P, momentum_grid(P, 256, 8.0))
     Wq = QuadratureWigner(psi, P)
-    vals = Wq.at(psi.axis1[-1], 0.0, np.linspace(-2.5, 2.5, 41), 0.0)
+    vals = Wq.at(psi.axes[0][-1], 0.0, np.linspace(-2.5, 2.5, 41), 0.0)
     assert np.all(np.isfinite(vals))
-    assert np.abs(vals).max() <= 1.0 / (math.pi * P.hbar) ** 2
+    assert np.abs(vals).max() <= SCALE
 
 
-def test_readme_slice_computes_its_phases_once(monkeypatch):
-    # the `wigner` command's slice on 65 nodes: every x node, 41 p_x
-    psi = _excited_state(65)
-    Wq = QuadratureWigner(psi, P)
-    xs, pxs = psi.axis1, np.linspace(-4.0 * P.width, 4.0 * P.width, 41)
-    phases, calls = QuadratureWigner._phases, []
+def test_readme_ground_slice_matches_the_closed_form():
+    # the `wigner` command's slice on its default 256 nodes; the (x, p_y)
+    # quadrature interpolated between p_y nodes here and missed by 1.0e-4
+    axes = momentum_grid(P, 256, 8.0)
+    xs = axes[0][::3]
+    pxs = np.linspace(-4.0 * P.width, 4.0 * P.width, 41)
+    got = QuadratureWigner(eigenfunction(0, 0, P, axes), P).at(
+        xs[:, None], 0.0, pxs[None, :], 0.0)
+    expect = GroundStateWigner(P).at(xs[:, None], 0.0, pxs[None, :], 0.0)
+    assert np.abs(got - expect).max() < 1e-13
 
-    def counted(self, px, u):
-        calls.append(px.size)
-        return phases(self, px, u)
 
-    monkeypatch.setattr(QuadratureWigner, "_phases", counted)
-    vals = Wq.at(xs[:, None], 0.0, pxs[None, :], 0.0)
-    assert calls == [41]
-    # one query per pair rebuilds the phases each time, to the same bits
-    loop = np.array([Wq.at(x, 0.0, pxs, 0.0) for x in xs])
-    assert len(calls) == 1 + xs.size
-    assert np.array_equal(vals, loop)
-    # -0.0 and 0.0 columns hold different bytes: no reuse across them
-    del calls[:]
-    Wq.at(xs[:2, None], 0.0, np.array([[0.0], [-0.0]]), 0.0)
-    assert calls == [1, 1]
+@pytest.mark.parametrize("nodes", [65, 256])
+@pytest.mark.parametrize("p", [P, NCParams(m=1.3, omega=0.8, theta=0.7,
+                                           hbar=0.9)])
+def test_parity_value_at_the_origin(nodes, p):
+    # W(0) = (-1)^n / (pi hbar)^2 for every level: a node at 0 on 65 nodes,
+    # none on 256
+    axes = momentum_grid(p, nodes, 8.0)
+    for n, two_j in ((1, 1), (1, -1), (2, 0), (3, 1)):
+        W = QuadratureWigner(eigenfunction(n, two_j, p, axes), p)
+        w0 = W.at(0.0, 0.0, 0.0, 0.0) * (math.pi * p.hbar) ** 2
+        assert w0 == pytest.approx((-1) ** n, rel=1e-13), (n, two_j)
 
 
 def test_pointwise_matches_table_at_every_x_node_of_64():
-    # on 64 nodes (x - x_0)/h lands just below the node index at 60 of
-    # the 64 x nodes; each must snap onto its node
-    psi = _excited_state(64)
+    psi = eigenfunction(1, 1, P, momentum_grid(P, 64, 8.0))
     Wq = QuadratureWigner(psi, P)
-    axes = (psi.axis1, uniform_axis(-1.0, 1.0, 3), uniform_axis(-0.9, 0.6, 3),
-            psi.axis2)
+    axes = (psi.axes[0], uniform_axis(-1.0, 1.0, 3),
+            uniform_axis(-0.9, 0.6, 3), psi.axes[1])
     tab = wigner_table(Wq, axes)
     cols = np.arange(0, 64, 9)
     X, Y, PX, PY = np.meshgrid(axes[0], axes[1], axes[2], axes[3][cols],
                                indexing="ij")
-    scale = 1.0 / (math.pi * P.hbar) ** 2
-    assert np.abs(tab).max() > 0.1 * scale
-    assert np.abs(Wq.at(X, Y, PX, PY) - tab[..., cols]).max() \
-        < 1e-12 * scale
+    assert np.abs(tab).max() > 0.1 * SCALE
+    assert np.abs(Wq.at(X, Y, PX, PY) - tab[..., cols]).max() < 1e-12 * SCALE
 
 
-def test_pointwise_vanishes_off_the_state_grid(excited_xpy):
-    Wq = QuadratureWigner(excited_xpy, P)
-    x, py = excited_xpy.axis1, excited_xpy.axis2
-    assert Wq.at(x[-1] + 1.0, 0.0, 0.1, py[3]) == 0.0
-    assert Wq.at(x[5], 0.0, 0.1, py[-1] + 0.5 * excited_xpy.step2) == 0.0
-    assert Wq.at(x[0] - 0.3, 0.2, -0.1, py[7]) == 0.0
-    assert Wq.at(x[9], 0.2, -0.1, py[0] - 2.0) == 0.0
-    # in- and off-grid queries mix in one call
-    vals = Wq.at(np.array([x[-1] + 1.0, 0.0]), 0.0, 0.0, 0.0)
-    assert vals[0] == 0.0
-    assert vals[1] == pytest.approx(-1.0 / (math.pi * P.hbar) ** 2, rel=1e-8)
+def test_pointwise_reads_the_factors_off_the_grid(excited):
+    # queries between the momentum nodes and beyond the grid's span are
+    # exact: the factors are Hermite functions, read at any momentum, so
+    # grids of 65 and 64 nodes, which share no interior node, agree
+    pts = np.random.default_rng(8).uniform(-2.0, 2.0, (4, 30))
+    W64 = QuadratureWigner(eigenfunction(1, 1, P, momentum_grid(P, 64, 8.0)),
+                           P)
+    assert np.abs(QuadratureWigner(excited, P).at(*pts)
+                  - W64.at(*pts)).max() < 1e-13 * SCALE
+    W0 = QuadratureWigner(eigenfunction(0, 0, P, momentum_grid(P, 64, 8.0)),
+                          P)
+    h = W0.psi.axes[0][1] - W0.psi.axes[0][0]
+    q = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.61 * h, -0.37 * h],
+                  [9.5, 0.1, -0.2, 0.4], [0.2, 0.3, 8.3, -0.1],
+                  [-0.4, 0.2, 0.5, -8.4]]).T
+    assert np.abs(W0.at(*q) - GroundStateWigner(P).at(*q)).max() \
+        < 1e-13 * SCALE
 
 
-def _oracle(psi, x, y, px, py):
-    """Trapezoid double sum of the defining integral, term by term.
+def _quadrature_oracle(psi, p, i, y, px, j):
+    """The (x, p_y) quadrature this package used before the factor sum, at
+    the node (x_i, p_y[j]) of the (x, p_y) state psi: the trapezoid double
+    sum of
 
-    The state product psi(x' - zeta, py' - eta) psi*(x' + zeta, py' + eta)
-    is read at the four (x', py') nodes around the query, zero off the
-    grid, and weighted bilinearly.
-    """
+        W = (pi hbar)^-2 integral dzeta deta
+            exp{2i [zeta px - eta (y - theta px)] / hbar}
+            psi(x - zeta, py - eta) psi*(x + zeta, py + eta)
+
+    over the node offsets, zero off the grid (|k| <= (nx - 1) // 2 and |l|
+    <= (ny - 1) // 2 hold every term that is not)."""
     nx, ny = psi.values.shape
-    h1, h2 = psi.step1, psi.step2
-    fi = (x - psi.axis1[0]) / h1
-    fj = (py - psi.axis2[0]) / h2
-    i, j = int(math.floor(fi + 1e-9)), int(math.floor(fj + 1e-9))
-    fx, fy = max(fi - i, 0.0), max(fj - j, 0.0)
-    corners = [(i, j, (1 - fx) * (1 - fy)), (i + 1, j, fx * (1 - fy)),
-               (i, j + 1, (1 - fx) * fy), (i + 1, j + 1, fx * fy)]
-
-    def amp(a, b):
-        inside = 0 <= a < nx and 0 <= b < ny
-        return complex(psi.values[a, b]) if inside else 0j
-
-    total = 0j
-    for k in range(-(nx - 1), nx):
-        wk = 0.5 if abs(k) == nx - 1 else 1.0
-        for l in range(-(ny - 1), ny):
-            wl = 0.5 if abs(l) == ny - 1 else 1.0
-            prod = sum(w * amp(a - k, b - l) * amp(a + k, b + l).conjugate()
-                       for a, b, w in corners)
-            phase = cmath.exp(2j * (k * h1 * px - l * h2 * (y - P.theta * px))
-                              / P.hbar)
-            total += wk * wl * phase * prod
-    total *= h1 * h2 / (math.pi * P.hbar) ** 2
-    assert abs(total.imag) < 1e-14 / P.hbar ** 2
-    return total.real
+    K, L = (nx - 1) // 2, (ny - 1) // 2
+    pad = np.pad(psi.values, ((K, K), (L, L)))
+    block = pad[i:i + 2 * K + 1, j:j + 2 * L + 1]   # psi(x + zeta, py + eta)
+    M = block[::-1, ::-1] * block.conj()
+    zeta = np.arange(-K, K + 1) * psi.step1
+    eta = np.arange(-L, L + 1) * psi.step2
+    S = (np.exp(2j * zeta * px / p.hbar) @ M
+         @ np.exp(-2j * eta * (y - p.theta * px) / p.hbar))
+    W = psi.step1 * psi.step2 * S / (math.pi * p.hbar) ** 2
+    assert abs(W.imag) < 1e-14 / p.hbar ** 2
+    return W.real
 
 
-@pytest.fixture(scope="module")
-def kicked_mix():
-    """A 19 x 17 parity mix with a momentum kick: it has no reflection
-    symmetry, so a reversed or shifted correlation window shows."""
-    pgrid = momentum_grid(P, 33, 8.0)
-    mix = eigenfunction(2, 2, P, pgrid).grid()
-    mix = _like(mix, mix.values
-                + 0.5 * eigenfunction(1, 1, P, pgrid).grid().values)
-    psi = transform(mix, "xpy", P,
-                    axes=(uniform_axis(-3.6, 3.6, 19), mix.axis2))
-    return GridFunction(psi.axis1, psi.axis2[::2],
-                        psi.values[:, ::2]
-                        * np.exp(0.9j * psi.axis1[:, None] / P.hbar), "xpy")
+def test_pointwise_matches_term_by_term_oracle():
+    # every level n <= 3 at three parameter sets, at points whose x, p_x
+    # and p_y are grid nodes and whose y is not
+    rng = np.random.default_rng(3)
+    for p in (P, NCParams(m=1.3, omega=0.8, theta=0.7, hbar=0.9),
+              NCParams(m=1.0, omega=1.0, theta=-0.4)):
+        axes = momentum_grid(p, 65, 8.0)
+        scale = 1.0 / (math.pi * p.hbar) ** 2
+        for n in range(4):
+            for two_j in range(-n, n + 1, 2):
+                psi = eigenfunction(n, two_j, p, axes)
+                xpy = transform(psi.grid(), "xpy", p)
+                i, k, j = rng.integers(24, 41, (3, 6))
+                y = rng.uniform(-1.5, 1.5, 6)
+                got = QuadratureWigner(psi, p).at(xpy.axis1[i], y,
+                                                  axes[0][k], xpy.axis2[j])
+                expect = [_quadrature_oracle(xpy, p, *q)
+                          for q in zip(i, y, axes[0][k], j)]
+                assert np.abs(expect).max() > 1e-3 * scale
+                assert np.abs(got - expect).max() < 1e-12 * scale, (n, two_j)
 
 
-def test_pointwise_matches_term_by_term_oracle(kicked_mix):
-    psi = kicked_mix
-    Wq = QuadratureWigner(psi, P)
-    h1, h2 = psi.step1, psi.step2
-    queries = [(psi.axis1[9], 0.3, 0.4, psi.axis2[8]),
-               (psi.axis1[7], -0.6, 0.9, psi.axis2[10]),
-               (psi.axis1[0], 0.1, -0.2, psi.axis2[16]),
-               (psi.axis1[8] + 0.37 * h1, -0.2, 0.5, psi.axis2[9]),
-               (psi.axis1[11], 0.7, -0.3, psi.axis2[6] + 0.61 * h2),
-               (psi.axis1[6] + 0.25 * h1, 0.0, 0.8, psi.axis2[12] + 0.8 * h2),
-               (psi.axis1[17] + 0.5 * h1, 0.4, 0.2, psi.axis2[15] + 0.3 * h2)]
-    scale = 1.0 / (math.pi * P.hbar) ** 2
-    got = Wq.at(*np.array(queries).T)
-    expect = np.array([_oracle(psi, *q) for q in queries])
-    assert np.abs(expect).max() > 0.1 * scale
-    assert np.abs(got - expect).max() < 1e-13 * scale
-
-
-def test_queries_within_tolerance_snap_onto_edge_nodes():
-    # a state that is large on its edges: a query 1e-10 steps outside an
-    # edge node must read that node, not the zero beyond the grid
-    rng = np.random.default_rng(4)
-    vals = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
-    psi = GridFunction(uniform_axis(-2.0, 2.0, 9), uniform_axis(-1.5, 1.5, 7),
-                       vals, "xpy")
-    Wq = QuadratureWigner(psi, P)
-    x, py, h1, h2 = psi.axis1, psi.axis2, psi.step1, psi.step2
-    for xn, pyn, dx, dpy in ((x[-1], py[2], 1e-10 * h1, 0.0),
-                             (x[0], py[4], -1e-10 * h1, 0.0),
-                             (x[3], py[-1], 0.0, 1e-10 * h2),
-                             (x[5], py[0], 0.0, -1e-10 * h2),
-                             (x[-1], py[1] + 0.5 * h2, 1e-10 * h1, 0.0)):
-        on = Wq.at(xn, 0.2, 0.3, pyn)
-        assert abs(on) > 1e-3
-        assert Wq.at(xn + dx, 0.2, 0.3, pyn + dpy) == pytest.approx(
-            on, rel=1e-14)
+def _full_lattice(psi, p, x, y, px, py):
+    """The factor sum written out term by term: every pair (k, l), not
+    k <= l doubled, and on each axis of n nodes every offset of the full
+    lattice, |r| <= n - 1, at the grid's own step."""
+    w = []
+    for cols, ax, m, q in ((psi.columns[0], psi.axes[0], px,
+                            x + 0.5 * p.theta * py),
+                           (psi.columns[1], psi.axes[1], py,
+                            y - 0.5 * p.theta * px)):
+        h = ax[1] - ax[0]
+        zeta = np.arange(1 - len(ax), len(ax)) * h
+        phase = np.exp(-2j * zeta * q / p.hbar)[:, None]
+        w.append(h * (cols(m - zeta) * phase).T @ np.conj(cols(m + zeta)))
+    W = psi.c @ (w[0] * w[1]) @ np.conj(psi.c) / (math.pi * p.hbar) ** 2
+    assert abs(W.imag) < 1e-13 / p.hbar ** 2
+    return W.real
 
 
 @pytest.mark.parametrize("nx, ny", [(9, 7), (8, 6)])
 def test_half_lattice_offsets_lose_no_term(nx, ny):
-    # random states that are large on their edges: the offsets stop at
-    # (n - 1) // 2, and the term-by-term oracle runs over the full lattice
-    rng = np.random.default_rng(nx * ny)
-    vals = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
-    psi = GridFunction(uniform_axis(-2.0, 2.0, nx),
-                       uniform_axis(-1.5, 1.5, ny), vals, "xpy")
-    Wq = QuadratureWigner(psi, P)
-    ya, pxa = np.array([-0.4, 0.7]), np.array([-0.5, 0.9])
-    tab = wigner_table(Wq, (psi.axis1, ya, pxa, psi.axis2))
-    expect = np.array([[[[_oracle(psi, x, y, px, py) for py in psi.axis2]
-                         for px in pxa] for y in ya] for x in psi.axis1])
-    scale = 1.0 / (math.pi * P.hbar) ** 2
-    assert np.abs(expect).max() > 0.1 * scale
-    assert np.abs(tab - expect).max() < 1e-13 * scale
-
-    x, py, h1, h2 = psi.axis1, psi.axis2, psi.step1, psi.step2
-    queries = [(x[0], 0.3, 0.4, py[2]), (x[-1], -0.6, 0.9, py[-1]),
-               (x[0] + 0.4 * h1, 0.1, -0.2, py[1] + 0.7 * h2),
-               (x[-2] + 0.7 * h1, 0.5, 0.2, py[-1]),
-               (x[nx // 2] + 0.5 * h1, -0.2, 0.6, py[0] + 0.3 * h2)]
-    got = Wq.at(*np.array(queries).T)
-    expect = np.array([_oracle(psi, *q) for q in queries])
-    assert np.abs(got - expect).max() < 1e-13 * scale
+    # on coarse grids of odd and even node counts the offsets stop at
+    # |r| <= (n - 1) // 2: past that both factors of a term lie beyond the
+    # state's support, so the full lattice adds nothing; queries keep
+    # |X|, |Y| small enough that the step is not refined
+    axes = (uniform_axis(-8.0 * P.width, 8.0 * P.width, nx),
+            uniform_axis(-8.0 * P.width, 8.0 * P.width, ny))
+    psi = eigenfunction(3, 1, P, axes)
+    pts = np.random.default_rng(nx * ny).uniform(-0.3, 0.3, (4, 12))
+    pts[2:] *= 3.0
+    got = QuadratureWigner(psi, P).at(*pts)
+    expect = np.array([_full_lattice(psi, P, *q) for q in pts.T])
+    assert np.abs(expect).max() > 0.05 * SCALE
+    assert np.abs(got - expect).max() < 1e-13 * SCALE
 
 
 @pytest.mark.parametrize("coord", range(4))
-def test_non_finite_query_names_its_coordinate(ground_xpy, table_axes, coord):
-    Wq = QuadratureWigner(ground_xpy, P)
+def test_non_finite_query_names_its_coordinate(ground, table_axes, coord):
+    Wq = QuadratureWigner(ground, P)
     name = ("x", "y", "p_x", "p_y")[coord]
     for bad in (math.nan, math.inf):
         q = [0.0, 0.0, 0.0, 0.0]
         q[coord] = bad
         with pytest.raises(WignerError, match=f"non-finite {name} "):
             Wq.at(*q)
-    if coord in (1, 2):
         axes = list(table_axes)
-        axes[coord] = np.array([0.0, math.nan])
+        axes[coord] = np.array([0.0, bad])
         with pytest.raises(WignerError, match=f"non-finite {name} "):
             wigner_table(Wq, axes)
 
 
-def test_empty_query_returns_empty_array_of_its_shape(ground_xpy):
-    Wq = QuadratureWigner(ground_xpy, P)
+def test_empty_query_returns_empty_array_of_its_shape(ground):
+    Wq = QuadratureWigner(ground, P)
     assert Wq.at(np.array([]), 0.0, 0.0, 0.0).shape == (0,)
     got = Wq.at(np.zeros((3, 1)), 0.0, np.zeros((1, 0)), 0.0)
     assert got.shape == (3, 0) and got.dtype == float
 
 
-def test_empty_table_axis_gives_empty_table(ground_xpy, table_axes):
-    Wq = QuadratureWigner(ground_xpy, P)
-    for k in (1, 2):
+def test_empty_table_axis_gives_empty_table(ground, table_axes):
+    Wq = QuadratureWigner(ground, P)
+    for k in range(4):
         axes = list(table_axes)
         axes[k] = np.array([])
         tab = wigner_table(Wq, axes)
         assert tab.shape[k] == 0 and tab.size == 0
 
 
-def test_table_realness_check_catches_a_tilted_kernel(ground_xpy, table_axes,
+def _tilt(monkeypatch):
+    """Every cross-Wigner kernel turned by a quarter period: the diagonal
+    kernels w_kk, which are real, come out imaginary."""
+    kernel = QuadratureWigner._kernel
+    monkeypatch.setattr(QuadratureWigner, "_kernel",
+                        staticmethod(lambda F, phase: 1j * kernel(F, phase)))
+
+
+def test_table_realness_check_catches_a_tilted_kernel(ground, table_axes,
                                                       monkeypatch):
-    contract = QuadratureWigner._contract
-
-    def tilted(self, M, A, F):
-        return contract(self, 1j * M, A, F)
-
-    monkeypatch.setattr(QuadratureWigner, "_contract", tilted)
+    _tilt(monkeypatch)
     with pytest.raises(CheckFailure, match="transform lost realness"):
-        wigner_table(QuadratureWigner(ground_xpy, P), table_axes)
+        wigner_table(QuadratureWigner(ground, P), table_axes)
+    with pytest.raises(CheckFailure, match="transform lost realness"):
+        QuadratureWigner(ground, P).at(0.3, 0.0, 0.1, 0.2)
 
 
-def test_streamed_realness_check_catches_a_tilted_kernel(ground_xpy,
-                                                         table_axes,
+def test_streamed_realness_check_catches_a_tilted_kernel(ground, table_axes,
                                                          monkeypatch):
-    contract = QuadratureWigner._contract
-
-    def tilted(self, M, A, F):
-        return contract(self, 1j * M, A, F)
-
-    monkeypatch.setattr(QuadratureWigner, "_contract", tilted)
-    rows = quadrature_rows(QuadratureWigner(ground_xpy, P), table_axes)
+    _tilt(monkeypatch)
+    rows = quadrature_rows(QuadratureWigner(ground, P), table_axes)
     with pytest.raises(CheckFailure, match="transform lost realness"):
         table_sums(rows, table_axes, P)
 
 
-def test_table_holds_one_table_sized_array(ground_xpy, table_axes):
+def test_table_holds_one_table_sized_array(ground, table_axes):
     # the realness scale is a running maximum, not |W| over the whole table
-    Wq = QuadratureWigner(ground_xpy, P)
+    Wq = QuadratureWigner(ground, P)
     tracemalloc.start()
     try:
         table = wigner_table(Wq, table_axes)
@@ -455,14 +432,15 @@ def test_marginals_match_densities(ground_table, ground_xpy, table_axes):
         sums.marginal("q")
 
 
-def test_excited_marginals_too(excited_table, excited_xpy, table_axes):
+def test_excited_marginals_too(excited_table, excited, table_axes):
     m = table_sums(excited_table, table_axes, P).marginal("xpy")
+    excited_xpy = transform(excited.grid(), "xpy", P)
     assert np.abs(m.values - np.abs(excited_xpy.values) ** 2).max() < 1e-6
 
 
-def test_streamed_sums_equal_the_stored_table_sums(ground_xpy, ground_table,
+def test_streamed_sums_equal_the_stored_table_sums(ground, ground_table,
                                                    table_axes):
-    streamed = table_sums(quadrature_rows(QuadratureWigner(ground_xpy, P),
+    streamed = table_sums(quadrature_rows(QuadratureWigner(ground, P),
                                           table_axes), table_axes, P)
     stored = table_sums(ground_table, table_axes, P)
     assert streamed.integral == stored.integral
@@ -470,23 +448,6 @@ def test_streamed_sums_equal_the_stored_table_sums(ground_xpy, ground_table,
     for keep in ("xpy", "ypx", "p"):
         assert np.array_equal(streamed.marginal(keep).values,
                               stored.marginal(keep).values)
-
-
-def test_table_values_equal_the_row_by_row_fill(ground_xpy, table_axes):
-    # the fill loop as it stood before the rows became a stream, kept as
-    # the oracle the streamed table must match bit for bit
-    W = QuadratureWigner(ground_xpy, P)
-    xa, ya, pxa, pya = table_axes
-    A, F = W._phases(pxa, W._guard(xa, ya[None, :], pxa[:, None], pya))
-    (nx, ny), K = ground_xpy.values.shape, W._K
-    M = np.empty((2 * K + 1, ny, 2 * W._L + 1), dtype=complex)
-    expect = np.empty((nx, len(ya), len(pxa), ny))
-    for i in range(nx):
-        r = min(i, nx - 1 - i)
-        S = W._contract(W._corr(i, slice(None), M[:2 * r + 1], r),
-                        A[:, K - r:K + r + 1], F)
-        expect[i] = np.transpose(S.real, (2, 0, 1))
-    assert np.array_equal(wigner_table(W, table_axes), expect)
 
 
 def test_row_sums_match_whole_table_contractions(ground_table, table_axes):
@@ -522,11 +483,10 @@ def test_mixture_purity(ground_table, excited_table, table_axes):
     assert mixed.purity == pytest.approx(0.5, abs=1e-6)
 
 
-def test_first_excited_is_negative_at_origin(excited_xpy, excited_table):
-    Wq = QuadratureWigner(excited_xpy, P)
+def test_first_excited_is_negative_at_origin(excited, excited_table):
+    Wq = QuadratureWigner(excited, P)
     # the n=1 state dips to exactly -1/(pi hbar)^2 at the origin
-    assert Wq.at(0.0, 0.0, 0.0, 0.0) == pytest.approx(
-        -1.0 / (math.pi * P.hbar) ** 2, rel=1e-8)
+    assert Wq.at(0.0, 0.0, 0.0, 0.0) == pytest.approx(-SCALE, rel=1e-13)
     assert excited_table.min() < -0.09 / P.hbar**2
 
 
@@ -534,19 +494,17 @@ def test_first_excited_is_negative_at_origin(excited_xpy, excited_table):
     NCParams(m=1.0, omega=1.0, theta=0.3, hbar=0.7),
     NCParams(m=1.3, omega=0.8, theta=-0.7, hbar=1.6)])
 def test_quadrature_prefactor_away_from_unit_hbar(p):
-    # (pi hbar)^2 and pi^2 hbar agree at hbar = 1 only.  Queries sit on the
-    # state's (x, p_y) nodes: off them the bilinear fallback misses by 1e-2
+    # (pi hbar)^2 and pi^2 hbar agree at hbar = 1 only
     scale = (math.pi * p.hbar) ** 2
     grid = momentum_grid(p, 65, 8.0)
-    ground = transform(eigenfunction(0, 0, p, grid).grid(), "xpy", p)
-    X, PX, PY = np.meshgrid(ground.axis1[8:57:4], np.linspace(-1.5, 1.5, 7),
-                            ground.axis2[8:57:4], indexing="ij")
-    vq = QuadratureWigner(ground, p).at(X, 0.0, PX, PY)
+    X, PX, PY = np.meshgrid(grid[0][8:57:4], np.linspace(-1.5, 1.5, 7),
+                            grid[1][8:57:4], indexing="ij")
+    vq = QuadratureWigner(eigenfunction(0, 0, p, grid), p).at(X, 0.0, PX, PY)
     vc = GroundStateWigner(p).at(X, 0.0, PX, PY)
     assert np.abs(vq - vc).max() * scale < 1e-12
     # the parity value of the (1, 1) state
-    excited = transform(eigenfunction(1, 1, p, grid).grid(), "xpy", p)
-    w0 = QuadratureWigner(excited, p).at(0.0, 0.0, 0.0, 0.0)
+    w0 = QuadratureWigner(eigenfunction(1, 1, p, grid), p).at(0.0, 0.0, 0.0,
+                                                              0.0)
     assert w0 * scale == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -554,35 +512,30 @@ def test_purity_away_from_unit_hbar():
     # (2 pi hbar)^2 and (2 pi)^2 hbar agree at hbar = 1 only; the first
     # parameter set above, streamed through small y and p_x axes
     p = NCParams(m=1.0, omega=1.0, theta=0.3, hbar=0.7)
-    psi = transform(eigenfunction(0, 0, p, momentum_grid(p, 65, 8.0)).grid(),
-                    "xpy", p)
+    grid = momentum_grid(p, 65, 8.0)
     side = uniform_axis(-4.8, 4.8, 25) * math.sqrt(p.hbar)
-    axes = (psi.axis1, side, side.copy(), psi.axis2)
-    sums = table_sums(quadrature_rows(QuadratureWigner(psi, p), axes), axes, p)
+    axes = (grid[0], side, side.copy(), grid[1])
+    rows = quadrature_rows(QuadratureWigner(eigenfunction(0, 0, p, grid), p),
+                           axes)
+    sums = table_sums(rows, axes, p)
     assert sums.integral == pytest.approx(1.0, abs=1e-6)
     assert sums.purity == pytest.approx(1.0, abs=1e-6)
 
 
-def test_displaced_closed_form_matches_quadrature(ground_xpy):
+def test_displaced_closed_form_matches_quadrature(ground):
+    # complex factors: the pairing w_lk = conj(w_kl) holds for them too
     d = (0.6, -0.4, 0.3, 0.5)
-    disp = _displaced_gaussian(ground_xpy, d, P)
-    Wq = QuadratureWigner(disp, P)
+    Wq = QuadratureWigner(_displaced_gaussian(ground.axes, d, P), P)
     Wc = wigner_ground_state(P, center=d)
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(-1.5, 1.5, (40, 4))
-    ii = np.argmin(np.abs(ground_xpy.axis1[None, :] - pts[:, 0:1]), axis=1)
-    jj = np.argmin(np.abs(ground_xpy.axis2[None, :] - pts[:, 3:4]), axis=1)
-    xs, pys = ground_xpy.axis1[ii], ground_xpy.axis2[jj]
-    vq = Wq.at(xs, pts[:, 1], pts[:, 2], pys)
-    vc = Wc.at(xs, pts[:, 1], pts[:, 2], pys)
-    assert np.abs(vq - vc).max() < 1e-10
+    pts = np.random.default_rng(11).uniform(-1.5, 1.5, (40, 4)).T
+    assert np.abs(Wq.at(*pts) - Wc.at(*pts)).max() < 1e-13 * SCALE
 
 
-def test_displaced_overlap_matches_inner_product(ground_xpy, ground_table,
+def test_displaced_overlap_matches_inner_product(ground, ground_table,
                                                  table_axes):
     d = (0.9, -0.5, 0.4, 0.6)
-    disp = _displaced_gaussian(ground_xpy, d, P)
-    fidelity = abs(ground_xpy.inner(disp)) ** 2
+    disp = _displaced_gaussian(ground.axes, d, P)
+    fidelity = abs(ground.inner(disp)) ** 2
     tab_d = wigner_table(QuadratureWigner(disp, P), table_axes)
     assert overlap(ground_table, tab_d, table_axes) == pytest.approx(
         fidelity, abs=1e-6)
@@ -613,19 +566,6 @@ def test_evolved_wigner_rejects_a_non_finite_time(t):
     # NaN used to give NaN at every point, inf NaN with RuntimeWarnings
     with pytest.raises(ValueError, match="t must be finite"):
         EvolvedWigner(GroundStateWigner(P), P, t)
-
-
-def test_bilinear_fallback_off_nodes(ground_xpy):
-    Wq = QuadratureWigner(ground_xpy, P)
-    Wc = wigner_ground_state(P)
-    h1, h2 = ground_xpy.step1, ground_xpy.step2
-    x = ground_xpy.axis1[30] + 0.37 * h1
-    py = ground_xpy.axis2[34] + 0.61 * h2
-    got = Wq.at(x, 0.2, -0.4, py)
-    expect = Wc.at(x, 0.2, -0.4, py)
-    # interpolation of the state is second order in the grid step
-    assert abs(got - expect) < 5e-3 / P.hbar**2
-    assert abs(got - expect) > 1e-12
 
 
 def test_liouville_stationary_ground_state():
@@ -722,19 +662,18 @@ def test_commutative_energy_expectation():
         p0.hbar * p0.omega, rel=1e-5)
 
 
-def test_quadrature_requires_xpy_basis():
-    psi_p = eigenfunction(0, 0, P, momentum_grid(P, 33, 8.0)).grid()
-    with pytest.raises(WignerError):
-        QuadratureWigner(psi_p, P)
+def test_quadrature_requires_known_factors(ground):
+    # the factor sum reads the factors off the grid: a grid function, or a
+    # separable state known only by its samples, cannot serve
+    for psi in (ground.grid(), Separable(ground.X, ground.Y, ground.c,
+                                         ground.axes)):
+        with pytest.raises(WignerError, match="factors off its grid"):
+            QuadratureWigner(psi, P)
 
 
-def test_table_validation(ground_xpy, ground_table, table_axes):
-    Wq = QuadratureWigner(ground_xpy, P)
-    bad = (uniform_axis(-1.0, 1.0, 11),) + table_axes[1:]
+def test_table_validation(ground, ground_table, table_axes):
     with pytest.raises(WignerError):
-        wigner_table(Wq, bad)
-    with pytest.raises(WignerError):
-        wigner_table(Wq, table_axes[:3])
+        wigner_table(QuadratureWigner(ground, P), table_axes[:3])
     # table_sums checks each row against the axes, and the row count
     for rows in (np.zeros((2, 2, 2, 2)), ground_table[:, :, :, :-1],
                  ground_table[:-1], [*ground_table, ground_table[0]],
@@ -745,17 +684,34 @@ def test_table_validation(ground_xpy, ground_table, table_axes):
         table_sums(ground_table, table_axes[:3], P)
 
 
-def test_alias_guard_rejects_wild_arguments(ground_xpy):
-    Wq = QuadratureWigner(ground_xpy, P)
-    with pytest.raises(AliasingError):
-        Wq.at(0.0, 40.0, 0.0, 0.0)
+def test_wild_arguments_match_the_closed_form(ground):
+    # the (x, p_y) quadrature refused these with an AliasingError; the
+    # factor sum refines its step to h / 8 for them and stays exact
+    Wq, Wc = QuadratureWigner(ground, P), GroundStateWigner(P)
+    assert abs(Wq.at(0.0, 40.0, 0.0, 0.0)) < 1e-13 * SCALE
     wide = uniform_axis(-40.0, 40.0, 21)
-    with pytest.raises(AliasingError):
-        wigner_table(Wq, (ground_xpy.axis1, wide, wide, ground_xpy.axis2))
+    axes = (ground.axes[0][::4], wide, wide, ground.axes[1][::4])
+    assert np.abs(wigner_table(Wq, axes) - wigner_table(Wc, axes)).max() \
+        < 1e-13 * SCALE
+    # hundreds of widths out the refinement would pass MAX_OFFSETS
+    with pytest.raises(AliasingError, match=f"limit {MAX_OFFSETS}"):
+        Wq.at(0.0, 1e4, 0.0, 0.0)
 
 
+def test_table_step_resolves_the_sheared_y():
+    # on 33 nodes (step 0.497) the y - theta p_x = 3.75 of this table needs
+    # the step halved, where y + theta p_x = 2.85 would not: unrefined, the
+    # trapezoid sum folds Y onto Y - pi hbar / h = -2.57
+    grid = momentum_grid(P, 33, 8.0)
+    Wq = QuadratureWigner(eigenfunction(0, 0, P, grid), P)
+    axes = (np.array([0.0, 0.4]), np.array([3.3]), np.array([-3.0]),
+            np.array([0.0, 0.3]))
+    assert np.abs(wigner_table(Wq, axes)
+                  - wigner_table(GroundStateWigner(P), axes)).max() \
+        < 1e-13 * SCALE
 
-def test_evolved_wigner_composes(ground_xpy):
+
+def test_evolved_wigner_composes():
     d = (0.5, 0.0, -0.3, 0.2)
     Wd = wigner_ground_state(P, center=d)
     once = evolve_liouville(evolve_liouville(Wd, P, 0.9), P, 0.6)
