@@ -273,6 +273,7 @@ def cmd_eigenfunction(cfg: RunConfig) -> int:
         "energy": spectra.energy(cfg.n, cfg.two_j, p),
         "residual_H": rh,
         "residual_J": rj,
+        "tail_ratio": spectra.tail_ratio(vals.reshape(axes[0].size, -1)),
         "tol": 1e-6,
         "nodes": cfg.nodes,
         "radius": cfg.radius,

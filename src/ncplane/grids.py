@@ -64,29 +64,6 @@ class GridFunction:
             arr.setflags(write=False)
         self.axis1, self.axis2, self.values, self.basis = a1, a2, v, basis
 
-    @property
-    def step1(self):
-        return float(self.axis1[1] - self.axis1[0])
-
-    @property
-    def step2(self):
-        return float(self.axis2[1] - self.axis2[0])
-
-    def inner(self, other: "GridFunction") -> complex:
-        if other.basis != self.basis:
-            raise GridError(f"basis mismatch: {self.basis} vs {other.basis}")
-        if (self.axis1.shape != other.axis1.shape
-                or not np.array_equal(self.axis1, other.axis1)
-                or not np.array_equal(self.axis2, other.axis2)):
-            raise GridError("grids do not match")
-        w1 = trapezoid_weights(self.axis1)
-        w2 = trapezoid_weights(self.axis2)
-        return complex(np.einsum("i,j,ij,ij->", w1, w2,
-                                 np.conj(self.values), other.values))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.inner(self).real))
-
 
 def interior_norm(values, axes, band: int) -> float:
     """Trapezoid L2 norm of grid values on axes (axis1, axis2), leaving

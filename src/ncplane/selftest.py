@@ -189,12 +189,12 @@ def check_wigner(seed: int):
                              table_axes, p)
     norm_err = abs(sums.integral - 1.0)
     purity_err = abs(sums.purity - 1.0)
-    # each marginal against |psi|^2 in its own basis, by the transforms
-    xpy = spectra.transform(psi0.grid(), "xpy", p)
+    # each marginal against |psi|^2 in its own basis; p from the factors
+    off = psi0.grid((ta, axes[1]))
     marg_err = max(float(np.max(np.abs(
         sums.marginal(psi.basis).values - np.abs(psi.values) ** 2)))
-        for psi in (xpy, spectra.transform(xpy, "ypx", p, axes=(ta, ta)),
-                    spectra.transform(xpy, "p", p, axes=(ta, axes[1]))))
+        for psi in (spectra.transform(psi0.grid(), "xpy", p), off,
+                    spectra.transform(off, "ypx", p, axes=(ta, ta))))
 
     # parity: W(0) = -1/(pi hbar)^2 for every n = 1 state, its minimum
     witness = wigner.QuadratureWigner(spectra.eigenfunction(1, 1, p, axes),

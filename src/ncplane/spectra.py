@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import NCParams
-from .grids import (BASES, STENCIL_BAND, GridError, GridFunction,
+from .grids import (STENCIL_BAND, GridError, GridFunction,
                     first_derivative, interior_norm, second_derivative,
                     trapezoid_weights, uniform_axis)
 
@@ -116,8 +116,15 @@ class Separable:
     axes: tuple
     columns: tuple | None = None
 
-    def grid(self) -> GridFunction:
-        return GridFunction(*self.axes, (self.X * self.c) @ self.Y.T, "p")
+    def grid(self, axes=None) -> GridFunction:
+        """The values on the state's axes, or from its columns on axes."""
+        if axes is None:
+            return GridFunction(*self.axes, (self.X * self.c) @ self.Y.T, "p")
+        if self.columns is None:
+            raise GridError("a state without columns has no values off its "
+                            "own axes")
+        X, Y = (f(a) for f, a in zip(self.columns, axes))
+        return GridFunction(*axes, (X * self.c) @ Y.T, "p")
 
     def inner(self, other: "Separable") -> complex:
         """<self|other> on shared axes: c^H ((X^H W X') o (Y^H W Y')) c'."""
@@ -132,7 +139,8 @@ def eigenfunction(n: int, two_j: int, p: NCParams, axes=None) -> Separable:
     n + 1 products h_{n-k}(P_x) h_k(P_y) of h_m(P) = H_m(P) e^{-P^2/2},
     P = p / sqrt(m hbar w_eff), with numerically renormalized coefficients.
     Raises TruncationError when the boundary amplitude exceeds TAIL_TOL
-    relative to the peak (grid too small for the state)."""
+    relative to the peak (grid too small for the state), or when the grid
+    gives the state no positive finite norm (grid step too coarse)."""
     validate_level(n, two_j)
     if axes is None:
         axes = momentum_grid(p)
@@ -143,14 +151,25 @@ def eigenfunction(n: int, two_j: int, p: NCParams, axes=None) -> Separable:
     c = c * np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]
     cols = tuple(functools.partial(hermite_functions, tuple(orders), p.width)
                  for orders in (range(n, -1, -1), range(n + 1)))
-    psi = Separable(*(f(ax) for f, ax in zip(cols, axes)), c, axes, cols)
-    psi = replace(psi, c=c / math.sqrt(psi.inner(psi).real))
-    v = (psi.X * psi.c) @ psi.Y.T
-    edge = max(np.abs(e).max() for e in (v[0], v[-1], v[:, 0], v[:, -1]))
-    if edge > TAIL_TOL * np.abs(v).max():
-        raise TruncationError(f"boundary amplitude {edge:.3e} exceeds "
-                              f"{TAIL_TOL:.1e} of the peak; enlarge the grid")
+    with np.errstate(all="ignore"):     # far out the factors are 0 or nan
+        psi = Separable(*(f(ax) for f, ax in zip(cols, axes)), c, axes, cols)
+        norm2 = psi.inner(psi).real
+    if not 0.0 < norm2 < math.inf:
+        h = max(ax[1] - ax[0] for ax in axes)
+        raise TruncationError(f"grid step {h:.3g} samples none of the state "
+                              f"of width sqrt(m hbar w_eff) = {p.width:.3g}")
+    psi = replace(psi, c=c / math.sqrt(norm2))
+    ratio = tail_ratio((psi.X * psi.c) @ psi.Y.T)
+    if not ratio <= TAIL_TOL:
+        raise TruncationError(f"boundary amplitude {ratio:.3e} of the peak "
+                              f"exceeds {TAIL_TOL:.1e}; enlarge the grid")
     return psi
+
+
+def tail_ratio(values) -> float:
+    """Largest |value| on the boundary of a grid over the largest of all."""
+    v = np.abs(values)
+    return float(max(v[[0, -1]].max(), v[:, [0, -1]].max()) / v.max())
 
 
 def _operator_terms(psi: Separable, p: NCParams, e: float = 0.0,
@@ -219,77 +238,43 @@ def _alias_guard(step: float, reach: float, hbar: float, what: str):
             f"out to {reach:.3g} (limit {math.pi * hbar / reach:.3g})")
 
 
-def _amax(a) -> float:
-    return float(np.abs(a).max())
+def _phase_outer(a, b, hbar):
+    return np.exp((1j / hbar) * np.outer(a, b))
 
 
-def _phase_outer(a, b, hbar, sign=1.0):
-    return np.exp((1j * sign / hbar) * np.outer(a, b))
-
-
-# Per basis: the (p_x, p_y) slot k on the grid's first axis, and the sign s
-# of its half shear.  A mixed basis (s != 0) trades p_k for its conjugate
-# position q, with <q, p_other | p'> = delta(p_other - p_other')
-# e^{i[q p_k' + s theta p_x' p_y' / 2]/hbar} / sqrt(2 pi hbar).
-_BASIS = {"p": (0, 0.0), "xpy": (0, 1.0), "ypx": (1, -1.0)}
-_NAMES = (("p_x", "x"), ("p_y", "y"))
-
-
-def _slots(k, a, b):
-    """Grid-ordered pair (a, b) in (p_x, p_y) slot order, or back."""
-    return (b, a) if k else (a, b)
+# Per mixed basis: the (p_x, p_y) slot k that it trades for its conjugate
+# position q, and the sign s of its half shear, <q, p_other | p'> =
+# delta(p_other - p_other') e^{i[q p_k' + s theta p_x' p_y' / 2]/hbar}
+# / sqrt(2 pi hbar).
+_BASIS = {"xpy": (0, 1.0), "ypx": (1, -1.0)}
 
 
 def transform(psi: GridFunction, to_basis: str, p: NCParams,
               axes=None) -> GridFunction:
-    """Change of representation by trapezoid quadrature of the flat kernels.
-
-    Every change runs through (p_x, p_y).  Leaving a mixed basis integrates
-    its position against the traded momentum; entering one integrates that
-    momentum against the new position.  The shear phase between them is
-    the difference of the two half shears, so mixed to mixed applies one
-    theta phase, <x, p_y | y, p_x> = e^{i[x p_x - y p_y + theta p_x p_y]/hbar}
-    / (2 pi hbar), and its second alias guard counts the full |theta| shear.
-
-    Delta-matched coordinates keep the source axis; a genuinely conjugate
-    target axis defaults to the numeric range of its source partner (good
-    for states whose widths are near 1 in the working units; pass explicit
-    axes otherwise).  Raises AliasingError when the source grid cannot
-    resolve the kernel oscillation over the requested target axis.
+    """A (p_x, p_y) state in the mixed basis (x, p_y) or (y, p_x), by
+    trapezoid quadrature of the flat kernel: the traded momentum p_k is
+    integrated against the position q on axes[0], which defaults to the
+    numeric range of p_k (pass explicit axes for states whose widths are
+    far from 1 in the working units).  The kept momentum keeps its axis,
+    which a given axes[1] must repeat exactly.  Raises AliasingError when
+    the source grid cannot resolve the kernel oscillation out to max|q|.
     """
-    if to_basis not in BASES:
-        raise GridError(f"unknown target basis {to_basis!r}")
-    if to_basis == psi.basis:
-        return psi
+    if psi.basis != "p" or to_basis not in _BASIS:
+        raise GridError(f"transform maps basis 'p' into 'xpy' or 'ypx', "
+                        f"not {psi.basis!r} into {to_basis!r}")
     hbar, th = p.hbar, p.theta
-    (k0, s0), (k1, s1) = _BASIS[psi.basis], _BASIS[to_basis]
-    src = _slots(k0, psi.axis1, psi.axis2)
-    step = _slots(k0, psi.step1, psi.step2)
-    want = _slots(k1, axes[0], axes[1]) if axes is not None else src
-    traded = {k for k, s in ((k0, s0), (k1, s1)) if s}
-    for i in {0, 1} - traded:
-        if not np.array_equal(np.asarray(want[i], float), src[i]):
-            raise GridError(f"{_NAMES[i][0]} is delta-matched; target axis"
-                            f"{i + 1 if to_basis == 'p' else 2} must equal source")
-    # target axes in slot order, and the (p_x, p_y) axes passed in between
-    tgt = [np.array(want[i], float) if i in traded else src[i] for i in (0, 1)]
-    mom = [tgt[i] if s0 and i == k0 else src[i] for i in (0, 1)]
-
-    v = psi.values
-    if s0:                          # leave: integrate q against p_k0
-        _alias_guard(step[k0], _amax(mom[k0]), hbar, _NAMES[k0][0])
-        w = trapezoid_weights(src[k0])
-        v = _phase_outer(mom[k0], src[k0], hbar, -1.0) @ (w[:, None] * v)
-    if k0 != k1:
-        v = v.T
-    shear = _phase_outer(mom[k1], 0.5 * (s1 - s0) * th * mom[1 - k1], hbar)
-    rt = math.sqrt(2.0 * math.pi * hbar)
-    if not s1:
-        return GridFunction(mom[0], mom[1], v * shear / rt, "p")
-    # enter: integrate p_k1 against the target position
-    reach = _amax(tgt[k1]) + 0.5 * abs(s1 - s0) * abs(th) * _amax(mom[1 - k1])
-    _alias_guard(step[k1], reach, hbar, _NAMES[k1][1])
-    w = trapezoid_weights(mom[k1])
-    v = _phase_outer(tgt[k1], mom[k1], hbar) @ ((w[:, None] * shear) * v)
-    return GridFunction(tgt[k1], tgt[1 - k1],
-                        v / (2.0 * math.pi * hbar if s0 else rt), to_basis)
+    k, s = _BASIS[to_basis]
+    traded, keep, v = ((psi.axis2, psi.axis1, psi.values.T) if k
+                       else (psi.axis1, psi.axis2, psi.values))
+    q = traded if axes is None else np.array(axes[0], float)
+    if axes is not None and not np.array_equal(np.asarray(axes[1], float),
+                                               keep):
+        raise GridError(f"p_{to_basis[2]} is delta-matched; target axis2 "
+                        f"must equal source")
+    _alias_guard(traded[1] - traded[0], np.abs(q).max()
+                 + 0.5 * abs(th) * np.abs(keep).max(), hbar, to_basis[0])
+    shear = _phase_outer(traded, 0.5 * s * th * keep, hbar)
+    w = trapezoid_weights(traded)
+    v = _phase_outer(q, traded, hbar) @ ((w[:, None] * shear) * v)
+    return GridFunction(q, keep, v / math.sqrt(2.0 * math.pi * hbar),
+                        to_basis)

@@ -162,7 +162,7 @@ class QuadratureWigner:
         |terms| in F, or the factor sum itself is wrong."""
         scale = float(np.abs(F[self._diag]).sum(-1).max(initial=0))
         if worst_imag > 1e-10 * scale:
-            raise CheckFailure(f"transform lost realness: imaginary part "
+            raise CheckFailure(f"factor sum lost realness: imaginary part "
                                f"{worst_imag:.3e} against scale {scale:.3e}")
 
 

@@ -74,6 +74,7 @@ MUTANTS = [
     ("ground-state-shear-sign", _WIG, "(y - 0.5 * p.theta * px) ** 2",
      "(y + 0.5 * p.theta * px) ** 2"),
     ("xpy-shear-sign", _SPE, '"xpy": (0, 1.0)', '"xpy": (0, -1.0)'),
+    ("ypx-shear-sign", _SPE, '"ypx": (1, -1.0)', '"ypx": (1, 1.0)'),
     ("ground-state-omega-for-w_eff", _WIG,
      "self._k = params.m * params.w_eff / params.hbar",
      "self._k = params.m * params.omega / params.hbar"),

@@ -360,7 +360,7 @@ def test_wigner_realness_failure_exits_one(tmp_path, capsys, monkeypatch):
                    "--out-dir", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        "check failed: transform lost realness")
+        "check failed: factor sum lost realness")
 
 
 @pytest.mark.parametrize("exc", [IndexError("index 9 is out of bounds"),
@@ -580,6 +580,43 @@ def test_eigenfunction_on_seven_nodes_exits_two(tmp_path, capsys):
         rc = cli.main(["eigenfunction", "--nodes", "8", "--out-dir",
                        str(tmp_path)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner", "--nodes", "2", "--radius", "60"],
+    ["eigenfunction", "--nodes", "4", "--radius", "200"],
+    ["wigner", "--nodes", "4", "--radius", "200"],
+    ["eigenfunction", "--radius", "1e300"],
+    ["wigner", "--radius", "1e300"],
+], ids=["wigner-2-60", "eigenfunction-4-200", "wigner-4-200",
+        "eigenfunction-1e300", "wigner-1e300"])
+def test_grid_that_samples_none_of_the_state_exits_two(tmp_path, capsys,
+                                                       argv):
+    # no node lies within about 38 widths of the origin, so every sample
+    # underflows and the norm is 0 (or nan, where P^2 overflows): the
+    # first line wrote NaN and exited 0, the others exited 2 after
+    # RuntimeWarnings with messages about stencil bands and offsets
+    rc = cli.main([*argv, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(
+        "configuration error: grid step ")
+    assert "samples none of the state of width sqrt(m hbar w_eff) = 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eigenfunction_tail_ratio_is_read_from_its_csv(tmp_path):
+    # the README line: largest |psi| on the grid's edge over its peak
+    assert cli.main(["eigenfunction", "--n", "2", "--two-j", "0", "--theta",
+                     "0.3", "--out-dir", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "eigenfunction.json").read_text())
+    rows = np.loadtxt(tmp_path / "eigenfunction.csv", delimiter=",",
+                      skiprows=1)
+    amp = np.hypot(rows[:, 2], rows[:, 3]).reshape(256, 256)
+    edge = max(amp[0].max(), amp[-1].max(), amp[:, 0].max(),
+               amp[:, -1].max())
+    assert rep["tail_ratio"] == pytest.approx(edge / amp.max(), rel=1e-12)
+    assert f"{rep['tail_ratio']:.1e}" == "8.0e-13"
 
 
 def test_unallocatable_time_grid_exits_two_naming_dt(tmp_path, capsys):

@@ -3,7 +3,8 @@
 Oracles used here: numpy's Hermite evaluator for the recurrence, closed
 Gaussian integrals for transforms of the ground state, explicit kernel
 quadrature loops (independent of the factored matrix products inside
-transform), and the energy formula evaluated by hand at pinned points.
+transform), a trapezoid double sum over the grid for inner products, and
+the energy formula evaluated by hand at pinned points.
 """
 
 import math
@@ -46,6 +47,29 @@ P03 = NCParams(m=1.0, omega=1.0, theta=0.3)
 def _like(g, values):
     """A grid function with g's axes and basis and new values."""
     return GridFunction(g.axis1, g.axis2, values, g.basis)
+
+
+def _trapezoid(a):
+    h = a[1] - a[0]
+    w = np.full(a.size, h)
+    w[0] = w[-1] = h / 2
+    return w
+
+
+def _inner(f, g):
+    """<f|g> of two grid functions on one grid: the trapezoid double sum."""
+    assert f.basis == g.basis and np.array_equal(f.axis1, g.axis1) \
+        and np.array_equal(f.axis2, g.axis2)
+    return complex(np.einsum("i,j,ij,ij->", _trapezoid(f.axis1),
+                             _trapezoid(f.axis2), f.values.conj(), g.values))
+
+
+def _norm(f):
+    return math.sqrt(_inner(f, f).real)
+
+
+def _step(axis):
+    return axis[1] - axis[0]
 
 
 # --- spectrum ---------------------------------------------------------------
@@ -140,20 +164,20 @@ def test_ground_state_is_gaussian():
     Px, Py = np.meshgrid(psi.axis1, psi.axis2, indexing="ij")
     expect = np.exp(-(Px**2 + Py**2) / (2 * s2)) / math.sqrt(math.pi * s2)
     assert np.abs(psi.values - expect).max() < 1e-12
-    assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+    assert _norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigenfunctions_are_normalized():
     for (n, tj) in [(1, 1), (3, -1), (4, 0)]:
         psi = eigenfunction(n, tj, P03).grid()
-        assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+        assert _norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gram_matrix_is_identity():
     axes = momentum_grid(P03, 256, 8.0)
     states = [eigenfunction(n, tj, P03, axes).grid()
               for n in range(4) for tj in range(-n, n + 1, 2)]
-    G = np.array([[a.inner(b) for b in states] for a in states])
+    G = np.array([[_inner(a, b) for b in states] for a in states])
     assert np.abs(G - np.eye(10)).max() < 2e-6
 
 
@@ -165,7 +189,7 @@ def test_factor_gram_matches_the_grid_inner_product():
               for n in range(4) for tj in range(-n, n + 1, 2)]
     grids = [s.grid() for s in states]
     factor = np.array([[a.inner(b) for b in states] for a in states])
-    grid = np.array([[a.inner(b) for b in grids] for a in grids])
+    grid = np.array([[_inner(a, b) for b in grids] for a in grids])
     assert np.abs(factor - grid).max() < 1e-14
     assert np.abs(factor - np.eye(10)).max() < 1e-14
 
@@ -211,10 +235,10 @@ def test_eigen_residuals_spot_checks(theta, n, two_j):
 def _separate_h(psi, p):
     """H psi as a standalone application computes it, stencils and all."""
     px, py, F = psi.axis1[:, None], psi.axis2[None, :], psi.values
-    lap = (second_derivative(F, psi.step1, 0)
-           + second_derivative(F, psi.step2, 1))
-    dpx = first_derivative(F, psi.step1, 0)
-    dpy = first_derivative(F, psi.step2, 1)
+    hx, hy = _step(psi.axis1), _step(psi.axis2)
+    lap = second_derivative(F, hx, 0) + second_derivative(F, hy, 1)
+    dpx = first_derivative(F, hx, 0)
+    dpy = first_derivative(F, hy, 1)
     return _like(
         psi, (1.0 + p.u) / (2.0 * p.m) * (px ** 2 + py ** 2) * F
         - 0.5 * p.hbar ** 2 * p.m * p.omega ** 2 * lap
@@ -223,8 +247,8 @@ def _separate_h(psi, p):
 
 def _separate_j(psi, p):
     px, py = psi.axis1[:, None], psi.axis2[None, :]
-    dpx = first_derivative(psi.values, psi.step1, 0)
-    dpy = first_derivative(psi.values, psi.step2, 1)
+    dpx = first_derivative(psi.values, _step(psi.axis1), 0)
+    dpy = first_derivative(psi.values, _step(psi.axis2), 1)
     return _like(psi, 1j * p.hbar * (py * dpx - px * dpy))
 
 
@@ -318,7 +342,7 @@ def test_hamiltonian_commutes_with_angular_momentum():
     HJ = apply_hamiltonian(apply_angular_momentum(mix, P03), P03).grid()
     JH = apply_angular_momentum(apply_hamiltonian(mix, P03), P03).grid()
     comm = interior_norm(HJ.values - JH.values, axes, 6)
-    scale = apply_hamiltonian(mix, P03).grid().norm() * P03.hbar
+    scale = _norm(apply_hamiltonian(mix, P03).grid()) * P03.hbar
     assert comm / scale < 1e-5
 
 
@@ -369,7 +393,7 @@ def test_transform_ground_state_to_xpy_matches_gaussian(theta):
     X, PY = np.meshgrid(f.axis1, f.axis2, indexing="ij")
     expect = _gaussian_xpy_literal(X, PY, p)
     assert np.abs(f.values - expect).max() < 1e-10
-    assert f.norm() == pytest.approx(1.0, abs=1e-10)
+    assert _norm(f) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -382,25 +406,11 @@ def test_transform_ground_state_to_ypx_matches_gaussian(theta):
     assert np.abs(f.values - expect).max() < 1e-10
 
 
-def test_transform_roundtrips():
-    psi = eigenfunction(1, 1, P03, momentum_grid(P03, 161, 8.0)).grid()
-    for mid in ("xpy", "ypx"):
-        back = transform(transform(psi, mid, P03), "p", P03)
-        assert np.abs(back.values - psi.values).max() < 1e-6
-        assert back.basis == "p"
-
-
 def test_transform_preserves_norm():
     psi = eigenfunction(2, 0, P03, momentum_grid(P03, 161, 8.0)).grid()
     for dst in ("xpy", "ypx"):
-        assert transform(psi, dst, P03).norm() == pytest.approx(1.0, abs=1e-6)
-
-
-def test_transform_composition_consistency():
-    psi = eigenfunction(1, -1, P03, momentum_grid(P03, 161, 8.0)).grid()
-    via = transform(transform(psi, "xpy", P03), "ypx", P03)
-    direct = transform(psi, "ypx", P03)
-    assert np.abs(via.values - direct.values).max() < 1e-6
+        assert _norm(transform(psi, dst, P03)) == pytest.approx(1.0,
+                                                               abs=1e-6)
 
 
 def test_transform_is_linear():
@@ -415,10 +425,14 @@ def test_transform_is_linear():
 
 
 def test_transform_identity_and_unknown_basis():
+    # transform only enters a mixed basis from (p_x, p_y): a "p" target,
+    # an unknown basis and a mixed source are refused, naming both bases
     psi = eigenfunction(0, 0, P03, momentum_grid(P03, 65, 8.0)).grid()
-    assert transform(psi, "p", P03) is psi
-    with pytest.raises(GridError):
-        transform(psi, "q", P03)
+    xpy = transform(psi, "xpy", P03)
+    for src, dst in ((psi, "p"), (psi, "q"), (xpy, "ypx"), (xpy, "p")):
+        with pytest.raises(GridError,
+                           match=f"not '{src.basis}' into '{dst}'"):
+            transform(src, dst, P03)
 
 
 def test_transform_against_explicit_kernel_quadrature():
@@ -439,34 +453,6 @@ def test_transform_against_explicit_kernel_quadrature():
             assert f.values[i, j] == pytest.approx(expect, abs=1e-13)
 
 
-def test_mixed_transform_against_double_quadrature():
-    p = P03
-    psi = eigenfunction(1, -1, p, momentum_grid(p, 65, 8.0)).grid()
-    F = transform(psi, "xpy", p)
-    G = transform(F, "ypx", p)
-    xa, pya = F.axis1, F.axis2
-    hx = xa[1] - xa[0]
-    wx = np.full(xa.size, hx)
-    wx[0] = wx[-1] = hx / 2
-    wp = np.full(pya.size, hx)
-    wp[0] = wp[-1] = hx / 2
-    for a, b in [(3, 50), (32, 32), (60, 10)]:
-        y, px = G.axis1[a], G.axis2[b]
-        # <y, px | x, py> = conj of the xpy->ypx overlap kernel
-        ker = np.exp(-1j * (xa[:, None] * px - np.outer(np.ones_like(xa), pya) * y
-                            + p.theta * np.outer(np.ones_like(xa), pya) * px)
-                     / p.hbar) / (2 * math.pi * p.hbar)
-        expect = (wx[:, None] * wp[None, :] * ker * F.values).sum()
-        assert G.values[a, b] == pytest.approx(expect, abs=1e-12)
-
-
-def _trapezoid(a):
-    h = a[1] - a[0]
-    w = np.full(a.size, h)
-    w[0] = w[-1] = h / 2
-    return w
-
-
 def _ket_xpy_p(x, px, py, p):
     """<x, p_y | p'> at p_y = p_y'; the delta(p_y - p_y') is row matching."""
     return (np.exp(1j * (x * px + 0.5 * p.theta * py * px) / p.hbar)
@@ -479,58 +465,24 @@ def _ket_ypx_p(y, px, py, p):
             / math.sqrt(2 * math.pi * p.hbar))
 
 
-def _ket_xpy_ypx(x, py, y, px, p):
-    """<x, p_y | y, p_x>."""
-    return (np.exp(1j * (x * px - py * y + p.theta * py * px) / p.hbar)
-            / (2 * math.pi * p.hbar))
-
-
-@pytest.mark.parametrize("src,dst", [("p", "xpy"), ("xpy", "p"), ("p", "ypx"),
-                                     ("ypx", "p"), ("xpy", "ypx"),
-                                     ("ypx", "xpy")])
+@pytest.mark.parametrize("src,dst", [("p", "xpy"), ("p", "ypx")])
 def test_every_pair_matches_explicit_kernel_quadrature(src, dst):
     # psi_{1,1} e^{0.9 i p_x} has no reflection symmetry, so a wrong shear
-    # sign or a swapped axis shows; its values serve as a source state in
-    # every basis
+    # sign or a swapped axis shows
     p = P03
     base = eigenfunction(1, 1, p, momentum_grid(p, 65, 8.0)).grid()
-    kicked = base.values * np.exp(0.9j * base.axis1)[:, None]
-    psi = GridFunction(base.axis1, base.axis2, kicked, src)
+    psi = GridFunction(base.axis1, base.axis2,
+                       base.values * np.exp(0.9j * base.axis1)[:, None], src)
     f = transform(psi, dst, p)
     a1, a2, v = psi.axis1, psi.axis2, psi.values
     w1, w2 = _trapezoid(a1), _trapezoid(a2)
     for i, j in [(3, 50), (20, 7), (32, 32), (47, 61)]:
         u, s = f.axis1[i], f.axis2[j]
-        if (src, dst) == ("p", "xpy"):      # (x, p_y), p_y = a2[j]
+        if dst == "xpy":                    # (x, p_y), p_y = a2[j]
             expect = (w1 * _ket_xpy_p(u, a1, s, p) * v[:, j]).sum()
-        elif (src, dst) == ("xpy", "p"):    # (p_x, p_y), p_y = a2[j]
-            expect = (w1 * np.conj(_ket_xpy_p(a1, u, s, p)) * v[:, j]).sum()
-        elif (src, dst) == ("p", "ypx"):    # (y, p_x), p_x = a1[j]
+        else:                               # (y, p_x), p_x = a1[j]
             expect = (w2 * _ket_ypx_p(u, s, a2, p) * v[j, :]).sum()
-        elif (src, dst) == ("ypx", "p"):    # (p_x, p_y), p_x = a2[i]
-            expect = (w1 * np.conj(_ket_ypx_p(a1, u, s, p)) * v[:, i]).sum()
-        elif (src, dst) == ("ypx", "xpy"):  # (x, p_y) from (y, p_x)
-            K = _ket_xpy_ypx(u, s, a1[:, None], a2[None, :], p)
-            expect = (w1[:, None] * w2[None, :] * K * v).sum()
-        else:                               # (y, p_x) from (x, p_y)
-            K = np.conj(_ket_xpy_ypx(a1[:, None], a2[None, :], u, s, p))
-            expect = (w1[:, None] * w2[None, :] * K * v).sum()
         assert f.values[i, j] == pytest.approx(expect, abs=1e-12)
-
-
-def test_mixed_to_mixed_alias_guard_counts_the_full_shear():
-    # fine x step, coarse p_y step (limit pi hbar / 0.5 = 6.28): the target
-    # reach |y| + |theta| |p_x| is 8 at theta = 1, while a composition of
-    # two half shears would guard only |y| + |theta| |p_x| / 2 = 5
-    xa = uniform_axis(-2.0, 2.0, 81)
-    pya = uniform_axis(-4.0, 4.0, 17)
-    vals = np.exp(-xa[:, None] ** 2 - pya[None, :] ** 2 / 4.0)
-    psi = GridFunction(xa, pya, vals, "xpy")
-    axes = (uniform_axis(-2.0, 2.0, 21), uniform_axis(-6.0, 6.0, 25))
-    with pytest.raises(AliasingError, match="for y"):
-        transform(psi, "ypx", NCParams(m=1.0, omega=1.0, theta=1.0), axes)
-    assert transform(psi, "ypx", NCParams(m=1.0, omega=1.0, theta=0.5),
-                     axes).basis == "ypx"
 
 
 def test_momentum_phase_translates_position():
@@ -548,13 +500,10 @@ def test_momentum_phase_translates_position():
 
 def test_axes_given_as_one_array_match_the_tuple_form():
     psi = eigenfunction(0, 0, P03, momentum_grid(P03, 33, 8.0)).grid()
-    xs = uniform_axis(-3.0, 3.0, 33)
-    xpy = transform(psi, "xpy", P03, axes=(xs, psi.axis2))
-    for src, dst, axes in ((psi, "xpy", (xs, psi.axis2)),
-                           (xpy, "ypx", (xs, xs)),
-                           (xpy, "p", (psi.axis1, psi.axis2))):
-        want = transform(src, dst, P03, axes=axes)
-        got = transform(src, dst, P03, axes=np.array(axes))
+    qs = uniform_axis(-3.0, 3.0, 33)
+    for dst, axes in (("xpy", (qs, psi.axis2)), ("ypx", (qs, psi.axis1))):
+        want = transform(psi, dst, P03, axes=axes)
+        got = transform(psi, dst, P03, axes=np.array(axes))
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.axis1, want.axis1)
         assert np.array_equal(got.axis2, want.axis2)
@@ -563,8 +512,10 @@ def test_axes_given_as_one_array_match_the_tuple_form():
 def test_delta_matched_axes_must_agree():
     psi = eigenfunction(0, 0, P03, momentum_grid(P03, 65, 8.0)).grid()
     other = uniform_axis(-3.0, 3.0, 65)
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match="p_y is delta-matched"):
         transform(psi, "xpy", P03, axes=(psi.axis1, other))
+    with pytest.raises(GridError, match="p_x is delta-matched"):
+        transform(psi, "ypx", P03, axes=(psi.axis2, other))
 
 
 def test_aliasing_guard_fires():
@@ -573,3 +524,31 @@ def test_aliasing_guard_fires():
     wide = uniform_axis(-60.0, 60.0, 64)
     with pytest.raises(AliasingError):
         transform(psi, "xpy", P03, axes=(wide, psi.axis2))
+
+
+def test_grid_on_the_states_own_axes_is_bit_identical():
+    psi = eigenfunction(3, -1, P03, momentum_grid(P03, 65, 8.0))
+    a, b = psi.grid(), psi.grid(psi.axes)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.axis1, b.axis1) and a.basis == b.basis == "p"
+
+
+def test_grid_off_the_axes_matches_an_eigenfunction_there():
+    # the factors read at other p_x nodes against a state built on them;
+    # the coefficients differ only by the two grids' normalization sums
+    axes = momentum_grid(P03, 65, 8.0)
+    ta = uniform_axis(-8.5 * P03.width, 8.5 * P03.width, 53)
+    for n, two_j in ((0, 0), (3, -1)):
+        got = eigenfunction(n, two_j, P03, axes).grid((ta, axes[1]))
+        want = eigenfunction(n, two_j, P03, (ta, axes[1])).grid()
+        assert np.array_equal(got.axis1, ta)
+        assert np.abs(got.values - want.values).max() < 1e-13
+
+
+def test_grid_off_the_axes_needs_columns():
+    axes = momentum_grid(P03, 33, 8.0)
+    psi = eigenfunction(1, 1, P03, axes)
+    bare = Separable(psi.X, psi.Y, psi.c, axes)
+    assert np.array_equal(bare.grid().values, psi.grid().values)
+    with pytest.raises(GridError, match="no values off its own axes"):
+        bare.grid(axes)

@@ -4,7 +4,8 @@ Liouville transport.
 The factor sum is checked against the closed Gaussian form, against the
 (x, p_y) quadrature it replaced (kept here as an oracle), and against the
 parity value at the origin; marginals against |psi|^2 in all three bases
-(computed by the basis transforms, an independent code path), overlaps of
+(the mixed ones computed by the basis transforms, an independent code
+path, and the momentum one from the factors off the grid), overlaps of
 two tables (a plain trapezoid sum here) against wave-function inner
 products, and the evolution against the deformed bracket.
 """
@@ -234,11 +235,12 @@ def _quadrature_oracle(psi, p, i, y, px, j):
     pad = np.pad(psi.values, ((K, K), (L, L)))
     block = pad[i:i + 2 * K + 1, j:j + 2 * L + 1]   # psi(x + zeta, py + eta)
     M = block[::-1, ::-1] * block.conj()
-    zeta = np.arange(-K, K + 1) * psi.step1
-    eta = np.arange(-L, L + 1) * psi.step2
+    h1, h2 = psi.axis1[1] - psi.axis1[0], psi.axis2[1] - psi.axis2[0]
+    zeta = np.arange(-K, K + 1) * h1
+    eta = np.arange(-L, L + 1) * h2
     S = (np.exp(2j * zeta * px / p.hbar) @ M
          @ np.exp(-2j * eta * (y - p.theta * px) / p.hbar))
-    W = psi.step1 * psi.step2 * S / (math.pi * p.hbar) ** 2
+    W = h1 * h2 * S / (math.pi * p.hbar) ** 2
     assert abs(W.imag) < 1e-14 / p.hbar ** 2
     return W.real
 
@@ -342,9 +344,9 @@ def _tilt(monkeypatch):
 def test_table_realness_check_catches_a_tilted_kernel(ground, table_axes,
                                                       monkeypatch):
     _tilt(monkeypatch)
-    with pytest.raises(CheckFailure, match="transform lost realness"):
+    with pytest.raises(CheckFailure, match="factor sum lost realness"):
         wigner_table(QuadratureWigner(ground, P), table_axes)
-    with pytest.raises(CheckFailure, match="transform lost realness"):
+    with pytest.raises(CheckFailure, match="factor sum lost realness"):
         QuadratureWigner(ground, P).at(0.3, 0.0, 0.1, 0.2)
 
 
@@ -352,7 +354,7 @@ def test_streamed_realness_check_catches_a_tilted_kernel(ground, table_axes,
                                                          monkeypatch):
     _tilt(monkeypatch)
     rows = quadrature_rows(QuadratureWigner(ground, P), table_axes)
-    with pytest.raises(CheckFailure, match="transform lost realness"):
+    with pytest.raises(CheckFailure, match="factor sum lost realness"):
         table_sums(rows, table_axes, P)
 
 
@@ -417,15 +419,18 @@ def test_table_normalization(ground_table, table_axes):
     assert sums.integral == pytest.approx(1.0, abs=1e-6)
 
 
-def test_marginals_match_densities(ground_table, ground_xpy, table_axes):
-    _, ya, pxa, _ = table_axes
+def test_marginals_match_densities(ground, ground_table, ground_xpy,
+                                   table_axes):
+    # the p marginal against the factors read at the table's p_x, the
+    # (y, p_x) one through the p -> ypx kernel from there
+    _, ya, pxa, pya = table_axes
     sums = table_sums(ground_table, table_axes, P)
     m = sums.marginal("xpy")
     assert np.abs(m.values - np.abs(ground_xpy.values) ** 2).max() < 1e-6
-    psi_p = transform(ground_xpy, "p", P, axes=(pxa, ground_xpy.axis2))
+    psi_p = ground.grid((pxa, pya))
     m = sums.marginal("p")
     assert np.abs(m.values - np.abs(psi_p.values) ** 2).max() < 1e-6
-    psi_ypx = transform(ground_xpy, "ypx", P, axes=(ya, pxa))
+    psi_ypx = transform(psi_p, "ypx", P, axes=(ya, pxa))
     m = sums.marginal("ypx")
     assert np.abs(m.values - np.abs(psi_ypx.values) ** 2).max() < 1e-6
     with pytest.raises(WignerError):
