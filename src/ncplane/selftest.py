@@ -194,7 +194,7 @@ def check_wigner(seed: int):
     marg_err = max(float(np.max(np.abs(
         sums.marginal(psi.basis).values - np.abs(psi.values) ** 2)))
         for psi in (spectra.transform(psi0.grid(), "xpy", p), off,
-                    spectra.transform(off, "ypx", p, axes=(ta, ta))))
+                    spectra.transform(off, "ypx", p, q=ta)))
 
     # parity: W(0) = -1/(pi hbar)^2 for every n = 1 state, its minimum
     witness = wigner.QuadratureWigner(spectra.eigenfunction(1, 1, p, axes),

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,12 +35,14 @@ from .grids import (STENCIL_BAND, GridError, GridFunction,
                     first_derivative, interior_norm, second_derivative,
                     trapezoid_weights, uniform_axis)
 
-# eigenfunction rejects a state whose edge exceeds this share of its peak
+# eigenfunction rejects a state whose edge exceeds this share of its peak,
+# and a grid whose momentum step exceeds MAX_STEP widths sqrt(m hbar w_eff)
 TAIL_TOL = 1e-10
+MAX_STEP = 0.5
 
 
 class TruncationError(ValueError):
-    """Grid boundary truncates the state beyond tolerance."""
+    """The grid cannot hold the state: too coarse, too small, or off it."""
 
 
 class AliasingError(ValueError):
@@ -79,22 +80,15 @@ def spectrum(n_max: int, p: NCParams) -> list[SpectrumEntry]:
             for n in range(n_max + 1) for two_j in range(-n, n + 1, 2)]
 
 
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n by the three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"hermite order must be >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    h0, h1 = np.zeros_like(x), np.ones_like(x)      # H_{-1} = 0, H_0 = 1
-    for k in range(n):
-        h0, h1 = h1, 2.0 * x * h1 - 2.0 * k * h0
-    return h1
-
-
 def hermite_functions(orders, width: float, p) -> np.ndarray:
     """h_m(P) = H_m(P) e^{-P^2/2}, P = p / width, for m in orders on a new
-    last axis: the eigenstates' factor columns at any momenta p."""
+    last axis, from one run of the recurrence up to max(orders): the
+    eigenstates' factor columns at any momenta p."""
     P = np.asarray(p, dtype=float) / width
-    return (np.stack([hermite(m, P) for m in orders], -1)
+    H = [np.zeros_like(P), np.ones_like(P)]         # H_{-1} = 0, H_0 = 1
+    for k in range(max(orders)):
+        H.append(2.0 * P * H[-1] - 2.0 * k * H[-2])
+    return (np.stack([H[m + 1] for m in orders], -1)
             * np.exp(-0.5 * P ** 2)[..., None])
 
 
@@ -138,12 +132,17 @@ def eigenfunction(n: int, two_j: int, p: NCParams, axes=None) -> Separable:
     """Joint (H, J) eigenstate psi_{n, j} on a (p_x, p_y) grid, unit L2 norm:
     n + 1 products h_{n-k}(P_x) h_k(P_y) of h_m(P) = H_m(P) e^{-P^2/2},
     P = p / sqrt(m hbar w_eff), with numerically renormalized coefficients.
-    Raises TruncationError when the boundary amplitude exceeds TAIL_TOL
-    relative to the peak (grid too small for the state), or when the grid
-    gives the state no positive finite norm (grid step too coarse)."""
+    Raises TruncationError before any factor is built when a momentum step
+    exceeds MAX_STEP widths; after, when the norm is 0 (the grid misses the
+    state) or not finite (the factors overflow), or when the boundary
+    amplitude exceeds TAIL_TOL of the peak (the grid is too small)."""
     validate_level(n, two_j)
     if axes is None:
         axes = momentum_grid(p)
+    h = max(ax[1] - ax[0] for ax in axes) / p.width
+    if h > MAX_STEP:
+        raise TruncationError(f"grid step {h:.3g} widths sqrt(m hbar w_eff) "
+                              f"exceeds {MAX_STEP}; refine the grid")
     # c_k = i^k [t^k] (1 + t)^a (1 - t)^b, a + b = n, a - b = two_j
     a, b = (n + two_j) // 2, (n - two_j) // 2
     c = np.convolve([math.comb(a, r) for r in range(a + 1)],
@@ -154,10 +153,13 @@ def eigenfunction(n: int, two_j: int, p: NCParams, axes=None) -> Separable:
     with np.errstate(all="ignore"):     # far out the factors are 0 or nan
         psi = Separable(*(f(ax) for f, ax in zip(cols, axes)), c, axes, cols)
         norm2 = psi.inner(psi).real
-    if not 0.0 < norm2 < math.inf:
-        h = max(ax[1] - ax[0] for ax in axes)
-        raise TruncationError(f"grid step {h:.3g} samples none of the state "
-                              f"of width sqrt(m hbar w_eff) = {p.width:.3g}")
+    if norm2 == 0.0:
+        raise TruncationError(f"the grid samples none of the state of width "
+                              f"sqrt(m hbar w_eff) = {p.width:.3g}")
+    if not norm2 < math.inf:
+        reach = max(np.abs(ax).max() for ax in axes) / p.width
+        raise TruncationError(f"the Hermite factors of order {n} overflow "
+                              f"on a grid out to {reach:.3g} widths")
     psi = replace(psi, c=c / math.sqrt(norm2))
     ratio = tail_ratio((psi.X * psi.c) @ psi.Y.T)
     if not ratio <= TAIL_TOL:
@@ -176,22 +178,19 @@ def _operator_terms(psi: Separable, p: NCParams, e: float = 0.0,
                     two_j: int = 0):
     """Factor pairs (U, V) with U V^T = (H / (hbar omega) - e) psi and
     (J / hbar - two_j) psi, for H = (1 + u) p^2/2m - (hbar^2 m w^2/2) lap
-    - (i hbar lam/2) L and J = i hbar L, L = p_y d/dp_x - p_x d/dp_y.  The
-    coefficients are divided by hbar omega before they multiply a factor;
-    the stencils leave a band of STENCIL_BAND nodes that norms exclude."""
-    (px, py), (hx, hy) = psi.axes, (a[1] - a[0] for a in psi.axes)
-    if max(hx, hy) > 0.5 * p.width:
-        warnings.warn(
-            f"grid step {max(hx, hy):.3g} is coarse against the oscillator "
-            f"width {p.width:.3g}; differential operators lose accuracy",
-            RuntimeWarning, stacklevel=3)
-    kin = (1.0 + p.u) / (2.0 * p.m * p.hbar * p.omega)
-    lap = 0.5 * p.m * p.hbar * p.omega
+    - (i hbar lam/2) L and J = i hbar L, L = p_y d/dp_x - p_x d/dp_y, in
+    P = p / width: kin P^2 - lap d^2/dP^2 - (i lam / 2 omega) L with kin =
+    (1 + u) r^2 / 2, lap = 1 / (2 r^2), r = width / sqrt(m hbar omega),
+    O(1) at every scale.  Norms skip the stencils' STENCIL_BAND."""
+    Px, Py = (a / p.width for a in psi.axes)
+    hx, hy = Px[1] - Px[0], Py[1] - Py[0]
+    r = p.width / (math.sqrt(p.m) * math.sqrt(p.hbar) * math.sqrt(p.omega))
+    kin, lap = 0.5 * (1.0 + p.u) * r * r, 0.5 / (r * r)
     X, Y = psi.X * psi.c, psi.Y
     KX, KY = (kin * a[:, None] ** 2 * F - lap * second_derivative(F, h, 0)
-              for a, F, h in ((px, X, hx), (py, Y, hy)))
-    iUL = 1j * np.hstack([first_derivative(X, hx, 0), -px[:, None] * X])
-    VL = np.hstack([py[:, None] * Y, first_derivative(Y, hy, 0)])
+              for a, F, h in ((Px, X, hx), (Py, Y, hy)))
+    iUL = 1j * np.hstack([first_derivative(X, hx, 0), -Px[:, None] * X])
+    VL = np.hstack([Py[:, None] * Y, first_derivative(Y, hy, 0)])
     rot = -0.5 * (p.lam / p.omega) * iUL
     return ((np.hstack([KX - e * X, X, rot]), np.hstack([Y, KY, VL])),
             (np.hstack([iUL, -two_j * X]), np.hstack([VL, Y])))
@@ -200,18 +199,14 @@ def _operator_terms(psi: Separable, p: NCParams, e: float = 0.0,
 def eigen_residuals(psi: Separable, n: int, two_j: int, p: NCParams):
     """(H-residual, J-residual) of the state psi at level (n, two_j): the
     interior L2 residuals ||A psi - lambda psi|| / ||psi|| of A = H in units
-    of hbar omega and of A = J in units of hbar, each assembled as one
-    product U V^T before its norm is taken."""
-    norm = interior_norm((psi.X * psi.c) @ psi.Y.T, psi.axes, STENCIL_BAND)
+    of hbar omega and of A = J in units of hbar, each one product U V^T,
+    taken with max|c| = 1 on the axes P = p / width: O(1) at every scale."""
+    psi = replace(psi, c=psi.c / np.abs(psi.c).max())
+    axes = tuple(a / p.width for a in psi.axes)
+    norm = interior_norm((psi.X * psi.c) @ psi.Y.T, axes, STENCIL_BAND)
     e = energy(n, two_j, p) / (p.hbar * p.omega)
-    with np.errstate(all="ignore"):
-        terms = _operator_terms(psi, p, e, two_j)
-    if not all(np.isfinite(F).all() for pair in terms for F in pair):
-        raise ValueError(f"stencils overflow on grid step "
-                         f"{psi.axes[0][1] - psi.axes[0][0]:.3g} at width "
-                         f"sqrt(m hbar w_eff) = {p.width:.3g}")
-    return tuple(interior_norm(U @ V.T, psi.axes, STENCIL_BAND) / norm
-                 for U, V in terms)
+    return tuple(interior_norm(U @ V.T, axes, STENCIL_BAND) / norm
+                 for U, V in _operator_terms(psi, p, e, two_j))
 
 
 def apply_hamiltonian(psi: Separable, p: NCParams) -> Separable:
@@ -250,15 +245,14 @@ _BASIS = {"xpy": (0, 1.0), "ypx": (1, -1.0)}
 
 
 def transform(psi: GridFunction, to_basis: str, p: NCParams,
-              axes=None) -> GridFunction:
+              q=None) -> GridFunction:
     """A (p_x, p_y) state in the mixed basis (x, p_y) or (y, p_x), by
     trapezoid quadrature of the flat kernel: the traded momentum p_k is
-    integrated against the position q on axes[0], which defaults to the
-    numeric range of p_k (pass explicit axes for states whose widths are
-    far from 1 in the working units).  The kept momentum keeps its axis,
-    which a given axes[1] must repeat exactly.  Raises AliasingError when
-    the source grid cannot resolve the kernel oscillation out to max|q|.
-    """
+    integrated against the target position axis q, which defaults to the
+    numeric range of p_k (pass q for states whose widths are far from 1 in
+    the working units).  The kept momentum keeps its axis.  Raises
+    AliasingError when the source grid cannot resolve the kernel
+    oscillation out to max|q|."""
     if psi.basis != "p" or to_basis not in _BASIS:
         raise GridError(f"transform maps basis 'p' into 'xpy' or 'ypx', "
                         f"not {psi.basis!r} into {to_basis!r}")
@@ -266,11 +260,7 @@ def transform(psi: GridFunction, to_basis: str, p: NCParams,
     k, s = _BASIS[to_basis]
     traded, keep, v = ((psi.axis2, psi.axis1, psi.values.T) if k
                        else (psi.axis1, psi.axis2, psi.values))
-    q = traded if axes is None else np.array(axes[0], float)
-    if axes is not None and not np.array_equal(np.asarray(axes[1], float),
-                                               keep):
-        raise GridError(f"p_{to_basis[2]} is delta-matched; target axis2 "
-                        f"must equal source")
+    q = traded if q is None else np.array(q, float)
     _alias_guard(traded[1] - traded[0], np.abs(q).max()
                  + 0.5 * abs(th) * np.abs(keep).max(), hbar, to_basis[0])
     shear = _phase_outer(traded, 0.5 * s * th * keep, hbar)

@@ -54,6 +54,9 @@ MUTANTS = [
      "return self.hbar * self.omega"),
     ("lambda-L-sign", _SPE, "rot = -0.5 * (p.lam / p.omega) * iUL",
      "rot = 0.5 * (p.lam / p.omega) * iUL"),
+    ("width-drops-w_eff", _PAR,
+     "return math.sqrt(self.m * self.hbar * self.w_eff)",
+     "return math.sqrt(self.m * self.hbar * self.omega)"),
     ("mode-root-cancels", _PAR, "return s if lam >= 0 else w2 / s",
      "return s if lam >= 0 else s - abs(lam)"),
     ("level-b-sign", _PAR, "return self.a * (n + 1) - self.b * two_j",

@@ -206,19 +206,27 @@ def test_overflowing_square_exits_two_naming_it(tmp_path, capsys, argv,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--hbar", "--m", "--omega"])
-def test_eigenfunction_at_a_tiny_scale_exits_two_naming_the_step(
-        tmp_path, capsys, flag):
-    # a width of 1e-150 overflows the stencils: three RuntimeWarnings, then
-    # "values contain non-finite entries" (exit 3 when warnings are errors)
-    rc = cli.main(["eigenfunction", flag, "1e-300",
-                   "--out-dir", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("configuration error: ")
-    assert "grid step 6.27e-152" in err
-    assert "sqrt(m hbar w_eff) = 1e-150" in err
-    assert list(tmp_path.iterdir()) == []
+def _residuals(tmp_path, *flags):
+    rc = cli.main(["eigenfunction", *flags, "--out-dir", str(tmp_path)])
+    rep = json.loads((tmp_path / "eigenfunction.json").read_text())
+    return rc, rep["residual_H"], rep["residual_J"]
+
+
+@pytest.mark.parametrize("flags", [("--hbar", "1e-300"), ("--m", "1e-300"),
+                                   ("--omega", "1e-300"),
+                                   ("--hbar", "1e-310")],
+                         ids=["hbar-1e-300", "m-1e-300", "omega-1e-300",
+                              "hbar-1e-310"])
+def test_eigenfunction_at_a_tiny_scale_reads_as_at_unit_scale(tmp_path,
+                                                              flags):
+    # the stencils differenced in p and overflowed below hbar ~ 1e-205:
+    # exit 2 naming the grid step; in P = p / width every entry is O(1)
+    _, ref_h, ref_j = _residuals(tmp_path, "--hbar", "1")
+    rc, rh, rj = _residuals(tmp_path, *flags)
+    assert rc == 0
+    assert rh > 0 and rj > 0
+    assert rh == pytest.approx(ref_h, rel=1e-6)
+    assert rj == pytest.approx(ref_j, rel=1e-6)
 
 
 def test_eigenfunction_gate_at_hbar_1e_200_reads_units_of_hbar(tmp_path,
@@ -568,40 +576,49 @@ def test_eigenfunction_coarse_grid_fails_residual_gate(tmp_path, capsys):
     assert rep["ok"] is False
 
 
+def _coarse(step):
+    return (f"configuration error: grid step {step} widths sqrt(m hbar "
+            f"w_eff) exceeds 0.5; refine the grid\n")
+
+
 def test_eigenfunction_on_seven_nodes_exits_two(tmp_path, capsys):
-    # the stencil band of 3 left one interior node: an IndexError, exit 3
-    rc = cli.main(["eigenfunction", "--nodes", "7", "--out-dir",
-                   str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err == ("configuration error: band 3 leaves "
-                                       "under two interior nodes\n")
-    # eight nodes keep two interior nodes and miss the residual gate
-    with pytest.warns(RuntimeWarning, match="coarse"):
-        rc = cli.main(["eigenfunction", "--nodes", "8", "--out-dir",
+    # a step over 0.5 widths is refused before the state is built: seven
+    # nodes raised IndexError (exit 3), then "band 3 leaves under two
+    # interior nodes"; eight warned from the operators and missed the gate
+    for nodes, step in (("7", "2.67"), ("8", "2.29")):
+        rc = cli.main(["eigenfunction", "--nodes", nodes, "--out-dir",
                        str(tmp_path)])
-    assert rc == 1
+        assert rc == 2
+        assert capsys.readouterr().err == _coarse(step)
+        assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["wigner", "--nodes", "2", "--radius", "60"],
-    ["eigenfunction", "--nodes", "4", "--radius", "200"],
-    ["wigner", "--nodes", "4", "--radius", "200"],
-    ["eigenfunction", "--radius", "1e300"],
-    ["wigner", "--radius", "1e300"],
+def test_wigner_on_twelve_nodes_exits_two(tmp_path, capsys):
+    # the Wigner path never heard the operators' warning: it wrote
+    # W_origin -0.0767 against the exact -1/pi^2 = -0.1013 and exited 0
+    rc = cli.main(["wigner", "--nodes", "12", "--n", "1", "--two-j", "1",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == _coarse("1.45")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, step", [
+    (["wigner", "--nodes", "2", "--radius", "60"], "120"),
+    (["eigenfunction", "--nodes", "4", "--radius", "200"], "133"),
+    (["wigner", "--nodes", "4", "--radius", "200"], "133"),
+    (["eigenfunction", "--radius", "1e300"], "7.84e+297"),
+    (["wigner", "--radius", "1e300"], "7.84e+297"),
 ], ids=["wigner-2-60", "eigenfunction-4-200", "wigner-4-200",
         "eigenfunction-1e300", "wigner-1e300"])
 def test_grid_that_samples_none_of_the_state_exits_two(tmp_path, capsys,
-                                                       argv):
+                                                       argv, step):
     # no node lies within about 38 widths of the origin, so every sample
     # underflows and the norm is 0 (or nan, where P^2 overflows): the
-    # first line wrote NaN and exited 0, the others exited 2 after
-    # RuntimeWarnings with messages about stencil bands and offsets
+    # first line wrote NaN and exited 0; the coarse step is refused first
     rc = cli.main([*argv, "--out-dir", str(tmp_path)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(
-        "configuration error: grid step ")
-    assert "samples none of the state of width sqrt(m hbar w_eff) = 1" in err
+    assert capsys.readouterr().err == _coarse(step)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -665,6 +682,10 @@ def test_memory_error_without_a_message_exits_two(tmp_path, capsys,
        "array with shape (1000000, 1000000) and data type complex128: the "
        "result is too large to allocate")
       for command in ("eigenfunction", "wigner")),
+    # H_170 overflows out to 30 widths and the norm is inf: the message
+    # blamed the grid step 0.0587, which samples the state well
+    ("eigenfunction --n 170 --radius 30 --nodes 1024", "the Hermite "
+     "factors of order 170 overflow on a grid out to 30 widths"),
     # these grew Python lists row by row until memory ran out
     ("spectrum --n-max 100000000", "n_max = 100000000 asks for "
      "5000000150000001 levels: Unable to allocate 107. PiB for an array "

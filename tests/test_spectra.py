@@ -9,7 +9,6 @@ the energy formula evaluated by hand at pinned points.
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from ncplane.spectra import (
     eigen_residuals,
     eigenfunction,
     energy,
-    hermite,
+    hermite_functions,
     momentum_grid,
     spectrum,
     transform,
@@ -129,23 +128,29 @@ def test_spectrum_enumeration():
 
 
 def test_hermite_against_numpy():
-    x = np.linspace(-3.0, 3.0, 41)
-    for n in range(9):
+    # one recurrence run serves every order, asked for in any order
+    width = 0.7
+    p = np.linspace(-3.0, 3.0, 41) * width
+    orders = (8, 0, 5, 3, 1, 7, 2, 6, 4)
+    got = hermite_functions(orders, width, p)
+    assert got.shape == (41, 9)
+    for col, n in enumerate(orders):
         coeffs = np.zeros(n + 1)
         coeffs[n] = 1.0
-        expect = np.polynomial.hermite.hermval(x, coeffs)
-        got = hermite(n, x)
-        assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
+        expect = (np.polynomial.hermite.hermval(p / width, coeffs)
+                  * np.exp(-0.5 * (p / width) ** 2))
+        assert np.allclose(got[:, col], expect, rtol=1e-12, atol=1e-12)
 
 
 def test_hermite_literals():
-    assert hermite(0, 0.3) == 1.0
-    assert hermite(1, 0.5) == 1.0
-    assert hermite(2, 1.0) == 2.0
-    # H_3(x) = 8x^3 - 12x at x = 2
-    assert hermite(3, 2.0) == 8 * 8 - 24
-    with pytest.raises(ValueError):
-        hermite(-1, 0.0)
+    # H_0 = 1, H_1(x) = 2x, H_2(x) = 4x^2 - 2, H_3(x) = 8x^3 - 12x
+    g = np.exp(-0.5 * 0.25)
+    assert hermite_functions((0,), 1.0, 0.5)[0] == g
+    assert hermite_functions((1,), 1.0, 0.5)[0] == 1.0 * g
+    assert hermite_functions((2,), 1.0, 1.0)[0] == 2.0 * np.exp(-0.5)
+    assert hermite_functions((3,), 2.0, 4.0)[0] == (8 * 8 - 24) * np.exp(-2.0)
+    # the columns stack on a new last axis of any input shape
+    assert hermite_functions((3, 0), 1.0, np.zeros((2, 5))).shape == (2, 5, 2)
 
 
 # --- eigenfunctions ---------------------------------------------------------
@@ -359,11 +364,33 @@ def test_apply_hamiltonian_allocates_factors_not_grids():
     assert peak < 2 ** 20
 
 
-def test_coarse_grid_warns():
-    ax = uniform_axis(-8.0, 8.0, 12)
-    F = Separable(np.ones((12, 1)), np.ones((12, 1)), np.ones(1), (ax, ax))
-    with pytest.warns(RuntimeWarning):
-        apply_hamiltonian(F, P03)
+def test_coarse_grid_is_refused_where_the_state_is_built(monkeypatch):
+    # a step over MAX_STEP widths is refused before any factor is built;
+    # it used to warn from the operators only, which the Wigner path
+    # never called
+    monkeypatch.setattr("ncplane.spectra.hermite_functions", None)
+    with pytest.raises(TruncationError) as err:
+        eigenfunction(0, 0, P03, momentum_grid(P03, 12, 8.0))
+    assert str(err.value) == ("grid step 1.45 widths sqrt(m hbar w_eff) "
+                              "exceeds 0.5; refine the grid")
+
+
+def test_grid_that_misses_the_state_is_refused():
+    # a fine grid 100 widths off the origin samples only zeros
+    w = P03.width
+    axes = (uniform_axis(100.0 * w, 140.0 * w, 161),) * 2
+    with pytest.raises(TruncationError,
+                       match="the grid samples none of the state"):
+        eigenfunction(0, 0, P03, axes)
+
+
+def test_overflowing_factors_are_named_not_the_step():
+    # H_170 overflows at 30 widths, so the norm is not finite; the message
+    # used to blame the grid step
+    with pytest.raises(TruncationError) as err:
+        eigenfunction(170, 0, P03, momentum_grid(P03, 1024, 30.0))
+    assert str(err.value) == ("the Hermite factors of order 170 overflow on "
+                              "a grid out to 30 widths")
 
 
 # --- kernels and transforms -------------------------------------------------
@@ -498,32 +525,24 @@ def test_momentum_phase_translates_position():
     assert np.abs(f.values - expect).max() < 1e-10
 
 
-def test_axes_given_as_one_array_match_the_tuple_form():
+def test_target_axis_given_as_a_list_matches_the_array_form():
+    # q is any sequence of positions; the kept momentum keeps its axis
     psi = eigenfunction(0, 0, P03, momentum_grid(P03, 33, 8.0)).grid()
     qs = uniform_axis(-3.0, 3.0, 33)
-    for dst, axes in (("xpy", (qs, psi.axis2)), ("ypx", (qs, psi.axis1))):
-        want = transform(psi, dst, P03, axes=axes)
-        got = transform(psi, dst, P03, axes=np.array(axes))
+    for dst, keep in (("xpy", psi.axis2), ("ypx", psi.axis1)):
+        want = transform(psi, dst, P03, q=qs)
+        got = transform(psi, dst, P03, q=list(qs))
         assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.axis1, want.axis1)
-        assert np.array_equal(got.axis2, want.axis2)
-
-
-def test_delta_matched_axes_must_agree():
-    psi = eigenfunction(0, 0, P03, momentum_grid(P03, 65, 8.0)).grid()
-    other = uniform_axis(-3.0, 3.0, 65)
-    with pytest.raises(GridError, match="p_y is delta-matched"):
-        transform(psi, "xpy", P03, axes=(psi.axis1, other))
-    with pytest.raises(GridError, match="p_x is delta-matched"):
-        transform(psi, "ypx", P03, axes=(psi.axis2, other))
+        assert np.array_equal(got.axis1, qs)
+        assert np.array_equal(got.axis2, keep)
 
 
 def test_aliasing_guard_fires():
-    axes = momentum_grid(P03, 16, 8.0)
+    axes = momentum_grid(P03, 33, 8.0)
     psi = eigenfunction(0, 0, P03, axes).grid()
     wide = uniform_axis(-60.0, 60.0, 64)
     with pytest.raises(AliasingError):
-        transform(psi, "xpy", P03, axes=(wide, psi.axis2))
+        transform(psi, "xpy", P03, q=wide)
 
 
 def test_grid_on_the_states_own_axes_is_bit_identical():

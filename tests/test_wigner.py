@@ -290,10 +290,13 @@ def test_half_lattice_offsets_lose_no_term(nx, ny):
     # on coarse grids of odd and even node counts the offsets stop at
     # |r| <= (n - 1) // 2: past that both factors of a term lie beyond the
     # state's support, so the full lattice adds nothing; queries keep
-    # |X|, |Y| small enough that the step is not refined
+    # |X|, |Y| small enough that the step is not refined.  eigenfunction
+    # refuses steps this coarse, so the state's factors are read on them
     axes = (uniform_axis(-8.0 * P.width, 8.0 * P.width, nx),
             uniform_axis(-8.0 * P.width, 8.0 * P.width, ny))
-    psi = eigenfunction(3, 1, P, axes)
+    fine = eigenfunction(3, 1, P)
+    psi = Separable(*(f(a) for f, a in zip(fine.columns, axes)), fine.c,
+                    axes, fine.columns)
     pts = np.random.default_rng(nx * ny).uniform(-0.3, 0.3, (4, 12))
     pts[2:] *= 3.0
     got = QuadratureWigner(psi, P).at(*pts)
@@ -430,7 +433,7 @@ def test_marginals_match_densities(ground, ground_table, ground_xpy,
     psi_p = ground.grid((pxa, pya))
     m = sums.marginal("p")
     assert np.abs(m.values - np.abs(psi_p.values) ** 2).max() < 1e-6
-    psi_ypx = transform(psi_p, "ypx", P, axes=(ya, pxa))
+    psi_ypx = transform(psi_p, "ypx", P, q=ya)
     m = sums.marginal("ypx")
     assert np.abs(m.values - np.abs(psi_ypx.values) ** 2).max() < 1e-6
     with pytest.raises(WignerError):
